@@ -22,9 +22,9 @@ sweep, and extends the sweeps to regimes each engine targets:
   (:func:`repro.workloads.generator.wide_constraint_workload`), whose
   many-atom constraint left-hand sides make the per-node constraint check
   the dominant cost — the regime of the semi-naive **delta** checker
-  (:class:`repro.search.propagation.ConstraintChecker`), compared here in
-  three configurations (hash-indexed delta / linear-scan delta / recompute-
-  from-scratch ``mode="full"``) on identical search trees, and
+  (:class:`repro.search.propagation.ConstraintChecker`), raced here against
+  the linear-scan delta and recompute-from-scratch reference checkers of
+  ``tests/search/checker_oracles.py`` on identical search trees, and
 * the hub-skewed graph family
   (:func:`repro.workloads.generator.skewed_join_workload`), whose hot
   source bucket, projected-away tag column and empty buckets are the
@@ -44,14 +44,13 @@ engine that runs it) and then reports the timings.  Six gates are enforced:
   physically exhibit a process-parallel speedup; the gate is then reported
   as skipped), and
 * the (indexed) delta checker must be ≥ 3x faster **per search node** than
-  the full checker on the wide-constraint family (the ISSUE 5 criterion,
-  raised from 2x now that the delta joins run over hash indexes; all
-  configurations drive the identical propagating search tree, so the node
-  counts match by construction and the per-node ratio is a pure
+  the full-recompute reference checker on the wide-constraint family (all
+  checkers drive the identical propagating search tree, so the node counts
+  match by construction and the per-node ratio is a pure
   constraint-checking comparison), and
-* the indexed delta checker must be ≥ 3x faster per node than the PR 5
-  linear-scan delta baseline (``indexed=False``) on both the
-  wide-constraint family and the skew family (the ISSUE 7 criterion), and
+* the indexed delta checker must be ≥ 3x faster per node than the
+  linear-scan delta reference checker on both the wide-constraint family
+  and the skew family, and
 * an incremental ``Database.update`` stream — warm decision caches plus the
   live assumption-guarded DPLL solver — must answer consistency and the
   model count ≥ 3x faster than rebuilding the facade and re-deciding from
@@ -82,7 +81,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+# The reference checkers live with the differential suites that use them.
+sys.path.insert(0, str(ROOT / "tests" / "search"))
+
+from checker_oracles import CHECKERS  # noqa: E402
 
 from repro.api import Database  # noqa: E402
 from repro.completeness.consistency import is_consistent  # noqa: E402
@@ -99,7 +103,6 @@ from repro.reductions.consistency_reduction import (  # noqa: E402
 from repro.reductions.sat import random_forall_exists_instance  # noqa: E402
 from repro.search.engine import WorldSearch  # noqa: E402
 from repro.search.parallel import shutdown_pools  # noqa: E402
-from repro.search.propagation import ConstraintChecker  # noqa: E402
 from repro.search.sat_engine import SATWorldSearch  # noqa: E402
 from repro.workloads.generator import (  # noqa: E402
     disconnected_components_workload,
@@ -140,16 +143,6 @@ REQUIRED_CEGAR_SPEEDUP = 2.0
 #: Component-caching ``count_worlds`` must beat blocking-clause enumeration
 #: by this factor on instances with >= 3 independent components (ISSUE 10).
 REQUIRED_COMPONENT_SPEEDUP = 5.0
-
-#: The three ConstraintChecker configurations the checker comparison drives:
-#: ``(mode, indexed)`` per label.  "delta-linear" is the PR 5 baseline
-#: (semi-naive delta with per-atom linear scans); "full" is the PR 4
-#: recompute-from-scratch oracle.
-CHECKER_CONFIGS: dict[str, tuple[str, bool]] = {
-    "delta-indexed": ("delta", True),
-    "delta-linear": ("delta", False),
-    "full": ("full", False),
-}
 
 ALL_ENGINES = ("naive", "propagating", "sat", "parallel")
 
@@ -207,7 +200,6 @@ def _decision_stats(verdict: object) -> dict | None:
         "wall": round(stats.wall_time, 6),
         "searches": stats.searches,
         "worlds": stats.worlds,
-        "uses_indexes": stats.uses_indexes,
     }
 
 
@@ -406,7 +398,7 @@ def _wide_pool_cases(smoke: bool) -> list[Case]:
 
 @dataclass
 class CheckerCase:
-    """One checker comparison: a workload plus the configurations to race.
+    """One checker comparison: a workload plus the checkers to race.
 
     ``gate_delta_full`` marks the case for the delta-vs-full gate (the full
     recompute only runs there: its per-node cost grows as ``|R|^width`` and
@@ -472,15 +464,15 @@ def _checker_sweep(smoke: bool) -> list[CheckerCase]:
 
 
 def run_checker_comparison(smoke: bool) -> list[dict] | None:
-    """Race the ConstraintChecker configurations on identical search trees.
+    """Race the library checker and the reference checkers on identical trees.
 
-    Every configuration of :data:`CHECKER_CONFIGS` drives
+    Every checker of ``checker_oracles.CHECKERS`` named by a case drives
     :class:`repro.search.engine.WorldSearch` over the same instance; the
     enumerated ``(valuation, world)`` streams and the node counters must be
     identical (a parity failure returns ``None``), so the per-node
     wall-clock ratios isolate the constraint-checking cost: indexed delta vs
-    the full recompute (the ISSUE 5 gate) and indexed delta vs the PR 5
-    linear-scan delta (the ISSUE 7 gate).
+    the full recompute and indexed delta vs the linear-scan delta (the two
+    checker gates).
     """
     results: list[dict] = []
     for case in _checker_sweep(smoke):
@@ -490,10 +482,7 @@ def run_checker_comparison(smoke: bool) -> list[dict] | None:
         )
         observed: dict[str, tuple] = {}
         for config in case.configs:
-            mode, indexed = CHECKER_CONFIGS[config]
-            checker = ConstraintChecker(
-                workload.master, workload.constraints, mode=mode, indexed=indexed
-            )
+            checker = CHECKERS[config](workload.master, workload.constraints)
             search = WorldSearch(
                 workload.cinstance, workload.master, workload.constraints, adom,
                 checker=checker,
@@ -539,7 +528,7 @@ def print_checker_report(results: list[dict]) -> None:
     for r in results:
         name = f"[{r['label']}]".ljust(width)
         cells = []
-        for config in CHECKER_CONFIGS:
+        for config in CHECKERS:
             elapsed = r["seconds"].get(config)
             if elapsed is None:
                 cells.append(f"{config}=        -")

@@ -18,11 +18,13 @@
 #      suite), with `-p no:cacheprovider` so runs are stateless, and with
 #      coverage (`--cov=repro --cov-fail-under=$COV_FAIL_UNDER`) when
 #      pytest-cov is installed, so a PR cannot silently drop tested lines,
-#   5. the delta-vs-full checker differential suite (the tests carrying the
-#      `delta_differential` marker) as its own loudly-labelled step, so a
-#      semantics drift between the incremental and the recompute-from-scratch
-#      constraint checkers fails CI with an unambiguous banner even though
-#      the same tests also run inside the tier-1 suite,
+#   5. the checker differential suite (the tests carrying the
+#      `delta_differential` marker) as its own loudly-labelled step: it runs
+#      the library's indexed delta checker in lockstep with the test-side
+#      full-recompute and linear-scan reference checkers of
+#      tests/search/checker_oracles.py, so a semantics drift between them
+#      fails CI with an unambiguous banner even though the same tests also
+#      run inside the tier-1 suite,
 #   6. a 60-second smoke slice of the differential fuzz campaign
 #      (scripts/fuzz_differential.py, fixed seed): random four-way
 #      engine-parity cases interleaved with update-vs-rebuild streams
@@ -36,9 +38,10 @@
 #      cache hits, single-flight collapse, NDJSON streaming, update
 #      invalidation and a clean SIGTERM drain over real sockets,
 #   9. the engine smoke benchmark (four-way parity + the propagating-vs-naive,
-#      SAT-vs-propagating, parallel-vs-propagating, indexed-delta-vs-full and
-#      indexed-vs-linear-delta checker perf gates; the parallel gate needs
-#      >= 4 host CPUs and reports itself as skipped on smaller machines),
+#      SAT-vs-propagating and parallel-vs-propagating perf gates, plus the
+#      indexed delta checker gated against both reference checkers of
+#      tests/search/checker_oracles.py; the parallel gate needs >= 4 host
+#      CPUs and reports itself as skipped on smaller machines),
 #      writing machine-readable results to BENCH_ENGINE.json,
 #  10. the service smoke benchmark (benchmarks/bench_service.py --smoke):
 #      warm-cache speedup, single-flight engine-run count, first-world
@@ -111,7 +114,7 @@ fi
 python -m pytest -x -q -p no:cacheprovider "${COV_ARGS[@]}"
 
 echo
-echo "== delta-vs-full checker differential suite (semantics gate) =="
+echo "== checker differential suite: indexed delta vs the tests/search/checker_oracles.py references (semantics gate) =="
 python -m pytest -q -p no:cacheprovider -m delta_differential
 
 echo

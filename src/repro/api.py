@@ -152,18 +152,6 @@ class Database:
         The facade-level default engine selection — a registered engine name,
         an :class:`~repro.search.registry.EngineConfig`, or ``None`` for the
         registry default.  Every method takes an ``engine=`` override.
-    checker_mode:
-        Evaluation mode of the shared
-        :class:`~repro.search.propagation.ConstraintChecker`: ``"delta"``
-        (the default) for semi-naive incremental constraint checking inside
-        the tree-search engines, ``"full"`` for the recompute-from-scratch
-        oracle path (debugging / differential runs).
-    checker_indexed:
-        Whether the shared checker's delta joins run over the hash indexes
-        of :class:`~repro.relational.indexing.IndexedFactStore` (the
-        default) or over linear scans (``False``; the measurable baseline
-        the benchmark gates against).  All configurations agree on every
-        verdict.
     """
 
     def __init__(
@@ -173,16 +161,12 @@ class Database:
         constraints: Sequence[ContainmentConstraint] = (),
         *,
         engine: EngineConfig | str | None = None,
-        checker_mode: str = "delta",
-        checker_indexed: bool = True,
     ) -> None:
         self._cinstance = as_cinstance(database)
         self._master = master
         self._constraints: tuple[ContainmentConstraint, ...] = tuple(constraints)
         self._default_engine = EngineConfig.coerce(engine)
-        self._checker = ConstraintChecker(
-            master, self._constraints, mode=checker_mode, indexed=checker_indexed
-        )
+        self._checker = ConstraintChecker(master, self._constraints)
         self._base_adom: ActiveDomain | None = None
         self._query_adoms: dict[Any, ActiveDomain] = {}
         # Incremental-update state (see repro.incremental): the decision
@@ -345,6 +329,19 @@ class Database:
         old_adom = self.adom()
         old_ground = previous.ground_tuples()
         old_variable_rows = _variable_rows(previous)
+        # Columns may mix value types (an int year beside a str one), so the
+        # canonical tuple order sorts by repr, never by the values.
+        new_ground = updated.ground_tuples()
+        added_ground = [
+            (name, row)
+            for name in sorted(touched)
+            for row in sorted(new_ground[name] - old_ground[name], key=repr)
+        ]
+        dropped_ground = [
+            (name, row)
+            for name in sorted(touched)
+            for row in sorted(old_ground[name] - new_ground[name], key=repr)
+        ]
 
         self._cinstance = updated
         self._base_adom = None
@@ -352,18 +349,6 @@ class Database:
         new_adom = self.adom()
         gained, lost = new_adom.diff(old_adom)
         invalidated = self._cache.invalidate(touched)
-
-        new_ground = updated.ground_tuples()
-        added_ground = [
-            (name, row)
-            for name in sorted(touched)
-            for row in sorted(new_ground[name] - old_ground[name])
-        ]
-        dropped_ground = [
-            (name, row)
-            for name in sorted(touched)
-            for row in sorted(old_ground[name] - new_ground[name])
-        ]
 
         # Ground-fact checker session: tuple-level maintenance, no rebuild.
         if self._baseline is None:
@@ -398,8 +383,9 @@ class Database:
     def _build_baseline(self) -> CheckerSession:
         """A checker session holding the definite ground tuples."""
         session = self._checker.session(self._cinstance.schema.relation_names)
-        for name in sorted(self._cinstance.ground_tuples()):
-            for row in sorted(self._cinstance.ground_tuples()[name]):
+        ground = self._cinstance.ground_tuples()
+        for name in sorted(ground):
+            for row in sorted(ground[name], key=repr):
                 # reprolint: disable=R002 -- the session mirrors the facade's
                 # ground facts for the facade's whole lifetime; update()
                 # unwinds via retract(), never pop().

@@ -263,10 +263,8 @@ def strong_rcqp_with_ind_ccs(
 class RCQPWitness:
     """Outcome of a bounded RCQP witness search.
 
-    Legacy payload carried in ``Decision.details`` by
-    :func:`rcqp_bounded_search`; the pre-2.0 attribute access paths
-    (``decision.found``, ``decision.instances_examined``) still work through
-    deprecation shims on :class:`~repro.decision.Decision`.
+    The payload carried in ``Decision.details`` by
+    :func:`rcqp_bounded_search`.
     """
 
     found: bool

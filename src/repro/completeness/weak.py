@@ -45,10 +45,8 @@ from repro.search.registry import EngineConfig
 class WeakCompletenessReport:
     """Both sides of the weak-completeness equation, for inspection.
 
-    Legacy payload carried in ``Decision.details`` by the weak-model
-    deciders; the pre-2.0 attribute access paths
-    (``decision.certain_over_models`` etc.) still work through deprecation
-    shims on :class:`~repro.decision.Decision`.
+    The payload carried in ``Decision.details`` by the weak-model
+    deciders.
     """
 
     certain_over_models: frozenset[Row]

@@ -23,7 +23,6 @@ from repro.ctables.possible_worlds import (
     model_count,
     models,
     models_with_valuations,
-    resolve_engine,
 )
 from repro.ctables.valuation import (
     Valuation,
@@ -37,7 +36,6 @@ __all__ = [
     "ActiveDomain",
     "CInstance",
     "DEFAULT_ENGINE",
-    "resolve_engine",
     "CTable",
     "CTableRow",
     "Condition",

@@ -187,12 +187,6 @@ class CInstance:
         updated[relation] = self.table(relation).remove_row(index)
         return CInstance(self._schema, updated)
 
-    def with_table(self, table: CTable) -> "CInstance":
-        """A new c-instance with one c-table replaced."""
-        updated = dict(self._tables)
-        updated[table.name] = table
-        return CInstance(self._schema, updated)
-
     def proper_subinstances(self) -> Iterator["CInstance"]:
         """All c-instances obtained by removing exactly one row."""
         for name, index, _row in self.rows():

@@ -40,15 +40,14 @@ the default.  The built-in engines:
 Additional engines registered through
 :func:`repro.search.registry.register_engine` are selectable here without
 any change to this module.  All engines produce the same set of valuations
-and worlds (only the enumeration order may differ; engines whose
-capabilities declare ``order_identical`` reproduce the ``"propagating"``
-order exactly).  The higher-level decision procedures (consistency, RCDP,
-RCQP, MINP) are built on top of this module in :mod:`repro.completeness`.
+and worlds (only the enumeration order may differ; the parallel engine
+reproduces the ``"propagating"`` order exactly).  The higher-level decision
+procedures (consistency, RCDP, RCQP, MINP) are built on top of this module
+in :mod:`repro.completeness`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.constraints.containment import (
@@ -77,25 +76,7 @@ __all__ = [
     "model_count",
     "models",
     "models_with_valuations",
-    "resolve_engine",
 ]
-
-def resolve_engine(engine: EngineConfig | str | None) -> str:
-    """Deprecated: normalise an ``engine`` keyword to a validated name.
-
-    Kept as a shim for pre-registry callers; use
-    :func:`repro.search.registry.resolve_engine_name` (or pass the selection
-    straight through — every ``engine=`` keyword now coerces it) instead.
-    """
-    warnings.warn(
-        "resolve_engine is deprecated; use "
-        "repro.search.registry.resolve_engine_name",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.search.registry import resolve_engine_name
-
-    return resolve_engine_name(engine)
 
 
 def _engine_plan(

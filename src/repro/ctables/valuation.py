@@ -94,8 +94,3 @@ def apply_valuation(
     """``µ(T)`` — alias of :meth:`CInstance.apply` with a totality check."""
     check_total(valuation, cinstance.variables())
     return cinstance.apply(valuation)
-
-
-def identity_on_constants(valuation: Mapping[Variable, Constant]) -> Valuation:
-    """Return a copy of the valuation (valuations are identity on constants)."""
-    return dict(valuation)

@@ -16,10 +16,8 @@ problem-specific function (``find_*_witness``, ``weak_completeness_report``,
   count, the certain-answer pair of the weak model);
 * ``engine_used`` / ``stats`` — which world-search engine ran and what it
   did (search nodes, CNF clauses, worlds enumerated, wall time);
-* ``details`` — the legacy report dataclass, where one existed, reachable
-  through deprecation-shimmed properties (``.found``,
-  ``.certain_over_models``, …) so pre-redesign attribute access still works
-  but warns.
+* ``details`` — the problem-specific report dataclass, where one exists
+  (the weak model's certain-answer report, the RCQP search summary).
 
 Equality is *verdict* equality: two :class:`Decision` objects compare equal
 when they answer the same problem the same way, regardless of which engine
@@ -31,7 +29,6 @@ even though the engines surface different (equally valid) witnesses.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from types import TracebackType
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -79,10 +76,6 @@ class DecisionStats:
     clauses: int | None = None
     worlds: int | None = None
     candidates_examined: int | None = None
-    #: whether any engine run joined its delta checks over hash indexes
-    #: (:mod:`repro.relational.indexing`); ``None`` when no engine that ran
-    #: reports the flag (e.g. SAT or naive enumeration).
-    uses_indexes: bool | None = None
     #: whether the decision was served from the :class:`repro.api.Database`
     #: decision cache (no engine ran; the other counters describe the
     #: original run that populated the cache).
@@ -106,15 +99,6 @@ class DecisionStats:
         solver reuse and engine effort per request.
         """
         return asdict(self)
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"Decision.{old} is a deprecation shim for the pre-2.0 report "
-        f"dataclasses; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +163,7 @@ class Decision:
         :func:`json_safe`, so arbitrary payloads — frozensets of rows, a
         witness :class:`~repro.relational.instances.GroundInstance`, the
         weak-model report — degrade to deterministic JSON rather than
-        failing ``json.dumps``.  ``details`` (the deprecated pre-2.0 report
+        failing ``json.dumps``.  ``details`` (the problem-specific report
         object) is deliberately not serialised; its information is already
         in ``value``/``witness``.  The witness defaults to off because it
         can be large and many callers only want the verdict and stats.
@@ -197,49 +181,6 @@ class Decision:
             payload["witness"] = json_safe(self.witness)
         return payload
 
-    # ------------------------------------------------------------------
-    # deprecation shims for the pre-2.0 report dataclasses
-    # ------------------------------------------------------------------
-    @property
-    def found(self) -> bool:
-        """Deprecated alias of ``holds`` (was ``RCQPWitness.found``)."""
-        _deprecated("found", "Decision.holds")
-        return self.holds
-
-    @property
-    def instances_examined(self) -> int | None:
-        """Deprecated (was ``RCQPWitness.instances_examined``)."""
-        _deprecated("instances_examined", "Decision.stats.candidates_examined")
-        return self.stats.candidates_examined
-
-    @property
-    def is_weakly_complete(self) -> bool:
-        """Deprecated alias of ``holds`` (was ``WeakCompletenessReport.is_weakly_complete``)."""
-        _deprecated("is_weakly_complete", "Decision.holds")
-        return self.holds
-
-    @property
-    def certain_over_models(self) -> Any:
-        """Deprecated (was ``WeakCompletenessReport.certain_over_models``)."""
-        _deprecated("certain_over_models", "Decision.details.certain_over_models")
-        return self.details.certain_over_models
-
-    @property
-    def certain_over_extensions(self) -> Any:
-        """Deprecated (was ``WeakCompletenessReport.certain_over_extensions``)."""
-        _deprecated(
-            "certain_over_extensions", "Decision.details.certain_over_extensions"
-        )
-        return self.details.certain_over_extensions
-
-    @property
-    def no_world_has_extensions(self) -> bool:
-        """Deprecated (was ``WeakCompletenessReport.no_world_has_extensions``)."""
-        _deprecated(
-            "no_world_has_extensions", "Decision.details.no_world_has_extensions"
-        )
-        return self.details.no_world_has_extensions
-
 
 # ---------------------------------------------------------------------------
 # recording decider runs
@@ -256,7 +197,6 @@ def aggregate_search_stats(
     nodes: int | None = None
     clauses: int | None = None
     worlds: int | None = None
-    uses_indexes: bool | None = None
     reused_solver: bool | None = None
     cegar_rounds: int | None = None
     components: int | None = None
@@ -277,9 +217,6 @@ def aggregate_search_stats(
         got_worlds = getattr(stats, "worlds", None)
         if got_worlds is not None:
             worlds = (worlds or 0) + got_worlds
-        got_indexes = getattr(stats, "uses_indexes", None)
-        if got_indexes is not None:
-            uses_indexes = bool(uses_indexes) or bool(got_indexes)
         got_reused = getattr(stats, "reused_solver", None)
         if got_reused is not None:
             reused_solver = bool(reused_solver) or bool(got_reused)
@@ -292,7 +229,6 @@ def aggregate_search_stats(
         nodes=nodes,
         clauses=clauses,
         worlds=worlds,
-        uses_indexes=uses_indexes,
         reused_solver=reused_solver,
         cegar_rounds=cegar_rounds,
         components=components,

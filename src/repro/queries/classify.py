@@ -59,11 +59,6 @@ POSITIVE_LANGUAGES = frozenset(
 WEAKLY_DECIDABLE_LANGUAGES = POSITIVE_LANGUAGES | {QueryLanguage.FP}
 
 
-def is_positive_language(query: Query) -> bool:
-    """Whether the query is CQ, UCQ or ∃FO⁺."""
-    return classify(query) in POSITIVE_LANGUAGES
-
-
 def supports_exact_strong_check(query: Query) -> bool:
     """Whether the exact strong/viable-model deciders apply (Theorem 4.1 / 6.1)."""
     return classify(query) in POSITIVE_LANGUAGES

@@ -17,9 +17,7 @@ solvers:
   that level remains (the first unique implication point) yields an
   asserting clause, which is shrunk further by recursive self-subsumption
   minimisation and installed with a non-chronological backjump to its
-  asserting level.  The previous decision-sequence scheme (learn the
-  negated decision prefix) is kept behind ``learning="decision"`` for
-  differential testing;
+  asserting level;
 * **conflict-driven restarts** — after a geometrically growing number of
   conflicts the trail is reset to level zero; the learned clauses (and the
   saved phases and variable activities) carry the progress across the
@@ -73,15 +71,8 @@ class DPLLSolver:
         self,
         clauses: Iterable[Sequence[int]] = (),
         *,
-        learning: str = "first_uip",
         stats: SolverStats | None = None,
     ) -> None:
-        if learning not in ("first_uip", "decision"):
-            raise ReductionError(
-                f"unknown learning scheme {learning!r}; "
-                "expected 'first_uip' or 'decision'"
-            )
-        self._learning = learning
         self._clauses: list[list[int]] = []
         self._watches: dict[int, list[int]] = {}
         self._units: list[int] = []
@@ -146,11 +137,6 @@ class DPLLSolver:
         self._watches.setdefault(clause[0], []).append(index)
         self._watches.setdefault(clause[1], []).append(index)
         return index
-
-    @property
-    def num_clauses(self) -> int:
-        """Clauses in the database (input + learned, excluding units)."""
-        return len(self._clauses)
 
     @property
     def variables(self) -> frozenset[int]:
@@ -266,40 +252,10 @@ class DPLLSolver:
         return best
 
     # ------------------------------------------------------------------
-    # conflict handling (first-UIP / decision learning + backjumping)
+    # conflict handling (first-UIP learning + backjumping)
     # ------------------------------------------------------------------
-    def _decision_literals(self) -> list[int]:
-        return [self._trail[position] for position in self._trail_lim]
-
     def _resolve_conflict(self, conflict: list[int]) -> bool:
-        """Learn from a conflict; ``False`` when the instance is refuted."""
-        self.stats.conflicts += 1
-        if not self._trail_lim:
-            return False  # conflict with no decisions: refuted at level 0
-        if self._learning == "decision":
-            return self._resolve_conflict_decision(conflict)
-        return self._resolve_conflict_first_uip(conflict)
-
-    def _resolve_conflict_decision(self, conflict: list[int]) -> bool:
-        self._bump(abs(lit) for lit in conflict)
-        decisions = self._decision_literals()
-        self._bump(abs(lit) for lit in decisions)
-        # Decision learning: no completion of (d_1 ∧ ... ∧ d_k) is a model,
-        # so learn (¬d_k ∨ ¬d_{k-1} ∨ ... ∨ ¬d_1).  After backjumping to
-        # level k-1 the clause is asserting: ¬d_k propagates immediately.
-        learned = [-lit for lit in reversed(decisions)]
-        self.stats.learned_clauses += 1
-        self._backtrack(len(decisions) - 1)
-        if len(learned) == 1:
-            self._units.append(learned[0])
-        else:
-            # Watch the asserting literal and the now-deepest decision
-            # negation: positions 0 and 1 after the reversal above.
-            self._attach(learned)
-        return self._enqueue(learned[0])
-
-    def _resolve_conflict_first_uip(self, conflict: list[int]) -> bool:
-        """First-UIP analysis over the implication graph.
+        """Learn from a conflict by first-UIP analysis; ``False`` when refuted.
 
         Starting from the conflicting clause, repeatedly resolve out the
         most recently assigned current-level literal against its reason
@@ -308,6 +264,9 @@ class DPLLSolver:
         from the clause database alone, so it is globally entailed even when
         the conflict arose under assumptions.
         """
+        self.stats.conflicts += 1
+        if not self._trail_lim:
+            return False  # conflict with no decisions: refuted at level 0
         current_level = len(self._trail_lim)
         seen: set[int] = set()
         others: list[int] = []  # learned literals below the current level
@@ -455,11 +414,9 @@ class DPLLSolver:
         only*: they are installed as the first decisions (in order), so a
         ``None`` result means "unsatisfiable under the assumptions", not
         necessarily globally.  Clauses learned under assumptions remain
-        globally sound under both learning schemes: first-UIP clauses are
-        resolution-derived from the clause database alone (assumptions enter
-        only as decisions, never as resolvents), and decision-scheme clauses
-        contain the negated assumption literals explicitly.  Either way the
-        learned clauses persist safely into later calls with different
+        globally sound: first-UIP clauses are resolution-derived from the
+        clause database alone (assumptions enter only as decisions, never as
+        resolvents), so they persist safely into later calls with different
         assumptions — this is what lets one solver outlive a stream of
         incremental updates (:mod:`repro.search.sat_engine`'s guarded
         re-encoding).

@@ -212,8 +212,3 @@ def assignment_atoms(
         RelationAtom(bool_relation, (variable_terms[index],))
         for index in sorted(variable_terms)
     )
-
-
-def evaluate_encoding_sanity(formula: CNFFormula, assignment: Mapping[int, bool]) -> int:
-    """Reference truth value (0/1) of ψ under an assignment (for tests)."""
-    return int(formula.evaluate(assignment))

@@ -261,26 +261,6 @@ class GroundInstance:
         }
         return GroundInstance(self._schema, merged)
 
-    def tuple_delta(
-        self, other: "GroundInstance"
-    ) -> tuple[frozenset[tuple[str, Row]], frozenset[tuple[str, Row]]]:
-        """``(added, removed)`` relative to ``other``, as (relation, row) pairs.
-
-        The set-level diff the incremental-update machinery works in: the
-        first component holds the pairs present here but not in ``other``,
-        the second the pairs present in ``other`` but not here.  Used to
-        translate an instance-level update into guard flips for the live SAT
-        session and push/retract calls on the baseline checker session.
-        """
-        self._require_same_schema(other)
-        added: set[tuple[str, Row]] = set()
-        removed: set[tuple[str, Row]] = set()
-        for name, rel in self._relations.items():
-            theirs = other._relations[name].rows
-            added.update((name, row) for row in rel.rows - theirs)
-            removed.update((name, row) for row in theirs - rel.rows)
-        return frozenset(added), frozenset(removed)
-
     # ------------------------------------------------------------------
     # comparisons (the ``(`` relation of the paper)
     # ------------------------------------------------------------------

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.relational.domains import Constant, Domain
+from repro.relational.domains import Constant
 from repro.relational.instance import GroundInstance, Relation
-from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
+from repro.relational.schema import DatabaseSchema
 
 
 class MasterData:
@@ -94,10 +94,3 @@ def empty_master(schema: DatabaseSchema) -> MasterData:
     the right-hand side of the constraint.
     """
     return MasterData(schema, {})
-
-
-def master_relation_schema(
-    name: str, *attributes: "Attribute | str | tuple[str, Domain]"
-) -> RelationSchema:
-    """Convenience alias for building master relation schemas."""
-    return RelationSchema(name, attributes)

@@ -45,7 +45,7 @@ from repro.search.parallel import (
     resolve_workers,
     shutdown_pools,
 )
-from repro.search.propagation import CHECKER_MODES, CheckerSession, ConstraintChecker
+from repro.search.propagation import CheckerSession, ConstraintChecker
 from repro.search.registry import (
     DEFAULT_ENGINE,
     EngineCapabilities,
@@ -60,7 +60,6 @@ from repro.search.registry import (
 from repro.search.sat_engine import SATSearchStats, SATWorldSearch
 
 __all__ = [
-    "CHECKER_MODES",
     "CheckerSession",
     "ConstraintChecker",
     "DEFAULT_ENGINE",

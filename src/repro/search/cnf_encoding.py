@@ -656,10 +656,6 @@ class IncrementalEncoder:
             )
         self._active.discard(key)
 
-    def is_active(self, relation: str, ground: Row) -> bool:
-        """Whether the tuple is currently present in the encoded instance."""
-        return (relation, ground) in self._active
-
     def refute_facts(self, facts: Mapping[str, Any]) -> int:
         """Block every violated match over a candidate world's facts (CEGAR).
 

@@ -51,9 +51,6 @@ from repro.search.propagation import CheckerSession, ConstraintChecker
 #: How many search nodes may elapse between two ``stop_check`` polls.
 STOP_CHECK_STRIDE = 64
 
-#: How many search nodes may elapse between two adaptive pool re-rankings.
-ADAPTIVE_RERANK_STRIDE = 32
-
 #: The pool-order hints :class:`WorldSearch` understands.
 POOL_ORDERS = ("fresh_first",)
 
@@ -67,9 +64,6 @@ class SearchStats:
     worlds: int = 0
     duplicate_worlds: int = 0
     symmetry_skips: int = 0
-    #: whether the run's delta checker joined through hash indexes
-    #: (:mod:`repro.relational.indexing`) rather than linear scans.
-    uses_indexes: bool = False
 
 
 #: The canonical world form produced by :func:`world_key`: the relations'
@@ -132,14 +126,6 @@ class WorldSearch:
         Reordering pools never changes the *set* of worlds, only the
         sequence they are found in, so callers that promise order-identical
         enumeration must leave this off.
-    adaptive:
-        Re-rank every candidate pool by observed per-value prune rate
-        (ascending, stable) each :data:`ADAPTIVE_RERANK_STRIDE` nodes, so
-        values that keep surviving propagation are tried first.  Like
-        ``pool_order`` this permutes enumeration order only; it is meant for
-        existence checks (:meth:`has_world`), where finding any world
-        sooner ends the search.  Deterministic: the ranking depends only on
-        the search's own history, never on ambient state.
     """
 
     def __init__(
@@ -155,7 +141,6 @@ class WorldSearch:
         pool_overrides: Mapping[Variable, Sequence[Constant]] | None = None,
         stop_check: Callable[[], bool] | None = None,
         pool_order: str | None = None,
-        adaptive: bool = False,
     ) -> None:
         if adom is None:
             from repro.ctables.possible_worlds import default_active_domain
@@ -166,11 +151,7 @@ class WorldSearch:
         self._adom = adom
         self._checker = checker or ConstraintChecker(master, constraints)
         self._stop_check = stop_check
-        self._adaptive = bool(adaptive)
-        #: (variable, value) → [times tried, times pruned]; feeds the
-        #: adaptive re-ranking, deliberately per-search (no cross-run state).
-        self._prune_counts: dict[tuple[Variable, Constant], list[int]] = {}
-        self.stats = SearchStats(uses_indexes=self._checker.uses_indexes)
+        self.stats = SearchStats()
 
         restrictions = cinstance.variable_domains()
         self._pools = variable_pools(cinstance.variables(), adom, restrictions)
@@ -315,12 +296,7 @@ class WorldSearch:
             yield dict(valuation), world
             return
         variable = self._order[depth]
-        pool = self._pools[variable]
-        if self._adaptive:
-            # Snapshot: a re-ranking triggered deeper in the subtree mutates
-            # self._pools[variable] while this frame is still iterating it.
-            pool = list(pool)
-        for value in pool:
+        for value in self._pools[variable]:
             rank = self._fresh_rank.get(value)
             if rank is None:
                 next_used = used_fresh
@@ -338,12 +314,6 @@ class WorldSearch:
                 and self._stop_check()
             ):
                 raise SearchCancelledError("world search cancelled by stop_check")
-            counters: list[int] | None = None
-            if self._adaptive:
-                counters = self._prune_counts.setdefault((variable, value), [0, 0])
-                counters[0] += 1
-                if self.stats.nodes % ADAPTIVE_RERANK_STRIDE == 0:
-                    self._rerank_pools()
             valuation[variable] = value
             mark = session.mark()
             try:
@@ -351,29 +321,12 @@ class WorldSearch:
                     yield from self._descend(depth + 1, valuation, session, next_used)
                 else:
                     self.stats.pruned += 1
-                    if counters is not None:
-                        counters[1] += 1
             finally:
                 # Unwind even when SearchCancelledError (stop_check) or
                 # GeneratorExit (an abandoned enumeration) escapes mid-branch,
                 # so the session stays balanced for reuse after an abort.
                 session.pop_to(mark)
                 del valuation[variable]
-
-    # ------------------------------------------------------------------
-    # adaptive pool re-ranking
-    # ------------------------------------------------------------------
-    def _rerank_pools(self) -> None:
-        """Stably re-sort every pool by observed prune rate (ascending).
-
-        Values that have survived propagation most often move to the front;
-        never-tried values keep rate 0.0 and their relative order (the sort
-        is stable), so the ranking is a deterministic function of the
-        search's own history.
-        """
-        counts = self._prune_counts
-        for variable, pool in self._pools.items():
-            pool.sort(key=lambda value: _prune_rate(counts.get((variable, value))))
 
     # ------------------------------------------------------------------
     # front-ends
@@ -399,10 +352,3 @@ class WorldSearch:
     def count_worlds(self) -> int:
         """The number of distinct worlds."""
         return sum(1 for _ in self.worlds(deduplicate=True))
-
-
-def _prune_rate(counters: Sequence[int] | None) -> float:
-    """Observed prune rate of one (variable, value) pair (0.0 if untried)."""
-    if not counters or not counters[0]:
-        return 0.0
-    return counters[1] / counters[0]

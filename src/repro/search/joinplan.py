@@ -26,8 +26,9 @@ performs:
 
 The acceptance rule at the leaves —
 :func:`~repro.queries.evaluation.finalize_assignment` followed by a
-right-hand-side membership test on the instantiated head — is shared with the
-linear path, so the two evaluation strategies agree by construction on
+right-hand-side membership test on the instantiated head — is the one a
+linear-scan join over :func:`~repro.queries.evaluation.match_conjunction`
+applies, so the two evaluation strategies agree by construction on
 everything except speed; the differential suite in
 ``tests/search/test_indexed_store.py`` locks that in.
 """
@@ -119,8 +120,8 @@ def join_escapes_rhs(
 ) -> bool:
     """Whether some completion of ``seed`` over ``atoms`` has a head ∉ ``rhs``.
 
-    This is the indexed counterpart of the delta checker's linear scan: it
-    returns ``True`` exactly when :func:`match_conjunction` seeded with the
+    This is the indexed counterpart of a linear-scan join: it returns
+    ``True`` exactly when :func:`match_conjunction` seeded with the
     same assignment would yield an assignment whose instantiated head escapes
     the constraint's right-hand side.
     """

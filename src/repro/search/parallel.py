@@ -56,7 +56,7 @@ from repro.ctables.valuation import Valuation
 from repro.exceptions import SearchCancelledError, SearchError
 from repro.queries.terms import Variable
 from repro.relational.domains import Constant
-from repro.relational.instance import GroundInstance, Row
+from repro.relational.instance import GroundInstance
 from repro.relational.master import MasterData
 from repro.search.engine import WorldKey, WorldSearch, world_key
 from repro.search.propagation import ConstraintChecker
@@ -155,16 +155,13 @@ atexit.register(shutdown_pools)
 # ---------------------------------------------------------------------------
 # worker-side shard execution
 # ---------------------------------------------------------------------------
-#: ``(cinstance, master, constraints, adom, order, break_symmetry,
-#: checker_mode, checker_indexed)``.
+#: ``(cinstance, master, constraints, adom, order, break_symmetry)``.
 _Payload = tuple[
     CInstance,
     MasterData,
     list[ContainmentConstraint],
     ActiveDomain,
     list[Variable],
-    bool,
-    str,
     bool,
 ]
 
@@ -177,23 +174,20 @@ _Prefix = dict[Variable, Constant]
 # objects (MasterData and ContainmentConstraint define structural equality),
 # so the worker keeps the checker of the last-seen ``(master, constraints)``
 # pair and reuses it whenever the next chunk carries an equal pair.
-_CheckerKey = tuple[MasterData, tuple[ContainmentConstraint, ...], str, bool]
+_CheckerKey = tuple[MasterData, tuple[ContainmentConstraint, ...]]
 _WORKER_CHECKER: tuple[_CheckerKey, ConstraintChecker] | None = None
 
 
 def _worker_checker(
-    master: MasterData,
-    constraints: Sequence[ContainmentConstraint],
-    mode: str,
-    indexed: bool,
+    master: MasterData, constraints: Sequence[ContainmentConstraint]
 ) -> ConstraintChecker:
     # reprolint: disable=R005 -- deliberate per-process memo cache: each forked
     # worker keeps its own slot; the parent never reads or depends on it.
     global _WORKER_CHECKER
-    key = (master, tuple(constraints), mode, indexed)
+    key = (master, tuple(constraints))
     if _WORKER_CHECKER is not None and _WORKER_CHECKER[0] == key:
         return _WORKER_CHECKER[1]
-    checker = ConstraintChecker(master, constraints, mode=mode, indexed=indexed)
+    checker = ConstraintChecker(master, constraints)
     _WORKER_CHECKER = (key, checker)
     return checker
 
@@ -204,23 +198,14 @@ def _shard_search(
     # Hash indexes are session-local state (IndexedFactStore lives inside
     # each CheckerSession), so nothing index-shaped crosses the fork: every
     # worker's searches rebuild their indexes lazily from their own pushes.
-    (
-        cinstance,
-        master,
-        constraints,
-        adom,
-        order,
-        break_symmetry,
-        checker_mode,
-        checker_indexed,
-    ) = payload
+    cinstance, master, constraints, adom, order, break_symmetry = payload
     return WorldSearch(
         cinstance,
         master,
         constraints,
         adom,
         break_symmetry=break_symmetry,
-        checker=_worker_checker(master, constraints, checker_mode, checker_indexed),
+        checker=_worker_checker(master, constraints),
         order=order,
         pool_overrides={variable: [value] for variable, value in prefix.items()},
         **kwargs,
@@ -348,8 +333,6 @@ class ParallelSearchStats:
     worlds: int = 0
     duplicate_worlds: int = 0
     shard_variables: list[Variable] = field(default_factory=list)
-    #: whether the shards' delta checkers joined through hash indexes.
-    uses_indexes: bool = False
 
 
 class ParallelWorldSearch:
@@ -431,10 +414,7 @@ class ParallelWorldSearch:
         self._shard_order = shard_order
         self._checker = checker
         self._stop_check = stop_check
-        self.stats = ParallelSearchStats(
-            workers=self._workers,
-            uses_indexes=checker.uses_indexes if checker is not None else True,
-        )
+        self.stats = ParallelSearchStats(workers=self._workers)
 
         # The serial engine's order/pools are the ground truth the shards
         # reproduce; computing them here costs one ordering pass, no search.
@@ -488,11 +468,8 @@ class ParallelWorldSearch:
         return total < self._min_parallel
 
     def _payload(self, break_symmetry: bool) -> _Payload:
-        # Workers rebuild (and cache) their own checkers; shipping the mode
-        # and the indexed flag keeps a facade-configured mode="full" (or
-        # indexed=False baseline) honest in every process.
-        mode = self._checker.mode if self._checker is not None else "delta"
-        indexed = self._checker.indexed if self._checker is not None else True
+        # Workers rebuild (and cache) their own checkers from the master
+        # data and constraints.
         return (
             self._cinstance,
             self._master,
@@ -500,8 +477,6 @@ class ParallelWorldSearch:
             self._adom,
             self._order,
             break_symmetry,
-            mode,
-            indexed,
         )
 
     def _chunks(self, prefixes: list[_Prefix]) -> list[list[tuple[int, _Prefix]]]:

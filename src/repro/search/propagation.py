@@ -12,30 +12,17 @@ from that partial valuation, so
 and the whole branch can be discarded.  :class:`ConstraintChecker`
 precomputes the (fixed) right-hand sides ``p(D_m)`` once.
 
-Two evaluation modes are available:
-
-* ``mode="delta"`` (the default) — **semi-naive delta evaluation**.  When a
-  tuple ``t`` joins relation ``R``, the only LHS answers that can newly
-  escape the right-hand side are those derived by a homomorphism using ``t``
-  somewhere.  For every LHS atom over ``R`` the checker seeds the CQ match
-  with ``atom ↦ t`` and joins the *remaining* atoms outward against the
-  already-grounded fact set; the union over seed positions covers exactly
-  the new answers.  The full left-hand side is never re-evaluated, which
-  cuts the per-tuple cost from ``O(|facts|^k)`` to ``O(|facts|^(k-1))`` for
-  a ``k``-atom constraint.
-* ``mode="full"`` — the original recompute-from-scratch path, kept as the
-  debug/oracle mode the differential test suite compares ``"delta"``
-  against: every touched constraint's whole CQ is re-evaluated via
-  :func:`~repro.queries.evaluation.evaluate_cq_on_facts`.
-
-The delta mode additionally comes in two join strategies, selected by the
-``indexed`` flag: ``indexed=True`` (the default) routes the remaining-atom
-join through the hash indexes of
-:class:`~repro.relational.indexing.IndexedFactStore` with the
-selectivity-greedy planner of :mod:`repro.search.joinplan`;
-``indexed=False`` keeps the linear scans of
-:func:`~repro.queries.evaluation.match_conjunction` as the measurable
-baseline (and second oracle) the benchmark gates the indexed path against.
+Each push is checked by **semi-naive delta evaluation**.  When a tuple ``t``
+joins relation ``R``, the only LHS answers that can newly escape the
+right-hand side are those derived by a homomorphism using ``t`` somewhere.
+For every LHS atom over ``R`` the checker seeds the CQ match with
+``atom ↦ t`` and joins the *remaining* atoms outward against the
+already-grounded fact set; the union over seed positions covers exactly the
+new answers.  The full left-hand side is never re-evaluated, which cuts the
+per-tuple cost from ``O(|facts|^k)`` to ``O(|facts|^(k-1))`` for a
+``k``-atom constraint.  The remaining-atom join runs through the hash
+indexes of :class:`~repro.relational.indexing.IndexedFactStore` in the
+selectivity-greedy order of :mod:`repro.search.joinplan`.
 
 The incremental surface is a :class:`CheckerSession` (created per search via
 :meth:`ConstraintChecker.session`): a ``push(relation, row)`` /- ``pop()``
@@ -46,7 +33,10 @@ arbitrarily many concurrent searches.  Because CQ answers are monotone in
 the fact store, a push can only *add* violations and popping it removes
 exactly the violations it added — the session tracks per-push violation
 sets, so verdicts stay exact across any push/pop sequence (including pushes
-after a violation and pushes of already-present tuples).
+after a violation and pushes of already-present tuples).  Sessions evaluate
+each push through :meth:`ConstraintChecker._newly_violated`, the one hook a
+reference checker overrides to swap the evaluation strategy while keeping
+the session protocol.
 """
 
 from __future__ import annotations
@@ -57,20 +47,12 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 from repro.constraints.containment import ContainmentConstraint
 from repro.exceptions import SearchError
 from repro.queries.atoms import Comparison, RelationAtom
-from repro.queries.evaluation import (
-    evaluate_cq_on_facts,
-    instantiate_head,
-    match_atom,
-    match_conjunction,
-)
+from repro.queries.evaluation import evaluate_cq_on_facts, match_atom
 from repro.queries.terms import Term, Variable
 from repro.relational.indexing import IndexedFactStore
 from repro.relational.instance import Row
 from repro.relational.master import MasterData
 from repro.search.joinplan import join_escapes_rhs, relevant_variables
-
-#: The evaluation modes a :class:`ConstraintChecker` supports.
-CHECKER_MODES = ("delta", "full")
 
 
 @dataclass(frozen=True)
@@ -93,40 +75,19 @@ class _Entry:
 class ConstraintChecker:
     """Containment-constraint checks with precomputed right-hand sides.
 
-    Parameters
-    ----------
-    master, constraints:
-        The constraint context; the right-hand sides ``p(D_m)`` are evaluated
-        once here and shared by every check and every session.
-    mode:
-        ``"delta"`` (default) for semi-naive incremental evaluation inside
-        sessions, ``"full"`` for the recompute-from-scratch oracle path.
-        Both modes agree on every verdict; ``"full"`` exists so differential
-        tests (and debugging) have an independent reference.
-    indexed:
-        With ``mode="delta"``: ``True`` (default) joins the remaining atoms
-        through the session store's hash indexes
-        (:mod:`repro.search.joinplan`); ``False`` keeps the linear-scan
-        join as a measurable baseline.  Ignored by ``mode="full"``.  All
-        three configurations agree on every verdict.
+    ``master`` and ``constraints`` form the constraint context; the
+    right-hand sides ``p(D_m)`` are evaluated once here and shared by every
+    session.
     """
 
-    __slots__ = ("_entries", "_mode", "_indexed", "_base_violations", "_session")
+    __slots__ = ("_entries", "_base_violations")
 
     def __init__(
         self,
         master: MasterData,
         constraints: Sequence[ContainmentConstraint],
-        mode: str = "delta",
-        *,
-        indexed: bool = True,
     ) -> None:
-        if mode not in CHECKER_MODES:
-            raise SearchError(
-                f"checker mode must be one of {CHECKER_MODES}, got {mode!r}"
-            )
         entries: list[_Entry] = []
-        base_violations: frozenset[int]
         base: set[int] = set()
         for index, constraint in enumerate(constraints):
             query = constraint.query
@@ -153,27 +114,8 @@ class ConstraintChecker:
                 # session as a base violation when it fails.
                 if not evaluate_cq_on_facts(query, {}) <= entry.rhs:
                     base.add(index)
-        base_violations = frozenset(base)
         self._entries = entries
-        self._mode = mode
-        self._indexed = bool(indexed)
-        self._base_violations = base_violations
-        self._session: CheckerSession | None = None
-
-    @property
-    def mode(self) -> str:
-        """The evaluation mode (``"delta"`` or ``"full"``)."""
-        return self._mode
-
-    @property
-    def indexed(self) -> bool:
-        """Whether delta joins run over hash indexes (vs linear scans)."""
-        return self._indexed
-
-    @property
-    def uses_indexes(self) -> bool:
-        """Whether sessions of this checker actually exercise the indexes."""
-        return self._indexed and self._mode == "delta"
+        self._base_violations = frozenset(base)
 
     @property
     def constraints(self) -> list[ContainmentConstraint]:
@@ -193,46 +135,6 @@ class ConstraintChecker:
             for entry in self._entries
         ]
 
-    # ------------------------------------------------------------------
-    # stateless (full-evaluation) surface
-    # ------------------------------------------------------------------
-    def check(
-        self,
-        facts: Mapping[str, AbstractSet[Row]],
-        touched: Iterable[str] | None = None,
-    ) -> bool:
-        """Whether the fact store satisfies (the relevant) constraints.
-
-        ``facts`` maps relation names to the definitely-present tuples of a
-        (partially grounded) world.  With ``touched`` given, only constraints
-        whose left-hand side mentions one of those relations are re-evaluated;
-        by the monotonicity argument above, the verdict for the others cannot
-        have changed since they were last checked.
-
-        This surface always evaluates from scratch, regardless of the
-        checker's mode; incremental callers use a :class:`CheckerSession`.
-        """
-        touched_set = None if touched is None else set(touched)
-        for entry in self._entries:
-            if touched_set is not None and not (entry.relations & touched_set):
-                continue
-            if not evaluate_cq_on_facts(entry.constraint.query, facts) <= entry.rhs:
-                return False
-        return True
-
-    def violated(
-        self, facts: Mapping[str, AbstractSet[Row]]
-    ) -> list[ContainmentConstraint]:
-        """The constraints the fact store violates (diagnostic helper)."""
-        return [
-            entry.constraint
-            for entry in self._entries
-            if not evaluate_cq_on_facts(entry.constraint.query, facts) <= entry.rhs
-        ]
-
-    # ------------------------------------------------------------------
-    # incremental surface
-    # ------------------------------------------------------------------
     def session(self, relation_names: Iterable[str] = ()) -> "CheckerSession":
         """A fresh push/pop session over an (initially empty) fact store.
 
@@ -241,35 +143,12 @@ class ConstraintChecker:
         """
         return CheckerSession(self, relation_names)
 
-    def reset(self, relation_names: Iterable[str] = ()) -> "CheckerSession":
-        """(Re)start the checker's own default session and return it.
-
-        Convenience for direct/interactive use (the engines create their own
-        sessions); :meth:`push` and :meth:`pop` delegate to this session.
-        """
-        self._session = self.session(relation_names)
-        return self._session
-
-    def push(self, relation: str, row: Row) -> bool:
-        """Push onto the default session (auto-created on first use)."""
-        if self._session is None:
-            self.reset()
-        # reprolint: disable=R002 -- interactive convenience shim: the default
-        # session's balance is the caller's contract, via ConstraintChecker.pop().
-        return self._session.push(relation, row)
-
-    def pop(self) -> None:
-        """Pop the default session's most recent push."""
-        if self._session is None or not self._session.depth:
-            raise SearchError("pop() without a matching push()")
-        self._session.pop()
-
     # ------------------------------------------------------------------
     # per-push evaluation (used by sessions)
     # ------------------------------------------------------------------
     def _newly_violated(
         self,
-        facts: Mapping[str, AbstractSet[Row]],
+        facts: IndexedFactStore,
         relation: str,
         row: Row,
         already: AbstractSet[int],
@@ -282,25 +161,17 @@ class ConstraintChecker:
         are popped.
         """
         fresh: set[int] = set()
-        use_indexes = self._indexed and isinstance(facts, IndexedFactStore)
         for index, entry in enumerate(self._entries):
             if index in already or relation not in entry.seeds:
                 continue
-            if self._mode == "full":
-                if not evaluate_cq_on_facts(entry.constraint.query, facts) <= entry.rhs:
-                    fresh.add(index)
-            elif use_indexes:
-                assert isinstance(facts, IndexedFactStore)
-                if self._delta_violates_indexed(entry, facts, relation, row):
-                    fresh.add(index)
-            elif self._delta_violates(entry, facts, relation, row):
+            if self._delta_violates(entry, facts, relation, row):
                 fresh.add(index)
         return frozenset(fresh)
 
     def _delta_violates(
         self,
         entry: _Entry,
-        facts: Mapping[str, AbstractSet[Row]],
+        facts: IndexedFactStore,
         relation: str,
         row: Row,
     ) -> bool:
@@ -310,33 +181,8 @@ class ConstraintChecker:
         turn: a new homomorphism must map at least one such atom onto the new
         tuple, and the remaining atoms join against the full fact store
         (which already contains the tuple, covering homomorphisms that use it
-        several times).
-        """
-        for atom_index in entry.seeds[relation]:
-            seed = match_atom(entry.atoms[atom_index], row, {})
-            if seed is None:
-                continue
-            rest = entry.atoms[:atom_index] + entry.atoms[atom_index + 1:]
-            for assignment in match_conjunction(
-                rest, entry.comparisons, facts, initial=seed
-            ):
-                if instantiate_head(entry.head, assignment) not in entry.rhs:
-                    return True
-        return False
-
-    def _delta_violates_indexed(
-        self,
-        entry: _Entry,
-        facts: IndexedFactStore,
-        relation: str,
-        row: Row,
-    ) -> bool:
-        """Indexed-join counterpart of :meth:`_delta_violates`.
-
-        Same seed enumeration, but the remaining atoms are joined through
-        the store's hash indexes in greedy selectivity order
-        (:func:`repro.search.joinplan.join_escapes_rhs`) instead of by
-        linear scans.  The two strategies agree on every verdict.
+        several times) through the store's hash indexes, in greedy
+        selectivity order (:func:`repro.search.joinplan.join_escapes_rhs`).
         """
         for atom_index in entry.seeds[relation]:
             seed = match_atom(entry.atoms[atom_index], row, {})
@@ -356,7 +202,6 @@ class ConstraintChecker:
         return False
 
 
-#: Trail record of one push: ``(relation, row, added, newly_violated)``.
 #: One trail frame: ``(relation, row, actually_added, newly_violated_ids)``.
 _TrailEntry = tuple[str, "Row", bool, frozenset[int]]
 
@@ -385,10 +230,8 @@ class CheckerSession:
         self._checker = checker
         # A dict[str, set[Row]] subclass: plain mapping reads everywhere,
         # with lazily built hash indexes (and value interning) maintained by
-        # the push/pop mutators when the checker runs indexed delta joins.
-        self.facts: IndexedFactStore = IndexedFactStore(
-            relation_names, intern_values=checker.uses_indexes
-        )
+        # the push/pop mutators for the delta joins.
+        self.facts: IndexedFactStore = IndexedFactStore(relation_names)
         self._trail: list[_TrailEntry] = []
         self._violated: set[int] = set(checker._base_violations)
         self._retracted = False
@@ -482,7 +325,3 @@ class CheckerSession:
         """Pop until the trail is back at the given snapshot token."""
         while len(self._trail) > mark:
             self.pop()
-
-    def check_full(self) -> bool:
-        """Full re-evaluation of the current store (cross-check helper)."""
-        return self._checker.check(self.facts)

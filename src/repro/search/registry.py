@@ -29,9 +29,8 @@ Capability flags let callers pick fast paths without knowing engine
 internals: ``counts_natively`` routes ``model_count`` to the engine's own
 counting (SAT blocking-clause enumeration, parallel shard-count merging),
 ``symmetry_breaking`` tells existence checks to request the fresh-value
-symmetry reduction, ``order_identical`` marks engines whose enumeration
-order matches the serial propagating engine, and ``supports_cancellation``
-marks engines that can abandon work early once an answer is known.
+symmetry reduction, and ``supports_cancellation`` marks engines that can
+abandon work early once an answer is known.
 
 The module also hosts two *ambient* channels that avoid parameter
 threading through the decision procedures:
@@ -93,11 +92,6 @@ class EngineCapabilities:
         materialising :class:`~repro.relational.instance.GroundInstance`
         objects, and the parallel engine merges per-shard world-key sets.
         ``model_count`` routes through the native path when set.
-    order_identical:
-        ``worlds()`` enumerates in exactly the serial propagating engine's
-        order (the parallel engine's merge guarantee).
-    supports_workers:
-        The factory honours the ``workers`` hint.
     supports_cancellation:
         Existence checks can abandon in-flight work once an answer is known.
     symmetry_breaking:
@@ -105,10 +99,6 @@ class EngineCapabilities:
     accepts_checker:
         The factory reuses a prebuilt
         :class:`~repro.search.propagation.ConstraintChecker`.
-    uses_indexes:
-        The engine's delta checker joins over the hash indexes of
-        :class:`~repro.relational.indexing.IndexedFactStore` (reported per
-        run as ``uses_indexes`` in :class:`~repro.decision.DecisionStats`).
     pool_order_hints:
         The factory honours the ``pool_order`` option (e.g.
         ``"fresh_first"``) for value-order hints on the candidate pools.
@@ -120,12 +110,9 @@ class EngineCapabilities:
     """
 
     counts_natively: bool = False
-    order_identical: bool = False
-    supports_workers: bool = False
     supports_cancellation: bool = False
     symmetry_breaking: bool = False
     accepts_checker: bool = True
-    uses_indexes: bool = False
     pool_order_hints: bool = False
     supports_incremental: bool = False
 
@@ -412,8 +399,6 @@ register_engine(
     EngineCapabilities(
         supports_cancellation=True,
         symmetry_breaking=True,
-        order_identical=True,
-        uses_indexes=True,
         pool_order_hints=True,
     ),
 )
@@ -425,13 +410,7 @@ register_engine(
 register_engine(
     "parallel",
     _parallel_factory,
-    EngineCapabilities(
-        counts_natively=True,
-        order_identical=True,
-        supports_workers=True,
-        supports_cancellation=True,
-        uses_indexes=True,
-    ),
+    EngineCapabilities(counts_natively=True, supports_cancellation=True),
 )
 register_engine(
     "naive",

@@ -73,15 +73,13 @@ class SATWorldSearch:
     constraint pre-evaluation of the other engines); the solver is created
     lazily per search.
 
-    Three engine options tune the generation-2 SAT stack, all reachable as
+    Two engine options tune the generation-2 SAT stack, both reachable as
     ``EngineConfig("sat", options={...})`` knobs:
 
     * ``cegar`` — encode lazily (no violation clauses up front) and refine
       with counter-example rounds: each candidate model is validated against
       the constraints and only the clauses it actually violates are added
       before re-solving (:class:`~repro.search.cnf_encoding.LazyViolationOracle`);
-    * ``learning`` — the solver's conflict-analysis scheme (``"first_uip"``
-      or ``"decision"``, see :class:`repro.reductions.dpll.DPLLSolver`);
     * ``component_counting`` — :meth:`count_worlds` splits the clause graph
       into connected components, counts each independently (with a
       fingerprint cache over isomorphic components) and multiplies, instead
@@ -97,7 +95,6 @@ class SATWorldSearch:
         *,
         checker: ConstraintChecker | None = None,
         cegar: bool = False,
-        learning: str = "first_uip",
         component_counting: bool = False,
     ) -> None:
         if adom is None:
@@ -110,7 +107,6 @@ class SATWorldSearch:
         self._constraints = tuple(constraints)
         self._adom = adom
         self._checker = checker
-        self._learning = learning
         self._component_counting = bool(component_counting)
         self._encoding: WorldEncoding = encode_world_search(
             cinstance, master, constraints, adom,
@@ -141,7 +137,7 @@ class SATWorldSearch:
         if self.stats.solver is None:
             self.stats.solver = SolverStats()
         clauses = (encoding or self._encoding).clauses
-        return DPLLSolver(clauses, learning=self._learning, stats=self.stats.solver)
+        return DPLLSolver(clauses, stats=self.stats.solver)
 
     def _world_facts(self, valuation: Valuation) -> dict[str, set[Row]]:
         """The facts of the candidate world a valuation grounds."""
@@ -460,7 +456,7 @@ class SATWorldSearch:
     ) -> DPLLSolver:
         if self.stats.solver is None:
             self.stats.solver = SolverStats()
-        return DPLLSolver(clauses, learning=self._learning, stats=self.stats.solver)
+        return DPLLSolver(clauses, stats=self.stats.solver)
 
 
 class IncrementalSATSession:
@@ -499,20 +495,18 @@ class IncrementalSATSession:
         *,
         checker: ConstraintChecker | None = None,
         cegar: bool = False,
-        learning: str = "first_uip",
     ) -> None:
         self._cinstance = cinstance
         self._adom = adom
         self._variables = frozenset(cinstance.variables())
         self._variable_domains = dict(cinstance.variable_domains())
         self._cegar = bool(cegar)
-        self._learning = learning
         self._encoder = IncrementalEncoder(
             cinstance, master, constraints, adom,
             checker=checker,
             lazy_violations=self._cegar,
         )
-        self._solver = DPLLSolver(learning=learning)
+        self._solver = DPLLSolver()
         self._fed = 0
         self.stats = SATSearchStats(
             encoding=self._encoder.encoding.stats, solver=self._solver.stats
@@ -616,7 +610,7 @@ class IncrementalSATSession:
         Enumeration must not touch the live solver: its blocking clauses are
         sound only for the instance state they were generated under.
         """
-        solver = DPLLSolver(self._encoder.encoding.clauses, learning=self._learning)
+        solver = DPLLSolver(self._encoder.encoding.clauses)
         for literal in self._encoder.assumptions():
             solver.add_clause((literal,))
         return solver

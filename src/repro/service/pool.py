@@ -19,10 +19,11 @@ service's cross-request semantics:
   lock, so they never run under an in-flight read, and bump the session
   version that invalidates worker-process replicas.
 
-Executor kinds: ``"process"`` (default) ships the parsed request to a
-fork-pool worker which rebuilds (and caches, keyed by session name +
-version) a replica ``Database`` and computes there — the main-process
-facade stays authoritative for cache and updates, only CPU work migrates;
+Executor kinds: ``"process"`` (default) ships the parsed request, with the
+session's current c-instance, to a fork-pool worker which rebuilds (and
+caches, keyed by session name + version) a replica ``Database`` and
+computes there — the main-process facade stays authoritative for cache and
+updates, only CPU work migrates;
 ``"thread"`` runs the main facade on a thread pool (GIL-shared, loop stays
 responsive); ``"inline"`` computes on the loop (tests, tiny workloads).
 """
@@ -38,6 +39,8 @@ from functools import partial
 from typing import Any, Mapping
 
 from repro.api import Database
+from repro.constraints.containment import ContainmentConstraint
+from repro.ctables.cinstance import CInstance
 from repro.exceptions import (
     InconsistentUpdateError,
     ReproError,
@@ -45,6 +48,7 @@ from repro.exceptions import (
     UpdateError,
 )
 from repro.incremental import MISS, RowSpec, UpdateResult
+from repro.relational.master import MasterData
 from repro.search.registry import EngineConfig
 from repro.service.fingerprint import canonical_fingerprint
 from repro.service.locks import ReadWriteLock
@@ -67,11 +71,17 @@ __all__ = ["DatabasePool", "SessionState"]
 
 @dataclass(frozen=True)
 class _ReplicaPayload:
-    """What a process-pool worker needs to rebuild a session replica."""
+    """What a process-pool worker needs to rebuild a session replica.
+
+    ``cinstance`` is the session facade's *current* c-instance, so a replica
+    rebuilt after an update sees the updated rows.
+    """
 
     name: str
     version: int
-    spec: SessionSpec
+    cinstance: CInstance
+    master: MasterData
+    constraints: tuple[ContainmentConstraint, ...]
     engine: str | None
 
 
@@ -89,9 +99,9 @@ def _replica(payload: _ReplicaPayload) -> Database:
     if held is not None and held[0] == payload.version:
         return held[1]
     db = Database(
-        payload.spec.cinstance,
-        payload.spec.master,
-        payload.spec.constraints,
+        payload.cinstance,
+        payload.master,
+        payload.constraints,
         engine=payload.engine,
     )
     _REPLICAS[payload.name] = (payload.version, db)
@@ -310,10 +320,13 @@ class DatabasePool:
         if self._executor_kind == "thread":
             call = partial(invoke, state.database, request, engine)
         else:
+            database = state.database
             payload = _ReplicaPayload(
                 name=state.name,
                 version=state.version,
-                spec=state.spec,
+                cinstance=database.cinstance,
+                master=database.master,
+                constraints=database.constraints,
                 engine=state.engine,
             )
             call = partial(_process_decide, payload, request, engine)

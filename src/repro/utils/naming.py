@@ -9,8 +9,6 @@ constants (they are tagged strings).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.relational.domains import Constant
 
 #: Prefix used for generated fresh constants.  The prefix is deliberately
@@ -35,18 +33,6 @@ class FreshNameSupply:
     def take(self, count: int, hint: str = "") -> list[str]:
         """A list of ``count`` fresh names."""
         return [self.next(hint) for _ in range(count)]
-
-
-def fresh_constants(count: int, avoid: Iterable[Constant] = (), hint: str = "c") -> list[str]:
-    """``count`` fresh constants guaranteed not to occur in ``avoid``."""
-    avoid_set = set(avoid)
-    supply = FreshNameSupply()
-    result: list[str] = []
-    while len(result) < count:
-        candidate = supply.next(hint)
-        if candidate not in avoid_set:
-            result.append(candidate)
-    return result
 
 
 def is_fresh_constant(value: Constant) -> bool:

@@ -396,11 +396,11 @@ def wide_constraint_workload(
     checker seeds each of the ``width`` atoms with the new tuple and joins
     only the remaining ``width - 1`` outward, an ``O(|Record|/width)``
     per-node advantage that grows with the instance.  The benchmark gates
-    (`bench_engine.py`) require the indexed delta mode to be ≥ 3x faster per
-    node than ``mode="full"`` at ``width=3``, and ≥ 3x faster than the
-    linear-scan delta baseline (``indexed=False``) at ``width=4``, where the
-    remaining-atom join is deep enough for the hash-join planner to dominate
-    the shared per-node search overhead.
+    (`bench_engine.py`) require the indexed delta checker to be ≥ 3x faster
+    per node than the full-recompute reference checker at ``width=3``, and
+    ≥ 3x faster than the linear-scan delta reference at ``width=4``, where
+    the remaining-atom join is deep enough for the hash-join planner to
+    dominate the shared per-node search overhead.
     """
     value_domain = Domain(
         name=f"values{values}", values=frozenset(f"v{j}" for j in range(values))

@@ -19,7 +19,9 @@ from repro.completeness.consistency import is_consistent
 from repro.completeness.minp import is_minimal_complete
 from repro.completeness.models import STRONG, VIABLE, WEAK, CompletenessModel
 from repro.completeness.rcdp import is_relatively_complete
-from repro.completeness.rcqp import rcqp
+from repro.completeness.rcqp import rcqp, rcqp_bounded_search
+from repro.completeness.strong import is_strongly_complete
+from repro.completeness.weak import weak_completeness_report
 from repro.constraints.containment import satisfies_all
 from repro.ctables.cinstance import cinstance
 from repro.ctables.possible_worlds import (
@@ -410,6 +412,49 @@ class TestDecisionObject:
         b = Decision(holds=True, problem="consistency", engine_used="naive")
         assert repr(a) == repr(b)
         assert str(a) == "True"
+
+    def test_positional_decider_call_is_truthy(self):
+        # The 1.x call shape: positional context, the verdict used as a bool.
+        scenario = build_patient_scenario()
+        verdict = is_strongly_complete(
+            scenario.figure1, scenario.q1, scenario.master, scenario.constraints
+        )
+        assert verdict
+        assert verdict == True  # noqa: E712 - the boolean idiom is the point
+
+    def test_rcqp_details_carry_the_search_report(self):
+        bool_schema = database_schema(RelationSchema("R", [("A", BOOLEAN_DOMAIN)]))
+        master = MasterData(
+            database_schema(RelationSchema("Rm", [("A", BOOLEAN_DOMAIN)])),
+            {"Rm": [(0,), (1,)]},
+        )
+        query = cq("Q", [x], atoms=[atom("R", x)], comparisons=[])
+        decision = rcqp_bounded_search(query, bool_schema, master, [], max_size=1)
+        assert decision.details.found == decision.holds
+        assert decision.details.witness == decision.witness
+        assert decision.details.instances_examined == decision.stats.candidates_examined
+
+    def test_weak_details_carry_the_certain_answers(self):
+        # Q4 over Fig. 1: John is the certain answer over Mod(T, D_m, V).
+        scenario = build_patient_scenario()
+        decision = weak_completeness_report(
+            scenario.figure1, scenario.q4, scenario.master, scenario.constraints
+        )
+        report = decision.details
+        assert report.certain_over_models == {("John",)}
+        assert report.is_weakly_complete == decision.holds
+        if not report.no_world_has_extensions:
+            assert decision.holds == (
+                report.certain_over_models == report.certain_over_extensions
+            )
+
+    def test_engine_keyword_accepts_plain_strings(self):
+        scenario = build_patient_scenario()
+        assert is_consistent(
+            scenario.figure1, scenario.master, scenario.constraints, engine="naive"
+        ) == is_consistent(
+            scenario.figure1, scenario.master, scenario.constraints, engine="sat"
+        )
 
     def test_stats_are_populated(self):
         workload = registry_workload(master_size=3, db_rows=3, variable_count=2)

@@ -38,6 +38,7 @@ from repro.relational.master import MasterData
 from repro.relational.schema import database_schema, schema
 from repro.search.registry import EngineConfig
 from repro.workloads.generator import registry_workload, update_stream_workload
+from repro.workloads.patients import build_patient_scenario
 
 ALL_ENGINES = ("naive", "propagating", "sat", "parallel")
 
@@ -248,6 +249,52 @@ def test_update_errors_are_atomic():
     with pytest.raises(UpdateError):
         db.update(drop_rows={"Record": [("not", "present")]})
     assert db.cinstance.relation_fingerprints() == fingerprints
+
+
+# ---------------------------------------------------------------------------
+# mixed-type columns
+# ---------------------------------------------------------------------------
+#: One visit written twice, the year once as an int and once as a str: the
+#: ``MVisit.year`` column then mixes value types.
+ZED_ROWS = [("915-15-999", "Zed", "EDI", 2000), ("915-15-999", "Zed", "EDI", "2000")]
+
+
+def assert_matches_rebuild(db: Database) -> None:
+    scenario = build_patient_scenario()
+    oracle = Database(db.cinstance, scenario.master, scenario.constraints)
+    assert bool(db.is_consistent(witness=False)) == bool(
+        oracle.is_consistent(witness=False)
+    )
+    assert db.count().value == oracle.count().value
+
+
+def test_update_with_mixed_type_rows_matches_rebuild():
+    """Regression: ordering the ground diff compared an int with a str and
+    raised ``TypeError`` after the new rows were already swapped in."""
+    scenario = build_patient_scenario()
+    db = Database(scenario.figure1, scenario.master, scenario.constraints)
+    assert db.count().value == 290
+    result = db.update(add_rows={"MVisit": ZED_ROWS})
+    assert result.touched == frozenset({"MVisit"})
+    assert len(db.cinstance.table("MVisit").rows) == len(
+        scenario.figure1.table("MVisit").rows
+    ) + 2
+    assert_matches_rebuild(db)
+    db.update(drop_rows={"MVisit": ZED_ROWS})
+    assert_matches_rebuild(db)
+    assert db.count().value == 290
+
+
+def test_first_update_over_mixed_type_rows_builds_the_baseline():
+    """Regression: the ground-fact baseline sorted rows by value, so the
+    first update of a database already holding mixed-type rows crashed."""
+    scenario = build_patient_scenario()
+    mixed = scenario.figure1
+    for row in ZED_ROWS:
+        mixed = mixed.with_row("MVisit", row)
+    db = Database(mixed, scenario.master, scenario.constraints)
+    db.update(add_rows={"MVisit": [("915-15-400", "Ann", "EDI", 2001)]})
+    assert_matches_rebuild(db)
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,10 @@ _BATCHES = st.lists(
 )
 
 
-@given(_BATCHES, st.sampled_from(["first_uip", "decision"]))
+@given(_BATCHES)
 @settings(max_examples=120, deadline=None)
-def test_assumption_soundness_across_interleaved_adds(batches, learning):
-    solver = DPLLSolver(learning=learning)
+def test_assumption_soundness_across_interleaved_adds(batches):
+    solver = DPLLSolver()
     accumulated: list[list[int]] = []
     for clauses, assumptions in batches:
         for clause in clauses:
@@ -114,20 +114,51 @@ def test_assumption_soundness_across_interleaved_adds(batches, learning):
             assert all(model[abs(lit)] == (lit > 0) for lit in assumptions)
 
 
-@given(_CLAUSES)
-@settings(max_examples=100, deadline=None)
-def test_first_uip_and_decision_learning_agree(clauses):
-    first_uip = DPLLSolver(clauses, learning="first_uip").solve()
-    decision = DPLLSolver(clauses, learning="decision").solve()
-    assert (first_uip is None) == (decision is None)
-    if first_uip is not None:
-        assert _satisfies(clauses, first_uip)
-        assert _satisfies(clauses, decision)
+# ---------------------------------------------------------------------------
+# first-UIP learning: every learned clause is entailed by the clause database
+# alone, whatever assumptions the conflict arose under.
+# ---------------------------------------------------------------------------
+_DENSE_CLAUSES = st.lists(
+    st.lists(
+        st.integers(min_value=1, max_value=6).flatmap(lambda v: st.sampled_from([v, -v])),
+        min_size=2,
+        max_size=3,
+    ),
+    min_size=8,
+    max_size=30,
+)
 
 
-def test_unknown_learning_scheme_rejected():
-    with pytest.raises(ReductionError):
-        DPLLSolver(learning="second_uip")
+def _solve_and_collect_learned(clauses, assumptions=()):
+    """Solve once; return the solver and the clauses it learned."""
+    solver = DPLLSolver(clauses)
+    attached, units = len(solver._clauses), len(solver._units)
+    solver.solve(assumptions)
+    learned = [list(clause) for clause in solver._clauses[attached:]]
+    learned += [[lit] for lit in solver._units[units:]]
+    return solver, learned
+
+
+def _entailed(clauses, clause) -> bool:
+    return not brute_force_satisfiable(list(clauses) + [[-lit] for lit in clause])
+
+
+@given(_DENSE_CLAUSES, _ASSUMPTIONS)
+@settings(max_examples=150, deadline=None)
+def test_learned_clauses_are_entailed_under_assumptions(clauses, assumptions):
+    solver, learned = _solve_and_collect_learned(clauses, assumptions)
+    assert len(learned) == solver.stats.learned_clauses
+    for clause in learned:
+        assert _entailed(clauses, clause), clause
+
+
+def test_pigeonhole_learned_clauses_are_entailed():
+    clauses = _pigeonhole(4, 3)
+    solver, learned = _solve_and_collect_learned(clauses)
+    assert solver.stats.conflicts > 0
+    assert learned
+    for clause in learned:
+        assert _entailed(clauses, clause), clause
 
 
 @given(_CLAUSES, st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4))

@@ -1,15 +1,16 @@
 """Differential suite for the delta-evaluated :class:`ConstraintChecker`.
 
-The semi-naive ``mode="delta"`` checker must be observationally identical to
-the recompute-from-scratch ``mode="full"`` oracle — and both must agree with
+The library's semi-naive delta checker must be observationally identical to
+the recompute-from-scratch reference checker
+(:class:`checker_oracles.FullRecomputeChecker`) — and both must agree with
 the stateless full evaluation of the current fact store — on **every**
 push/pop sequence, not only the well-behaved ones the search engine produces.
 The hypothesis properties below drive randomly generated constraint sets,
-fact rows and operation sequences through both modes in lockstep; the
+fact rows and operation sequences through both checkers in lockstep; the
 hand-written regressions pin the trickiest protocol corners (pushing after a
 violation, popping back across a violation, pushing a tuple that is already
 present) and the engine-level equivalence (identical worlds *and* identical
-node/prune counters from :class:`WorldSearch` under either checker mode).
+node/prune counters from :class:`WorldSearch` under either checker).
 
 Every test carries the ``delta_differential`` marker so ``scripts/check.sh``
 can run the semantics gate as a dedicated step.
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checker_oracles import CHECKERS, FullRecomputeChecker, check
 from repro.constraints.containment import cc, denial_cc, projection
 from repro.ctables.cinstance import cinstance
 from repro.ctables.possible_worlds import default_active_domain
@@ -31,7 +33,7 @@ from repro.queries.terms import var
 from repro.relational.master import MasterData
 from repro.relational.schema import database_schema, schema
 from repro.search.engine import WorldSearch
-from repro.search.propagation import CHECKER_MODES, ConstraintChecker
+from repro.search.propagation import ConstraintChecker
 
 pytestmark = pytest.mark.delta_differential
 
@@ -104,9 +106,8 @@ constraint_sets = st.lists(
 
 def lockstep(constraints, operations):
     """Drive delta and full sessions in lockstep, asserting agreement."""
-    delta = ConstraintChecker(MASTER, constraints, mode="delta")
-    full = ConstraintChecker(MASTER, constraints, mode="full")
-    stateless = ConstraintChecker(MASTER, constraints, mode="full")
+    delta = ConstraintChecker(MASTER, constraints)
+    full = FullRecomputeChecker(MASTER, constraints)
     delta_session = delta.session(DB_SCHEMA.relation_names)
     full_session = full.session(DB_SCHEMA.relation_names)
     for op, relation, row in operations:
@@ -123,7 +124,7 @@ def lockstep(constraints, operations):
         assert delta_session.is_satisfied == full_session.is_satisfied
         # The ground truth: the incremental verdict must equal a stateless
         # full evaluation of the current store, at every step.
-        assert delta_session.is_satisfied == stateless.check(delta_session.facts)
+        assert delta_session.is_satisfied == check(delta, delta_session.facts)
         assert (
             delta_session.violated_constraints()
             == full_session.violated_constraints()
@@ -134,7 +135,7 @@ def lockstep(constraints, operations):
 class TestDeltaFullAgreement:
     @settings(max_examples=120, deadline=None)
     @given(constraints=constraint_sets, operations=st.lists(push_ops, max_size=24))
-    def test_modes_agree_on_every_push_pop_sequence(self, constraints, operations):
+    def test_checkers_agree_on_every_push_pop_sequence(self, constraints, operations):
         lockstep(constraints, operations)
 
     @settings(max_examples=60, deadline=None)
@@ -143,26 +144,28 @@ class TestDeltaFullAgreement:
         delta_session, _full = lockstep(constraints, operations)
         delta_session.pop_to(0)
         assert all(not rows for rows in delta_session.facts.values())
-        assert delta_session.is_satisfied == delta_session.check_full()
+        assert delta_session.is_satisfied == check(
+            ConstraintChecker(MASTER, constraints), delta_session.facts
+        )
 
 
 class TestProtocolRegressions:
     def test_pop_after_violation_restores_satisfaction(self):
         constraints = [CONSTRAINT_POOL[0]]  # R ⊆ Rm
-        for mode in CHECKER_MODES:
-            checker = ConstraintChecker(MASTER, constraints, mode=mode)
+        for label, checker_class in CHECKERS.items():
+            checker = checker_class(MASTER, constraints)
             session = checker.session(DB_SCHEMA.relation_names)
             assert session.push("R", (1, 1)) is True
             assert session.push("R", (2, 2)) is False  # (2,2) ∉ Rm
             assert not session.is_satisfied
             session.pop()
-            assert session.is_satisfied, mode
+            assert session.is_satisfied, label
             assert session.facts["R"] == {(1, 1)}
 
     def test_push_after_unpopped_violation_stays_violated(self):
         constraints = [CONSTRAINT_POOL[0]]
-        for mode in CHECKER_MODES:
-            session = ConstraintChecker(MASTER, constraints, mode=mode).session(
+        for checker_class in CHECKERS.values():
+            session = checker_class(MASTER, constraints).session(
                 DB_SCHEMA.relation_names
             )
             assert session.push("R", (2, 2)) is False
@@ -176,8 +179,8 @@ class TestProtocolRegressions:
 
     def test_repeated_tuple_pushes_are_popped_symmetrically(self):
         constraints = [CONSTRAINT_POOL[3]]  # FD denial
-        for mode in CHECKER_MODES:
-            session = ConstraintChecker(MASTER, constraints, mode=mode).session(
+        for checker_class in CHECKERS.values():
+            session = checker_class(MASTER, constraints).session(
                 DB_SCHEMA.relation_names
             )
             assert session.push("R", (0, 1)) is True
@@ -191,8 +194,8 @@ class TestProtocolRegressions:
 
     def test_repeated_push_while_violated_reports_violation(self):
         constraints = [CONSTRAINT_POOL[0]]
-        for mode in CHECKER_MODES:
-            session = ConstraintChecker(MASTER, constraints, mode=mode).session()
+        for checker_class in CHECKERS.values():
+            session = checker_class(MASTER, constraints).session()
             assert session.push("R", (2, 2)) is False
             assert session.push("R", (2, 2)) is False  # duplicate of the culprit
             session.pop()
@@ -200,29 +203,26 @@ class TestProtocolRegressions:
             session.pop()
             assert session.is_satisfied
 
-    def test_default_session_convenience_and_pop_underflow(self):
-        checker = ConstraintChecker(MASTER, [CONSTRAINT_POOL[0]])
-        assert checker.push("R", (1, 1)) is True
-        checker.pop()
-        with pytest.raises(SearchError):
-            checker.pop()
-        session = checker.reset(DB_SCHEMA.relation_names)
+    def test_pop_underflow_is_rejected(self):
+        session = ConstraintChecker(MASTER, [CONSTRAINT_POOL[0]]).session(
+            DB_SCHEMA.relation_names
+        )
         with pytest.raises(SearchError):
             session.pop()
-
-    def test_invalid_mode_is_rejected(self):
+        assert session.push("R", (1, 1)) is True
+        session.pop()
         with pytest.raises(SearchError):
-            ConstraintChecker(MASTER, [], mode="lazy")
+            session.pop()
 
     def test_atom_free_constraint_seeds_base_violation(self):
         # A constant-only LHS produces an answer over the empty store; no
         # push ever touches it, so the verdict must be fixed at session
-        # creation for both modes.
+        # creation for every checker.
         unsatisfiable = denial_cc(
             boolean_cq("always", comparisons=[eq(1, 1)]), name="⊥"
         )
-        for mode in CHECKER_MODES:
-            session = ConstraintChecker(MASTER, [unsatisfiable], mode=mode).session(
+        for checker_class in CHECKERS.values():
+            session = checker_class(MASTER, [unsatisfiable]).session(
                 DB_SCHEMA.relation_names
             )
             assert not session.is_satisfied
@@ -272,17 +272,17 @@ class TestEngineLevelDifferential:
         T = cinstance(DB_SCHEMA, **{name: rs for name, rs in rows.items()})
         adom = default_active_domain(T, MASTER, constraints)
         results = {}
-        for mode in CHECKER_MODES:
+        for label in ("delta-indexed", "full"):
             search = WorldSearch(
                 T, MASTER, constraints, adom,
-                checker=ConstraintChecker(MASTER, constraints, mode=mode),
+                checker=CHECKERS[label](MASTER, constraints),
             )
             pairs = [
                 (frozenset(valuation.items()), world)
                 for valuation, world in search.search()
             ]
-            results[mode] = (pairs, search.stats.nodes, search.stats.pruned)
-        assert results["delta"] == results["full"]
+            results[label] = (pairs, search.stats.nodes, search.stats.pruned)
+        assert results["delta-indexed"] == results["full"]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -298,14 +298,14 @@ class TestEngineLevelDifferential:
         T = cinstance(DB_SCHEMA, R=rows)
         adom = default_active_domain(T, MASTER, constraints)
         observed = {}
-        for mode in CHECKER_MODES:
+        for label in ("delta-indexed", "full"):
             search = WorldSearch(
                 T, MASTER, constraints, adom,
-                checker=ConstraintChecker(MASTER, constraints, mode=mode),
+                checker=CHECKERS[label](MASTER, constraints),
             )
             pairs = [
                 (frozenset(valuation.items()), world)
                 for valuation, world in search.search()
             ]
-            observed[mode] = (pairs, search.stats.nodes, search.stats.pruned)
-        assert observed["delta"] == observed["full"]
+            observed[label] = (pairs, search.stats.nodes, search.stats.pruned)
+        assert observed["delta-indexed"] == observed["full"]

@@ -357,19 +357,24 @@ class TestEngineInternals:
         # z completes a row on its own and has a small pool: it must precede x.
         assert first.index(z) < first.index(x)
 
-    def test_constraint_checker_touched_filtering(self):
-        bool_schema = database_schema(RelationSchema("R", [("A", BOOLEAN_DOMAIN)]))
+    def test_constraint_checker_session_verdicts(self):
+        bool_schema = database_schema(
+            RelationSchema("R", [("A", BOOLEAN_DOMAIN)]),
+            RelationSchema("S", [("A", BOOLEAN_DOMAIN)]),
+        )
         master = MasterData(
             database_schema(RelationSchema("Rm", [("A", BOOLEAN_DOMAIN)])),
             {"Rm": [(1,)]},
         )
         constraint = relation_containment_cc("R", bool_schema, "Rm")
-        checker = ConstraintChecker(master, [constraint])
-        assert checker.check({"R": {(1,)}})
-        assert not checker.check({"R": {(0,)}})
-        # An untouched relation set skips the (violated) constraint entirely.
-        assert checker.check({"R": {(0,)}}, touched={"S"})
-        assert checker.violated({"R": {(0,)}}) == [constraint]
+        session = ConstraintChecker(master, [constraint]).session(["R", "S"])
+        assert session.push("R", (1,))
+        # A relation no constraint mentions never triggers a re-check.
+        assert session.push("S", (0,))
+        assert not session.push("R", (0,))
+        assert session.violated_constraints() == [constraint]
+        session.pop_to(0)
+        assert session.is_satisfied
 
     def test_ground_row_violation_prunes_at_root(self):
         bool_schema = database_schema(RelationSchema("R", [("A", BOOLEAN_DOMAIN)]))

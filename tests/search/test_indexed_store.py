@@ -1,16 +1,16 @@
 """Differential + unit suite for the hash-indexed fact store and join planner.
 
-The indexed delta checker (``ConstraintChecker(..., indexed=True)``) must be
-observationally identical to the PR 5 linear-scan delta baseline
-(``indexed=False``) and to the recompute-from-scratch ``mode="full"`` oracle
+The library's indexed delta checker (:class:`ConstraintChecker`) must be
+observationally identical to the linear-scan delta reference
+(:class:`checker_oracles.LinearScanChecker`) and to the
+recompute-from-scratch reference (:class:`checker_oracles.FullRecomputeChecker`)
 on **every** push/pop sequence — the hash-join planner of
 :mod:`repro.search.joinplan` only changes how the remaining-atom join is
 evaluated, never what it answers.  The hypothesis properties below drive all
-three configurations in lockstep over random operation sequences (including
-pops across violations); the engine-level tests lock identical world streams
-and node/prune counters plus the ``uses_indexes`` stats flag; the parallel
-test covers fork-inherited workers, whose indexes are session-local and
-rebuilt lazily per worker.  Unit tests pin the index machinery itself:
+three checkers in lockstep over random operation sequences (including pops
+across violations); the engine-level tests lock identical world streams and
+node/prune counters; the parallel test covers fork-inherited workers, whose
+indexes are session-local and rebuilt lazily per worker.  Unit tests pin the index machinery itself:
 multiset bucket discards, lazy build vs incremental maintenance, value
 interning and the per-instance index cache.
 
@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checker_oracles import CHECKERS, check
 from repro.constraints.containment import cc, denial_cc, projection
 from repro.ctables.cinstance import cinstance
 from repro.ctables.possible_worlds import default_active_domain
@@ -36,6 +37,7 @@ from repro.relational.instance import instance
 from repro.relational.master import MasterData
 from repro.relational.schema import database_schema, schema
 from repro.search.engine import WorldSearch
+from repro.search.naive import NaiveWorldSearch
 from repro.search.parallel import ParallelWorldSearch
 from repro.search.propagation import ConstraintChecker
 from repro.workloads.generator import (
@@ -86,13 +88,6 @@ CONSTRAINT_POOL = [
         name="r⋈s⊆sm",
     ),
 ]
-
-#: The checker configurations under test: ``(mode, indexed)``.
-CONFIGS = {
-    "delta-indexed": ("delta", True),
-    "delta-linear": ("delta", False),
-    "full": ("full", False),
-}
 
 r_rows = st.tuples(st.integers(0, 2), st.integers(0, 2))
 s_rows = st.tuples(st.integers(0, 2))
@@ -225,12 +220,10 @@ class TestInstanceIndex:
 # three-way session lockstep
 # ---------------------------------------------------------------------------
 def lockstep(constraints, operations):
-    """Drive all three checker configurations in lockstep, asserting agreement."""
+    """Drive all three checkers in lockstep, asserting agreement."""
     sessions = {
-        label: ConstraintChecker(
-            MASTER, constraints, mode=mode, indexed=indexed
-        ).session(DB_SCHEMA.relation_names)
-        for label, (mode, indexed) in CONFIGS.items()
+        label: checker_class(MASTER, constraints).session(DB_SCHEMA.relation_names)
+        for label, checker_class in CHECKERS.items()
     }
     reference = sessions["delta-indexed"]
     for op, relation, row in operations:
@@ -266,15 +259,16 @@ class TestThreeWayLockstep:
     @given(constraints=constraint_sets, operations=st.lists(push_ops, max_size=14))
     def test_full_unwind_restores_the_empty_store(self, constraints, operations):
         sessions = lockstep(constraints, operations)
+        stateless = ConstraintChecker(MASTER, constraints)
         for label, session in sessions.items():
             session.pop_to(0)
             assert all(not rows for rows in session.facts.values()), label
-            assert session.is_satisfied == session.check_full(), label
+            assert session.is_satisfied == check(stateless, session.facts), label
 
     def test_pop_after_violation_unwinds_index_entries(self):
         # The violating push adds index entries; popping it must remove
         # exactly those, leaving lookups as if the push never happened.
-        checker = ConstraintChecker(MASTER, [CONSTRAINT_POOL[0]], indexed=True)
+        checker = ConstraintChecker(MASTER, [CONSTRAINT_POOL[0]])
         session = checker.session(DB_SCHEMA.relation_names)
         assert session.push("R", (1, 1)) is True
         index = session.facts.index("R", ((0,), (1,)))
@@ -285,14 +279,9 @@ class TestThreeWayLockstep:
         assert index.group((2,)) == {}
         assert session.facts["R"] == {(1, 1)}
 
-    def test_uses_indexes_reflects_mode_and_flag(self):
-        assert ConstraintChecker(MASTER, [], indexed=True).uses_indexes
-        assert not ConstraintChecker(MASTER, [], indexed=False).uses_indexes
-        assert not ConstraintChecker(MASTER, [], mode="full", indexed=True).uses_indexes
-
 
 # ---------------------------------------------------------------------------
-# engine-level differential (identical trees, counters and stats flags)
+# engine-level differential (identical trees and counters)
 # ---------------------------------------------------------------------------
 def _workload_corpus():
     return [
@@ -310,20 +299,16 @@ class TestEngineLevelDifferential:
             workload.cinstance, workload.master, workload.constraints
         )
         observed = {}
-        for label, (mode, indexed) in CONFIGS.items():
-            checker = ConstraintChecker(
-                workload.master, workload.constraints, mode=mode, indexed=indexed
-            )
+        for label, checker_class in CHECKERS.items():
             search = WorldSearch(
                 workload.cinstance, workload.master, workload.constraints, adom,
-                checker=checker,
+                checker=checker_class(workload.master, workload.constraints),
             )
             pairs = [
                 (frozenset(valuation.items()), world)
                 for valuation, world in search.search()
             ]
             observed[label] = (pairs, search.stats.nodes, search.stats.pruned)
-            assert search.stats.uses_indexes == (label == "delta-indexed"), label
         assert observed["delta-indexed"] == observed["delta-linear"]
         assert observed["delta-indexed"] == observed["full"]
 
@@ -341,12 +326,10 @@ class TestEngineLevelDifferential:
         T = cinstance(DB_SCHEMA, R=rows)
         adom = default_active_domain(T, MASTER, constraints)
         observed = {}
-        for label, (mode, indexed) in CONFIGS.items():
+        for label, checker_class in CHECKERS.items():
             search = WorldSearch(
                 T, MASTER, constraints, adom,
-                checker=ConstraintChecker(
-                    MASTER, constraints, mode=mode, indexed=indexed
-                ),
+                checker=checker_class(MASTER, constraints),
             )
             pairs = [
                 (frozenset(valuation.items()), world)
@@ -360,17 +343,15 @@ class TestEngineLevelDifferential:
 class TestParallelForkParity:
     """Fork-inherited workers rebuild their session-local indexes lazily."""
 
-    @pytest.mark.parametrize("indexed", [True, False])
-    def test_forced_parallel_matches_serial_worlds(self, indexed):
+    @pytest.mark.parametrize("reference", ["delta-linear", "full"])
+    def test_forced_parallel_matches_serial_worlds(self, reference):
         workload = wide_pool_workload(rows=3, values_per_key=3)
         adom = default_active_domain(
             workload.cinstance, workload.master, workload.constraints
         )
         serial = WorldSearch(
             workload.cinstance, workload.master, workload.constraints, adom,
-            checker=ConstraintChecker(
-                workload.master, workload.constraints, indexed=indexed
-            ),
+            checker=CHECKERS[reference](workload.master, workload.constraints),
         )
         expected = [
             (frozenset(valuation.items()), world)
@@ -378,9 +359,7 @@ class TestParallelForkParity:
         ]
         parallel = ParallelWorldSearch(
             workload.cinstance, workload.master, workload.constraints, adom,
-            checker=ConstraintChecker(
-                workload.master, workload.constraints, indexed=indexed
-            ),
+            checker=ConstraintChecker(workload.master, workload.constraints),
             workers=2,
             min_parallel_valuations=0,
         )
@@ -389,7 +368,6 @@ class TestParallelForkParity:
             for valuation, world in parallel.search()
         ]
         assert got == expected
-        assert parallel.stats.uses_indexes == indexed
 
 
 # ---------------------------------------------------------------------------
@@ -403,37 +381,34 @@ class TestOrderingKnobs:
             for valuation, world in search.search()
         }
 
-    def test_adaptive_reranking_preserves_the_world_set(self):
-        # The pigeonhole regime prunes heavily, so the adaptive counters see
-        # real prune-rate signal; reranking may reorder the visit but must
-        # enumerate exactly the same worlds.
+    def test_pruning_heavy_search_matches_naive_enumeration(self):
+        # The pigeonhole regime prunes most branches at the checker; the
+        # static order must still reach exactly the worlds that brute-force
+        # enumeration of every valuation finds.
         workload = wide_pool_workload(rows=4, values_per_key=4)
         adom = default_active_domain(
             workload.cinstance, workload.master, workload.constraints
         )
-        baseline = WorldSearch(
+        search = WorldSearch(
             workload.cinstance, workload.master, workload.constraints, adom
         )
-        adaptive = WorldSearch(
-            workload.cinstance, workload.master, workload.constraints, adom,
-            adaptive=True,
+        naive = NaiveWorldSearch(
+            workload.cinstance, workload.master, workload.constraints, adom
         )
-        assert self._world_set(adaptive) == self._world_set(baseline)
+        assert self._world_set(search) == self._world_set(naive)
+        assert search.stats.pruned > 0
 
-    def test_adaptive_runs_are_deterministic(self):
+    def test_static_order_runs_are_deterministic(self):
         workload = wide_pool_workload(rows=4, values_per_key=3)
         adom = default_active_domain(
             workload.cinstance, workload.master, workload.constraints
         )
-        runs = [
-            list(
-                WorldSearch(
-                    workload.cinstance, workload.master, workload.constraints,
-                    adom, adaptive=True,
-                ).search()
+        runs = []
+        for _ in range(2):
+            search = WorldSearch(
+                workload.cinstance, workload.master, workload.constraints, adom
             )
-            for _ in range(2)
-        ]
+            runs.append((list(search.search()), search.stats.nodes, search.stats.pruned))
         assert runs[0] == runs[1]
 
     def test_fresh_first_pool_order_preserves_the_world_set(self):

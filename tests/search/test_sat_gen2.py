@@ -21,7 +21,6 @@ import pytest
 
 from repro.api import Database, EngineConfig
 from repro.ctables.cinstance import cinstance
-from repro.exceptions import ReductionError
 from repro.queries.terms import var
 from repro.relational.master import empty_master
 from repro.relational.schema import database_schema, schema
@@ -247,20 +246,3 @@ class TestEngineConfigOptions:
         assert decision.value == workload.world_count
         assert decision.stats.components == 2
         assert decision.stats.cegar_rounds is not None
-
-    def test_decision_learning_option_round_trips(self):
-        workload = inequality_chain_workload(3, close_cycle=True)
-        db = Database(workload.cinstance, workload.master, workload.constraints)
-        for learning in ("first_uip", "decision"):
-            config = EngineConfig("sat", options={"learning": learning})
-            assert db.is_consistent(engine=config).holds is False
-
-    def test_invalid_learning_option_raises(self):
-        workload = inequality_chain_workload(2, close_cycle=False)
-        with pytest.raises(ReductionError):
-            SATWorldSearch(
-                workload.cinstance,
-                workload.master,
-                workload.constraints,
-                learning="bogus",
-            ).has_world()

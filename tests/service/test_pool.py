@@ -282,3 +282,37 @@ def test_batch_validates_shape():
             await pool.batch("s", {"steps": ["not-an-object"]})
 
     run(main())
+
+
+def test_process_replicas_see_updates():
+    """Process-executor misses are computed on the session's current rows.
+
+    Regression: worker replicas were rebuilt from the session's creation-time
+    spec, so after adding Bob's ground row the process executor still
+    answered 290 worlds (and stored that answer in the shared cache, where
+    the facade's own ``count()`` then found it) instead of 17.
+    """
+    bob = ["915-15-336", "Bob", "EDI", 2000]
+    inline = make_pool()
+    inline.create_session("s", "patients")
+    pool = DatabasePool(executor="process", executor_workers=1, request_timeout=None)
+    state = pool.create_session("s", "patients")
+
+    async def counts(target: DatabasePool, update: dict) -> tuple[int, int]:
+        before = await target.decide("s", {"problem": "count"})
+        await target.update("s", update)
+        after = await target.decide("s", {"problem": "count"})
+        assert after["cache_hit"] is False
+        return before["result"]["value"], after["result"]["value"]
+
+    try:
+        for update in ({"add_rows": {"MVisit": [bob]}}, {"drop_rows": {"MVisit": [bob]}}):
+            expected = run(counts(inline, update))
+            assert run(counts(pool, update)) == expected
+        assert expected == (17, 290)
+        assert state.database.count().value == 290
+        run(pool.update("s", {"add_rows": {"MVisit": [bob]}}))
+        assert run(pool.decide("s", {"problem": "count"}))["result"]["value"] == 17
+        assert state.database.count().value == 17
+    finally:
+        pool.shutdown()
