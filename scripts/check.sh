@@ -18,32 +18,35 @@
 #      suite), with `-p no:cacheprovider` so runs are stateless, and with
 #      coverage (`--cov=repro --cov-fail-under=$COV_FAIL_UNDER`) when
 #      pytest-cov is installed, so a PR cannot silently drop tested lines,
-#   5. the checker differential suite (the tests carrying the
+#   5. the benchmark's own tests (perfbench/tests; `testpaths` collects only
+#      tests/, so nothing else runs them): percentiles, failure counting,
+#      probe scaling, span parenting and seam install/uninstall,
+#   6. the checker differential suite (the tests carrying the
 #      `delta_differential` marker) as its own loudly-labelled step: it runs
 #      the library's indexed delta checker in lockstep with the test-side
 #      full-recompute and linear-scan reference checkers of
 #      tests/search/checker_oracles.py, so a semantics drift between them
 #      fails CI with an unambiguous banner even though the same tests also
 #      run inside the tier-1 suite,
-#   6. a 60-second smoke slice of the differential fuzz campaign
+#   7. a 60-second smoke slice of the differential fuzz campaign
 #      (scripts/fuzz_differential.py, fixed seed): random four-way
 #      engine-parity cases interleaved with update-vs-rebuild streams
 #      through Database.update; the nightly CI job runs the same script for
 #      15 minutes with a rotating seed and uploads failing seeds,
-#   7. the doc-snippet runner (scripts/run_doc_snippets.py): every fenced
+#   8. the doc-snippet runner (scripts/run_doc_snippets.py): every fenced
 #      `python` block in README.md and docs/*.md is executed, so the
 #      documentation code cannot rot (tag a fence `python no-run` to skip),
-#   8. the service smoke (scripts/service_smoke.py): boots the real
+#   9. the service smoke (scripts/service_smoke.py): boots the real
 #      `python -m repro.service` subprocess on an ephemeral port and asserts
 #      cache hits, single-flight collapse, NDJSON streaming, update
 #      invalidation and a clean SIGTERM drain over real sockets,
-#   9. the engine smoke benchmark (four-way parity + the propagating-vs-naive,
+#  10. the engine smoke benchmark (four-way parity + the propagating-vs-naive,
 #      SAT-vs-propagating and parallel-vs-propagating perf gates, plus the
 #      indexed delta checker gated against both reference checkers of
 #      tests/search/checker_oracles.py; the parallel gate needs >= 4 host
 #      CPUs and reports itself as skipped on smaller machines),
 #      writing machine-readable results to BENCH_ENGINE.json,
-#  10. the service smoke benchmark (benchmarks/bench_service.py --smoke):
+#  11. the service smoke benchmark (benchmarks/bench_service.py --smoke):
 #      warm-cache speedup, single-flight engine-run count, first-world
 #      streaming latency and warm-service-vs-cold-rebuild gates, writing
 #      BENCH_SERVICE.json,
@@ -112,6 +115,10 @@ else
          "(CI enforces it in the coverage job)"
 fi
 python -m pytest -x -q -p no:cacheprovider "${COV_ARGS[@]}"
+
+echo
+echo "== benchmark self-tests (perfbench/tests) =="
+python -m pytest -q -p no:cacheprovider perfbench/tests
 
 echo
 echo "== checker differential suite: indexed delta vs the tests/search/checker_oracles.py references (semantics gate) =="

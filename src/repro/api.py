@@ -37,15 +37,18 @@ engine-native counting when the engine's registry capabilities declare
 symmetry breaking from engines that support it when no witness is
 requested.
 
-Since PR 8 the facade is also *updatable*: :meth:`Database.update` applies
-row-level adds/drops in place, recomputes only the state the change can
-affect (Adom delta, per-relation fingerprints, dependency-scoped decision
-cache eviction — see :mod:`repro.incremental`), incrementally maintains a
-ground-fact :class:`~repro.search.propagation.CheckerSession`, and — when
-the effective engine declares ``supports_incremental`` — keeps a live
+The facade is also *updatable*: :meth:`Database.update` applies row-level
+adds/drops in place, recomputes only the state the change can affect (Adom
+delta, per-relation fingerprints, dependency-scoped decision cache eviction
+— see :mod:`repro.incremental`), incrementally maintains a ground-fact
+:class:`~repro.search.propagation.CheckerSession`, and — when the effective
+engine declares ``supports_incremental`` — keeps a live
 :class:`~repro.search.sat_engine.IncrementalSATSession` whose DPLL solver
-survives the whole update stream.  :meth:`Database.batch` groups updates
-transactionally with rollback on inconsistency.
+survives the whole update stream.  That session answers
+:meth:`Database.is_consistent` (with or without a witness) and
+:meth:`Database.count`; :meth:`Database.worlds` and
+:meth:`Database.valuations` run a one-shot engine.  :meth:`Database.batch`
+groups updates transactionally with rollback on inconsistency.
 """
 
 from __future__ import annotations
@@ -664,11 +667,12 @@ class Database:
         pass ``witness=False`` for the cheaper existence-only probe (engines
         may then use symmetry breaking and early cancellation).
 
-        Witness-free probes on an incremental-capable engine route through
-        the facade's live SAT session: after an update only the guard
-        assumptions change, so the solver — with all its learned clauses —
-        answers without a re-encode (``stats.reused_solver``).  Verdicts
-        are cached; witness-free consistency depends only on the
+        On an incremental-capable engine (plain ``engine="sat"``) both forms
+        route through the facade's live SAT session: after an update only
+        the guard assumptions change, so the solver — with all its learned
+        clauses — answers without a re-encode (``stats.reused_solver``), and
+        the witness is ``µ(T)`` for the solver's model.
+        Verdicts are cached; witness-free consistency depends only on the
         constraint-constrained relations, so updates elsewhere keep the
         cached answer valid.
         """
@@ -676,13 +680,19 @@ class Database:
         deps = None if witness else self.constraint_relations()
 
         def compute() -> Decision:
-            if not witness and self._uses_incremental_session(config):
+            if self._uses_incremental_session(config):
                 session = self._sat_session_for()
                 rec = DecisionRecorder("consistency", config)
-                with rec:
-                    record_search(session)
-                    holds = session.has_world()
-                return rec.decision(holds)
+                world: GroundInstance | None = None
+                with session.lock:  # the stats read below are this call's
+                    with rec:
+                        record_search(session)
+                        if witness:
+                            world = session.first_world()
+                            holds = world is not None
+                        else:
+                            holds = session.has_world()
+                    return rec.decision(holds, witness=world)
             with use_checker(self._checker):
                 return _is_consistent(
                     self._cinstance,
@@ -713,20 +723,22 @@ class Database:
 
         def compute() -> Decision:
             rec = DecisionRecorder("model-count", config)
+            if self._uses_incremental_session(config):
+                session = self._sat_session_for()
+                with session.lock:  # the stats read below are this call's
+                    with rec:
+                        record_search(session)
+                        count = session.count_worlds()
+                    return rec.decision(count > 0, value=count)
             with rec:
-                if self._uses_incremental_session(config):
-                    session = self._sat_session_for()
-                    record_search(session)
-                    count = session.count_worlds()
-                else:
-                    count = model_count(
-                        self._cinstance,
-                        self._master,
-                        self._constraints,
-                        self.adom(),
-                        engine=config,
-                        checker=self._checker,
-                    )
+                count = model_count(
+                    self._cinstance,
+                    self._master,
+                    self._constraints,
+                    self.adom(),
+                    engine=config,
+                    checker=self._checker,
+                )
             return rec.decision(count > 0, value=count)
 
         result: Decision = self._cached("model-count", (), None, config, compute)

@@ -24,7 +24,9 @@ solvers:
   restart, so restarts redirect the search without losing completeness;
 * **dynamic variable activities with phase saving** — variables involved in
   recent conflicts are branched on first, and unassigned variables remember
-  the polarity they last held.
+  the polarity they last held.  The branch variable comes from an activity
+  heap (highest activity, then lowest identifier), so a decision costs a
+  heap pop instead of a scan over every variable.
 
 Literals follow the DIMACS convention used by :mod:`repro.reductions.sat`:
 a literal is a non-zero integer, ``+v`` for variable ``v`` and ``-v`` for its
@@ -38,6 +40,7 @@ learned clauses, activities and phases.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -89,6 +92,14 @@ class DPLLSolver:
         self._phase: dict[int, bool] = {}
         self._activity: dict[int, float] = {}
         self._activity_inc = 1.0
+        # Branching order heap of ``(-activity, var)`` entries with lazy
+        # deletion; ``_queued`` maps each variable to the activity of its
+        # live entry.  Invariant: every unassigned variable has a live entry
+        # carrying its current activity.  Activities only grow between
+        # rescales (which rebuild the heap), so an entry left behind by a
+        # since-bumped variable always sorts after its live one.
+        self._order: list[tuple[float, int]] = []
+        self._queued: dict[int, float] = {}
 
         # A caller-supplied ``stats`` lets several solver instances fold
         # their counters into one ledger (the world-search engines build a
@@ -112,7 +123,8 @@ class DPLLSolver:
         for lit in literals:
             if lit == 0:
                 raise ReductionError("literal 0 is not allowed (DIMACS convention)")
-            self._vars.add(abs(lit))
+            if abs(lit) not in self._vars:
+                self._register(abs(lit))
             if lit in seen:
                 continue
             if -lit in seen:
@@ -129,6 +141,18 @@ class DPLLSolver:
             self._units.append(unique[0])
             return
         self._attach(unique)
+
+    def _register(self, var: int) -> None:
+        """Record a new variable; it joins the branching heap."""
+        self._vars.add(var)
+        self._queue(var)
+
+    def _queue(self, var: int) -> None:
+        """Give a variable a live heap entry at its current activity."""
+        activity = self._activity.get(var, 0.0)
+        if self._queued.get(var) != activity:
+            self._queued[var] = activity
+            heapq.heappush(self._order, (-activity, var))
 
     def _attach(self, clause: list[int]) -> int:
         """Store a (length ≥ 2) clause and watch its first two literals."""
@@ -179,6 +203,7 @@ class DPLLSolver:
             self._phase[var] = self._assign.pop(var)
             del self._level[var]
             self._reason.pop(var, None)
+            self._queue(var)
         del self._trail[cut:]
         del self._trail_lim[target_level:]
         self._qhead = min(self._qhead, len(self._trail))
@@ -235,21 +260,30 @@ class DPLLSolver:
                 for key in self._activity:
                     self._activity[key] *= 1.0 / _ACTIVITY_RESCALE
                 self._activity_inc *= 1.0 / _ACTIVITY_RESCALE
+                # Every heap key is stale now; start over from the
+                # unassigned variables (the bumped ones are all assigned).
+                self._queued = {
+                    v: self._activity.get(v, 0.0)
+                    for v in self._vars
+                    if v not in self._assign
+                }
+                self._order = [(-a, v) for v, a in self._queued.items()]
+                heapq.heapify(self._order)
         self._activity_inc *= _ACTIVITY_INC_FACTOR
 
     def _pick_branch_variable(self) -> int | None:
-        best: int | None = None
-        best_activity = -1.0
-        for var in self._vars:
-            if var in self._assign:
-                continue
-            activity = self._activity.get(var, 0.0)
-            if activity > best_activity or (
-                activity == best_activity and (best is None or var < best)
-            ):
-                best = var
-                best_activity = activity
-        return best
+        """The unassigned variable of highest activity (lowest id on ties)."""
+        if len(self._assign) == len(self._vars):
+            return None  # keep the assigned variables' entries for reuse
+        order = self._order
+        queued = self._queued
+        while True:
+            key, var = heapq.heappop(order)
+            if queued.get(var) != -key:
+                continue  # stale: the variable has a newer live entry
+            del queued[var]
+            if var not in self._assign:
+                return var
 
     # ------------------------------------------------------------------
     # conflict handling (first-UIP learning + backjumping)
@@ -425,13 +459,15 @@ class DPLLSolver:
         for lit in assumptions:
             if lit == 0:
                 raise ReductionError("literal 0 is not allowed (DIMACS convention)")
-            self._vars.add(abs(lit))
+            if abs(lit) not in self._vars:
+                self._register(abs(lit))
         self._backtrack(0)
         # Reset level-0 state: re-assert all unit clauses from scratch so
         # clauses added between solve() calls take effect.
         for var in [abs(lit) for lit in self._trail]:
             self._phase[var] = self._assign.pop(var)
             self._level.pop(var, None)
+            self._queue(var)
         self._trail.clear()
         self._reason.clear()
         self._qhead = 0

@@ -66,7 +66,13 @@ from repro.ctables.adom import ActiveDomain, variable_pools
 from repro.ctables.cinstance import CInstance
 from repro.ctables.valuation import Valuation, enumerate_assignments
 from repro.exceptions import SearchError
-from repro.queries.evaluation import instantiate_head, match_atom, match_conjunction
+from repro.queries.atoms import Comparison, RelationAtom
+from repro.queries.evaluation import (
+    finalize_assignment,
+    instantiate_head,
+    match_atom,
+    match_conjunction,
+)
 from repro.queries.terms import Variable
 from repro.relational.domains import Constant
 from repro.relational.instance import Row
@@ -428,12 +434,20 @@ class IncrementalEncoder:
       call through :meth:`assumptions` (``+g`` if present, ``-g`` if
       dropped), not through clauses, so drops and re-adds touch no clause at
       all;
-    * adding a *new* ground tuple extends the violation clauses semi-naively:
-      only matches of a constraint body that use the new tuple at least once
-      are joined (each LHS atom over the relation is seeded with it in turn,
-      exactly like the delta checker of :mod:`repro.search.propagation`), over
-      the universe of every tuple ever registered — dropped tuples included,
-      since their clauses are neutralised by their guards.
+    * violation clauses come from a join over the universe of every tuple
+      ever registered — dropped tuples included, since their clauses are
+      neutralised by their guards — once at construction, and then
+      semi-naively for each new ground tuple: only the matches that use the
+      new tuple at least once are joined (each LHS atom over the relation is
+      seeded with it in turn, exactly like the delta checker of
+      :mod:`repro.search.propagation`);
+    * the join skips every match that no world can hold.  A variable row
+      grounds to exactly one tuple per valuation, so two different tuples
+      whose only producer is the same variable row never occur together;
+      a match that uses both needs no clause.  On the paper's Figure 1 plus
+      Bob's 2000 visit the functional dependency would otherwise pair every
+      two groundings of the one variable row (about 45,000 clauses instead
+      of about 900).
 
     The growing clause list lives in :attr:`encoding` (a plain
     :class:`WorldEncoding`, so decode/blocking/projection are shared);
@@ -452,8 +466,6 @@ class IncrementalEncoder:
         constraints: Sequence[ContainmentConstraint],
         adom: ActiveDomain | None = None,
         checker: ConstraintChecker | None = None,
-        *,
-        lazy_violations: bool = False,
     ) -> None:
         if adom is None:
             from repro.ctables.possible_worlds import default_active_domain
@@ -464,14 +476,11 @@ class IncrementalEncoder:
             (constraint, relations, rhs)
             for constraint, relations, rhs in checker.entries
         ]
-        # Lazy mode defers all violation clauses to refute_facts() (CEGAR):
-        # neither the initial universe join nor the per-add delta joins run.
-        self._lazy = lazy_violations
 
         variables = tuple(sorted(cinstance.variables(), key=lambda v: v.name))
         pools = variable_pools(variables, adom, cinstance.variable_domains())
 
-        stats = EncodingStats(lazy=lazy_violations)
+        stats = EncodingStats()
         clauses: list[tuple[int, ...]] = []
         self._counter = 0
         self.encoding = WorldEncoding(
@@ -490,11 +499,14 @@ class IncrementalEncoder:
         # presence literal per candidate tuple (aliased to the guard for
         # tuples no variable row can produce).
         self._presence: dict[tuple[str, Row], int] = {}
-        # every tuple ever registered, dropped or not — the delta-join
-        # universe (guards neutralise the clauses of inactive tuples).
-        self._universe: dict[str, set[Row]] = {
-            name: set() for name in cinstance.schema.relation_names
+        # every tuple ever registered, dropped or not — the join universe
+        # (guards neutralise the clauses of inactive tuples) — split by
+        # producer: under a variable row's position for the tuples only that
+        # row produces, under None for the rest.
+        self._universe: dict[str, dict[int | None, set[Row]]] = {
+            name: {None: set()} for name in cinstance.schema.relation_names
         }
+        self._owner: dict[tuple[str, Row], int | None] = {}
         self._blocked: set[tuple[int, ...]] = set()
 
         # --- selectors and exactly-one clauses (as in the one-shot path) ---
@@ -516,7 +528,7 @@ class IncrementalEncoder:
                     clauses.append((-ids[i], -ids[j]))
 
         # --- variable-row groundings: one-directional presence producers ---
-        for name, _index, row in cinstance.rows():
+        for position, (name, _index, row) in enumerate(cinstance.rows()):
             row_variables = sorted(row.variables(), key=lambda v: v.name)
             if not row_variables:
                 continue  # ground rows are registered below, guarded
@@ -531,7 +543,10 @@ class IncrementalEncoder:
                     p = self._fresh()
                     stats.presence_variables += 1
                     self._presence[key] = p
-                    self._universe[name].add(ground)
+                    self._owner[key] = position
+                    self._universe[name].setdefault(position, set()).add(ground)
+                elif self._owner[key] != position:
+                    self._share(name, ground)
                 conjunction = tuple(
                     -selector[(variable, assignment[variable])]
                     for variable in row_variables
@@ -547,16 +562,13 @@ class IncrementalEncoder:
                 self._register_ground(name, ground)
 
         stats.baseline_tuples = len(self._guards)
-        stats.candidate_tuples = sum(len(rows) for rows in self._universe.values())
+        stats.candidate_tuples = len(self._owner)
 
         # --- violation clauses over the initial universe -------------------
-        if not self._lazy:
-            for constraint, _relations, rhs in self._entries:
-                query = constraint.query
-                for match in match_conjunction(
-                    query.atoms, query.comparisons, self._universe
-                ):
-                    self._block_match(query, rhs, match)
+        for constraint, _relations, rhs in self._entries:
+            query = constraint.query
+            for match in self._matches(query.atoms, query.comparisons, {}, {}):
+                self._block_match(query, rhs, match)
         stats.clauses = len(clauses)
 
     # ------------------------------------------------------------------
@@ -586,6 +598,49 @@ class IncrementalEncoder:
             self._blocked.add(clause)
             self.encoding.clauses.append(clause)
 
+    def _share(self, relation: str, ground: Row) -> None:
+        """Mark a tuple as produced by more than its one variable row."""
+        key = (relation, ground)
+        owner = self._owner.get(key)
+        if owner is not None:
+            self._universe[relation][owner].discard(ground)
+        self._owner[key] = None
+        self._universe[relation][None].add(ground)
+
+    def _matches(
+        self,
+        atoms: Sequence[RelationAtom],
+        comparisons: Sequence[Comparison],
+        assignment: dict[Variable, Constant],
+        claimed: dict[int, Row],
+    ) -> Iterator[dict[Variable, Constant]]:
+        """The matches of a constraint body that some world can hold.
+
+        A backtracking join over the universe, like
+        :func:`~repro.queries.evaluation.match_conjunction`, except that
+        ``claimed`` maps every variable row the partial match already uses
+        through a tuple only that row produces to that tuple: the row's
+        other tuples are skipped, since one valuation grounds it only once.
+        """
+        if not atoms:
+            completed = finalize_assignment(comparisons, assignment)
+            if completed is not None:
+                yield completed
+            return
+        atom, rest = atoms[0], atoms[1:]
+        for owner, rows in self._universe[atom.relation].items():
+            fixed = None if owner is None else claimed.get(owner)
+            for row in rows if fixed is None else (fixed,):
+                extended = match_atom(atom, row, assignment)
+                if extended is None:
+                    continue
+                if owner is None or fixed is not None:
+                    yield from self._matches(rest, comparisons, extended, claimed)
+                    continue
+                claimed[owner] = row
+                yield from self._matches(rest, comparisons, extended, claimed)
+                del claimed[owner]
+
     def _register_ground(self, relation: str, ground: Row) -> int:
         """Allocate the guard for a never-seen ground tuple; return it."""
         key = (relation, ground)
@@ -599,7 +654,7 @@ class IncrementalEncoder:
             self._presence[key] = guard
         else:
             self.encoding.clauses.append((-guard, p))
-        self._universe[relation].add(ground)
+        self._share(relation, ground)
         return guard
 
     # ------------------------------------------------------------------
@@ -618,18 +673,12 @@ class IncrementalEncoder:
             self._active.add(key)
             return
         self._register_ground(relation, ground)
-        self.encoding.stats.baseline_tuples = len(self._guards)
-        self.encoding.stats.candidate_tuples = sum(
-            len(rows) for rows in self._universe.values()
-        )
+        stats = self.encoding.stats
+        stats.baseline_tuples = len(self._guards)
+        stats.candidate_tuples = len(self._owner)
         # Semi-naive delta: every new violating match must use the new tuple
         # in at least one LHS atom over its relation; seed each such atom in
         # turn and join the rest over the full universe.
-        if self._lazy:
-            # Deferred to refute_facts() counter-example rounds; only the
-            # guard-producer clause from _register_ground was added.
-            self.encoding.stats.clauses = len(self.encoding.clauses)
-            return
         for constraint, relations, rhs in self._entries:
             if relation not in relations:
                 continue
@@ -641,11 +690,9 @@ class IncrementalEncoder:
                 if seed is None:
                     continue
                 rest = query.atoms[:atom_index] + query.atoms[atom_index + 1:]
-                for match in match_conjunction(
-                    rest, query.comparisons, self._universe, initial=seed
-                ):
+                for match in self._matches(rest, query.comparisons, seed, {}):
                     self._block_match(query, rhs, match)
-        self.encoding.stats.clauses = len(self.encoding.clauses)
+        stats.clauses = len(self.encoding.clauses)
 
     def drop_ground(self, relation: str, ground: Row) -> None:
         """Make a registered ground tuple absent (assumption flip only)."""
@@ -655,26 +702,6 @@ class IncrementalEncoder:
                 f"drop of unregistered ground tuple {ground!r} in {relation!r}"
             )
         self._active.discard(key)
-
-    def refute_facts(self, facts: Mapping[str, Any]) -> int:
-        """Block every violated match over a candidate world's facts (CEGAR).
-
-        ``facts`` are the relations of one candidate world (the current
-        instance grounded by a decoded valuation); every tuple in them is
-        registered, so each uncovered match yields a clause over known
-        presence/guard literals.  Because those literals are all forced true
-        for the candidate (guards by assumption, produced tuples by their
-        producer clauses), each new clause refutes the candidate model —
-        re-solving after feeding them makes strict progress.  Returns the
-        number of clauses added; ``0`` certifies the candidate as a world.
-        """
-        before = len(self.encoding.clauses)
-        for constraint, _relations, rhs in self._entries:
-            query = constraint.query
-            for match in match_conjunction(query.atoms, query.comparisons, facts):
-                self._block_match(query, rhs, match)
-        self.encoding.stats.clauses = len(self.encoding.clauses)
-        return len(self.encoding.clauses) - before
 
     def assumptions(self) -> list[int]:
         """The guard literals expressing the current instance contents."""

@@ -19,10 +19,15 @@ constraint reasoning into clause generation: conditions and
 (in)equality-heavy containment constraints are evaluated once, and the solver
 then explores the valuation space with unit propagation, learned conflicts
 and restarts instead of per-node conjunctive-query re-evaluation.
+
+:class:`IncrementalSATSession` is the :class:`repro.api.Database` facade's
+long-lived variant: an incremental encoding and one live solver, both
+surviving a stream of ground-tuple updates.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -39,6 +44,7 @@ from repro.search.cnf_encoding import (
     LazyViolationOracle,
     WorldEncoding,
     encode_world_search,
+    iter_solver_models,
 )
 from repro.search.engine import world_key
 from repro.search.propagation import ConstraintChecker
@@ -46,7 +52,12 @@ from repro.search.propagation import ConstraintChecker
 
 @dataclass
 class SATSearchStats:
-    """Counters describing one SAT-backed search run."""
+    """Counters describing one SAT-backed search run.
+
+    On the long-lived :class:`IncrementalSATSession`, ``worlds`` and
+    ``duplicate_worlds`` describe the most recent call; the ``solver``
+    ledger keeps its totals.
+    """
 
     worlds: int = 0
     duplicate_worlds: int = 0
@@ -467,18 +478,27 @@ class IncrementalSATSession:
     scratch after every :meth:`~repro.api.Database.update`, the session keeps
 
     * an :class:`~repro.search.cnf_encoding.IncrementalEncoder`, whose clause
-      set only ever grows (guards express drops through assumptions), and
+      set only ever grows (guards express drops through assumptions) and
+      holds no clause for a match no world can contain, and
     * one **live DPLL solver** fed the new clauses before each existence
       check and solved under the current guard assumptions, so learned
       clauses, activities and saved phases accumulate across the whole
       update stream (``reused_solver`` in the stats reports the reuse).
 
-    Existence checks are the only consumers of the live solver: model
-    *enumeration* adds blocking clauses, which are valuation-specific and
-    would poison a solver that must stay sound for later calls, so
-    :meth:`search` / :meth:`count_worlds` spin up a throwaway solver over the
-    live clause list plus the current assumptions as unit clauses (still
-    skipping the re-encode, which dominates).
+    Existence checks and witnesses (:meth:`has_world`, :meth:`first_world`)
+    use the live solver.  Model *enumeration* adds blocking clauses, which
+    are valuation-specific and would poison a solver that must stay sound
+    for later calls, so :meth:`search` / :meth:`count_worlds` spin up a
+    throwaway solver over the live clause list plus the current assumptions
+    as unit clauses (still skipping the re-encode).  All solvers share the
+    ``stats.solver`` ledger; ``worlds`` and ``duplicate_worlds`` describe the
+    most recent call.
+
+    Calls on one session are serialised by :attr:`lock`, which
+    :meth:`has_world`, :meth:`first_world`, :meth:`count_worlds` and
+    :meth:`apply` hold; a caller that reads :attr:`stats` after a call from
+    another thread holds it across both.  :meth:`search` is a generator and
+    takes no lock.
 
     The session only absorbs updates that keep the encoding's fixed parts
     fixed: ground-tuple adds/drops under an unchanged active domain,
@@ -494,20 +514,18 @@ class IncrementalSATSession:
         adom: ActiveDomain,
         *,
         checker: ConstraintChecker | None = None,
-        cegar: bool = False,
     ) -> None:
         self._cinstance = cinstance
         self._adom = adom
         self._variables = frozenset(cinstance.variables())
         self._variable_domains = dict(cinstance.variable_domains())
-        self._cegar = bool(cegar)
         self._encoder = IncrementalEncoder(
-            cinstance, master, constraints, adom,
-            checker=checker,
-            lazy_violations=self._cegar,
+            cinstance, master, constraints, adom, checker=checker
         )
         self._solver = DPLLSolver()
+        self._solved_live = False
         self._fed = 0
+        self.lock = threading.RLock()
         self.stats = SATSearchStats(
             encoding=self._encoder.encoding.stats, solver=self._solver.stats
         )
@@ -551,97 +569,68 @@ class IncrementalSATSession:
         absent (the facade computes the set-level diff; duplicate rows of one
         tuple collapse).  The caller must have checked :meth:`compatible`.
         """
-        for relation, ground in dropped:
-            self._encoder.drop_ground(relation, ground)
-        for relation, ground in added:
-            self._encoder.add_ground(relation, ground)
-        self._cinstance = cinstance
+        with self.lock:
+            for relation, ground in dropped:
+                self._encoder.drop_ground(relation, ground)
+            for relation, ground in added:
+                self._encoder.add_ground(relation, ground)
+            self._cinstance = cinstance
 
     # ------------------------------------------------------------------
     # decision surfaces (API parity with SATWorldSearch where it matters)
     # ------------------------------------------------------------------
-    def _feed_live_solver(self) -> None:
-        clauses = self._encoder.encoding.clauses
-        while self._fed < len(clauses):
-            self._solver.add_clause(clauses[self._fed])
-            self._fed += 1
-
-    def _world_facts(self, valuation: Valuation) -> dict[str, set[Row]]:
-        """The facts of the candidate world a valuation grounds."""
-        facts: dict[str, set[Row]] = {
-            name: set() for name in self._cinstance.schema.relation_names
-        }
-        for name, _index, row in self._cinstance.rows():
-            ground = row.apply(valuation)
-            if ground is not None:
-                facts[name].add(ground)
-        return facts
-
-    def has_world(self) -> bool:
-        """Existence via the live solver, under the current guard assumptions.
+    def _live_model(self) -> Valuation | None:
+        """The live solver's model under the assumptions, as a valuation.
 
         The ``reused_solver`` flag is set only once the live solver is
         actually consulted: a trivially-unsat session answers from the
         encoder alone and performs no solver reuse to report.
         """
-        if self._encoder.encoding.trivially_unsat:
-            return False
-        self.stats.reused_solver = self._solver.stats.solve_calls > 0
-        self._feed_live_solver()
-        while True:
-            model = self._solver.solve(self._encoder.assumptions())
-            if model is None:
-                return False
-            if not self._cegar:
-                return True
-            # CEGAR round on the live solver: violation clauses are globally
-            # sound (head coverage depends only on the fixed master), so
-            # refinements persist safely across the update stream.
-            valuation = self._encoder.encoding.decode(model)
-            added = self._encoder.refute_facts(self._world_facts(valuation))
-            if added == 0:
-                return True
-            self._encoder.encoding.stats.cegar_rounds += 1
-            self._feed_live_solver()
+        self.stats.worlds = self.stats.duplicate_worlds = 0
+        encoding = self._encoder.encoding
+        if encoding.trivially_unsat:
+            return None
+        self.stats.reused_solver = self._solved_live
+        self._solved_live = True
+        clauses = encoding.clauses
+        while self._fed < len(clauses):
+            self._solver.add_clause(clauses[self._fed])
+            self._fed += 1
+        model = self._solver.solve(self._encoder.assumptions())
+        return None if model is None else encoding.decode(model)
 
-    def _throwaway_solver(self) -> DPLLSolver:
-        """A fresh solver over the live clauses + assumptions as units.
+    def has_world(self) -> bool:
+        """Existence via the live solver, under the current guard assumptions."""
+        with self.lock:
+            return self._live_model() is not None
 
-        Enumeration must not touch the live solver: its blocking clauses are
-        sound only for the instance state they were generated under.
-        """
-        solver = DPLLSolver(self._encoder.encoding.clauses)
-        for literal in self._encoder.assumptions():
-            solver.add_clause((literal,))
-        return solver
+    def first_world(self) -> GroundInstance | None:
+        """A witness world ``µ(T)`` from the live solver, or ``None``."""
+        with self.lock:
+            valuation = self._live_model()
+            return None if valuation is None else self._cinstance.apply(valuation)
 
     def _session_models(self) -> Iterator[Valuation]:
-        """Throwaway-solver enumeration with CEGAR validation when enabled."""
+        """Enumerate the models on a throwaway solver.
+
+        Enumeration must not touch the live solver: its blocking clauses are
+        sound only for the instance state they were generated under.  The
+        throwaway solver starts from the live clauses plus the current
+        assumptions as unit clauses and books its work on the session's
+        ``stats.solver`` ledger.
+        """
+        self.stats.worlds = self.stats.duplicate_worlds = 0
+        self.stats.reused_solver = False
         encoding = self._encoder.encoding
         if encoding.trivially_unsat:
             return
-        solver = self._throwaway_solver()
-        while True:
-            model = solver.solve()
-            if model is None:
-                return
-            valuation = encoding.decode(model)
-            if self._cegar:
-                added = self._encoder.refute_facts(self._world_facts(valuation))
-                if added:
-                    encoding.stats.cegar_rounds += 1
-                    for clause in encoding.clauses[-added:]:
-                        solver.add_clause(clause)
-                    continue
-            yield valuation
-            blocking = encoding.blocking_clause(valuation)
-            if not blocking:
-                return  # no variables: the single empty valuation is it
-            solver.add_clause(blocking)
+        solver = DPLLSolver(encoding.clauses, stats=self.stats.solver)
+        for literal in self._encoder.assumptions():
+            solver.add_clause((literal,))
+        yield from iter_solver_models(encoding, solver)
 
     def search(self) -> Iterator[tuple[Valuation, GroundInstance]]:
         """Enumerate ``(µ, µ(T))`` for the *current* instance state."""
-        self.stats.reused_solver = False
         cinstance = self._cinstance
         for valuation in self._session_models():
             self.stats.worlds += 1
@@ -664,7 +653,10 @@ class IncrementalSATSession:
 
     def count_worlds(self) -> int:
         """Count distinct worlds natively (canonical forms, no instances)."""
-        self.stats.reused_solver = False
+        with self.lock:
+            return self._count_worlds()
+
+    def _count_worlds(self) -> int:
         names = list(self._cinstance.schema.relation_names)
         rows = [(name, row) for name, _index, row in self._cinstance.rows()]
         seen: set[tuple[frozenset[Row], ...]] = set()

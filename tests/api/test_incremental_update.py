@@ -298,6 +298,33 @@ def test_first_update_over_mixed_type_rows_builds_the_baseline():
 
 
 # ---------------------------------------------------------------------------
+# per-call stats on the live SAT session
+# ---------------------------------------------------------------------------
+BOB_ROWS = (("915-15-336", "Bob", "EDI", 2000), ("915-15-336", "Bob", "EDI", 2001))
+
+
+def test_live_session_decisions_report_per_call_stats():
+    """Regression: the live session's counters accumulated over its life, so
+    successive counts after updates reported 35, 70 and 105 valuations where
+    a fresh facade reports 35."""
+    scenario = build_patient_scenario()
+    db = Database(
+        scenario.figure1, scenario.master, scenario.constraints, engine="sat"
+    )
+    db.update(add_rows={"MVisit": [BOB_ROWS[0]]})
+    for replacement in (None, BOB_ROWS, BOB_ROWS[::-1]):
+        if replacement is not None:
+            old, new = replacement
+            db.update(add_rows={"MVisit": [new]}, drop_rows={"MVisit": [old]})
+        counted = db.count()
+        fresh = Database(
+            db.cinstance, scenario.master, scenario.constraints, engine="sat"
+        ).count()
+        assert counted.value == fresh.value
+        assert counted.stats.worlds == fresh.stats.worlds
+
+
+# ---------------------------------------------------------------------------
 # hypothesis: random scripts vs a rebuilt oracle
 # ---------------------------------------------------------------------------
 @settings(max_examples=15, deadline=None)

@@ -1,10 +1,12 @@
 """The surfaces 3.0.0 removed fail loudly.
 
 3.0.0 deleted the 1.x→2.0 deprecation shims and the baseline toggles (see the
-README migration table).  A removed keyword must raise ``TypeError`` and a
-removed attribute ``AttributeError``: neither may be absorbed by a
-``**kwargs`` pass-through or an attribute fallback, which would let a 2.x
-caller keep running while silently getting the one remaining path.
+README migration table); the live SAT session's encoding switches
+(``IncrementalSATSession(cegar=)``, ``IncrementalEncoder(lazy_violations=)``)
+went after it, when the session's encoding became a single path.  A removed keyword must
+raise ``TypeError`` and a removed attribute ``AttributeError``: neither may be
+absorbed by a ``**kwargs`` pass-through or an attribute fallback, which would
+let a 2.x caller keep running while silently getting the one remaining path.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.relational.master import MasterData
 from repro.relational.schema import RelationSchema, database_schema
 from repro.search import propagation
 from repro.search.engine import WorldSearch
+from repro.search.cnf_encoding import IncrementalEncoder
 from repro.search.propagation import ConstraintChecker
 from repro.search.sat_engine import IncrementalSATSession, SATWorldSearch
 from repro.workloads.generator import inequality_chain_workload
@@ -117,6 +120,12 @@ REMOVED_KEYWORDS = {
     ),
     "IncrementalSATSession(learning=)": lambda w: IncrementalSATSession(
         w.cinstance, w.master, w.constraints, _adom(w), learning="decision"
+    ),
+    "IncrementalSATSession(cegar=)": lambda w: IncrementalSATSession(
+        w.cinstance, w.master, w.constraints, _adom(w), cegar=True
+    ),
+    "IncrementalEncoder(lazy_violations=)": lambda w: IncrementalEncoder(
+        w.cinstance, w.master, w.constraints, _adom(w), lazy_violations=True
     ),
 }
 

@@ -6,7 +6,8 @@ regressions fixed alongside it:
 * the solver-stats ledger accumulates across ``SATWorldSearch`` calls
   instead of being rebound per solve (the ``_solver()`` rebinding bug);
 * ``IncrementalSATSession.has_world`` reports ``reused_solver`` correctly,
-  including on the trivially-unsat early return;
+  including on the trivially-unsat early return, and the session's counts
+  reach its solver ledger;
 * the CEGAR lazy encoding reaches the same verdicts/worlds as the eager
   encoding and surfaces its refinement rounds in the stats;
 * component-caching counting agrees with blocking-clause enumeration and
@@ -95,6 +96,24 @@ class TestReusedSolverFlag:
         assert session.has_world()
         assert session.stats.reused_solver is True
 
+    def test_enumeration_work_reaches_the_ledger_but_not_the_reuse_flag(self):
+        # Regression: counts ran on a solver outside the session's ledger, so
+        # three counts left solve_calls at 0.  The reuse flag must still
+        # follow the live solver alone: counting never makes it True.
+        workload = inequality_chain_workload(3, close_cycle=False)
+        session = _session(workload)
+        for _ in range(3):
+            session.count_worlds()
+        ledger = session.stats.solver
+        assert ledger.solve_calls > 3
+        assert ledger.decisions > 0
+        assert session.stats.reused_solver is False
+        assert session.has_world()
+        assert session.stats.reused_solver is False
+        assert session.has_world()
+        assert session.stats.reused_solver is True
+        assert session.stats.solver is ledger
+
     def test_trivially_unsat_early_return_does_not_claim_reuse(self):
         # The pre-fix code set reused_solver before the trivially-unsat
         # early return, so a session that never solved claimed reuse.
@@ -152,9 +171,9 @@ class TestCEGAR:
         # Full enumeration of a constrained instance must have refined.
         assert lazy._encoding.stats.cegar_rounds > 0
 
-    def test_session_cegar_survives_updates(self):
-        # A session in CEGAR mode keeps its refinement clauses across ground
-        # updates: verdicts must track an eagerly rebuilt oracle at every step.
+    def test_session_survives_updates(self):
+        # The session keeps its clauses across ground updates: verdicts must
+        # track an eagerly rebuilt oracle at every step.
         T = cinstance(PAIR_SCHEMA, R=[(x, "c"), (y, "d")])
         from repro.constraints.containment import denial_cc
         from repro.queries.atoms import atom, neq
@@ -169,10 +188,10 @@ class TestCEGAR:
             name="fd",
         )
         adom = default_active_domain(T, EMPTY_MASTER, [fd])
-        session = IncrementalSATSession(T, EMPTY_MASTER, [fd], adom, cegar=True)
+        session = IncrementalSATSession(T, EMPTY_MASTER, [fd], adom)
         assert session.has_world() == SATWorldSearch(T, EMPTY_MASTER, [fd]).has_world()
         # Ground adds over the existing constants (the session's contract:
-        # the active domain must stay fixed) stream through the lazy encoder;
+        # the active domain must stay fixed) stream through the incremental encoder;
         # verdict and count parity with a rebuilt oracle hold at every step.
         steps = [("R", ("d", "d")), ("R", ("d", "c"))]
         current = T

@@ -9,6 +9,7 @@ warming one warms the other.
 from __future__ import annotations
 
 import asyncio
+import sys
 
 import pytest
 
@@ -315,4 +316,58 @@ def test_process_replicas_see_updates():
         assert run(pool.decide("s", {"problem": "count"}))["result"]["value"] == 17
         assert state.database.count().value == 17
     finally:
+        pool.shutdown()
+
+
+def test_thread_executor_runs_sat_decisions_concurrently():
+    """Count and both consistency forms of one ``engine="sat"`` session run
+    side by side on the thread executor: the live SAT session they share
+    serialises them, so every answer matches the inline pool's."""
+    bob = (["915-15-336", "Bob", "EDI", 2000], ["915-15-336", "Bob", "EDI", 2001])
+    bodies = (
+        {"problem": "count"},
+        {"problem": "consistency", "witness": False},
+        {"problem": "consistency", "include_witness": True},
+    )
+    inline = make_pool()
+    inline.create_session("s", "patients", engine="sat")
+    pool = DatabasePool(executor="thread", executor_workers=3, request_timeout=None)
+    state = pool.create_session("s", "patients", engine="sat")
+    updates = [{"add_rows": {"MVisit": [bob[0]]}}]
+    for old, new in (bob, bob[::-1], bob):
+        updates.append({"add_rows": {"MVisit": [new]}, "drop_rows": {"MVisit": [old]}})
+
+    async def answers(target: DatabasePool, concurrent: bool) -> list:
+        seen = []
+        for update in updates:
+            await target.update("s", update)
+            if concurrent:
+                envelopes = await asyncio.gather(
+                    *(target.decide("s", dict(body)) for body in bodies)
+                )
+            else:
+                envelopes = [await target.decide("s", dict(body)) for body in bodies]
+            assert not any(e["cache_hit"] for e in envelopes)
+            seen.append(
+                [(e["result"]["holds"], e["result"]["value"]) for e in envelopes]
+                + [envelopes[2]["result"]["witness"]]
+            )
+        return seen
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often enough to interleave
+    try:
+        expected = run(answers(inline, concurrent=False))
+        assert [step[0] for step in expected] == [
+            (True, 17), (True, 18), (True, 17), (True, 18)
+        ]
+        assert run(answers(pool, concurrent=True)) == expected
+        assert pool.metrics.engine_runs == len(bodies) * len(updates)
+        # The witness computed beside the others is a world holding Bob's row.
+        decision = state.database.is_consistent()
+        assert decision.stats.cache_hit
+        rows = decision.witness.relation("MVisit").rows
+        assert tuple(bob[1]) in rows and tuple(bob[0]) not in rows
+    finally:
+        sys.setswitchinterval(interval)
         pool.shutdown()
