@@ -40,12 +40,16 @@
 #      `python -m repro.service` subprocess on an ephemeral port and asserts
 #      cache hits, single-flight collapse, NDJSON streaming, update
 #      invalidation and a clean SIGTERM drain over real sockets,
-#  10. the engine smoke benchmark (four-way parity + the propagating-vs-naive,
-#      SAT-vs-propagating and parallel-vs-propagating perf gates, plus the
-#      indexed delta checker gated against both reference checkers of
-#      tests/search/checker_oracles.py; the parallel gate needs >= 4 host
-#      CPUs and reports itself as skipped on smaller machines),
-#      writing machine-readable results to BENCH_ENGINE.json,
+#  10. the engine smoke benchmark (four-way parity + seven perf gates, every
+#      verdict printed before the step fails on any of them: the
+#      propagating-vs-naive headline (reported only, in smoke mode),
+#      SAT-vs-propagating and parallel-vs-propagating, the indexed delta
+#      checker against both reference checkers of
+#      tests/search/checker_oracles.py, incremental Database.update vs
+#      rebuild-and-redecide, and SAT component counting vs blocking-clause
+#      enumeration; the parallel gate needs >= 4 host CPUs and reports
+#      itself as skipped on smaller machines), writing machine-readable
+#      results to BENCH_ENGINE.json,
 #  11. the service smoke benchmark (benchmarks/bench_service.py --smoke):
 #      warm-cache speedup, single-flight engine-run count, first-world
 #      streaming latency and warm-service-vs-cold-rebuild gates, writing

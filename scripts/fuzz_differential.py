@@ -15,8 +15,8 @@ randomly parameterised workloads, in two campaign families:
   :func:`harness.assert_update_stream_parity` (the update-vs-rebuild
   differential of this PR), violations included;
 * **components** — a randomly sized disconnected-components workload is
-  counted three ways (blocking-clause SAT enumeration, component-caching
-  SAT counting with and without CEGAR lazy clauses, and the propagating
+  counted three ways (the one-shot SAT engine's component-caching count,
+  the live SAT session's blocking-clause enumeration and the propagating
   engine) and every answer is checked against the closed-form
   ``values ** (row_width * components)`` world count.
 
@@ -50,8 +50,12 @@ from harness import (  # noqa: E402  (path set up above)
     assert_update_stream_parity,
     assert_workers_independent,
 )
+from repro.ctables.possible_worlds import default_active_domain  # noqa: E402
 from repro.search.engine import WorldSearch  # noqa: E402
-from repro.search.sat_engine import SATWorldSearch  # noqa: E402
+from repro.search.sat_engine import (  # noqa: E402
+    IncrementalSATSession,
+    SATWorldSearch,
+)
 from repro.workloads.generator import (  # noqa: E402
     disconnected_components_workload,
     registry_workload,
@@ -105,7 +109,7 @@ def run_stream_case(seed: int) -> str:
 
 
 def run_components_case(seed: int) -> str:
-    """One disconnected-components counting case across SAT counting modes."""
+    """One disconnected-components counting case across both SAT paths."""
     rng = random.Random(f"fuzz-components:{seed}")
     params = dict(
         components=rng.randint(1, 3),
@@ -117,12 +121,9 @@ def run_components_case(seed: int) -> str:
     args = (workload.cinstance, workload.master, workload.constraints)
     expected = workload.world_count
     counts = {
-        "sat-enumeration": SATWorldSearch(*args).count_worlds(),
-        "sat-components": SATWorldSearch(
-            *args, component_counting=True
-        ).count_worlds(),
-        "sat-components+cegar": SATWorldSearch(
-            *args, component_counting=True, cegar=True
+        "sat-components": SATWorldSearch(*args).count_worlds(),
+        "sat-session-enumeration": IncrementalSATSession(
+            *args, default_active_domain(*args)
         ).count_worlds(),
         "propagating": WorldSearch(*args).count_worlds(),
     }

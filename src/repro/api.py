@@ -714,10 +714,10 @@ class Database:
         ``.value`` is the count and the decision is truthy iff at least one
         world exists.  Engines whose registry capabilities declare
         ``counts_natively`` count without materialising worlds (SAT
-        blocking-clause enumeration, parallel shard-count merging).  On an
-        incremental-capable engine the count reuses the live session's
-        encoding (no re-encode after updates); verdicts are cached until an
-        update touches any relation.
+        per-component counts, parallel shard-count merging).  On an
+        incremental-capable engine the count enumerates over the live
+        session's encoding (no re-encode after updates); verdicts are cached
+        until an update touches any relation.
         """
         config = self._engine(engine)
 

@@ -240,8 +240,8 @@ def model_count(
     """The number of distinct worlds in ``Mod_Adom(T, D_m, V)``.
 
     Engines whose capabilities declare ``counts_natively`` count without
-    materialising the worlds through :func:`models` — the SAT engine counts
-    canonical forms over its blocking-clause valuation enumeration, the
+    materialising the worlds through :func:`models` — the SAT engine
+    multiplies the sub-world counts of its clause-graph components, the
     parallel engine merges per-shard world-key sets — which is both faster
     and lighter on memory for wide instances.
     """

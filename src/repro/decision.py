@@ -84,11 +84,8 @@ class DecisionStats:
     #: :meth:`repro.api.Database.update` calls; ``None`` when no engine that
     #: ran reports the flag (non-SAT engines, or a freshly built encoding).
     reused_solver: bool | None = None
-    #: counter-example rounds run by lazily encoded (CEGAR) SAT searches;
-    #: ``None`` when no lazy encoding ran.
-    cegar_rounds: int | None = None
-    #: clause-graph components counted independently by the SAT engine's
-    #: component-caching counter; ``None`` when that path never ran.
+    #: clause-graph components the one-shot SAT engine's ``count_worlds``
+    #: multiplied; ``None`` when that path never ran.
     components: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
@@ -198,7 +195,6 @@ def aggregate_search_stats(
     clauses: int | None = None
     worlds: int | None = None
     reused_solver: bool | None = None
-    cegar_rounds: int | None = None
     components: int | None = None
     for search in searches:
         stats = getattr(search, "stats", None)
@@ -210,10 +206,6 @@ def aggregate_search_stats(
         encoding = getattr(stats, "encoding", None)
         if encoding is not None and getattr(encoding, "clauses", None) is not None:
             clauses = (clauses or 0) + encoding.clauses
-        if encoding is not None and getattr(encoding, "lazy", False):
-            cegar_rounds = (cegar_rounds or 0) + getattr(
-                encoding, "cegar_rounds", 0
-            )
         got_worlds = getattr(stats, "worlds", None)
         if got_worlds is not None:
             worlds = (worlds or 0) + got_worlds
@@ -230,7 +222,6 @@ def aggregate_search_stats(
         clauses=clauses,
         worlds=worlds,
         reused_solver=reused_solver,
-        cegar_rounds=cegar_rounds,
         components=components,
     )
 

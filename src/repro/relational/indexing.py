@@ -124,26 +124,21 @@ class IndexedFactStore(dict[str, set[Row]]):
     consistent with the base sets.
     """
 
-    __slots__ = ("_indexes", "_relation_indexes", "_interned", "_intern_values")
+    __slots__ = ("_indexes", "_relation_indexes", "_interned")
 
-    def __init__(
-        self, relation_names: Iterable[str] = (), *, intern_values: bool = True
-    ) -> None:
+    def __init__(self, relation_names: Iterable[str] = ()) -> None:
         super().__init__({name: set() for name in relation_names})
         # signature-keyed view plus a per-relation list for O(#indexes)
         # maintenance on the mutation path.
         self._indexes: dict[tuple[str, Signature], FactIndex] = {}
         self._relation_indexes: dict[str, list[FactIndex]] = {}
         self._interned: dict[Constant, Constant] = {}
-        self._intern_values = intern_values
 
     # ------------------------------------------------------------------
     # interning
     # ------------------------------------------------------------------
     def intern_row(self, row: Row) -> Row:
         """Canonicalise the attribute values of ``row`` to one object each."""
-        if not self._intern_values:
-            return row
         interned = self._interned
         return tuple(interned.setdefault(value, value) for value in row)
 

@@ -3,11 +3,14 @@
 The paper's lower bounds reduce quantified SAT *to* the completeness
 problems; this module runs the connection the other way, encoding the
 valuation search itself as propositional satisfiability so the DPLL solver
-(:mod:`repro.reductions.dpll`) can decide it.  A satisfying assignment of the
-produced formula corresponds one-to-one to a valuation ``µ`` over the active
-domain with ``(µ(T), D_m) |= V``.
+(:mod:`repro.reductions.dpll`) can decide it.  Every model of the produced
+formula projects onto one valuation ``µ`` over the active domain with
+``(µ(T), D_m) |= V``, and every such valuation extends to a model.
 
-The encoding has three layers:
+One encoder, :class:`IncrementalEncoder`, serves both SAT paths: the live
+session the :class:`repro.api.Database` facade keeps across updates, and the
+one-shot :func:`encode_world_search` behind ``engine="sat"``.  Its formula
+has four layers:
 
 **Selector variables.**  For every c-instance variable ``x`` and every value
 ``a`` of its candidate pool (the active domain, narrowed by finite attribute
@@ -16,34 +19,31 @@ constraints per variable — an at-least-one clause plus pairwise at-most-one
 clauses — make total assignments of the selectors exactly the Adom
 valuations.  Cells of the c-table sharing a variable share its selectors.
 
-**Tuple-presence variables.**  Every c-table row can only ground to finitely
-many tuples: one per assignment of the row's variables (terms *and* local
-condition) whose condition evaluates to true — assignments falsifying the
-condition simply drop the row, so they produce no grounding.  For each
-possible tuple ``t`` of relation ``R`` a variable ``p[R,t]`` is defined by a
-Tseitin-style equivalence with the groundings that produce it::
+**Presence variables.**  A variable row grounds to one tuple per assignment
+of its variables (terms *and* local condition) whose condition holds;
+assignments falsifying the condition drop the row and produce nothing.
+Every grounding emits one clause ``s[x=a] ∧ s[y=b] ∧ ... → p[R,t]`` for the
+presence variable of the tuple it produces.
 
-    p[R,t]  ↔  g₁ ∨ g₂ ∨ ...        gᵢ ↔ s[x=a] ∧ s[y=b] ∧ ...
+**Guards.**  Every fully ground tuple gets a guard literal ``g[R,t]``
+implying its presence (or serving as it, when no variable row produces the
+tuple).  The one-shot entry asserts every guard as a unit clause; the live
+session passes them as solver assumptions, so a drop or re-add touches no
+clause.
 
-where each ``gᵢ`` stands for one (row, assignment) pair.  Tuples contributed
-by fully ground rows (no variables, condition true) are *baseline* facts —
-present in every world — and need no variable at all.  Because the auxiliary
-``g``/``p`` variables are functionally determined by the selectors, models
-project one-to-one onto valuations: enumerating models with selector-only
-blocking clauses enumerates valuations without duplicates.
-
-**Constraint clauses.**  A containment constraint ``q ⊆ p(D_m)`` is violated
+**Violation clauses.**  A containment constraint ``q ⊆ p(D_m)`` is violated
 by a world iff some match of ``q``'s body onto the world's tuples produces a
-head row outside the (fixed) master answer.  The worlds' tuples all come from
-the candidate universe above, so every potential violation is a match of
-``q`` onto the universe; for each such match with an uncovered head the
-encoding emits the clause ::
+head row outside the (fixed) master answer.  For each such match over the
+candidate tuples that some world can hold, the encoding emits ::
 
     ¬p[R₁,t₁] ∨ ... ∨ ¬p[Rₖ,tₖ]     ("not all of these tuples together")
 
-over the presence variables of the matched tuples (baseline facts contribute
-no literal — they are always present).  A violating match consisting solely
-of baseline facts makes the instance trivially inconsistent.
+A match over ground tuples alone yields a clause of negated guards, which the
+asserted guards refute at decision level 0.
+
+A blocking clause over the selectors excludes a valuation together with
+every completion of its presence variables, so enumerating models with
+selector-only blocking clauses yields each valuation exactly once.
 
 Conditions, equalities and inequalities are therefore handled *natively*:
 row conditions vanish into the grounding step, and the ``=``/``≠``
@@ -71,7 +71,6 @@ from repro.queries.evaluation import (
     finalize_assignment,
     instantiate_head,
     match_atom,
-    match_conjunction,
 )
 from repro.queries.terms import Variable
 from repro.relational.domains import Constant
@@ -85,26 +84,22 @@ class EncodingStats:
     """Size counters for one :class:`WorldEncoding` build."""
 
     selector_variables: int = 0
-    grounding_variables: int = 0
     presence_variables: int = 0
     clauses: int = 0
     candidate_tuples: int = 0
     baseline_tuples: int = 0
     blocked_matches: int = 0
-    #: Violation clauses were deferred to a CEGAR loop (lazy encoding).
-    lazy: bool = False
-    #: Counter-example rounds run against this encoding (CEGAR refinement).
-    cegar_rounds: int = 0
 
 
 @dataclass
 class WorldEncoding:
     """The CNF encoding of ``Mod_Adom(T, D_m, V)`` membership.
 
-    Build with :func:`encode_world_search`.  ``clauses`` is ready for
-    :class:`repro.reductions.dpll.DPLLSolver`; :meth:`decode` turns a model
-    back into a valuation and :meth:`selector_scope` lists the variables to
-    project model enumeration onto.
+    Built by :class:`IncrementalEncoder` (one-shot: :func:`encode_world_search`).
+    ``clauses`` is ready for :class:`repro.reductions.dpll.DPLLSolver`;
+    :meth:`decode` turns a model back into a valuation and
+    :meth:`selector_scope` lists the variables to project model enumeration
+    onto.
     """
 
     variables: tuple[Variable, ...]
@@ -113,33 +108,29 @@ class WorldEncoding:
     clauses: list[tuple[int, ...]]
     trivially_unsat: bool
     stats: EncodingStats = field(default_factory=EncodingStats)
-    #: Presence literal per candidate tuple (consumed by the CEGAR oracle
-    #: and the component counter; empty for encoders that predate them).
-    presence: Mapping[tuple[str, Row], int] = field(default_factory=dict)
-    #: Tuples present in every world, per relation (from fully ground rows).
-    baseline: Mapping[str, frozenset[Row]] = field(default_factory=dict)
-    #: Selector-conjunction producers per candidate tuple.
-    producers: Mapping[tuple[str, Row], tuple[tuple[int, ...], ...]] = field(
-        default_factory=dict
-    )
 
-    def selector_scope(self) -> list[int]:
-        """Selector variable identifiers, in deterministic order.
+    def selector_scope(
+        self, variables: Sequence[Variable] | None = None
+    ) -> list[int]:
+        """Selector identifiers of ``variables`` (default: all), in order.
 
-        Auxiliary grounding/presence variables are functionally determined by
-        the selectors, so blocking models on this scope enumerates each
-        valuation exactly once.
+        Blocking models on this scope enumerates each valuation exactly
+        once, whatever the solver picks for the presence variables.
         """
         return [
             self.selector[(variable, value)]
-            for variable in self.variables
+            for variable in (self.variables if variables is None else variables)
             for value in self.pools[variable]
         ]
 
-    def decode(self, model: Mapping[int, bool]) -> Valuation:
-        """The valuation a satisfying assignment encodes."""
+    def decode(
+        self,
+        model: Mapping[int, bool],
+        variables: Sequence[Variable] | None = None,
+    ) -> Valuation:
+        """The valuation of ``variables`` (default: all) a model encodes."""
         valuation: Valuation = {}
-        for variable in self.variables:
+        for variable in self.variables if variables is None else variables:
             for value in self.pools[variable]:
                 if model.get(self.selector[(variable, value)]):
                     valuation[variable] = value
@@ -165,260 +156,28 @@ def encode_world_search(
     constraints: Sequence[ContainmentConstraint],
     adom: ActiveDomain | None = None,
     checker: ConstraintChecker | None = None,
-    *,
-    lazy_violations: bool = False,
 ) -> WorldEncoding:
-    """Encode ``Mod_Adom(T, D_m, V)`` membership as CNF.
+    """Encode ``Mod_Adom(T, D_m, V)`` membership as CNF, once.
 
-    ``checker`` may supply precomputed constraint right-hand sides (shared
-    with the propagating engine); one is built from ``(master, constraints)``
-    otherwise.
-
-    With ``lazy_violations`` the constraint-violation clauses are omitted:
-    models of the abstraction then over-approximate the valuation set, and a
-    :class:`LazyViolationOracle` refutes invalid candidates one counter-example
-    round at a time (CEGAR).  Deferring the violation pass skips the full
-    ``match_conjunction`` join over the candidate universe, which dominates
-    encoding time on wide all-variable rows.
+    The one-shot entry to :class:`IncrementalEncoder`: every ground tuple's
+    guard is appended as a unit clause, so the clause list alone decides the
+    instance and no assumptions are needed.  ``checker`` may supply
+    precomputed constraint right-hand sides (shared with the propagating
+    engine); one is built from ``(master, constraints)`` otherwise.
     """
-    if adom is None:
-        from repro.ctables.possible_worlds import default_active_domain
-
-        adom = default_active_domain(cinstance, master, constraints)
-    checker = checker or ConstraintChecker(master, constraints)
-
-    variables = tuple(sorted(cinstance.variables(), key=lambda v: v.name))
-    pools = variable_pools(variables, adom, cinstance.variable_domains())
-
-    stats = EncodingStats(lazy=lazy_violations)
-    clauses: list[tuple[int, ...]] = []
-    counter = 0
-
-    def fresh_variable() -> int:
-        nonlocal counter
-        counter += 1
-        return counter
-
-    # --- selector variables and exactly-one constraints -------------------
-    selector: dict[tuple[Variable, Constant], int] = {}
-    for variable in variables:
-        pool = pools[variable]
-        ids = []
-        for value in pool:
-            selector[(variable, value)] = fresh_variable()
-            ids.append(selector[(variable, value)])
-        stats.selector_variables += len(ids)
-        if not ids:
-            # An empty pool (e.g. an empty finite-domain intersection) admits
-            # no valuation at all.
-            stats.clauses = len(clauses)
-            return WorldEncoding(
-                variables=variables,
-                pools=pools,
-                selector=selector,
-                clauses=clauses,
-                trivially_unsat=True,
-                stats=stats,
-            )
-        clauses.append(tuple(ids))
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                clauses.append((-ids[i], -ids[j]))
-
-    # --- row groundings and tuple-presence variables -----------------------
-    # baseline[name]: tuples present in every world (from fully ground rows).
-    # producers[(name, tuple)]: conjunctions of selector literals, one per
-    # (row, assignment) grounding producing the tuple.
-    baseline: dict[str, set[Row]] = {
-        name: set() for name in cinstance.schema.relation_names
-    }
-    producers: dict[tuple[str, Row], list[tuple[int, ...]]] = {}
-    for name, _index, row in cinstance.rows():
-        row_variables = sorted(row.variables(), key=lambda v: v.name)
-        if not row_variables:
-            ground = row.apply({})
-            if ground is not None:
-                baseline[name].add(ground)
-            continue
-        row_pools = {variable: pools[variable] for variable in row_variables}
-        for assignment in enumerate_assignments(row_pools):
-            ground = row.apply(assignment)
-            if ground is None:
-                continue  # local condition falsified: the row drops out
-            conjunction = tuple(
-                selector[(variable, assignment[variable])]
-                for variable in row_variables
-            )
-            producers.setdefault((name, ground), []).append(conjunction)
-
-    # Tuples that are baseline facts need no presence variable; their other
-    # producers are irrelevant (the tuple is present regardless).
-    for (name, ground) in list(producers):
-        if ground in baseline[name]:
-            del producers[(name, ground)]
-
-    stats.baseline_tuples = sum(len(rows) for rows in baseline.values())
-    stats.candidate_tuples = stats.baseline_tuples + len(producers)
-
-    # Tseitin definitions: g ↔ conjunction (cached across tuples), p ↔ ∨ g.
-    grounding_variable: dict[tuple[int, ...], int] = {}
-
-    def literal_for_conjunction(conjunction: tuple[int, ...]) -> int:
-        if len(conjunction) == 1:
-            return conjunction[0]
-        cached = grounding_variable.get(conjunction)
-        if cached is not None:
-            return cached
-        g = fresh_variable()
-        grounding_variable[conjunction] = g
-        stats.grounding_variables += 1
-        for lit in conjunction:
-            clauses.append((-g, lit))
-        clauses.append(tuple(-lit for lit in conjunction) + (g,))
-        return g
-
-    presence: dict[tuple[str, Row], int] = {}
-    for key in sorted(producers, key=repr):
-        conjunctions = producers[key]
-        if len(conjunctions) == 1:
-            # A single producer: its grounding literal *is* the presence
-            # variable (for one-variable rows, the selector literal itself).
-            presence[key] = literal_for_conjunction(conjunctions[0])
-            continue
-        p = fresh_variable()
-        stats.presence_variables += 1
-        presence[key] = p
-        disjuncts = [literal_for_conjunction(c) for c in conjunctions]
-        for g in disjuncts:
-            clauses.append((-g, p))
-        clauses.append((-p,) + tuple(disjuncts))
-
-    # --- constraint violation clauses --------------------------------------
-    trivially_unsat = False
-    if not lazy_violations:
-        # The candidate universe: everything any world could contain.
-        universe: dict[str, frozenset[Row]] = {}
-        for name in cinstance.schema.relation_names:
-            rows = set(baseline[name])
-            rows.update(ground for (rel, ground) in producers if rel == name)
-            universe[name] = frozenset(rows)
-
-        blocked: set[tuple[int, ...]] = set()
-        for constraint, _relations, rhs in checker.entries:
-            query = constraint.query
-            for match in match_conjunction(query.atoms, query.comparisons, universe):
-                head = instantiate_head(query.head, match)
-                if head in rhs:
-                    continue
-                stats.blocked_matches += 1
-                literals: set[int] = set()
-                baseline_only = True
-                for atom in query.atoms:
-                    ground = tuple(
-                        match[term] if isinstance(term, Variable) else term
-                        for term in atom.terms
-                    )
-                    if ground in baseline[atom.relation]:
-                        continue  # always present: contributes no literal
-                    baseline_only = False
-                    literals.add(-presence[(atom.relation, ground)])
-                if baseline_only:
-                    # The fixed part of the c-instance already violates the
-                    # constraint: no valuation can repair it.
-                    trivially_unsat = True
-                    break
-                clause = tuple(sorted(literals))
-                if clause not in blocked:
-                    blocked.add(clause)
-                    clauses.append(clause)
-            if trivially_unsat:
-                break
-
-    stats.clauses = len(clauses)
-    return WorldEncoding(
-        variables=variables,
-        pools=pools,
-        selector=selector,
-        clauses=clauses,
-        trivially_unsat=trivially_unsat,
-        stats=stats,
-        presence=presence,
-        baseline={name: frozenset(rows) for name, rows in baseline.items()},
-        producers={key: tuple(value) for key, value in producers.items()},
-    )
-
-
-class LazyViolationOracle:
-    """CEGAR counter-example oracle for a lazily encoded world search.
-
-    Built over a :func:`encode_world_search` result (typically one produced
-    with ``lazy_violations=True``).  :meth:`refute` takes the facts of a
-    candidate world — the c-instance grounded by a decoded valuation — and
-    emits the violation clauses for every uncovered constraint match over
-    those facts.  Each emitted clause is falsified by the candidate model
-    (its tuples are all present), so feeding the clauses back and re-solving
-    makes strict progress; a fixpoint with no new clauses certifies the
-    candidate as a real world.
-    """
-
-    def __init__(self, encoding: WorldEncoding, checker: ConstraintChecker) -> None:
-        self._encoding = encoding
-        self._entries = list(checker.entries)
-        self._blocked: set[tuple[int, ...]] = set()
-
-    def refute(
-        self, facts: Mapping[str, Any]
-    ) -> list[tuple[int, ...]] | None:
-        """Violation clauses refuting a candidate world.
-
-        Returns the newly added clauses (empty when the candidate satisfies
-        every constraint, i.e. it is a genuine world), or ``None`` when a
-        violated match consists solely of baseline facts — then no valuation
-        can repair the instance and the encoding is marked trivially unsat.
-        """
-        encoding = self._encoding
-        new_clauses: list[tuple[int, ...]] = []
-        for constraint, _relations, rhs in self._entries:
-            query = constraint.query
-            for match in match_conjunction(query.atoms, query.comparisons, facts):
-                head = instantiate_head(query.head, match)
-                if head in rhs:
-                    continue
-                encoding.stats.blocked_matches += 1
-                literals: set[int] = set()
-                baseline_only = True
-                for atom in query.atoms:
-                    ground = tuple(
-                        match[term] if isinstance(term, Variable) else term
-                        for term in atom.terms
-                    )
-                    if ground in encoding.baseline.get(atom.relation, frozenset()):
-                        continue  # always present: contributes no literal
-                    baseline_only = False
-                    literals.add(-encoding.presence[(atom.relation, ground)])
-                if baseline_only:
-                    # The fixed part of the c-instance already violates the
-                    # constraint: no valuation can repair it.
-                    encoding.trivially_unsat = True
-                    encoding.stats.clauses = len(encoding.clauses)
-                    return None
-                clause = tuple(sorted(literals))
-                if clause not in self._blocked:
-                    self._blocked.add(clause)
-                    encoding.clauses.append(clause)
-                    new_clauses.append(clause)
-        encoding.stats.clauses = len(encoding.clauses)
-        return new_clauses
+    encoder = IncrementalEncoder(cinstance, master, constraints, adom, checker)
+    encoding = encoder.encoding
+    encoding.clauses.extend((guard,) for guard in encoder.assumptions())
+    encoding.stats.clauses = len(encoding.clauses)
+    return encoding
 
 
 class IncrementalEncoder:
-    """A :class:`WorldEncoding` that absorbs ground-tuple adds and drops.
+    """The one CNF encoder: a :class:`WorldEncoding` absorbing ground updates.
 
-    The one-shot :func:`encode_world_search` hard-wires the fully ground rows
-    into the clauses (baseline facts contribute no literal), so any change to
-    the instance forces a re-encode.  This encoder instead gives every ground
-    tuple a **guard literal** ``g[R,t]`` and keeps the tuple's presence
-    conditional on it:
+    Both SAT paths build their formula here.  Every ground tuple gets a
+    **guard literal** ``g[R,t]`` and the tuple's presence stays conditional
+    on it, so a change to the ground rows never forces a re-encode:
 
     * presence definitions are *one-directional* — for every producer of a
       tuple (a guard, or a selector conjunction grounding a variable row) one
@@ -452,10 +211,12 @@ class IncrementalEncoder:
     The growing clause list lives in :attr:`encoding` (a plain
     :class:`WorldEncoding`, so decode/blocking/projection are shared);
     consumers that keep a live solver feed themselves ``clauses[cursor:]``
-    before each solve.  Variable rows, the active domain and the candidate
-    pools are fixed at construction — changes to any of those are rebuild
-    events, which the owner (:class:`repro.search.sat_engine.IncrementalSATSession`
-    via :meth:`repro.api.Database.update`) detects and answers with a fresh
+    before each solve, and :func:`encode_world_search` asserts the guards of
+    a fresh encoder as unit clauses.  Variable rows, the active domain and
+    the candidate pools are fixed at construction — changes to any of those
+    are rebuild events, which the owner
+    (:class:`repro.search.sat_engine.IncrementalSATSession` via
+    :meth:`repro.api.Database.update`) detects and answers with a fresh
     encoder.
     """
 
@@ -509,7 +270,7 @@ class IncrementalEncoder:
         self._owner: dict[tuple[str, Row], int | None] = {}
         self._blocked: set[tuple[int, ...]] = set()
 
-        # --- selectors and exactly-one clauses (as in the one-shot path) ---
+        # --- selectors and exactly-one clauses ------------------------------
         selector = self.encoding.selector
         assert isinstance(selector, dict)
         for variable in variables:
@@ -558,7 +319,7 @@ class IncrementalEncoder:
             if row.variables():
                 continue
             ground = row.apply({})
-            if ground is not None:
+            if ground is not None and (name, ground) not in self._guards:
                 self._register_ground(name, ground)
 
         stats.baseline_tuples = len(self._guards)
@@ -716,14 +477,14 @@ def iter_solver_models(
 ) -> Iterator[Valuation]:
     """Enumerate the valuations satisfying the encoding.
 
-    This is the one solve → decode → block loop shared by the SAT engine
-    (:meth:`repro.search.sat_engine.SATWorldSearch.search`) and the tests.
-    Each satisfying valuation is yielded exactly once: its blocking clause
-    (one negated selector literal per c-instance variable) is added before
-    re-solving, and the auxiliary encoding variables are functionally
-    determined by the selectors, so nothing is dropped or duplicated.
-    ``solver`` may be supplied to observe its statistics; it must be fresh
-    (built from ``encoding.clauses``).
+    This is the one solve → decode → block loop shared by both SAT paths
+    (:meth:`repro.search.sat_engine.SATWorldSearch.search` and the live
+    session's enumeration) and the tests.  Each satisfying valuation is
+    yielded exactly once: its blocking clause (one negated selector literal
+    per c-instance variable) is added before re-solving, and it excludes
+    every completion of the valuation's presence variables.  ``solver`` may
+    be supplied to observe its statistics; it must hold ``encoding.clauses``
+    and no blocking clause yet.
     """
     from repro.reductions.dpll import DPLLSolver
 

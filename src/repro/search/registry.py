@@ -27,7 +27,7 @@ accepted — no core module is touched.
 
 Capability flags let callers pick fast paths without knowing engine
 internals: ``counts_natively`` routes ``model_count`` to the engine's own
-counting (SAT blocking-clause enumeration, parallel shard-count merging),
+counting (SAT per-component counts, parallel shard-count merging),
 ``symmetry_breaking`` tells existence checks to request the fresh-value
 symmetry reduction, and ``supports_cancellation`` marks engines that can
 abandon work early once an answer is known.
@@ -88,7 +88,7 @@ class EngineCapabilities:
     ----------
     counts_natively:
         ``count_worlds()`` is cheaper than draining ``worlds()`` — e.g. the
-        SAT engine counts over blocking-clause enumeration without
+        SAT engine multiplies per-component sub-world counts without
         materialising :class:`~repro.relational.instance.GroundInstance`
         objects, and the parallel engine merges per-shard world-key sets.
         ``model_count`` routes through the native path when set.

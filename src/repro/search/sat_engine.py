@@ -1,8 +1,8 @@
 """The SAT-backed world-search engine (``engine="sat"``).
 
 :class:`SATWorldSearch` decides and enumerates ``Mod_Adom(T, D_m, V)`` by
-handing the CNF encoding of :mod:`repro.search.cnf_encoding` to the DPLL
-solver of :mod:`repro.reductions.dpll`.  It mirrors the API of
+handing the one-shot CNF encoding of :mod:`repro.search.cnf_encoding` to the
+DPLL solver of :mod:`repro.reductions.dpll`.  It mirrors the API of
 :class:`repro.search.engine.WorldSearch`, so
 :mod:`repro.ctables.possible_worlds` routes through it transparently:
 
@@ -12,7 +12,9 @@ solver of :mod:`repro.reductions.dpll`.  It mirrors the API of
   blocking clauses, yielding each Adom valuation exactly once together with
   its world — exactly the pairs the naive cross-product scan accepts;
 * :meth:`worlds` deduplicates by the shared canonical form
-  (:func:`repro.search.engine.world_key`).
+  (:func:`repro.search.engine.world_key`);
+* :meth:`count_worlds` multiplies the distinct sub-world counts of the
+  clause graph's connected components.
 
 Compared with the propagating engine, the SAT route front-loads all
 constraint reasoning into clause generation: conditions and
@@ -21,8 +23,8 @@ then explores the valuation space with unit propagation, learned conflicts
 and restarts instead of per-node conjunctive-query re-evaluation.
 
 :class:`IncrementalSATSession` is the :class:`repro.api.Database` facade's
-long-lived variant: an incremental encoding and one live solver, both
-surviving a stream of ground-tuple updates.
+long-lived variant: the same encoder and one live solver, both surviving a
+stream of ground-tuple updates.
 """
 
 from __future__ import annotations
@@ -34,14 +36,15 @@ from typing import Iterable, Iterator, Sequence
 from repro.constraints.containment import ContainmentConstraint
 from repro.ctables.adom import ActiveDomain
 from repro.ctables.cinstance import CInstance
+from repro.ctables.ctable import CTableRow
 from repro.ctables.valuation import Valuation
+from repro.queries.terms import Variable
 from repro.reductions.dpll import DPLLSolver, SolverStats
 from repro.relational.instance import GroundInstance, Row
 from repro.relational.master import MasterData
 from repro.search.cnf_encoding import (
     EncodingStats,
     IncrementalEncoder,
-    LazyViolationOracle,
     WorldEncoding,
     encode_world_search,
     iter_solver_models,
@@ -67,146 +70,38 @@ class SATSearchStats:
     #: a previous call (the incremental session); ``None`` for the one-shot
     #: :class:`SATWorldSearch`, which builds a fresh solver per search.
     reused_solver: bool | None = None
-    #: clause-graph components the last component-counting ``count_worlds``
-    #: decomposed into; ``None`` until (and unless) that path runs.
+    #: clause-graph components the last one-shot ``count_worlds`` multiplied;
+    #: ``None`` until that runs.
     components: int | None = None
     #: component sub-counts answered from the fingerprint cache.
     component_cache_hits: int = 0
 
 
-class SATWorldSearch:
-    """SAT-backed enumeration of ``Mod_Adom(T, D_m, V)``.
+#: One clause-graph component: its c-instance variables, clauses and rows.
+_Component = tuple[
+    list[Variable], list[tuple[int, ...]], list[tuple[str, CTableRow]]
+]
 
-    Parameters mirror :class:`repro.search.engine.WorldSearch`: the
-    decision-procedure input plus an optional prebuilt
-    :class:`ConstraintChecker` whose precomputed right-hand sides the encoder
-    reuses.  The CNF encoding is built eagerly (its cost corresponds to the
-    constraint pre-evaluation of the other engines); the solver is created
-    lazily per search.
 
-    Two engine options tune the generation-2 SAT stack, both reachable as
-    ``EngineConfig("sat", options={...})`` knobs:
+class _ModelStream:
+    """``search``/``worlds`` over the valuations ``_models()`` yields.
 
-    * ``cegar`` — encode lazily (no violation clauses up front) and refine
-      with counter-example rounds: each candidate model is validated against
-      the constraints and only the clauses it actually violates are added
-      before re-solving (:class:`~repro.search.cnf_encoding.LazyViolationOracle`);
-    * ``component_counting`` — :meth:`count_worlds` splits the clause graph
-      into connected components, counts each independently (with a
-      fingerprint cache over isomorphic components) and multiplies, instead
-      of enumerating the full cross product with blocking clauses.
+    Shared by both SAT classes: each valuation is yielded once with its
+    world ``µ(T)``, and ``stats.worlds`` counts them.
     """
 
-    def __init__(
-        self,
-        cinstance: CInstance,
-        master: MasterData,
-        constraints: Sequence[ContainmentConstraint],
-        adom: ActiveDomain | None = None,
-        *,
-        checker: ConstraintChecker | None = None,
-        cegar: bool = False,
-        component_counting: bool = False,
-    ) -> None:
-        if adom is None:
-            from repro.ctables.possible_worlds import default_active_domain
-
-            adom = default_active_domain(cinstance, master, constraints)
-        checker = checker or ConstraintChecker(master, constraints)
-        self._cinstance = cinstance
-        self._master = master
-        self._constraints = tuple(constraints)
-        self._adom = adom
-        self._checker = checker
-        self._component_counting = bool(component_counting)
-        self._encoding: WorldEncoding = encode_world_search(
-            cinstance, master, constraints, adom,
-            checker=checker,
-            lazy_violations=bool(cegar),
-        )
-        self._oracle: LazyViolationOracle | None = (
-            LazyViolationOracle(self._encoding, checker) if cegar else None
-        )
-        # Component counting needs the violation clauses in the clause graph
-        # (a lazy encoding is spuriously disconnected), so under CEGAR it
-        # builds — once, on demand — a parallel eager encoding.
-        self._eager_encoding: WorldEncoding | None = (
-            None if cegar else self._encoding
-        )
-        self._component_cache: dict[object, int] = {}
-        self.stats = SATSearchStats(encoding=self._encoding.stats)
-
-    @property
-    def encoding(self) -> WorldEncoding:
-        """The CNF encoding backing the search."""
-        return self._encoding
-
-    def _solver(self, encoding: WorldEncoding | None = None) -> DPLLSolver:
-        # One SolverStats ledger outlives every solver instance, so a
-        # has_world() followed by a search() reports the total work instead
-        # of silently discarding the existence check's counters.
-        if self.stats.solver is None:
-            self.stats.solver = SolverStats()
-        clauses = (encoding or self._encoding).clauses
-        return DPLLSolver(clauses, stats=self.stats.solver)
-
-    def _world_facts(self, valuation: Valuation) -> dict[str, set[Row]]:
-        """The facts of the candidate world a valuation grounds."""
-        facts: dict[str, set[Row]] = {
-            name: set() for name in self._cinstance.schema.relation_names
-        }
-        for name, _index, row in self._cinstance.rows():
-            ground = row.apply(valuation)
-            if ground is not None:
-                facts[name].add(ground)
-        return facts
+    _cinstance: CInstance
+    stats: SATSearchStats
 
     def _models(self) -> Iterator[Valuation]:
-        """The solve → validate (CEGAR) → decode → block loop.
+        raise NotImplementedError
 
-        Without CEGAR this is exactly the shared
-        :func:`~repro.search.cnf_encoding.iter_solver_models` loop.  With it,
-        every candidate is checked against the constraints first; violated
-        candidates feed their counter-example clauses back (persisting them
-        in the encoding, so later solvers start refined) and re-solve.
-        """
-        encoding = self._encoding
-        if encoding.trivially_unsat:
-            return
-        solver = self._solver()
-        while True:
-            model = solver.solve()
-            if model is None:
-                return
-            valuation = encoding.decode(model)
-            if self._oracle is not None:
-                new_clauses = self._oracle.refute(self._world_facts(valuation))
-                if new_clauses is None:
-                    return  # a baseline-only violation: no world exists
-                if new_clauses:
-                    encoding.stats.cegar_rounds += 1
-                    for clause in new_clauses:
-                        solver.add_clause(clause)
-                    continue
-            yield valuation
-            blocking = encoding.blocking_clause(valuation)
-            if not blocking:
-                return  # no variables: the single empty valuation is it
-            solver.add_clause(blocking)
-
-    # ------------------------------------------------------------------
-    # front-ends (API parity with WorldSearch)
-    # ------------------------------------------------------------------
     def search(self) -> Iterator[tuple[Valuation, GroundInstance]]:
-        """Enumerate ``(µ, µ(T))`` pairs with ``(µ(T), D_m) |= V``.
-
-        Every satisfying Adom valuation is yielded exactly once (selector
-        blocking clauses; the CEGAR mode additionally validates candidates
-        before yielding them).
-        """
+        """Enumerate ``(µ, µ(T))`` pairs with ``(µ(T), D_m) |= V``."""
+        cinstance = self._cinstance
         for valuation in self._models():
             self.stats.worlds += 1
-            yield valuation, self._cinstance.apply(valuation)
+            yield valuation, cinstance.apply(valuation)
 
     def __iter__(self) -> Iterator[tuple[Valuation, GroundInstance]]:
         return self.search()
@@ -223,99 +118,95 @@ class SATWorldSearch:
                 seen.add(key)
             yield world
 
-    def has_world(self) -> bool:
-        """Whether ``Mod_Adom(T, D_m, V)`` is non-empty.
 
-        A single satisfiability check for the eager encoding; under CEGAR, a
-        refinement loop that stops at the first validated candidate.
-        """
+class SATWorldSearch(_ModelStream):
+    """SAT-backed enumeration of ``Mod_Adom(T, D_m, V)``.
+
+    Parameters mirror :class:`repro.search.engine.WorldSearch`: the
+    decision-procedure input plus an optional prebuilt
+    :class:`ConstraintChecker` whose precomputed right-hand sides the encoder
+    reuses.  The CNF encoding (:func:`encode_world_search`) is built eagerly
+    — its cost corresponds to the constraint pre-evaluation of the other
+    engines; a solver is created per call.
+    """
+
+    def __init__(
+        self,
+        cinstance: CInstance,
+        master: MasterData,
+        constraints: Sequence[ContainmentConstraint],
+        adom: ActiveDomain | None = None,
+        *,
+        checker: ConstraintChecker | None = None,
+    ) -> None:
+        self._cinstance = cinstance
+        self._encoding: WorldEncoding = encode_world_search(
+            cinstance, master, constraints, adom, checker=checker
+        )
+        self._component_cache: dict[object, tuple[int, int]] = {}
+        self.stats = SATSearchStats(encoding=self._encoding.stats)
+
+    @property
+    def encoding(self) -> WorldEncoding:
+        """The CNF encoding backing the search."""
+        return self._encoding
+
+    def _solver(self, clauses: Sequence[tuple[int, ...]] | None = None) -> DPLLSolver:
+        # One SolverStats ledger outlives every solver instance, so a
+        # has_world() followed by a search() reports the total work instead
+        # of silently discarding the existence check's counters.
+        if self.stats.solver is None:
+            self.stats.solver = SolverStats()
+        if clauses is None:
+            clauses = self._encoding.clauses
+        return DPLLSolver(clauses, stats=self.stats.solver)
+
+    def _models(self) -> Iterator[Valuation]:
+        if not self._encoding.trivially_unsat:
+            yield from iter_solver_models(self._encoding, self._solver())
+
+    def has_world(self) -> bool:
+        """Whether ``Mod_Adom(T, D_m, V)`` is non-empty: one SAT call."""
         if self._encoding.trivially_unsat:
             return False
-        if self._oracle is None:
-            return self._solver().solve() is not None
-        for _valuation in self._models():
-            return True
-        return False
-
-    def count_worlds(self) -> int:
-        """The number of distinct worlds, counted natively.
-
-        By default this runs the blocking-clause valuation enumeration but
-        never builds a :class:`~repro.relational.instance.GroundInstance`:
-        each valuation is reduced directly to the canonical world form of
-        :func:`repro.search.engine.world_key` (the per-relation ground row
-        sets) and counting is over the set of canonical forms.  This is the
-        ``counts_natively`` capability the engine registry advertises.
-
-        With ``component_counting`` the clause graph is split into connected
-        components instead (see :meth:`_count_by_components`); the
-        enumeration remains as the fallback for variable-free instances.
-        """
-        if self._encoding.trivially_unsat:
-            return 0
-        if self._component_counting:
-            counted = self._count_by_components()
-            if counted is not None:
-                return counted
-        names = list(self._cinstance.schema.relation_names)
-        rows = [(name, row) for name, _index, row in self._cinstance.rows()]
-        seen: set[tuple[frozenset[Row], ...]] = set()
-        for valuation in self._models():
-            self.stats.worlds += 1
-            facts: dict[str, set[Row]] = {name: set() for name in names}
-            for name, row in rows:
-                ground = row.apply(valuation)
-                if ground is not None:
-                    facts[name].add(ground)
-            key = tuple(frozenset(facts[name]) for name in names)
-            if key in seen:
-                self.stats.duplicate_worlds += 1
-            else:
-                seen.add(key)
-        return len(seen)
+        return self._solver().solve() is not None
 
     # ------------------------------------------------------------------
     # component-caching counting
     # ------------------------------------------------------------------
-    def _complete_encoding(self) -> WorldEncoding:
-        """An encoding whose clause graph carries all violation clauses.
-
-        The lazy (CEGAR) encoding omits violation clauses, which would make
-        clause-graph components spuriously independent — and the component
-        product wrong.  Under CEGAR the counter builds one eager encoding on
-        demand and caches it for later counts.
-        """
-        if self._eager_encoding is None:
-            self._eager_encoding = encode_world_search(
-                self._cinstance,
-                self._master,
-                self._constraints,
-                self._adom,
-                checker=self._checker,
-            )
-        return self._eager_encoding
-
-    def _count_by_components(self) -> int | None:
-        """Count worlds as a product over clause-graph components.
+    def count_worlds(self) -> int:
+        """The number of distinct worlds, as a product over components.
 
         Two c-instance variables interact — through a shared row, a shared
-        candidate tuple or a shared violation clause — exactly when their
-        selector variables are connected in the clause graph (tuples with
-        producers in two groups get a presence variable whose Tseitin clauses
-        merge them).  Component tuple universes are therefore disjoint, so
-        the number of distinct worlds is the product of the per-component
-        distinct sub-world counts.  Sub-counts are cached by a canonical
-        component fingerprint, so isomorphic components (renamed copies of
-        one sub-instance) are counted once.
+        candidate tuple or a violation clause — exactly when their selectors
+        are connected in the clause graph, once the asserted guards are
+        taken out: a clause holding a guard is satisfied and a negated guard
+        is false (left in, the ground tuples would glue unrelated variables
+        together).  Component tuple universes are therefore disjoint, so the
+        number of distinct worlds is the product of the per-component counts
+        of distinct sub-worlds, the sets of non-ground tuples a component's
+        rows produce.  Sub-counts are cached by a canonical component
+        fingerprint, so isomorphic components (renamed copies of one
+        sub-instance) are counted once.  A connected instance is one
+        component; a variable-free one has none and counts one world, or
+        none when its ground tuples violate a constraint.
 
-        Returns ``None`` for variable-free instances (the enumeration
-        fallback handles their single world).
+        No :class:`~repro.relational.instance.GroundInstance` is built: this
+        is the ``counts_natively`` capability the engine registry
+        advertises.  ``stats.worlds`` counts the satisfying valuations (the
+        product of the per-component ones), as enumeration would.
         """
-        encoding = self._complete_encoding()
+        encoding = self._encoding
         if encoding.trivially_unsat:
             return 0
-        if not encoding.variables:
-            return None
+        selectors = set(encoding.selector.values())
+        # encode_world_search asserts each ground tuple's guard as a unit
+        # clause: the encoding's only positive units outside the selectors.
+        guards = {
+            clause[0]
+            for clause in encoding.clauses
+            if len(clause) == 1 and clause[0] > 0 and clause[0] not in selectors
+        }
 
         parent: dict[int, int] = {}
 
@@ -332,145 +223,127 @@ class SATWorldSearch:
             if left_root != right_root:
                 parent[right_root] = left_root
 
+        clauses: list[tuple[int, ...]] = []
         for clause in encoding.clauses:
-            first = abs(clause[0])
-            for lit in clause[1:]:
-                union(first, abs(lit))
-
-        # Group the c-instance variables by the component of their selectors
-        # (the exactly-one clauses keep one variable's selectors together).
-        groups: dict[int, list[int]] = {}
-        for position, variable in enumerate(encoding.variables):
-            first_value = encoding.pools[variable][0]
-            root = find(encoding.selector[(variable, first_value)])
-            groups.setdefault(root, []).append(position)
-
-        component_clauses: dict[int, list[tuple[int, ...]]] = {
-            root: [] for root in groups
-        }
-        for clause in encoding.clauses:
-            # Every clause reaches some selector through the Tseitin
-            # definitions, so its root is always a selector group's root.
-            component_clauses[find(abs(clause[0]))].append(clause)
-
-        producers_of: dict[int, list[tuple[tuple[int, ...], ...]]] = {
-            root: [] for root in groups
-        }
-        for key in sorted(encoding.producers, key=repr):
-            conjunctions = encoding.producers[key]
-            producers_of[find(conjunctions[0][0])].append(conjunctions)
-
-        self.stats.components = len(groups)
-        total = 1
-        for root, positions in sorted(groups.items(), key=lambda kv: kv[1][0]):
-            fingerprint = self._component_fingerprint(
-                encoding, positions, component_clauses[root], producers_of[root]
-            )
-            cached = self._component_cache.get(fingerprint)
-            if cached is not None:
-                self.stats.component_cache_hits += 1
-                total *= cached
+            if any(lit in guards for lit in clause):
                 continue
-            count = self._count_component(
-                encoding, positions, component_clauses[root], producers_of[root]
-            )
-            self._component_cache[fingerprint] = count
-            total *= count
+            reduced = tuple(lit for lit in clause if -lit not in guards)
+            if not reduced:
+                return 0  # a violation over ground tuples alone
+            clauses.append(reduced)
+            for lit in reduced[1:]:
+                union(abs(reduced[0]), abs(lit))
+
+        # Keep each row inside one component, even a row that never grounds
+        # (and so has no producer clause joining its variables).
+        anchor = {
+            variable: encoding.selector[(variable, encoding.pools[variable][0])]
+            for variable in encoding.variables
+        }
+        ground: set[tuple[str, Row]] = set()
+        rows: list[tuple[str, CTableRow, Variable]] = []
+        for name, _index, row in self._cinstance.rows():
+            row_variables = sorted(row.variables(), key=lambda v: v.name)
+            if not row_variables:
+                tuple_ = row.apply({})
+                if tuple_ is not None:
+                    ground.add((name, tuple_))
+                continue
+            for variable in row_variables[1:]:
+                union(anchor[row_variables[0]], anchor[variable])
+            rows.append((name, row, row_variables[0]))
+
+        # root → (variables, clauses, rows) of its component
+        components: dict[int, _Component] = {}
+
+        def component(item: int) -> _Component:
+            return components.setdefault(find(item), ([], [], []))
+
+        for variable in encoding.variables:
+            component(anchor[variable])[0].append(variable)
+        for clause in clauses:
+            component(abs(clause[0]))[1].append(clause)
+        for name, row, variable in rows:
+            component(anchor[variable])[2].append((name, row))
+
+        self.stats.components = len(components)
+        total = valuations = 1
+        for variables, component_clauses, component_rows in components.values():
+            fingerprint = self._component_fingerprint(variables, component_clauses)
+            counted = self._component_cache.get(fingerprint)
+            if counted is None:
+                counted = self._count_component(
+                    variables, component_clauses, component_rows, ground
+                )
+                self._component_cache[fingerprint] = counted
+            else:
+                self.stats.component_cache_hits += 1
+            total *= counted[0]
+            valuations *= counted[1]
             if total == 0:
                 break
+        self.stats.worlds += valuations
+        self.stats.duplicate_worlds += valuations - total
         return total
 
-    @staticmethod
     def _component_fingerprint(
-        encoding: WorldEncoding,
-        positions: Sequence[int],
-        clauses: Sequence[tuple[int, ...]],
-        producers: Sequence[tuple[tuple[int, ...], ...]],
+        self, variables: Sequence[Variable], clauses: Sequence[tuple[int, ...]]
     ) -> object:
         """A canonical form identifying a component up to variable renaming.
 
         Encoding variables are renamed 1..n — selectors first (c-instance
-        variable order × pool order), auxiliaries by first occurrence in the
-        clause walk — so two components that are renamed copies of the same
-        sub-instance hash equal.  The canonical clause list is then sorted
-        (literals within each clause too): violation clauses arrive in
+        variable order × pool order), presence variables by first occurrence
+        in the clause walk — so two components that are renamed copies of
+        the same sub-instance hash equal.  The canonical clause list is then
+        sorted (literals within each clause too): violation clauses arrive in
         match-enumeration order, which differs between otherwise identical
         components, and clause order carries no meaning for the count.  The
-        producer structure (which renamed conjunctions yield one candidate
-        tuple) joins the clause list in the fingerprint because the
-        sub-count is over distinct *tuple sets*, not distinct models.
+        producer clauses ``¬conj ∨ p`` carry which renamed conjunctions
+        yield one tuple, and the units left by asserted guards mark the
+        ground ones, so the clauses and pool sizes determine the count of
+        distinct sub-worlds.
         """
-        rename: dict[int, int] = {}
-        pool_sizes: list[int] = []
-        for position in positions:
-            variable = encoding.variables[position]
-            pool = encoding.pools[variable]
-            pool_sizes.append(len(pool))
-            for value in pool:
-                rename[encoding.selector[(variable, value)]] = len(rename) + 1
+        encoding = self._encoding
+        rename = {
+            selector: position + 1
+            for position, selector in enumerate(encoding.selector_scope(variables))
+        }
         canonical_clauses = []
         for clause in clauses:
             renamed = []
             for lit in clause:
-                var = abs(lit)
-                mapped = rename.get(var)
-                if mapped is None:
-                    mapped = len(rename) + 1
-                    rename[var] = mapped
+                mapped = rename.setdefault(abs(lit), len(rename) + 1)
                 renamed.append(mapped if lit > 0 else -mapped)
             canonical_clauses.append(tuple(sorted(renamed)))
         canonical_clauses.sort()
-        producer_signatures = sorted(
-            tuple(
-                sorted(
-                    tuple(rename[lit] for lit in conjunction)
-                    for conjunction in conjunctions
-                )
-            )
-            for conjunctions in producers
-        )
-        return (
-            tuple(pool_sizes),
-            tuple(canonical_clauses),
-            tuple(producer_signatures),
-        )
+        pool_sizes = tuple(len(encoding.pools[variable]) for variable in variables)
+        return pool_sizes, tuple(canonical_clauses)
 
     def _count_component(
         self,
-        encoding: WorldEncoding,
-        positions: Sequence[int],
+        variables: Sequence[Variable],
         clauses: Sequence[tuple[int, ...]],
-        producers: Sequence[tuple[tuple[int, ...], ...]],
-    ) -> int:
-        """Distinct sub-worlds (candidate-tuple subsets) of one component."""
-        scope = [
-            encoding.selector[(variable, value)]
-            for variable in (encoding.variables[p] for p in positions)
-            for value in encoding.pools[variable]
-        ]
-        solver = self._solver_for_component(clauses)
-        sub_worlds: set[frozenset[int]] = set()
-        for model in solver.enumerate_models(project_onto=scope):
-            produced = frozenset(
-                index
-                for index, conjunctions in enumerate(producers)
-                if any(
-                    all(model.get(lit, False) for lit in conjunction)
-                    for conjunction in conjunctions
-                )
-            )
-            sub_worlds.add(produced)
-        return len(sub_worlds)
-
-    def _solver_for_component(
-        self, clauses: Sequence[tuple[int, ...]]
-    ) -> DPLLSolver:
-        if self.stats.solver is None:
-            self.stats.solver = SolverStats()
-        return DPLLSolver(clauses, stats=self.stats.solver)
+        rows: Sequence[tuple[str, CTableRow]],
+        ground: set[tuple[str, Row]],
+    ) -> tuple[int, int]:
+        """Distinct sub-worlds and satisfying valuations of one component."""
+        encoding = self._encoding
+        sub_worlds: set[frozenset[tuple[str, Row]]] = set()
+        valuations = 0
+        scope = encoding.selector_scope(variables)
+        for model in self._solver(clauses).enumerate_models(project_onto=scope):
+            valuations += 1
+            valuation = encoding.decode(model, variables)
+            sub_world = set()
+            for name, row in rows:
+                produced = row.apply(valuation)
+                if produced is not None and (name, produced) not in ground:
+                    sub_world.add((name, produced))
+            sub_worlds.add(frozenset(sub_world))
+        return len(sub_worlds), valuations
 
 
-class IncrementalSATSession:
+class IncrementalSATSession(_ModelStream):
     """A SAT search that outlives a stream of ground-tuple updates.
 
     Owned by the :class:`repro.api.Database` facade (one per facade when the
@@ -610,7 +483,7 @@ class IncrementalSATSession:
             valuation = self._live_model()
             return None if valuation is None else self._cinstance.apply(valuation)
 
-    def _session_models(self) -> Iterator[Valuation]:
+    def _models(self) -> Iterator[Valuation]:
         """Enumerate the models on a throwaway solver.
 
         Enumeration must not touch the live solver: its blocking clauses are
@@ -629,28 +502,6 @@ class IncrementalSATSession:
             solver.add_clause((literal,))
         yield from iter_solver_models(encoding, solver)
 
-    def search(self) -> Iterator[tuple[Valuation, GroundInstance]]:
-        """Enumerate ``(µ, µ(T))`` for the *current* instance state."""
-        cinstance = self._cinstance
-        for valuation in self._session_models():
-            self.stats.worlds += 1
-            yield valuation, cinstance.apply(valuation)
-
-    def __iter__(self) -> Iterator[tuple[Valuation, GroundInstance]]:
-        return self.search()
-
-    def worlds(self, deduplicate: bool = True) -> Iterator[GroundInstance]:
-        """Enumerate the worlds, suppressing duplicates by canonical form."""
-        seen: set[tuple[frozenset[Row], ...]] = set()
-        for _valuation, world in self.search():
-            if deduplicate:
-                key = world_key(world)
-                if key in seen:
-                    self.stats.duplicate_worlds += 1
-                    continue
-                seen.add(key)
-            yield world
-
     def count_worlds(self) -> int:
         """Count distinct worlds natively (canonical forms, no instances)."""
         with self.lock:
@@ -660,7 +511,7 @@ class IncrementalSATSession:
         names = list(self._cinstance.schema.relation_names)
         rows = [(name, row) for name, _index, row in self._cinstance.rows()]
         seen: set[tuple[frozenset[Row], ...]] = set()
-        for valuation in self._session_models():
+        for valuation in self._models():
             self.stats.worlds += 1
             facts: dict[str, set[Row]] = {name: set() for name in names}
             for name, row in rows:

@@ -596,9 +596,8 @@ def disconnected_components_workload(
     ``values ** (row_width * components)`` — which blocking-clause
     enumeration pays in full while component-caching counting pays
     ``components · values ** row_width`` (less, with isomorphic components
-    cached).  Widening ``row_width`` blows up the eager violation join
-    (``values ** (2·row_width)`` matches per column per component), the
-    regime where the CEGAR lazy encoding wins existence checks.
+    cached).  Widening ``row_width`` grows the violation join
+    (``values ** (2·row_width)`` matches per column per component).
     """
     value_domain = Domain(
         name=f"val{values}", values=frozenset(f"v{j}" for j in range(values))

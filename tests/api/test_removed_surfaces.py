@@ -3,7 +3,11 @@
 3.0.0 deleted the 1.x→2.0 deprecation shims and the baseline toggles (see the
 README migration table); the live SAT session's encoding switches
 (``IncrementalSATSession(cegar=)``, ``IncrementalEncoder(lazy_violations=)``)
-went after it, when the session's encoding became a single path.  A removed keyword must
+went after it, when the session's encoding became a single path, and then
+the one-shot engine's (``SATWorldSearch(cegar=, component_counting=)``,
+``encode_world_search(lazy_violations=)``, the matching engine options and
+``LazyViolationOracle``), when both paths came to share one encoder.  So did
+``IndexedFactStore(intern_values=)``.  A removed keyword must
 raise ``TypeError`` and a removed attribute ``AttributeError``: neither may be
 absorbed by a ``**kwargs`` pass-through or an attribute fallback, which would
 let a 2.x caller keep running while silently getting the one remaining path.
@@ -15,6 +19,7 @@ import pytest
 
 import repro.ctables
 import repro.search
+from repro.search import cnf_encoding
 from repro.api import Database, EngineConfig
 from repro.completeness.rcqp import rcqp_bounded_search
 from repro.completeness.weak import weak_completeness_report
@@ -29,7 +34,8 @@ from repro.relational.master import MasterData
 from repro.relational.schema import RelationSchema, database_schema
 from repro.search import propagation
 from repro.search.engine import WorldSearch
-from repro.search.cnf_encoding import IncrementalEncoder
+from repro.relational.indexing import IndexedFactStore
+from repro.search.cnf_encoding import IncrementalEncoder, encode_world_search
 from repro.search.propagation import ConstraintChecker
 from repro.search.sat_engine import IncrementalSATSession, SATWorldSearch
 from repro.workloads.generator import inequality_chain_workload
@@ -88,6 +94,11 @@ def test_checker_modes_are_gone():
     assert not hasattr(repro.search, "CHECKER_MODES")
 
 
+def test_lazy_violation_oracle_is_gone():
+    assert not hasattr(cnf_encoding, "LazyViolationOracle")
+    assert not hasattr(repro.search, "LazyViolationOracle")
+
+
 def _workload():
     return inequality_chain_workload(2, close_cycle=False)
 
@@ -127,6 +138,18 @@ REMOVED_KEYWORDS = {
     "IncrementalEncoder(lazy_violations=)": lambda w: IncrementalEncoder(
         w.cinstance, w.master, w.constraints, _adom(w), lazy_violations=True
     ),
+    "SATWorldSearch(cegar=)": lambda w: SATWorldSearch(
+        w.cinstance, w.master, w.constraints, cegar=True
+    ),
+    "SATWorldSearch(component_counting=)": lambda w: SATWorldSearch(
+        w.cinstance, w.master, w.constraints, component_counting=True
+    ),
+    "encode_world_search(lazy_violations=)": lambda w: encode_world_search(
+        w.cinstance, w.master, w.constraints, lazy_violations=True
+    ),
+    "IndexedFactStore(intern_values=)": lambda w: IndexedFactStore(
+        ["R"], intern_values=False
+    ),
 }
 
 
@@ -138,8 +161,13 @@ def test_removed_keywords_raise_type_error(build):
 
 @pytest.mark.parametrize(
     ("engine", "options"),
-    [("sat", {"learning": "decision"}), ("propagating", {"adaptive": True})],
-    ids=["sat-learning", "propagating-adaptive"],
+    [
+        ("sat", {"learning": "decision"}),
+        ("propagating", {"adaptive": True}),
+        ("sat", {"cegar": True}),
+        ("sat", {"component_counting": True}),
+    ],
+    ids=["sat-learning", "propagating-adaptive", "sat-cegar", "sat-component-counting"],
 )
 def test_removed_engine_options_raise_type_error(engine, options):
     workload = _workload()

@@ -166,12 +166,6 @@ class TestIndexedFactStore:
         row2, _ = store.add_row("R", (second, 1))
         assert row1[0] is row2[0]  # one representative object survives
 
-    def test_interning_can_be_disabled(self):
-        store = IndexedFactStore(["R"], intern_values=False)
-        value = "key" + str(0)
-        row, _ = store.add_row("R", (value, 1))
-        assert row[0] is value
-
     def test_indexes_are_lazy_and_stay_in_sync(self):
         store = IndexedFactStore(["R"])
         store.add_row("R", ("a", 1))

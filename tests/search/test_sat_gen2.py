@@ -1,19 +1,22 @@
-"""SAT engine generation 2: CEGAR, first-UIP learning, component counting.
+"""SAT engine generation 2: first-UIP learning, component counting.
 
-This module covers what is *new* in the gen-2 SAT stack plus the latent-bug
-regressions fixed alongside it:
+This module covers the gen-2 SAT stack plus the latent-bug regressions
+fixed alongside it:
 
 * the solver-stats ledger accumulates across ``SATWorldSearch`` calls
   instead of being rebound per solve (the ``_solver()`` rebinding bug);
 * ``IncrementalSATSession.has_world`` reports ``reused_solver`` correctly,
   including on the trivially-unsat early return, and the session's counts
   reach its solver ledger;
-* the CEGAR lazy encoding reaches the same verdicts/worlds as the eager
-  encoding and surfaces its refinement rounds in the stats;
-* component-caching counting agrees with blocking-clause enumeration and
-  the closed-form world count, and surfaces component/cache-hit stats;
-* the new knobs flow end-to-end through ``EngineConfig(options=...)`` into
-  ``Database`` decisions and ``DecisionStats``.
+* the live session tracks the propagating engine across ground updates;
+* the one-shot ``count_worlds`` multiplies clause-graph components and
+  agrees with the session's blocking-clause enumeration, the propagating
+  engine and the closed-form world count — ground rows, ground-only
+  violations, one-value pools and variable-free instances included — and
+  its component stats reach ``DecisionStats``.
+
+Both SAT paths share one encoder, so the references here are the
+propagating engine and closed forms, never the other SAT path alone.
 """
 
 from __future__ import annotations
@@ -21,10 +24,16 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Database, EngineConfig
-from repro.ctables.cinstance import cinstance
+from repro.constraints.containment import denial_cc
+from repro.ctables.cinstance import CInstance, cinstance
+from repro.ctables.conditions import condition
+from repro.ctables.ctable import CTable, CTableRow
+from repro.queries.atoms import atom, neq
+from repro.queries.cq import boolean_cq
 from repro.queries.terms import var
+from repro.relational.domains import Domain
 from repro.relational.master import empty_master
-from repro.relational.schema import database_schema, schema
+from repro.relational.schema import RelationSchema, database_schema, schema
 from repro.search.engine import WorldSearch
 from repro.search.sat_engine import IncrementalSATSession, SATWorldSearch
 from repro.ctables.possible_worlds import default_active_domain
@@ -34,7 +43,7 @@ from repro.workloads.generator import (
     wide_pool_workload,
 )
 
-x, y = var("x"), var("y")
+x, y, z = var("x"), var("y"), var("z")
 
 PAIR_SCHEMA = database_schema(schema("R", "A", "B"))
 EMPTY_MASTER = empty_master(database_schema(schema("M", "A")))
@@ -117,8 +126,6 @@ class TestReusedSolverFlag:
     def test_trivially_unsat_early_return_does_not_claim_reuse(self):
         # The pre-fix code set reused_solver before the trivially-unsat
         # early return, so a session that never solved claimed reuse.
-        from repro.constraints.containment import denial_cc
-        from repro.queries.atoms import atom
         from repro.queries.cq import cq
 
         forbid_all = denial_cc(cq("q", [x, y], atoms=[atom("R", x, y)]))
@@ -130,84 +137,54 @@ class TestReusedSolverFlag:
 
 
 # ---------------------------------------------------------------------------
-# CEGAR parity and stats
+# the live session across ground updates
 # ---------------------------------------------------------------------------
-CEGAR_WORKLOADS = [
-    pytest.param(lambda: inequality_chain_workload(3, close_cycle=False), id="chain-open"),
-    pytest.param(lambda: inequality_chain_workload(3, close_cycle=True), id="chain-odd-cycle"),
-    pytest.param(lambda: wide_pool_workload(rows=4, values_per_key=3), id="wide-pool"),
-    pytest.param(
-        lambda: disconnected_components_workload(components=2, rows_per_component=2),
-        id="components",
-    ),
-]
+def _fd_over(value):
+    """``R(x, v), R(y, v), x ≠ y`` is forbidden: two rows may not share ``v``."""
+    return denial_cc(
+        boolean_cq(
+            f"fd_{value}",
+            atoms=[atom("R", x, value), atom("R", y, value)],
+            comparisons=[neq(x, y)],
+        ),
+        name=f"fd_{value}",
+    )
 
 
-class TestCEGAR:
-    @pytest.mark.parametrize("make", CEGAR_WORKLOADS)
-    def test_cegar_matches_eager_worlds_and_count(self, make):
-        workload = make()
-        args = (workload.cinstance, workload.master, workload.constraints)
-        eager = SATWorldSearch(*args)
-        lazy = SATWorldSearch(*args, cegar=True)
-        assert _observe(lazy) == _observe(eager)
-        assert (
-            SATWorldSearch(*args, cegar=True).count_worlds()
-            == SATWorldSearch(*args).count_worlds()
-        )
-        assert (
-            SATWorldSearch(*args, cegar=True).has_world()
-            == SATWorldSearch(*args).has_world()
-        )
-
-    def test_lazy_encoding_starts_smaller_and_reports_rounds(self):
-        workload = wide_pool_workload(rows=4, values_per_key=3)
-        args = (workload.cinstance, workload.master, workload.constraints)
-        eager = SATWorldSearch(*args)
-        lazy = SATWorldSearch(*args, cegar=True)
-        assert lazy._encoding.stats.lazy is True
-        assert len(lazy._encoding.clauses) < len(eager._encoding.clauses)
-        list(lazy.worlds())
-        # Full enumeration of a constrained instance must have refined.
-        assert lazy._encoding.stats.cegar_rounds > 0
-
+class TestSessionUpdates:
     def test_session_survives_updates(self):
-        # The session keeps its clauses across ground updates: verdicts must
-        # track an eagerly rebuilt oracle at every step.
+        # The session keeps its clauses across ground updates: verdicts and
+        # counts must track the propagating engine rebuilt at every step.
         T = cinstance(PAIR_SCHEMA, R=[(x, "c"), (y, "d")])
-        from repro.constraints.containment import denial_cc
-        from repro.queries.atoms import atom, neq
-        from repro.queries.cq import boolean_cq
-
-        fd = denial_cc(
-            boolean_cq(
-                "fd",
-                atoms=[atom("R", x, "c"), atom("R", y, "c")],
-                comparisons=[neq(x, y)],
-            ),
-            name="fd",
-        )
+        fd = _fd_over("c")
         adom = default_active_domain(T, EMPTY_MASTER, [fd])
         session = IncrementalSATSession(T, EMPTY_MASTER, [fd], adom)
-        assert session.has_world() == SATWorldSearch(T, EMPTY_MASTER, [fd]).has_world()
+        assert session.has_world() == WorldSearch(T, EMPTY_MASTER, [fd]).has_world()
         # Ground adds over the existing constants (the session's contract:
-        # the active domain must stay fixed) stream through the incremental encoder;
-        # verdict and count parity with a rebuilt oracle hold at every step.
+        # the active domain must stay fixed) stream through the incremental
+        # encoder.
         steps = [("R", ("d", "d")), ("R", ("d", "c"))]
         current = T
         for relation, ground in steps:
             current = current.with_row(relation, ground)
             session.apply(current, [(relation, ground)], [])
-            oracle = SATWorldSearch(current, EMPTY_MASTER, [fd], checker=None)
-            assert session.has_world() == oracle.has_world()
-        assert session.count_worlds() == SATWorldSearch(
-            current, EMPTY_MASTER, [fd]
-        ).count_worlds()
+            reference = WorldSearch(current, EMPTY_MASTER, [fd])
+            assert session.has_world() == reference.has_world()
+            assert session.count_worlds() == reference.count_worlds()
 
 
 # ---------------------------------------------------------------------------
 # component-caching counting
 # ---------------------------------------------------------------------------
+def _counts(cinst, master, constraints):
+    """One-shot component count, session enumeration and propagating count."""
+    args = (cinst, master, constraints)
+    search = SATWorldSearch(*args)
+    session = IncrementalSATSession(*args, default_active_domain(*args))
+    propagating = WorldSearch(*args).count_worlds()
+    return search, search.count_worlds(), session.count_worlds(), propagating
+
+
 class TestComponentCounting:
     @pytest.mark.parametrize("components,rows,values,width", [
         (1, 2, 3, 1),
@@ -223,45 +200,119 @@ class TestComponentCounting:
             values=values,
             row_width=width,
         )
-        args = (workload.cinstance, workload.master, workload.constraints)
-        expected = workload.world_count
-        assert SATWorldSearch(*args).count_worlds() == expected
-        component_search = SATWorldSearch(*args, component_counting=True)
-        assert component_search.count_worlds() == expected
-        assert component_search.stats.components == components
-        # Identical components hash to one fingerprint: all but the first hit.
-        assert component_search.stats.component_cache_hits == components - 1
-        assert WorldSearch(*args).count_worlds() == expected
-
-    def test_component_counting_composes_with_cegar(self):
-        workload = disconnected_components_workload(
-            components=2, rows_per_component=2, values=3
+        search, one_shot, enumerated, propagating = _counts(
+            workload.cinstance, workload.master, workload.constraints
         )
-        args = (workload.cinstance, workload.master, workload.constraints)
-        search = SATWorldSearch(*args, cegar=True, component_counting=True)
-        assert search.count_worlds() == workload.world_count
+        assert one_shot == enumerated == propagating == workload.world_count
+        assert search.stats.components == components
+        # Identical components hash to one fingerprint: all but the first hit.
+        assert search.stats.component_cache_hits == components - 1
 
     def test_connected_instance_is_one_component(self):
         workload = wide_pool_workload(rows=3, values_per_key=3)
-        args = (workload.cinstance, workload.master, workload.constraints)
-        search = SATWorldSearch(*args, component_counting=True)
-        assert search.count_worlds() == SATWorldSearch(*args).count_worlds()
+        search, one_shot, enumerated, propagating = _counts(
+            workload.cinstance, workload.master, workload.constraints
+        )
+        assert one_shot == enumerated == propagating
         assert search.stats.components == 1
 
+    def test_ground_rows_in_components(self):
+        # A ground row pins component c0 to v1; the others stay free.
+        workload = disconnected_components_workload(
+            components=3, rows_per_component=2, values=3
+        )
+        T = workload.cinstance.with_row("Record", ("c0", "v1"))
+        search, one_shot, enumerated, propagating = _counts(
+            T, workload.master, workload.constraints
+        )
+        assert one_shot == enumerated == propagating == 9
+        assert search.stats.components == 3
+
+    @pytest.mark.parametrize("s_rows", [[("a",)], [("a",), ("a",)]], ids=["once", "twice"])
+    def test_a_shared_ground_tuple_does_not_join_components(self, s_rows):
+        # R(k, v), S(v) is forbidden.  The ground S("a") meets both variable
+        # rows in violation clauses; with its guard asserted those clauses
+        # shrink to units, and x and y stay independent.  A duplicate ground
+        # row must not leave a second, unasserted guard behind.
+        rs_schema = database_schema(schema("R", "A", "B"), schema("S", "A"))
+        forbid = denial_cc(
+            boolean_cq("rs", atoms=[atom("R", z, x), atom("S", x)]), name="rs"
+        )
+        T = cinstance(rs_schema, R=[("c0", x), ("c1", y)], S=s_rows)
+        search, one_shot, enumerated, propagating = _counts(
+            T, EMPTY_MASTER, [forbid]
+        )
+        assert one_shot == enumerated == propagating > 0
+        assert search.stats.components == 2
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([(x, "c"), (y, "c"), ("d", "c")], id="two-rows-and-ground"),
+        pytest.param([(x, "c"), ("d", "c"), (y, "e")], id="with-free-row"),
+    ])
+    @pytest.mark.parametrize("with_fd", [False, True], ids=["free", "fd"])
+    def test_ground_tuple_a_variable_row_also_produces(self, rows, with_fd):
+        # ("d", "c") is ground and a grounding of (x, c): worlds that differ
+        # only in whether a variable row also produces it are one world.
+        T = cinstance(PAIR_SCHEMA, R=rows)
+        constraints = [_fd_over("c")] if with_fd else []
+        _search, one_shot, enumerated, propagating = _counts(
+            T, EMPTY_MASTER, constraints
+        )
+        assert one_shot == enumerated == propagating > 0
+
+    def test_ground_only_violation_counts_zero(self):
+        fd = _fd_over("c")
+        T = cinstance(PAIR_SCHEMA, R=[("d", "c"), ("e", "c"), (x, "f")])
+        search, one_shot, enumerated, propagating = _counts(T, EMPTY_MASTER, [fd])
+        assert one_shot == enumerated == propagating == 0
+        assert search.has_world() is False
+
+    def test_one_value_pool(self):
+        single = Domain(name="one", values=frozenset({"v"}))
+        one_schema = database_schema(RelationSchema("R", ["A", ("B", single)]))
+        T = cinstance(one_schema, R=[(x, "v"), ("c", y)])
+        search, one_shot, enumerated, propagating = _counts(T, EMPTY_MASTER, [])
+        assert list(search.encoding.pools[y]) == ["v"]
+        assert one_shot == enumerated == propagating > 1
+
+    def test_row_that_never_grounds(self):
+        # (x, y) if y ≠ y has no grounding, so no clause joins x and y; the
+        # row must still sit inside one component to be applied there.
+        table = CTable(
+            PAIR_SCHEMA["R"],
+            [
+                CTableRow((x, y), condition(neq(y, y))),
+                CTableRow((x, "c")),
+                CTableRow((y, "e")),
+            ],
+        )
+        T = CInstance(PAIR_SCHEMA, {"R": table})
+        _search, one_shot, enumerated, propagating = _counts(T, EMPTY_MASTER, [])
+        assert one_shot == enumerated == propagating > 0
+
+    def test_variable_free_instance(self):
+        T = cinstance(PAIR_SCHEMA, R=[("c", "d"), ("d", "d")])
+        search, one_shot, enumerated, propagating = _counts(T, EMPTY_MASTER, [])
+        assert one_shot == enumerated == propagating == 1
+        assert search.stats.components == 0
+        # ("c", "d") and ("d", "d") share "d": a violation over ground rows.
+        _search, one_shot, enumerated, propagating = _counts(
+            T, EMPTY_MASTER, [_fd_over("d")]
+        )
+        assert one_shot == enumerated == propagating == 0
+
 
 # ---------------------------------------------------------------------------
-# knobs flow end-to-end through EngineConfig / Database
+# component stats reach the decision
 # ---------------------------------------------------------------------------
-class TestEngineConfigOptions:
-    def test_options_reach_decision_stats(self):
+class TestDecisionStats:
+    def test_one_shot_count_reports_components(self):
+        # A config the live session does not take (here: a worker count)
+        # runs the one-shot engine, whose component count reaches the stats.
         workload = disconnected_components_workload(
             components=2, rows_per_component=2, values=3
         )
         db = Database(workload.cinstance, workload.master, workload.constraints)
-        config = EngineConfig(
-            "sat", options={"cegar": True, "component_counting": True}
-        )
-        decision = db.count(engine=config)
+        decision = db.count(engine=EngineConfig("sat", workers=1))
         assert decision.value == workload.world_count
         assert decision.stats.components == 2
-        assert decision.stats.cegar_rounds is not None

@@ -28,8 +28,10 @@ from repro.relational.domains import BOOLEAN_DOMAIN
 from repro.relational.master import MasterData, empty_master
 from repro.relational.schema import RelationSchema, database_schema, schema
 from repro.search.cnf_encoding import encode_world_search, iter_solver_models
+from repro.search.engine import WorldSearch, world_key
 from repro.search.sat_engine import SATWorldSearch
 from repro.workloads.generator import inequality_chain_workload
+from repro.workloads.patients import build_patient_scenario
 
 x, y = var("x"), var("y")
 
@@ -68,11 +70,16 @@ class TestEncodingStructure:
         assert encoding.stats.baseline_tuples == 1
         assert not encoding.trivially_unsat
 
-    def test_ground_violation_is_trivially_unsat(self):
+    def test_ground_violation_has_no_world(self):
+        # The ground row alone violates the constraint.  That is no longer
+        # flagged at encode time: the asserted guard refutes the clause.
         forbid_all = denial_cc(cq("q", [x, y], atoms=[atom("R", x, y)]))
         T = cinstance(PAIR_SCHEMA, R=[("c", "d"), (x, "e")])
         encoding = encode_world_search(T, EMPTY_MASTER, [forbid_all])
-        assert encoding.trivially_unsat
+        assert list(iter_solver_models(encoding)) == []
+        search = SATWorldSearch(T, EMPTY_MASTER, [forbid_all])
+        assert search.has_world() is False
+        assert search.count_worlds() == 0
 
     def test_decoded_models_are_exactly_the_naive_valuations(self):
         master = MasterData(
@@ -149,6 +156,17 @@ class TestSATWorldSearch:
         T = cinstance(PAIR_SCHEMA, R=[(x, "c"), (y, "c")])
         naive = set(models(T, EMPTY_MASTER, [], engine="naive"))
         assert SATWorldSearch(T, EMPTY_MASTER, []).count_worlds() == len(naive)
+
+    def test_figure1_one_shot_encoding_stays_small(self):
+        # The join skips the pairs of the one variable row's groundings that
+        # no world holds together; joining them all made 45,460 clauses.
+        scenario = build_patient_scenario()
+        args = (scenario.figure1, scenario.master, scenario.constraints)
+        search = SATWorldSearch(*args)
+        assert search.encoding.stats.clauses <= 1000
+        assert search.count_worlds() == 290
+        expected = {world_key(world) for world in WorldSearch(*args).worlds()}
+        assert {world_key(world) for world in search.worlds()} == expected
 
     def test_empty_cinstance_has_single_empty_world(self):
         T = CInstance(PAIR_SCHEMA)

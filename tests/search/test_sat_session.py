@@ -3,8 +3,9 @@
 :class:`~repro.search.sat_engine.IncrementalSATSession` encodes every
 violating match some world can hold and skips the rest: a match that uses
 two different tuples only one variable row produces needs no clause, since
-a valuation grounds the row once.  These suites hold the session to the
-one-shot eager :class:`SATWorldSearch` and to the paper's Figure 1 figures:
+a valuation grounds the row once.  The one-shot :class:`SATWorldSearch`
+runs the same encoder, so these suites hold the session to the propagating
+engine and to the paper's Figure 1 figures instead:
 
 * Figure 1 plus Bob's 2000 visit stays under 1,000 clauses (the unpruned
   join pairs every two groundings of the one variable row, about 45,000);
@@ -14,8 +15,8 @@ one-shot eager :class:`SATWorldSearch` and to the paper's Figure 1 figures:
   other tuples clash with it, so adding one must encode the pairs the
   construction skipped;
 * violations that join two variable rows are encoded up front and the
-  session agrees with a rebuilt eager engine across a stream of ground
-  adds and drops.
+  session agrees with a rebuilt propagating engine across a stream of
+  ground adds and drops.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.queries.cq import boolean_cq
 from repro.queries.terms import var
 from repro.relational.master import empty_master
 from repro.relational.schema import database_schema, schema
-from repro.search.engine import world_key
+from repro.search.engine import WorldSearch, world_key
 from repro.search.sat_engine import IncrementalSATSession, SATWorldSearch
 from repro.workloads.patients import build_patient_scenario
 
@@ -78,7 +79,10 @@ def test_atom_free_violation_refutes_the_live_session():
     assert not db.is_consistent()
     assert not db.is_consistent(witness=False)
     assert db.count().value == 0
-    assert SATWorldSearch(T, EMPTY_MASTER, [forbid]).has_world() is False
+    assert WorldSearch(T, EMPTY_MASTER, [forbid]).has_world() is False
+    one_shot = SATWorldSearch(T, EMPTY_MASTER, [forbid])
+    assert one_shot.has_world() is False
+    assert one_shot.count_worlds() == 0
 
 
 def _fd_over_c():
@@ -98,7 +102,7 @@ def test_ground_tuple_shared_with_a_variable_row_encodes_the_skipped_pairs():
     T = cinstance(PAIR_SCHEMA, R=[(x, "c"), ("d", "e")])
     db = Database(T, EMPTY_MASTER, [fd], engine="sat")
     session_count = db.count()
-    assert session_count.value == SATWorldSearch(T, EMPTY_MASTER, [fd]).count_worlds()
+    assert session_count.value == WorldSearch(T, EMPTY_MASTER, [fd]).count_worlds()
     # Every violating pair uses two groundings of the one variable row.
     assert db._sat_session.encoding.stats.blocked_matches == 0
     assert db.is_consistent(witness=False)  # the live solver's first solve
@@ -113,12 +117,12 @@ def test_ground_tuple_shared_with_a_variable_row_encodes_the_skipped_pairs():
     assert db.count().value == session_count.value
 
 
-def test_variable_row_joins_track_a_rebuilt_eager_engine():
+def test_variable_row_joins_track_the_propagating_engine():
     fd = _fd_over_c()
     T = cinstance(PAIR_SCHEMA, R=[(x, "c"), (y, "c"), ("d", "e")])
     db = Database(T, EMPTY_MASTER, [fd], engine="sat")
     first = db.count()
-    assert first.value == SATWorldSearch(T, EMPTY_MASTER, [fd]).count_worlds()
+    assert first.value == WorldSearch(T, EMPTY_MASTER, [fd]).count_worlds()
     # x ≠ y joins the two variable rows: encoded up front.
     assert db._sat_session.encoding.stats.blocked_matches > 0
     assert db.is_consistent(witness=False)  # the live solver's first solve
@@ -139,13 +143,13 @@ def test_variable_row_joins_track_a_rebuilt_eager_engine():
             db.update(add_rows={"R": [row]})
         else:
             db.update(drop_rows={"R": [row]})
-        eager = SATWorldSearch(db.cinstance, EMPTY_MASTER, [fd])
+        reference = WorldSearch(db.cinstance, EMPTY_MASTER, [fd])
         verdict = db.is_consistent(witness=False)
         assert verdict.stats.reused_solver is True, "the session was rebuilt"
-        assert bool(verdict) == eager.has_world()
-        assert db.count().value == eager.count_worlds()
+        assert bool(verdict) == reference.has_world()
+        assert db.count().value == reference.count_worlds()
         witness = db.is_consistent().witness
-        expected = {world_key(world) for world in eager.worlds()}
+        expected = {world_key(world) for world in reference.worlds()}
         if expected:
             assert witness is not None and world_key(witness) in expected
         else:
