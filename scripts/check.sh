@@ -31,8 +31,9 @@
 #   7. a 60-second smoke slice of the differential fuzz campaign
 #      (scripts/fuzz_differential.py, fixed seed): random four-way
 #      engine-parity cases interleaved with update-vs-rebuild streams
-#      through Database.update; the nightly CI job runs the same script for
-#      15 minutes with a rotating seed and uploads failing seeds,
+#      through Database.update, whose live SAT session counts twice per
+#      step; the nightly CI job runs the same script for 15 minutes with a
+#      rotating seed and uploads failing seeds,
 #   8. the doc-snippet runner (scripts/run_doc_snippets.py): every fenced
 #      `python` block in README.md and docs/*.md is executed, so the
 #      documentation code cannot rot (tag a fence `python no-run` to skip),

@@ -13,7 +13,9 @@ randomly parameterised workloads, in two campaign families:
   :meth:`repro.api.Database.update` and checked against a
   rebuilt-from-scratch facade at every step through
   :func:`harness.assert_update_stream_parity` (the update-vs-rebuild
-  differential of this PR), violations included;
+  differential), violations included.  At every step the live SAT session
+  counts twice, through the facade and directly (bypassing the decision
+  cache), and both counts must equal the rebuild's;
 * **components** — a randomly sized disconnected-components workload is
   counted three ways (the one-shot SAT engine's component-caching count,
   the live SAT session's blocking-clause enumeration and the propagating

@@ -32,17 +32,29 @@ Literals follow the DIMACS convention used by :mod:`repro.reductions.sat`:
 a literal is a non-zero integer, ``+v`` for variable ``v`` and ``-v`` for its
 negation.  Variable identifiers may be arbitrary (sparse) positive integers.
 
-The solver is incremental in the way the world-search engine needs: clauses
-may be added between ``solve()`` calls (e.g. blocking clauses during model
-enumeration) and each ``solve()`` restarts the search while keeping the
-learned clauses, activities and phases.
+The solver is incremental in the way the world-search engine needs:
+
+* clauses may be added between ``solve()`` calls, and the learned clauses,
+  activities, phases and the level-0 trail (the facts every model shares)
+  carry over from one call to the next;
+* after a model, a blocking clause that model falsifies is absorbed by
+  backjumping on it, so the next call resumes from the model's trail instead
+  of starting again at level 0 — projected enumeration in the sense of
+  Gebser, Kaufmann and Schaub, "Solution Enumeration for Projected Boolean
+  Search Problems" (CPAIOR 2009);
+* a caller-chosen *decision set* restricts branching to the variables a
+  model is projected onto (the world-search encoding's selectors);
+* :meth:`DPLLSolver.retire` drops every clause guarded by an activation
+  literal, so one solver serves a stream of enumerations, each under its
+  own blocking clauses (Eén and Sörensson, "Temporal Induction by
+  Incremental SAT Solving", BMC 2003).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import ReductionError
 
@@ -68,21 +80,47 @@ class SolverStats:
 
 
 class DPLLSolver:
-    """Trail-based DPLL with watched literals, learning and restarts."""
+    """Trail-based DPLL with watched literals, learning and restarts.
+
+    ``decisions`` is the decision set: the solver branches on these variables
+    only (and registers them all, so each is assigned in every model).  A
+    variable outside the set is assigned only when propagation forces it; a
+    model leaves the others out, and they read as ``False``.  That is sound
+    only for a formula whose every model of the decision set extends that
+    way: once the decision variables (and the assumptions) are set, unit
+    propagation either conflicts or leaves clauses that the all-``False``
+    completion satisfies.  The world-search encoding is such a formula when
+    the decision set is its selectors (the invariant is stated in
+    :mod:`repro.search.cnf_encoding`).  The default decides every variable
+    and returns total models.
+    """
 
     def __init__(
         self,
         clauses: Iterable[Sequence[int]] = (),
         *,
         stats: SolverStats | None = None,
+        decisions: Iterable[int] | None = None,
     ) -> None:
         self._clauses: list[list[int]] = []
         self._watches: dict[int, list[int]] = {}
+        #: every unit clause, given or learned (a log: the level-0 trail
+        #: holds the facts themselves).
         self._units: list[int] = []
         self._vars: set[int] = set()
         self._unsat = False
+        self._decisions: frozenset[int] | None = (
+            None if decisions is None else frozenset(decisions)
+        )
+        # Clauses added while the trail holds a model; solve() either
+        # backjumps on them or attaches them at level 0.
+        self._pending: list[list[int]] = []
+        # The assumptions of the model on the trail (None: no model held).
+        self._held: list[int] | None = None
 
         self._assign: dict[int, bool] = {}
+        # The literals the trail makes true: propagation reads values here.
+        self._true: set[int] = set()
         self._level: dict[int, int] = {}
         self._reason: dict[int, list[int] | None] = {}
         self._trail: list[int] = []
@@ -94,17 +132,19 @@ class DPLLSolver:
         self._activity_inc = 1.0
         # Branching order heap of ``(-activity, var)`` entries with lazy
         # deletion; ``_queued`` maps each variable to the activity of its
-        # live entry.  Invariant: every unassigned variable has a live entry
-        # carrying its current activity.  Activities only grow between
-        # rescales (which rebuild the heap), so an entry left behind by a
-        # since-bumped variable always sorts after its live one.
+        # live entry.  Invariant: every unassigned decision variable has a
+        # live entry carrying its current activity.  Activities only grow
+        # between rescales (which rebuild the heap), so an entry left behind
+        # by a since-bumped variable always sorts after its live one.
         self._order: list[tuple[float, int]] = []
         self._queued: dict[int, float] = {}
 
         # A caller-supplied ``stats`` lets several solver instances fold
-        # their counters into one ledger (the world-search engines build a
-        # fresh solver per enumeration but report one set of totals).
+        # their counters into one ledger (the world-search engines run more
+        # than one solver but report one set of totals).
         self.stats = SolverStats() if stats is None else stats
+        for var in sorted(self._decisions or ()):
+            self._register(var)
         for clause in clauses:
             self.add_clause(clause)
 
@@ -116,6 +156,9 @@ class DPLLSolver:
 
         Clauses may be added between ``solve()`` calls (the next call picks
         them up); adding the empty clause marks the instance unsatisfiable.
+        At decision level 0 the clause is attached against the level-0 trail
+        at once (see :meth:`_attach_root`); while a model's decisions are on
+        the trail it waits for the next ``solve()``.
         """
         seen: set[int] = set()
         unique: list[int] = []
@@ -139,16 +182,44 @@ class DPLLSolver:
             return
         if len(unique) == 1:
             self._units.append(unique[0])
-            return
-        self._attach(unique)
+        if self._trail_lim:
+            self._pending.append(unique)
+        else:
+            self._held = None
+            self._attach_root(unique)
+
+    def _attach_root(self, clause: list[int]) -> None:
+        """Add a clause against the level-0 trail (the solver is at level 0).
+
+        Level-0 facts hold in every model, so a clause one of them satisfies
+        is not stored and the literals they falsify are left out.  A clause
+        with one literal left is enqueued as a level-0 fact, and one with
+        none makes the instance unsatisfiable.
+        """
+        live = []
+        for lit in clause:
+            value = self._value(lit)
+            if value is True:
+                return
+            if value is None:
+                live.append(lit)
+        if not live:
+            self._unsat = True
+        elif len(live) == 1:
+            self._enqueue(live[0])
+        else:
+            self._attach(live)
 
     def _register(self, var: int) -> None:
-        """Record a new variable; it joins the branching heap."""
+        """Record a new variable; a decision variable joins the heap."""
         self._vars.add(var)
+        self._held = None  # the held model does not assign it
         self._queue(var)
 
     def _queue(self, var: int) -> None:
-        """Give a variable a live heap entry at its current activity."""
+        """Give a decision variable a live heap entry at its current activity."""
+        if self._decisions is not None and var not in self._decisions:
+            return
         activity = self._activity.get(var, 0.0)
         if self._queued.get(var) != activity:
             self._queued[var] = activity
@@ -171,10 +242,9 @@ class DPLLSolver:
     # assignment trail
     # ------------------------------------------------------------------
     def _value(self, lit: int) -> bool | None:
-        value = self._assign.get(abs(lit))
-        if value is None:
-            return None
-        return value if lit > 0 else not value
+        if lit in self._true:
+            return True
+        return False if -lit in self._true else None
 
     def _enqueue(self, lit: int, reason: list[int] | None = None) -> bool:
         """Assert a literal at the current level; ``False`` on conflict.
@@ -188,6 +258,7 @@ class DPLLSolver:
             return current
         var = abs(lit)
         self._assign[var] = lit > 0
+        self._true.add(lit)
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
@@ -200,6 +271,7 @@ class DPLLSolver:
         cut = self._trail_lim[target_level]
         for lit in reversed(self._trail[cut:]):
             var = abs(lit)
+            self._true.remove(lit)
             self._phase[var] = self._assign.pop(var)
             del self._level[var]
             self._reason.pop(var, None)
@@ -213,38 +285,41 @@ class DPLLSolver:
     # ------------------------------------------------------------------
     def _propagate(self) -> list[int] | None:
         """Exhaust unit propagation; return a conflicting clause or ``None``."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
+        trail = self._trail
+        true = self._true
+        clauses = self._clauses
+        watches = self._watches
+        while self._qhead < len(trail):
+            false_lit = -trail[self._qhead]
             self._qhead += 1
-            false_lit = -lit
-            watchers = self._watches.get(false_lit)
+            watchers = watches.get(false_lit)
             if not watchers:
                 continue
             kept: list[int] = []
             conflict: list[int] | None = None
             for cursor, index in enumerate(watchers):
-                clause = self._clauses[index]
+                clause = clauses[index]
                 # Normalise: the falsified watch sits at position 1.
                 if clause[0] == false_lit:
                     clause[0], clause[1] = clause[1], clause[0]
                 other = clause[0]
-                if self._value(other) is True:
+                if other in true:
                     kept.append(index)
                     continue
                 for position in range(2, len(clause)):
-                    if self._value(clause[position]) is not False:
+                    if -clause[position] not in true:
                         clause[1], clause[position] = clause[position], clause[1]
-                        self._watches.setdefault(clause[1], []).append(index)
+                        watches.setdefault(clause[1], []).append(index)
                         break
                 else:
                     kept.append(index)
-                    if self._value(other) is False:
+                    if -other in true:
                         kept.extend(watchers[cursor + 1 :])
                         conflict = clause
                         break
                     self.stats.propagations += 1
                     self._enqueue(other, clause)
-            self._watches[false_lit] = kept
+            watches[false_lit] = kept
             if conflict is not None:
                 return conflict
         return None
@@ -261,10 +336,13 @@ class DPLLSolver:
                     self._activity[key] *= 1.0 / _ACTIVITY_RESCALE
                 self._activity_inc *= 1.0 / _ACTIVITY_RESCALE
                 # Every heap key is stale now; start over from the
-                # unassigned variables (the bumped ones are all assigned).
+                # unassigned decision variables (the bumped ones are all
+                # assigned).
                 self._queued = {
                     v: self._activity.get(v, 0.0)
-                    for v in self._vars
+                    for v in (
+                        self._vars if self._decisions is None else self._decisions
+                    )
                     if v not in self._assign
                 }
                 self._order = [(-a, v) for v, a in self._queued.items()]
@@ -272,18 +350,20 @@ class DPLLSolver:
         self._activity_inc *= _ACTIVITY_INC_FACTOR
 
     def _pick_branch_variable(self) -> int | None:
-        """The unassigned variable of highest activity (lowest id on ties)."""
+        """The unassigned decision variable of highest activity (lowest id
+        on ties), or ``None`` once every decision variable is assigned."""
         if len(self._assign) == len(self._vars):
             return None  # keep the assigned variables' entries for reuse
         order = self._order
         queued = self._queued
-        while True:
+        while order:
             key, var = heapq.heappop(order)
             if queued.get(var) != -key:
                 continue  # stale: the variable has a newer live entry
             del queued[var]
             if var not in self._assign:
                 return var
+        return None
 
     # ------------------------------------------------------------------
     # conflict handling (first-UIP learning + backjumping)
@@ -438,11 +518,17 @@ class DPLLSolver:
     # search
     # ------------------------------------------------------------------
     def solve(self, assumptions: Sequence[int] = ()) -> dict[int, bool] | None:
-        """A satisfying assignment of every variable, or ``None`` (UNSAT).
+        """A satisfying assignment, or ``None`` (UNSAT).
 
-        Each call restarts the search from level 0 (clauses added since the
-        previous call are picked up) while keeping learned clauses, variable
-        activities and saved phases.
+        The model assigns every decision variable and every variable that
+        propagation forced (every variable, with the default decision set).
+        Learned clauses, variable activities, saved phases and the level-0
+        trail carry over between calls.  The model stays on the trail: when
+        the next call has the same assumptions and the only clause added in
+        between is one the model falsifies (a blocking clause), the search
+        backjumps on that clause and resumes from there; with nothing added
+        the model is returned again.  Any other call starts over at level 0
+        after attaching the added clauses against the level-0 trail.
 
         ``assumptions`` are literals the search must satisfy for *this call
         only*: they are installed as the first decisions (in order), so a
@@ -456,33 +542,33 @@ class DPLLSolver:
         re-encoding).
         """
         self.stats.solve_calls += 1
-        for lit in assumptions:
+        assumed = list(assumptions)
+        for lit in assumed:
             if lit == 0:
                 raise ReductionError("literal 0 is not allowed (DIMACS convention)")
             if abs(lit) not in self._vars:
                 self._register(abs(lit))
-        self._backtrack(0)
-        # Reset level-0 state: re-assert all unit clauses from scratch so
-        # clauses added between solve() calls take effect.
-        for var in [abs(lit) for lit in self._trail]:
-            self._phase[var] = self._assign.pop(var)
-            self._level.pop(var, None)
-            self._queue(var)
-        self._trail.clear()
-        self._reason.clear()
-        self._qhead = 0
-        if self._unsat:
-            return None
-        for lit in self._units:
-            if not self._enqueue(lit):
-                return None
+        added = self._pending
+        if (
+            not self._unsat
+            and self._held == assumed
+            and len(added) <= 1
+            and all(-lit in self._true for clause in added for lit in clause)
+        ):
+            if not added:
+                return dict(self._assign)  # nothing changed: the model holds
+            self._backjump_on(added.pop())
+        else:
+            self._to_root()
+        self._held = None
 
         conflicts_until_restart = _RESTART_BASE
-        while True:
+        while not self._unsat:
             conflict = self._propagate()
             if conflict is not None:
                 if not self._resolve_conflict(conflict):
-                    return None
+                    self._unsat = True  # a conflict at level 0
+                    break
                 conflicts_until_restart -= 1
                 if conflicts_until_restart <= 0:
                     self.stats.restarts += 1
@@ -497,9 +583,10 @@ class DPLLSolver:
             # assumption (by propagation or a learned clause) means UNSAT
             # under the assumptions.
             pending: int | None = None
-            for lit in assumptions:
+            for lit in assumed:
                 value = self._value(lit)
                 if value is False:
+                    self._backtrack(0)
                     return None
                 if value is None:
                     pending = lit
@@ -511,10 +598,91 @@ class DPLLSolver:
                 continue
             variable = self._pick_branch_variable()
             if variable is None:
+                self._held = assumed
                 return dict(self._assign)
             self.stats.decisions += 1
             self._trail_lim.append(len(self._trail))
             self._enqueue(variable if self._phase.get(variable, False) else -variable)
+        self._backtrack(0)
+        return None
+
+    def _to_root(self) -> None:
+        """Backtrack to level 0 and attach the clauses added since the
+        model against the level-0 trail."""
+        self._backtrack(0)
+        for clause in self._pending:
+            self._attach_root(clause)
+        self._pending.clear()
+        self._held = None
+
+    def _backjump_on(self, clause: list[int]) -> None:
+        """Absorb a clause the model on the trail falsifies.
+
+        The clause is watched on its two deepest literals.  When one literal
+        is deeper than the rest, backjumping to the next deepest level makes
+        the clause unit there and it propagates; when several share the
+        deepest level, the clause is a conflict at that level and first-UIP
+        analysis learns the asserting clause.  A clause falsified at level 0
+        leaves no model at all.
+        """
+        level = self._level
+        clause.sort(key=lambda lit: level[abs(lit)], reverse=True)
+        top = level[abs(clause[0])]
+        if top == 0:
+            self._unsat = True
+            return
+        second = level[abs(clause[1])] if len(clause) > 1 else 0
+        if second == top:
+            self._backtrack(top)
+            self._attach(clause)
+            self._resolve_conflict(clause)
+            return
+        self._backtrack(second)
+        if len(clause) > 1:
+            self._attach(clause)
+        self.stats.propagations += 1
+        self._enqueue(clause[0], clause if len(clause) > 1 else None)
+
+    def retire(self, activation: int) -> None:
+        """Drop every clause that carries ``-activation``; free the literal.
+
+        An enumeration that must not outlive its call solves under the
+        assumption ``activation`` and adds ``-activation`` to each of its
+        blocking clauses.  Retiring drops those clauses, the learned clauses
+        derived from them (resolution keeps ``-activation`` in every one)
+        and a level-0 fact ``-activation`` (a blocking clause whose other
+        literals are level-0 facts propagates it).  The literal must occur
+        in no clause positively, so no other level-0 fact follows from
+        ``-activation``; it is then free for the next enumeration, and
+        enumerations leave behind only what they learned without it.
+        """
+        dropped = -activation
+        self._pending = [clause for clause in self._pending if dropped not in clause]
+        self._to_root()
+        clauses = self._clauses
+        first = next(
+            (index for index, clause in enumerate(clauses) if dropped in clause),
+            len(clauses),
+        )
+        tail = clauses[first:]
+        del clauses[first:]
+        watches = self._watches
+        for lit in {clause[k] for clause in tail for k in (0, 1)}:
+            watches[lit] = [index for index in watches[lit] if index < first]
+        for clause in tail:
+            if dropped not in clause:
+                self._attach(clause)
+        self._units = [lit for lit in self._units if lit != dropped]
+        if activation in self._assign:
+            position = self._trail.index(dropped)
+            del self._trail[position]
+            if position < self._qhead:
+                self._qhead -= 1
+            self._true.remove(dropped)
+            self._phase[activation] = self._assign.pop(activation)
+            del self._level[activation]
+            self._reason.pop(activation, None)
+            self._queue(activation)
 
     def enumerate_models(
         self, project_onto: Sequence[int] | None = None
@@ -523,13 +691,16 @@ class DPLLSolver:
 
         With ``project_onto`` given, models are enumerated up to their
         restriction to those variables (each projection appears exactly once);
-        otherwise full models are blocked one by one.  Projected variables
-        the clause database has never seen are don't-care: they contribute no
-        blocking literal (and do not appear in the yielded models), so an
-        unconstrained selector cannot crash the enumeration.  The blocking
-        clauses stay in the solver, so interleaving with :meth:`add_clause`
-        is safe.
+        otherwise up to their restriction to the decision set, which is every
+        variable by default.  Projected variables must be decision variables;
+        those the clause database has never seen are don't-care: they
+        contribute no blocking literal (and do not appear in the yielded
+        models), so an unconstrained selector cannot crash the enumeration.
+        Each blocking clause is absorbed by backjumping (see :meth:`solve`),
+        and it stays in the solver.
         """
+        if project_onto is None and self._decisions is not None:
+            project_onto = sorted(self._decisions)
         while True:
             model = self.solve()
             if model is None:
@@ -542,39 +713,3 @@ class DPLLSolver:
             if not blocking:
                 return  # nothing to block: the projection admits one model
             self.add_clause(blocking)
-
-
-def solve_cnf(clauses: Iterable[Sequence[int]]) -> dict[int, bool] | None:
-    """One-shot convenience wrapper: solve a clause list with a fresh solver."""
-    return DPLLSolver(clauses).solve()
-
-
-def brute_force_satisfiable(
-    clauses: Sequence[Sequence[int]], assignment_limit: int = 1 << 22
-) -> bool:
-    """Exhaustive satisfiability check, used to cross-validate the solver.
-
-    Kept deliberately independent of :class:`DPLLSolver` (and of
-    :class:`repro.reductions.sat.CNFFormula`) so the two implementations share
-    no code paths; refuses instances whose assignment space exceeds
-    ``assignment_limit``.
-    """
-    import itertools
-
-    variables = sorted({abs(lit) for clause in clauses for lit in clause})
-    if 2 ** len(variables) > assignment_limit:
-        raise ReductionError(
-            f"brute-force check over {len(variables)} variables exceeds the "
-            "assignment limit; use DPLLSolver instead"
-        )
-    for values in itertools.product((False, True), repeat=len(variables)):
-        assignment: Mapping[int, bool] = dict(zip(variables, values))
-        if all(
-            any(
-                assignment[abs(lit)] == (lit > 0)
-                for lit in clause
-            )
-            for clause in clauses
-        ):
-            return True
-    return False

@@ -45,6 +45,24 @@ A blocking clause over the selectors excludes a valuation together with
 every completion of its presence variables, so enumerating models with
 selector-only blocking clauses yields each valuation exactly once.
 
+**Invariant: the selectors are the only decisions.**  Every variable that is
+not a selector is
+
+* a guard, or an activation literal a consumer allocates with
+  :meth:`IncrementalEncoder.fresh_activation` — either way assigned before
+  any branching, as an assumption or a unit clause — or
+* a presence literal, which occurs positively only in its producer clauses
+  and negatively everywhere else.
+
+So once the selectors and guards are set, unit propagation either conflicts
+or leaves a model whose unassigned literals may all be ``False``: every
+producer clause with an unassigned presence literal already has a true
+negated selector or guard, and every other clause holds presence literals
+only negatively.  Learned clauses are entailed, so that completion satisfies
+them too.  This is why the solvers branch on the selectors alone (the
+``decisions`` of :class:`~repro.reductions.dpll.DPLLSolver`): a model
+decides nothing the valuation does not.
+
 Conditions, equalities and inequalities are therefore handled *natively*:
 row conditions vanish into the grounding step, and the ``=``/``≠``
 comparisons of the constraint queries are evaluated once, during clause
@@ -339,6 +357,12 @@ class IncrementalEncoder:
         self._counter += 1
         return self._counter
 
+    def fresh_activation(self) -> int:
+        """A variable no clause of the encoding mentions, for an activation
+        literal: its consumer assumes it and adds only its negation to the
+        clauses it keeps for itself (see the module invariant)."""
+        return self._fresh()
+
     def _block_match(
         self, query: Any, rhs: frozenset[Row], match: Mapping[Variable, Constant]
     ) -> None:
@@ -473,7 +497,10 @@ class IncrementalEncoder:
 
 
 def iter_solver_models(
-    encoding: WorldEncoding, solver: DPLLSolver | None = None
+    encoding: WorldEncoding,
+    solver: DPLLSolver | None = None,
+    assumptions: Sequence[int] = (),
+    activation: int | None = None,
 ) -> Iterator[Valuation]:
     """Enumerate the valuations satisfying the encoding.
 
@@ -482,23 +509,40 @@ def iter_solver_models(
     session's enumeration) and the tests.  Each satisfying valuation is
     yielded exactly once: its blocking clause (one negated selector literal
     per c-instance variable) is added before re-solving, and it excludes
-    every completion of the valuation's presence variables.  ``solver`` may
-    be supplied to observe its statistics; it must hold ``encoding.clauses``
-    and no blocking clause yet.
+    every completion of the valuation's presence variables.  The solver
+    absorbs each blocking clause by backjumping, so one enumeration is one
+    search resumed after every model.
+
+    ``solver`` may be supplied to observe its statistics or to reuse it; it
+    must hold ``encoding.clauses`` and decide at least the selectors.  The
+    search runs under ``assumptions``.  With ``activation`` (from
+    :meth:`IncrementalEncoder.fresh_activation`) it also runs under that
+    literal, every blocking clause carries its negation, and the solver
+    retires it when the enumeration ends or is abandoned, so a reused
+    solver keeps no blocking clause of this enumeration.
     """
     from repro.reductions.dpll import DPLLSolver
 
     if encoding.trivially_unsat:
         return
     if solver is None:
-        solver = DPLLSolver(encoding.clauses)
-    while True:
-        model = solver.solve()
-        if model is None:
-            return
-        valuation = encoding.decode(model)
-        yield valuation
-        blocking = encoding.blocking_clause(valuation)
-        if not blocking:
-            return  # no variables: the single empty valuation is it
-        solver.add_clause(blocking)
+        solver = DPLLSolver(encoding.clauses, decisions=encoding.selector.values())
+    assumed = list(assumptions)
+    carried: tuple[int, ...] = ()
+    if activation is not None:
+        assumed.append(activation)
+        carried = (-activation,)
+    try:
+        while True:
+            model = solver.solve(assumed)
+            if model is None:
+                return
+            valuation = encoding.decode(model)
+            yield valuation
+            blocking = encoding.blocking_clause(valuation)
+            if not blocking:
+                return  # no variables: the single empty valuation is it
+            solver.add_clause(blocking + carried)
+    finally:
+        if activation is not None:
+            solver.retire(activation)

@@ -10,7 +10,9 @@ DPLL solver of :mod:`repro.reductions.dpll`.  It mirrors the API of
   (consistency, the MINP emptiness probe) never enumerate anything;
 * :meth:`search` enumerates satisfying assignments with selector-projected
   blocking clauses, yielding each Adom valuation exactly once together with
-  its world — exactly the pairs the naive cross-product scan accepts;
+  its world — exactly the pairs the naive cross-product scan accepts.  The
+  solver branches on the selectors only and resumes from each model's trail
+  instead of starting over;
 * :meth:`worlds` deduplicates by the shared canonical form
   (:func:`repro.search.engine.world_key`);
 * :meth:`count_worlds` multiplies the distinct sub-world counts of the
@@ -23,8 +25,9 @@ then explores the valuation space with unit propagation, learned conflicts
 and restarts instead of per-node conjunctive-query re-evaluation.
 
 :class:`IncrementalSATSession` is the :class:`repro.api.Database` facade's
-long-lived variant: the same encoder and one live solver, both surviving a
-stream of ground-tuple updates.
+long-lived variant: the same encoder and two long-lived solvers, one for
+existence and witnesses and one for enumeration, all surviving a stream of
+ground-tuple updates.
 """
 
 from __future__ import annotations
@@ -66,9 +69,11 @@ class SATSearchStats:
     duplicate_worlds: int = 0
     encoding: EncodingStats | None = None
     solver: SolverStats | None = None
-    #: whether the most recent call was answered by a solver kept alive from
-    #: a previous call (the incremental session); ``None`` for the one-shot
-    #: :class:`SATWorldSearch`, which builds a fresh solver per search.
+    #: whether the most recent call was answered by the incremental
+    #: session's live solver kept alive from a previous call (enumerations
+    #: run on the other solver and report ``False``); ``None`` for the
+    #: one-shot :class:`SATWorldSearch`, which builds a fresh solver per
+    #: search.
     reused_solver: bool | None = None
     #: clause-graph components the last one-shot ``count_worlds`` multiplied;
     #: ``None`` until that runs.
@@ -127,7 +132,7 @@ class SATWorldSearch(_ModelStream):
     :class:`ConstraintChecker` whose precomputed right-hand sides the encoder
     reuses.  The CNF encoding (:func:`encode_world_search`) is built eagerly
     — its cost corresponds to the constraint pre-evaluation of the other
-    engines; a solver is created per call.
+    engines; a solver deciding the selectors only is created per call.
     """
 
     def __init__(
@@ -151,7 +156,13 @@ class SATWorldSearch(_ModelStream):
         """The CNF encoding backing the search."""
         return self._encoding
 
-    def _solver(self, clauses: Sequence[tuple[int, ...]] | None = None) -> DPLLSolver:
+    def _solver(
+        self,
+        clauses: Sequence[tuple[int, ...]] | None = None,
+        decisions: Iterable[int] | None = None,
+    ) -> DPLLSolver:
+        """A solver over ``clauses`` (default: the whole encoding) deciding
+        ``decisions`` (default: every selector)."""
         # One SolverStats ledger outlives every solver instance, so a
         # has_world() followed by a search() reports the total work instead
         # of silently discarding the existence check's counters.
@@ -159,7 +170,9 @@ class SATWorldSearch(_ModelStream):
             self.stats.solver = SolverStats()
         if clauses is None:
             clauses = self._encoding.clauses
-        return DPLLSolver(clauses, stats=self.stats.solver)
+        if decisions is None:
+            decisions = self._encoding.selector.values()
+        return DPLLSolver(clauses, stats=self.stats.solver, decisions=decisions)
 
     def _models(self) -> Iterator[Valuation]:
         if not self._encoding.trivially_unsat:
@@ -331,7 +344,7 @@ class SATWorldSearch(_ModelStream):
         sub_worlds: set[frozenset[tuple[str, Row]]] = set()
         valuations = 0
         scope = encoding.selector_scope(variables)
-        for model in self._solver(clauses).enumerate_models(project_onto=scope):
+        for model in self._solver(clauses, scope).enumerate_models():
             valuations += 1
             valuation = encoding.decode(model, variables)
             sub_world = set()
@@ -353,25 +366,29 @@ class IncrementalSATSession(_ModelStream):
     * an :class:`~repro.search.cnf_encoding.IncrementalEncoder`, whose clause
       set only ever grows (guards express drops through assumptions) and
       holds no clause for a match no world can contain, and
-    * one **live DPLL solver** fed the new clauses before each existence
-      check and solved under the current guard assumptions, so learned
-      clauses, activities and saved phases accumulate across the whole
-      update stream (``reused_solver`` in the stats reports the reuse).
+    * two long-lived DPLL solvers, each fed the new clauses before it is
+      used and solved under the current guard assumptions, so learned
+      clauses, activities, saved phases and the level-0 trail accumulate
+      across the whole update stream.  Both branch on the selectors only.
 
     Existence checks and witnesses (:meth:`has_world`, :meth:`first_world`)
-    use the live solver.  Model *enumeration* adds blocking clauses, which
-    are valuation-specific and would poison a solver that must stay sound
-    for later calls, so :meth:`search` / :meth:`count_worlds` spin up a
-    throwaway solver over the live clause list plus the current assumptions
-    as unit clauses (still skipping the re-encode).  All solvers share the
-    ``stats.solver`` ledger; ``worlds`` and ``duplicate_worlds`` describe the
-    most recent call.
+    use the **live solver** (``reused_solver`` in the stats reports its
+    reuse).  Model enumeration (:meth:`search`, :meth:`count_worlds`) runs
+    on the **enumeration solver**: each enumeration also assumes the
+    session's activation literal ``a``, every blocking clause carries
+    ``¬a``, and retiring ``a`` at the end drops those clauses and everything
+    learned from them, so one enumeration never constrains the next.
+    Counting never touches the live solver, so a witness never depends on
+    whether a count ran first.  Both solvers share the ``stats.solver``
+    ledger; ``worlds`` and ``duplicate_worlds`` describe the most recent
+    call.
 
     Calls on one session are serialised by :attr:`lock`, which
-    :meth:`has_world`, :meth:`first_world`, :meth:`count_worlds` and
-    :meth:`apply` hold; a caller that reads :attr:`stats` after a call from
-    another thread holds it across both.  :meth:`search` is a generator and
-    takes no lock.
+    :meth:`has_world`, :meth:`first_world`, :meth:`count_worlds`,
+    :meth:`apply` and the enumeration behind :meth:`search` hold; a caller
+    that reads :attr:`stats` after a call from another thread holds it
+    across both.  :meth:`search` drains the enumeration under the lock
+    before it yields the first world.
 
     The session only absorbs updates that keep the encoding's fixed parts
     fixed: ground-tuple adds/drops under an unchanged active domain,
@@ -395,9 +412,13 @@ class IncrementalSATSession(_ModelStream):
         self._encoder = IncrementalEncoder(
             cinstance, master, constraints, adom, checker=checker
         )
-        self._solver = DPLLSolver()
+        self._solver = DPLLSolver(decisions=self._encoder.encoding.selector.values())
         self._solved_live = False
         self._fed = 0
+        # Built by the first enumeration: many sessions never count.
+        self._enumerator: DPLLSolver | None = None
+        self._enumerator_fed = 0
+        self._activation = self._encoder.fresh_activation()
         self.lock = threading.RLock()
         self.stats = SATSearchStats(
             encoding=self._encoder.encoding.stats, solver=self._solver.stats
@@ -452,6 +473,13 @@ class IncrementalSATSession(_ModelStream):
     # ------------------------------------------------------------------
     # decision surfaces (API parity with SATWorldSearch where it matters)
     # ------------------------------------------------------------------
+    def _feed(self, solver: DPLLSolver, fed: int) -> int:
+        """Add the clauses encoded since ``fed`` to ``solver``; the new mark."""
+        clauses = self._encoder.encoding.clauses
+        for index in range(fed, len(clauses)):
+            solver.add_clause(clauses[index])
+        return len(clauses)
+
     def _live_model(self) -> Valuation | None:
         """The live solver's model under the assumptions, as a valuation.
 
@@ -465,10 +493,7 @@ class IncrementalSATSession(_ModelStream):
             return None
         self.stats.reused_solver = self._solved_live
         self._solved_live = True
-        clauses = encoding.clauses
-        while self._fed < len(clauses):
-            self._solver.add_clause(clauses[self._fed])
-            self._fed += 1
+        self._fed = self._feed(self._solver, self._fed)
         model = self._solver.solve(self._encoder.assumptions())
         return None if model is None else encoding.decode(model)
 
@@ -483,44 +508,58 @@ class IncrementalSATSession(_ModelStream):
             valuation = self._live_model()
             return None if valuation is None else self._cinstance.apply(valuation)
 
-    def _models(self) -> Iterator[Valuation]:
-        """Enumerate the models on a throwaway solver.
+    def _enumerate(self) -> Iterator[Valuation]:
+        """The valuations of the current instance, on the enumeration solver.
 
-        Enumeration must not touch the live solver: its blocking clauses are
-        sound only for the instance state they were generated under.  The
-        throwaway solver starts from the live clauses plus the current
-        assumptions as unit clauses and books its work on the session's
-        ``stats.solver`` ledger.
+        The caller holds :attr:`lock` until the iterator is exhausted.
         """
         self.stats.worlds = self.stats.duplicate_worlds = 0
         self.stats.reused_solver = False
         encoding = self._encoder.encoding
-        if encoding.trivially_unsat:
-            return
-        solver = DPLLSolver(encoding.clauses, stats=self.stats.solver)
-        for literal in self._encoder.assumptions():
-            solver.add_clause((literal,))
-        yield from iter_solver_models(encoding, solver)
+        if self._enumerator is None:
+            self._enumerator = DPLLSolver(
+                decisions=encoding.selector.values(), stats=self._solver.stats
+            )
+        self._enumerator_fed = self._feed(self._enumerator, self._enumerator_fed)
+        return iter_solver_models(
+            encoding,
+            self._enumerator,
+            self._encoder.assumptions(),
+            activation=self._activation,
+        )
+
+    def _models(self) -> Iterator[Valuation]:
+        with self.lock:
+            valuations = list(self._enumerate())
+        yield from valuations
 
     def count_worlds(self) -> int:
-        """Count distinct worlds natively (canonical forms, no instances)."""
-        with self.lock:
-            return self._count_worlds()
+        """Count distinct worlds natively (no instances are built).
 
-    def _count_worlds(self) -> int:
-        names = list(self._cinstance.schema.relation_names)
-        rows = [(name, row) for name, _index, row in self._cinstance.rows()]
-        seen: set[tuple[frozenset[Row], ...]] = set()
-        for valuation in self._models():
-            self.stats.worlds += 1
-            facts: dict[str, set[Row]] = {name: set() for name in names}
-            for name, row in rows:
-                ground = row.apply(valuation)
-                if ground is not None:
-                    facts[name].add(ground)
-            key = tuple(frozenset(facts[name]) for name in names)
-            if key in seen:
-                self.stats.duplicate_worlds += 1
-            else:
-                seen.add(key)
-        return len(seen)
+        The ground rows hold in every world, so a world is told apart by the
+        tuples its variable rows produce outside them.
+        """
+        with self.lock:
+            ground: set[tuple[str, Row]] = set()
+            rows: list[tuple[str, CTableRow]] = []
+            for name, _index, row in self._cinstance.rows():
+                if row.variables():
+                    rows.append((name, row))
+                    continue
+                tuple_ = row.apply({})
+                if tuple_ is not None:
+                    ground.add((name, tuple_))
+            seen: set[frozenset[tuple[str, Row]]] = set()
+            for valuation in self._enumerate():
+                self.stats.worlds += 1
+                produced = ((name, row.apply(valuation)) for name, row in rows)
+                key = frozenset(
+                    item
+                    for item in produced
+                    if item[1] is not None and item not in ground
+                )
+                if key in seen:
+                    self.stats.duplicate_worlds += 1
+                else:
+                    seen.add(key)
+            return len(seen)

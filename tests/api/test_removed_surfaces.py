@@ -7,7 +7,9 @@ went after it, when the session's encoding became a single path, and then
 the one-shot engine's (``SATWorldSearch(cegar=, component_counting=)``,
 ``encode_world_search(lazy_violations=)``, the matching engine options and
 ``LazyViolationOracle``), when both paths came to share one encoder.  So did
-``IndexedFactStore(intern_values=)``.  A removed keyword must
+``IndexedFactStore(intern_values=)``.  The solver's test-only helpers
+``solve_cnf`` and ``brute_force_satisfiable`` moved out of
+:mod:`repro.reductions.dpll` into the test suite.  A removed keyword must
 raise ``TypeError`` and a removed attribute ``AttributeError``: neither may be
 absorbed by a ``**kwargs`` pass-through or an attribute fallback, which would
 let a 2.x caller keep running while silently getting the one remaining path.
@@ -19,6 +21,7 @@ import pytest
 
 import repro.ctables
 import repro.search
+from repro.reductions import dpll
 from repro.search import cnf_encoding
 from repro.api import Database, EngineConfig
 from repro.completeness.rcqp import rcqp_bounded_search
@@ -97,6 +100,11 @@ def test_checker_modes_are_gone():
 def test_lazy_violation_oracle_is_gone():
     assert not hasattr(cnf_encoding, "LazyViolationOracle")
     assert not hasattr(repro.search, "LazyViolationOracle")
+
+
+@pytest.mark.parametrize("name", ["solve_cnf", "brute_force_satisfiable"])
+def test_solver_test_helpers_are_gone(name):
+    assert not hasattr(dpll, name)
 
 
 def _workload():

@@ -4,7 +4,10 @@ The solver is cross-validated against an independent exhaustive check on
 hypothesis-generated random 3CNFs (satisfiability, model validity and model
 counts under enumeration) and exercised on structured instances — implication
 chains, pigeonhole formulas — that require real propagation, learning and
-restarts.
+restarts.  The contract the world-search engines rest on has its own
+suites: a decision set whose models complete with ``False``, enumeration
+that resumes after every blocking clause, clauses added against the level-0
+trail, and retired activation literals.
 """
 
 from __future__ import annotations
@@ -12,12 +15,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpll_oracles import brute_force_satisfiable, solve_cnf
 from repro.exceptions import ReductionError
-from repro.reductions.dpll import (
-    DPLLSolver,
-    brute_force_satisfiable,
-    solve_cnf,
-)
+from repro.reductions.dpll import DPLLSolver
 from repro.reductions.sat import CNFFormula, random_3cnf
 
 import random
@@ -190,6 +190,176 @@ def test_projected_enumeration_tolerates_unseen_variables(clauses, projection):
         assert key not in restrictions, "projection yielded twice"
         restrictions.add(key)
     assert restrictions == expected_restrictions
+
+
+# ---------------------------------------------------------------------------
+# the world-search contract.  Variables 1-4 form the decision set; 5-8 are
+# defined by producer clauses ``¬a ∨ ¬b ∨ p`` over decision literals and
+# occur only negatively elsewhere, the shape of the encoding's presence
+# literals (repro.search.cnf_encoding).
+# ---------------------------------------------------------------------------
+DECIDED = [1, 2, 3, 4]
+_DECISION_LITERALS = st.integers(min_value=1, max_value=4).flatmap(
+    lambda v: st.sampled_from([v, -v])
+)
+_DECISION_ASSUMPTIONS = st.lists(_DECISION_LITERALS, max_size=2).map(
+    lambda lits: tuple({abs(lit): lit for lit in lits}.values())
+)
+
+
+@st.composite
+def _projected_cnfs(draw):
+    clauses = []
+    for p in range(5, 9):
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            a, b = draw(_DECISION_LITERALS), draw(_DECISION_LITERALS)
+            clauses.append((-a, -b, p))
+    other = st.lists(
+        st.one_of(_DECISION_LITERALS, st.integers(min_value=5, max_value=8).map(lambda p: -p)),
+        min_size=1,
+        max_size=3,
+    ).map(tuple)
+    return clauses + draw(st.lists(other, min_size=1, max_size=12))
+
+
+def _projections(clauses, assumptions=()):
+    """Brute force: the decision-set restrictions of the total models."""
+    import itertools
+
+    variables = sorted({abs(lit) for clause in clauses for lit in clause} | set(DECIDED))
+    found = set()
+    for values in itertools.product((False, True), repeat=len(variables)):
+        full = dict(zip(variables, values))
+        if _satisfies(clauses, full) and all(
+            full[abs(lit)] == (lit > 0) for lit in assumptions
+        ):
+            found.add(tuple(full[var] for var in DECIDED))
+    return found
+
+
+def _completed(model):
+    return {var: model.get(var, False) for var in range(1, 9)}
+
+
+def _blocking(model, extra=()):
+    return [-var if model[var] else var for var in DECIDED] + list(extra)
+
+
+@given(_projected_cnfs())
+@settings(max_examples=150, deadline=None)
+def test_decision_set_models_complete_with_false(clauses):
+    solver = DPLLSolver(clauses, decisions=DECIDED)
+    seen = set()
+    for model in solver.enumerate_models():
+        assert all(var in model for var in DECIDED)
+        assert _satisfies(clauses, _completed(model))
+        key = tuple(model[var] for var in DECIDED)
+        assert key not in seen, "enumeration yielded a projection twice"
+        seen.add(key)
+    assert seen == _projections(clauses)
+
+
+@given(_projected_cnfs(), _DECISION_ASSUMPTIONS)
+@settings(max_examples=150, deadline=None)
+def test_resumed_enumeration_yields_each_projection_once(clauses, assumptions):
+    solver = DPLLSolver(clauses, decisions=DECIDED)
+    seen = []
+    while (model := solver.solve(assumptions)) is not None:
+        assert _satisfies(clauses, _completed(model))
+        assert all(model[abs(lit)] == (lit > 0) for lit in assumptions)
+        seen.append(tuple(model[var] for var in DECIDED))
+        solver.add_clause(_blocking(model))
+    assert len(set(seen)) == len(seen)
+    assert set(seen) == _projections(clauses, assumptions)
+    # One solve() per model, plus the one that finds none.
+    assert solver.stats.solve_calls == len(seen) + 1
+
+
+@given(_projected_cnfs(), _ASSUMPTIONS, _ASSUMPTIONS)
+@settings(max_examples=150, deadline=None)
+def test_blocking_clause_under_new_assumptions_starts_over(clauses, first, second):
+    # The model on the trail was found under ``first``; a blocking clause it
+    # falsifies must not be resumed from once the assumptions change.
+    solver = DPLLSolver(clauses, decisions=DECIDED)
+    model = solver.solve(first)
+    everything = [list(clause) for clause in clauses]
+    if model is not None:
+        everything.append(_blocking(model))
+        solver.add_clause(everything[-1])
+    model = solver.solve(second)
+    expected = brute_force_satisfiable(everything + [[lit] for lit in second])
+    assert (model is not None) == expected
+    if model is not None:
+        assert _satisfies(everything, _completed(model))
+        assert all(model[abs(lit)] == (lit > 0) for lit in second)
+
+
+@given(_CLAUSES, st.data())
+@settings(max_examples=200, deadline=None)
+def test_level0_adds_behave_like_a_fresh_solver(clauses, data):
+    # Unit clauses put facts on the level-0 trail; the added clause is
+    # satisfied, unit or empty under them.  Adding it after a solve (the
+    # model still held) or before any must answer like a fresh solver.
+    units = data.draw(st.lists(_LITERALS, min_size=1, max_size=3, unique_by=abs))
+    shape = data.draw(st.sampled_from(["satisfied", "unit", "empty"]))
+    extra = data.draw(
+        st.integers(min_value=1, max_value=10)
+        .filter(lambda v: v not in {abs(u) for u in units})
+        .flatmap(lambda v: st.sampled_from([v, -v]))
+    )
+    base = [list(clause) for clause in clauses] + [[unit] for unit in units]
+    negated = [-unit for unit in units]
+    added = {
+        "satisfied": [units[0], *negated[1:], extra],
+        "unit": [*negated, extra],
+        "empty": negated,
+    }[shape]
+    solver = DPLLSolver(base)
+    if data.draw(st.booleans()):
+        solver.solve()
+    solver.add_clause(added)
+    model = solver.solve()
+    everything = base + [added]
+    fresh = DPLLSolver(everything).solve()
+    assert (model is None) == (fresh is None) == (not brute_force_satisfiable(everything))
+    if model is not None:
+        assert _satisfies(everything, model)
+        assert solver.solve() == model  # nothing added since: the model holds
+
+
+@given(_projected_cnfs(), st.integers(min_value=2, max_value=3))
+@settings(max_examples=100, deadline=None)
+def test_retired_activation_leaves_no_clause_behind(clauses, rounds):
+    activation = 9
+    solver = DPLLSolver(clauses, decisions=DECIDED)
+    expected = _projections(clauses)
+    for _ in range(rounds):
+        seen = set()
+        while (model := solver.solve([activation])) is not None:
+            seen.add(tuple(model[var] for var in DECIDED))
+            solver.add_clause(_blocking(model, [-activation]))
+        solver.retire(activation)
+        assert seen == expected
+        assert not any(-activation in clause for clause in solver._clauses)
+        assert -activation not in solver._units
+        assert activation not in solver._assign
+    assert (solver.solve() is None) == (not expected)
+
+
+def test_retiring_undoes_a_level0_activation_fact():
+    # The decision set is fixed at level 0, so the blocking clause
+    # (¬1 ∨ ¬a) propagates ¬a at level 0.  Left there, it would make every
+    # later enumeration under a empty.
+    activation = 2
+    solver = DPLLSolver([[1]], decisions=[1])
+    for _ in range(3):
+        models = []
+        while (model := solver.solve([activation])) is not None:
+            models.append(model[1])
+            solver.add_clause([-1, -activation])
+        assert models == [True]
+        solver.retire(activation)
+        assert activation not in solver._assign
 
 
 # ---------------------------------------------------------------------------

@@ -527,7 +527,10 @@ def assert_update_stream_parity(
     incremental facade must be indistinguishable from the rebuild on world
     sets, ``(valuation, world)`` pairs, model counts and consistency — i.e.
     the mutated cached state (checker sessions, live SAT solver, decision
-    cache) never leaks a stale answer.
+    cache) never leaks a stale answer.  The live SAT session also counts
+    twice per step, once through the facade and once directly, bypassing
+    the decision cache: its enumeration solver outlives every count, so a
+    count that left state behind would show up in the second.
 
     With ``fork_check`` the midpoint and final states are additionally run
     through :func:`parallel_observation` (serial fallback disabled), so
@@ -545,6 +548,8 @@ def assert_update_stream_parity(
             db.update(drop_rows={step.relation: [step.row]})
         oracle = Database(db.cinstance, master, constraints, engine="sat")
         reference = observe_database(oracle, REFERENCE_ENGINE, workers=workers)
+        counts = (db.count().value, db._sat_session_for().count_worlds())
+        assert counts == (reference[2], reference[2]), (index, step)
         for engine in engines:
             incremental = observe_database(db, engine, workers=workers)
             assert incremental == reference, (index, step, engine)

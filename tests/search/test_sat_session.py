@@ -16,10 +16,21 @@ engine and to the paper's Figure 1 figures instead:
   construction skipped;
 * violations that join two variable rows are encoded up front and the
   session agrees with a rebuilt propagating engine across a stream of
-  ground adds and drops.
+  ground adds and drops;
+* the session counts on one enumeration solver for its whole life, so
+  repeated counts, with and without updates between them, must each equal
+  the propagating engine's; that includes an instance whose blocking clause
+  is made of level-0 facts, where a count that left its activation literal
+  falsified would make every later count 0.  Counting must not change the
+  live solver's witnesses, and 500 counts must not grow the enumeration
+  solver's clause store.
 """
 
 from __future__ import annotations
+
+import random
+
+import pytest
 
 from repro.api import Database
 from repro.constraints.containment import denial_cc, satisfies_all
@@ -28,8 +39,9 @@ from repro.ctables.possible_worlds import default_active_domain
 from repro.queries.atoms import atom, eq, neq
 from repro.queries.cq import boolean_cq
 from repro.queries.terms import var
-from repro.relational.master import empty_master
-from repro.relational.schema import database_schema, schema
+from repro.relational.domains import Domain
+from repro.relational.master import MasterData, empty_master
+from repro.relational.schema import RelationSchema, database_schema, schema
 from repro.search.engine import WorldSearch, world_key
 from repro.search.sat_engine import IncrementalSATSession, SATWorldSearch
 from repro.workloads.patients import build_patient_scenario
@@ -154,3 +166,118 @@ def test_variable_row_joins_track_the_propagating_engine():
             assert witness is not None and world_key(witness) in expected
         else:
             assert witness is None
+
+
+# ---------------------------------------------------------------------------
+# repeated counts on the session's one enumeration solver
+# ---------------------------------------------------------------------------
+def _figure1_with_bob():
+    """Figure 1 plus Bob's 2000 visit; drop and re-add that visit."""
+    scenario = build_patient_scenario()
+    db = Database(
+        scenario.figure1, scenario.master, scenario.constraints, engine="sat"
+    )
+    db.update(add_rows={"MVisit": [BOB_2000]})
+    return db, "MVisit", BOB_2000
+
+
+def _one_value_pool():
+    """The only variable's pool is one value, so each blocking clause is
+    ``¬s[y=v] ∨ ¬a`` with ``s[y=v]`` a level-0 fact.  With the ground row
+    ("d", "v") the denial refutes every world; without it there is one."""
+    single = Domain(name="one", values=frozenset({"v"}))
+    one_schema = database_schema(RelationSchema("R", ["A", ("B", single)]))
+    master = MasterData(database_schema(schema("M", "A")), {"M": [("d",)]})
+    both = denial_cc(
+        boolean_cq("cd", atoms=[atom("R", "c", y), atom("R", "d", y)]), name="cd"
+    )
+    T = cinstance(one_schema, R=[("c", y), ("d", "v")])
+    db = Database(T, master, [both], engine="sat")
+    return db, "R", ("d", "v")
+
+
+def _no_ground_rows():
+    """Two variable rows and no ground row; ("c", "c") comes and goes."""
+    T = cinstance(PAIR_SCHEMA, R=[(x, "c"), (y, "c")])
+    db = Database(T, EMPTY_MASTER, [_fd_over_c()], engine="sat")
+    return db, "R", ("c", "c")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_figure1_with_bob, _one_value_pool, _no_ground_rows],
+    ids=["figure1-bob", "one-value-pool", "no-ground-rows"],
+)
+def test_repeated_counts_track_the_propagating_engine(build):
+    db, relation, row = build()
+    db.count()  # builds the live session
+    session = db._sat_session
+    present = row in db.cinstance.ground_tuples()[relation]
+    counts = []
+    for step in ("start", "toggle", "toggle back"):
+        if step != "start":
+            key = "drop_rows" if present else "add_rows"
+            db.update(**{key: {relation: [row]}})
+            present = not present
+        assert db._sat_session is session, "the session was rebuilt"
+        expected = WorldSearch(db.cinstance, db.master, db.constraints).count_worlds()
+        # Twice with no update in between, straight on the session.
+        pair = [session.count_worlds(), session.count_worlds()]
+        assert pair == [expected, expected], step
+        counts.append(expected)
+    assert any(counts), "every state had no world"
+
+
+def _ground(cinst):
+    return {
+        (name, row) for name, rows in cinst.ground_tuples().items() for row in rows
+    }
+
+
+def test_counts_leave_the_live_solver_witnesses_alone():
+    # Two sessions take the same updates and the same existence and witness
+    # calls; one also counts three times before each.  The witnesses must be
+    # the same worlds.
+    db, relation, row = _figure1_with_bob()
+    adom = db.adom()
+    counting = IncrementalSATSession(db.cinstance, db.master, db.constraints, adom)
+    plain = IncrementalSATSession(db.cinstance, db.master, db.constraints, adom)
+    updates = [({}, {relation: [row]}), ({relation: [BOB_2001]}, {}),
+               ({relation: [row]}, {relation: [BOB_2001]})]
+    for added, dropped in [({}, {})] + updates:
+        before = _ground(db.cinstance)
+        db.update(add_rows=added, drop_rows=dropped)
+        after = _ground(db.cinstance)
+        for session in (counting, plain):
+            session.apply(db.cinstance, after - before, before - after)
+        for _ in range(3):
+            counting.count_worlds()
+        assert counting.has_world() == plain.has_world()
+        witness, reference = counting.first_world(), plain.first_world()
+        assert (witness is None) == (reference is None)
+        if witness is not None:
+            assert world_key(witness) == world_key(reference)
+
+
+def test_five_hundred_counts_keep_the_clause_store_flat():
+    # Bob's visit flips between 2000 and 2001 and John's comes and goes:
+    # 17 or 18 worlds, and conflicts that leave learned clauses behind.
+    rng = random.Random(0)
+    db, _relation, _row = _figure1_with_bob()
+    db.count()
+    session = db._sat_session
+    present = BOB_2000
+    for _ in range(500):
+        new = BOB_2001 if present == BOB_2000 else BOB_2000
+        update = {"add_rows": {"MVisit": [new]}, "drop_rows": {"MVisit": [present]}}
+        if rng.random() < 0.3:
+            key = "drop_rows" if JOHN_2000 in db.cinstance.ground_tuples()["MVisit"] else "add_rows"
+            update[key]["MVisit"].append(JOHN_2000)
+        db.update(**update)
+        present = new
+        assert session.count_worlds() == (17 if new == BOB_2000 else 18)
+    assert db._sat_session is session, "the session was rebuilt"
+    solver = session._enumerator
+    assert solver.stats.conflicts > 0
+    assert len(solver._clauses) <= 2 * len(session.encoding.clauses)
+    assert session._activation not in solver._assign
