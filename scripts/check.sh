@@ -21,27 +21,31 @@
 #   5. the benchmark's own tests (perfbench/tests; `testpaths` collects only
 #      tests/, so nothing else runs them): percentiles, failure counting,
 #      probe scaling, span parenting and seam install/uninstall,
-#   6. the checker differential suite (the tests carrying the
+#   6. the paper-experiment benches (benchmarks/bench_*.py) as plain pytest
+#      cases with timing disabled: each asserts the verdicts of one of the
+#      paper's experiments (RCDP/MINP/RCQP per model, the reductions, the
+#      Figure 1 patients scenario), and nothing else collects them,
+#   7. the checker differential suite (the tests carrying the
 #      `delta_differential` marker) as its own loudly-labelled step: it runs
 #      the library's indexed delta checker in lockstep with the test-side
 #      full-recompute and linear-scan reference checkers of
 #      tests/search/checker_oracles.py, so a semantics drift between them
 #      fails CI with an unambiguous banner even though the same tests also
 #      run inside the tier-1 suite,
-#   7. a 60-second smoke slice of the differential fuzz campaign
+#   8. a 60-second smoke slice of the differential fuzz campaign
 #      (scripts/fuzz_differential.py, fixed seed): random four-way
 #      engine-parity cases interleaved with update-vs-rebuild streams
 #      through Database.update, whose live SAT session counts twice per
 #      step; the nightly CI job runs the same script for 15 minutes with a
 #      rotating seed and uploads failing seeds,
-#   8. the doc-snippet runner (scripts/run_doc_snippets.py): every fenced
+#   9. the doc-snippet runner (scripts/run_doc_snippets.py): every fenced
 #      `python` block in README.md and docs/*.md is executed, so the
 #      documentation code cannot rot (tag a fence `python no-run` to skip),
-#   9. the service smoke (scripts/service_smoke.py): boots the real
+#  10. the service smoke (scripts/service_smoke.py): boots the real
 #      `python -m repro.service` subprocess on an ephemeral port and asserts
 #      cache hits, single-flight collapse, NDJSON streaming, update
 #      invalidation and a clean SIGTERM drain over real sockets,
-#  10. the engine smoke benchmark (four-way parity + seven perf gates, every
+#  11. the engine smoke benchmark (four-way parity + seven perf gates, every
 #      verdict printed before the step fails on any of them: the
 #      propagating-vs-naive headline (reported only, in smoke mode),
 #      SAT-vs-propagating and parallel-vs-propagating, the indexed delta
@@ -51,7 +55,7 @@
 #      enumeration; the parallel gate needs >= 4 host CPUs and reports
 #      itself as skipped on smaller machines), writing machine-readable
 #      results to BENCH_ENGINE.json,
-#  11. the service smoke benchmark (benchmarks/bench_service.py --smoke):
+#  12. the service smoke benchmark (benchmarks/bench_service.py --smoke):
 #      warm-cache speedup, single-flight engine-run count, first-world
 #      streaming latency and warm-service-vs-cold-rebuild gates, writing
 #      BENCH_SERVICE.json,
@@ -124,6 +128,10 @@ python -m pytest -x -q -p no:cacheprovider "${COV_ARGS[@]}"
 echo
 echo "== benchmark self-tests (perfbench/tests) =="
 python -m pytest -q -p no:cacheprovider perfbench/tests
+
+echo
+echo "== paper-experiment benches (benchmarks/bench_*.py, timing disabled) =="
+python -m pytest -q -p no:cacheprovider -o python_files='bench_*.py' --benchmark-disable benchmarks
 
 echo
 echo "== checker differential suite: indexed delta vs the tests/search/checker_oracles.py references (semantics gate) =="

@@ -168,9 +168,9 @@ def match_atom(
     """Try to extend ``assignment`` so that ``atom`` maps onto ``row``.
 
     Public companion of :func:`match_conjunction`: callers that seed a
-    conjunctive match from a known (atom, row) pair — e.g. the delta
-    constraint checker of :mod:`repro.search.propagation` — share the one
-    unification rule set instead of re-implementing it.
+    conjunctive match from a known (atom, row) pair — e.g. the CNF encoder
+    of :mod:`repro.search.cnf_encoding` — share the one unification rule set
+    instead of re-implementing it.
     """
     if len(row) != atom.arity:
         raise ArityError(
@@ -242,8 +242,8 @@ def finalize_assignment(
     """Complete a fully atom-matched assignment against the comparisons.
 
     Public companion of :func:`match_conjunction` for callers that enumerate
-    atom matches themselves (e.g. the indexed join of
-    :mod:`repro.search.joinplan`): propagates equality atoms into the
+    atom matches themselves (e.g. the CNF encoder of
+    :mod:`repro.search.cnf_encoding`): propagates equality atoms into the
     assignment, then checks every comparison.  Returns the completed
     assignment, or ``None`` if an equality conflicts or a comparison fails —
     exactly the acceptance rule :func:`match_conjunction` applies at its

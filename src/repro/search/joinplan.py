@@ -1,50 +1,73 @@
-"""Selectivity-ordered hash joins for the delta constraint checker.
+"""Compiled delta plans for the constraint checker, and their hash joins.
 
-Given a newly pushed tuple that seeds one atom of a constraint CQ, the
-remaining atoms form a join the checker must complete (or refute) against the
-facts grounded so far.  This module plans and executes that join over the
-hash indexes of :class:`~repro.relational.indexing.IndexedFactStore` instead
-of the linear scans :func:`~repro.queries.evaluation.match_conjunction`
-performs:
+When a tuple ``t`` joins relation ``R``, the delta checker of
+:mod:`repro.search.propagation` asks, for every constraint atom over ``R``,
+whether some LHS match that maps the atom onto ``t`` instantiates a head
+outside the constraint's right-hand side.  Everything in that question but
+the tuple and the fact store is fixed when the checker is built, so
+:func:`compile_seed_plans` resolves it once per (constraint, seed atom) into
+a :class:`SeedPlan`, and a push runs the plan without looking at the CQ again
+(plan once, then run the plan: Neumann, "Efficiently Compiling Efficient
+Query Plans for Modern Hardware", VLDB 2011):
 
+* **Environment.**  A plan reads every value from one flat sequence: the
+  pushed row itself, then the plan's *tail* (a slot per variable that only
+  the other atoms bind, and one per constant the plan compares with).  A
+  seed-atom variable is its first position in the row, so seeding binds
+  nothing.
+* **Seed tests.**  The seed atom's constant positions, its repeated-variable
+  positions and the comparisons it binds alone are tested on the row
+  positions directly.  A constraint with one atom is then decided from the
+  row: head ∉ RHS.
+* **Comparisons.**  A variable that no atom binds is resolved at compile
+  time, through its chain of equalities, to an atom variable or a constant
+  (CQs are range restricted, so one exists).  A comparison between two
+  constants is decided at compile time.  Every other comparison is tested as
+  soon as the join has bound both its sides.  A match is accepted exactly
+  when :func:`~repro.queries.evaluation.finalize_assignment` would accept it
+  (the linear-scan rule of the reference checker), given that ``==`` on the
+  constants is an equivalence relation, as set membership already needs.
 * **Signatures.**  For each remaining atom, the columns carrying constants or
-  already-bound variables form the index *key*; the columns carrying unbound
-  *relevant* variables form the index *output*.  A variable is relevant iff
-  it occurs in the query head, in a comparison, or in more than one atom
-  position of the body (:func:`relevant_variables`).  Unbound variables that
-  are not relevant are existentially projected away by the index itself —
-  CQ answers are sets, so any single witness row is as good as all of them,
-  and duplicate continuations collapse into one bucket entry.
-
-* **Greedy ordering.**  At every join step the planner derives each remaining
-  atom's signature under the current assignment, looks up the *actual* bucket
-  for its key, and expands the atom with the smallest bucket first — the
-  bucket size under the live binding is an exact selectivity measure, not an
-  estimate.  An empty bucket for any remaining atom refutes the whole
-  conjunction immediately (every full match must agree with the key on the
-  bound columns, so no row in the bucket means no match at all).
-
-The acceptance rule at the leaves —
-:func:`~repro.queries.evaluation.finalize_assignment` followed by a
-right-hand-side membership test on the instantiated head — is the one a
-linear-scan join over :func:`~repro.queries.evaluation.match_conjunction`
-applies, so the two evaluation strategies agree by construction on
-everything except speed; the differential suite in
-``tests/search/test_indexed_store.py`` locks that in.
+  bound variables form the index *key*; the columns carrying unbound
+  *relevant* variables form the index *output* (:func:`relevant_variables`).
+  Unbound variables that are not relevant are existentially projected away
+  by the index itself — CQ answers are sets, so any single witness row is as
+  good as all of them, and duplicate continuations collapse into one bucket
+  entry.  A remaining atom's signature, and the comparisons its bindings
+  complete, depend only on which of the variables it shares (with its own
+  columns and those comparisons) are already bound, so each
+  :class:`JoinAtom` holds one precomputed :class:`Probe` per reachable bound
+  subset.  Keying probes by bound variables rather than by the set of joined
+  atoms keeps a plan's probe count proportional to its atoms (times the few
+  bound subsets each atom can see) instead of exponential in them.
+* **Greedy ordering.**  At every join step :func:`join_escapes_rhs` looks up
+  the *actual* bucket of every remaining atom under the live binding and
+  expands the smallest first — the bucket size is an exact selectivity
+  measure, not an estimate.  An empty bucket for any remaining atom refutes
+  the whole conjunction (every full match must agree with the key on the
+  bound columns).  A constraint whose every match escapes (an empty RHS, as
+  in a denial constraint) stops at the first complete match.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
-from repro.queries.atoms import Comparison, RelationAtom
-from repro.queries.evaluation import finalize_assignment, instantiate_head
+from repro.exceptions import ArityError, EvaluationError
+from repro.queries.atoms import Comparison, ComparisonOp, RelationAtom
+from repro.queries.cq import ConjunctiveQuery
 from repro.queries.terms import Term, Variable, is_variable
 from repro.relational.domains import Constant
 from repro.relational.indexing import IndexedFactStore, Signature
 from repro.relational.instance import Row
 
-_MISSING = object()
+#: Reads a tuple of environment values at fixed indexes.
+Getter = Callable[[Sequence[Constant]], Row]
+
+#: Environment index pairs whose values must be equal / must differ.
+Pairs = tuple[tuple[int, int], ...]
 
 
 def relevant_variables(
@@ -74,92 +97,372 @@ def relevant_variables(
     return frozenset(relevant)
 
 
-def atom_plan(
-    atom: RelationAtom,
-    assignment: Mapping[Variable, Constant],
-    relevant: frozenset[Variable],
-) -> tuple[Signature, Row, tuple[Variable, ...]]:
-    """Derive an atom's index signature under the current assignment.
+def _getter(indexes: Sequence[int]) -> Getter:
+    """A callable returning ``tuple(values[i] for i in indexes)``."""
+    if len(indexes) >= 2:
+        return itemgetter(*indexes)
+    if indexes:
+        (index,) = indexes
+        return lambda values: (values[index],)
+    return lambda values: ()
 
-    Returns ``(signature, key_values, out_variables)``: the signature to
-    index on, the concrete key to look up (constants plus bound-variable
-    values, in key-position order), and the unbound relevant variables the
-    bucket's out-tuples will bind (in out-position order; a variable repeated
-    within the atom appears once per position, so unification over the
-    out-tuple enforces the repeat).
+
+@dataclass(frozen=True, slots=True)
+class Probe:
+    """One remaining atom's index lookup under one bound-variable subset.
+
+    ``key`` reads the lookup key from the environment; each column of a
+    bucket's out-tuples is written to the matching ``out`` slot; then the
+    ``same``/``differ`` pairs test the comparisons those bindings complete
+    (and a variable repeated among the out columns, via a scratch slot).
     """
-    key_positions: list[int] = []
-    key_values: list[Constant] = []
-    out_positions: list[int] = []
-    out_variables: list[Variable] = []
-    for position, term in enumerate(atom.terms):
-        if is_variable(term):
-            if term in assignment:
-                key_positions.append(position)
-                key_values.append(assignment[term])
-            elif term in relevant:
-                out_positions.append(position)
-                out_variables.append(term)
-            # An unbound irrelevant variable occurs nowhere else in the query:
-            # the index projects it away (existential semantics).
-        else:
-            key_positions.append(position)
-            key_values.append(term)
-    signature: Signature = (tuple(key_positions), tuple(out_positions))
-    return signature, tuple(key_values), tuple(out_variables)
+
+    signature: Signature
+    key: Getter
+    out: tuple[int, ...]
+    same: Pairs
+    differ: Pairs
 
 
-def join_escapes_rhs(
+@dataclass(frozen=True, slots=True)
+class JoinAtom:
+    """A remaining atom of a seed plan, with its probe per bound subset."""
+
+    relation: str
+    #: The join-variable bits whose binding selects the probe.
+    mask: int
+    #: The join-variable bits bound once this atom is joined.
+    binds: int
+    probes: Mapping[int, Probe]
+
+
+@dataclass(frozen=True, slots=True)
+class SeedPlan:
+    """A constraint CQ compiled for tuples that match one of its atoms.
+
+    A pushed row matches when its length is ``arity`` and the
+    ``same``/``differ`` pairs hold on the environment ``row + tail``
+    (constant positions, repeated variables and the comparisons the seed
+    atom binds alone).  ``head`` reads the answer row (``None``:
+    every match escapes the RHS); ``atoms`` are the remaining atoms for
+    :func:`join_escapes_rhs` to join, empty for a one-atom constraint.
+    """
+
+    atom: RelationAtom
+    arity: int
+    same: Pairs
+    differ: Pairs
+    tail: Row
+    head: Getter | None
+    rhs: AbstractSet[Row]
+    atoms: tuple[JoinAtom, ...]
+
+
+def _holds(values: Sequence[Constant], same: Pairs, differ: Pairs) -> bool:
+    """Whether every ``same`` pair is equal and no ``differ`` pair is."""
+    for left, right in same:
+        if values[left] != values[right]:
+            return False
+    for left, right in differ:
+        if values[left] == values[right]:
+            return False
+    return True
+
+
+def seed_matches(plan: SeedPlan, row: Row) -> Row | None:
+    """The plan's environment ``row + tail``, or ``None`` if a seed test fails.
+
+    A row of the wrong length raises
+    :class:`~repro.exceptions.ArityError`, as
+    :func:`~repro.queries.evaluation.match_atom` does.
+    """
+    if len(row) != plan.arity:
+        atom = plan.atom
+        raise ArityError(
+            f"atom {atom!r} has arity {atom.arity} but relation row {row!r} "
+            f"has arity {len(row)}"
+        )
+    values = row + plan.tail
+    if (plan.same or plan.differ) and not _holds(values, plan.same, plan.differ):
+        return None
+    return values
+
+
+def join_escapes_rhs(store: IndexedFactStore, plan: SeedPlan, seeded: Row) -> bool:
+    """Whether some join of the plan's remaining atoms has a head ∉ RHS.
+
+    ``seeded`` is the environment :func:`seed_matches` returned for the
+    pushed row.  This is the indexed counterpart of a linear-scan join: it
+    returns ``True`` exactly when
+    :func:`~repro.queries.evaluation.match_conjunction`, seeded with the
+    same row, would yield an assignment whose instantiated head escapes the
+    constraint's right-hand side.
+    """
+    return _descend(store, plan, list(seeded), plan.atoms, 0)
+
+
+def _descend(
     store: IndexedFactStore,
+    plan: SeedPlan,
+    values: list[Constant],
+    remaining: tuple[JoinAtom, ...],
+    bound: int,
+) -> bool:
+    """Join ``remaining`` greedily; ``bound`` holds the join-variable bits
+    set so far, and ``values`` their slots (the join writes them)."""
+    best = -1
+    best_probe: Probe | None = None
+    best_bucket: Mapping[Row, int] = {}
+    for position, atom in enumerate(remaining):
+        probe = atom.probes[bound & atom.mask]
+        bucket = store.index(atom.relation, probe.signature).group(probe.key(values))
+        if not bucket:
+            # This atom must still be matched, and every match agrees with
+            # the key on the bound columns: no bucket, no match.
+            return False
+        if best < 0 or len(bucket) < len(best_bucket):
+            best, best_probe, best_bucket = position, probe, bucket
+    assert best_probe is not None
+    bound |= remaining[best].binds
+    rest = remaining[:best] + remaining[best + 1 :]
+    out, same, differ = best_probe.out, best_probe.same, best_probe.differ
+    head, rhs = plan.head, plan.rhs
+    for out_tuple in best_bucket:
+        for slot, value in zip(out, out_tuple):
+            values[slot] = value
+        if (same or differ) and not _holds(values, same, differ):
+            continue
+        if rest:
+            if _descend(store, plan, values, rest, bound):
+                return True
+        elif head is None or head(values) not in rhs:
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# compilation
+# ---------------------------------------------------------------------------
+def compile_seed_plans(query: ConjunctiveQuery, rhs: AbstractSet[Row]) -> tuple[SeedPlan, ...]:
+    """One :class:`SeedPlan` per atom of ``query``, in atom order.
+
+    Returns ``()`` when no match of the query can escape ``rhs``: a
+    comparison that never holds (two different constants, or ``x ≠ x``) or
+    a constant head inside ``rhs``.
+    """
+    atom_variables: set[Variable] = set()
+    for atom in query.atoms:
+        atom_variables |= atom.variables()
+    resolved = _resolve_free_variables(query, atom_variables)
+
+    def resolve(term: Term) -> Term:
+        return resolved.get(term, term) if is_variable(term) else term
+
+    comparisons: list[tuple[Term, ComparisonOp, Term]] = []
+    for comparison in query.comparisons:
+        left, right = resolve(comparison.left), resolve(comparison.right)
+        if is_variable(left) or is_variable(right):
+            if left == right:
+                if comparison.op is ComparisonOp.NEQ:
+                    return ()
+                continue
+            comparisons.append((left, comparison.op, right))
+        elif not comparison.op.holds(left, right):
+            return ()
+    head = tuple(resolve(term) for term in query.head)
+    if not any(is_variable(term) for term in head) and head in rhs:
+        return ()
+    relevant = relevant_variables(query.atoms, query.comparisons, query.head)
+    return tuple(
+        _compile_seed(query.atoms, index, comparisons, head, rhs, relevant)
+        for index in range(len(query.atoms))
+    )
+
+
+def _resolve_free_variables(
+    query: ConjunctiveQuery, atom_variables: AbstractSet[Variable]
+) -> dict[Variable, Term]:
+    """Map each variable no atom binds to an atom variable or a constant.
+
+    Follows the equality comparisons outward from the atom variables and
+    constants, as :func:`~repro.queries.evaluation.finalize_assignment`
+    propagates values at a leaf.
+    """
+    resolved: dict[Variable, Term] = {}
+
+    def lookup(term: Term) -> Term | None:
+        if not is_variable(term) or term in atom_variables:
+            return term
+        return resolved.get(term)
+
+    changed = True
+    while changed:
+        changed = False
+        for comparison in query.comparisons:
+            if comparison.op is not ComparisonOp.EQ:
+                continue
+            left, right = lookup(comparison.left), lookup(comparison.right)
+            if left is not None and right is None:
+                resolved[comparison.right] = left
+                changed = True
+            elif right is not None and left is None:
+                resolved[comparison.left] = right
+                changed = True
+    free = query.variables() - atom_variables - resolved.keys()
+    if free:
+        names = [variable.name for variable in sorted(free)]
+        raise EvaluationError(f"query {query.name!r} leaves variables {names} unbound")
+    return resolved
+
+
+class _Layout:
+    """Environment slots of one seed plan: the row, then the tail."""
+
+    def __init__(self, seed: RelationAtom) -> None:
+        self.arity = seed.arity
+        self.tail: list[Constant] = []
+        self.slots: dict[Variable, int] = {}
+        for position, term in enumerate(seed.terms):
+            if is_variable(term):
+                self.slots.setdefault(term, position)
+
+    def fresh(self, value: Constant = None) -> int:
+        self.tail.append(value)
+        return self.arity + len(self.tail) - 1
+
+    def slot(self, term: Term) -> int:
+        """The slot of a variable (allocated on first use) or a new constant."""
+        if not is_variable(term):
+            return self.fresh(term)
+        slot = self.slots.get(term)
+        if slot is None:
+            slot = self.slots[term] = self.fresh()
+        return slot
+
+
+def _compile_seed(
     atoms: Sequence[RelationAtom],
-    comparisons: Sequence[Comparison],
+    seed_index: int,
+    comparisons: Sequence[tuple[Term, ComparisonOp, Term]],
     head: tuple[Term, ...],
     rhs: AbstractSet[Row],
-    seed: Mapping[Variable, Constant],
-    relevant: frozenset[Variable],
-) -> bool:
-    """Whether some completion of ``seed`` over ``atoms`` has a head ∉ ``rhs``.
+    relevant: AbstractSet[Variable],
+) -> SeedPlan:
+    """The plan for tuples that match ``atoms[seed_index]``."""
+    seed = atoms[seed_index]
+    layout = _Layout(seed)
+    seed_variables = set(layout.slots)
+    same: list[tuple[int, int]] = []
+    differ: list[tuple[int, int]] = []
+    for position, term in enumerate(seed.terms):
+        if not is_variable(term):
+            same.append((position, layout.slot(term)))
+        elif layout.slots[term] != position:
+            same.append((layout.slots[term], position))
 
-    This is the indexed counterpart of a linear-scan join: it returns
-    ``True`` exactly when :func:`match_conjunction` seeded with the
-    same assignment would yield an assignment whose instantiated head escapes
-    the constraint's right-hand side.
-    """
+    later: list[tuple[Term, ComparisonOp, Term]] = []
+    for comparison in comparisons:
+        left, op, right = comparison
+        if any(is_variable(t) and t not in seed_variables for t in (left, right)):
+            later.append(comparison)
+        else:
+            pairs = same if op is ComparisonOp.EQ else differ
+            pairs.append((layout.slot(left), layout.slot(right)))
 
-    def descend(
-        remaining: list[RelationAtom], assignment: dict[Variable, Constant]
-    ) -> bool:
-        if not remaining:
-            completed = finalize_assignment(comparisons, assignment)
-            if completed is None:
-                return False
-            return instantiate_head(head, completed) not in rhs
-        best_index = 0
-        best_bucket: Mapping[Row, int] | None = None
-        best_out: tuple[Variable, ...] = ()
-        for position, atom in enumerate(remaining):
-            signature, key_values, out_variables = atom_plan(atom, assignment, relevant)
-            bucket = store.index(atom.relation, signature).group(key_values)
-            if not bucket:
-                # This atom must still be matched, and every match agrees
-                # with the key on the bound columns: no bucket, no match.
-                return False
-            if best_bucket is None or len(bucket) < len(best_bucket):
-                best_index, best_bucket, best_out = position, bucket, out_variables
-        assert best_bucket is not None
-        rest = remaining[:best_index] + remaining[best_index + 1 :]
-        for out_tuple in best_bucket:
-            extended = dict(assignment)
-            compatible = True
-            for variable, value in zip(best_out, out_tuple):
-                existing = extended.get(variable, _MISSING)
-                if existing is _MISSING:
-                    extended[variable] = value
-                elif existing != value:
-                    compatible = False
-                    break
-            if compatible and descend(rest, extended):
-                return True
-        return False
+    remaining = [atom for index, atom in enumerate(atoms) if index != seed_index]
+    join_variables = [
+        term
+        for atom in remaining
+        for term in atom.terms
+        if is_variable(term) and term in relevant and term not in seed_variables
+    ]
+    bits = {variable: 1 << bit for bit, variable in enumerate(dict.fromkeys(join_variables))}
 
-    return descend(list(atoms), dict(seed))
+    def mask(terms: Iterable[Term]) -> int:
+        result = 0
+        for term in terms:
+            if is_variable(term):
+                result |= bits.get(term, 0)
+        return result
+
+    atom_bits = [mask(atom.terms) for atom in remaining]
+    later_bits = [mask((left, right)) for left, _op, right in later]
+    join_atoms = []
+    for index, atom in enumerate(remaining):
+        selector = atom_bits[index]
+        for comparison_bits in later_bits:
+            if comparison_bits & atom_bits[index]:
+                selector |= comparison_bits
+        reachable = {0}
+        for other, other_bits in enumerate(atom_bits):
+            contribution = other_bits & selector
+            if other != index and contribution:
+                reachable |= {bound | contribution for bound in sorted(reachable)}
+        probes = {
+            bound: _compile_probe(atom, bound, atom_bits[index], later, later_bits, bits, layout)
+            for bound in sorted(reachable)
+        }
+        join_atoms.append(JoinAtom(atom.relation, selector, atom_bits[index], probes))
+
+    head_getter = None
+    if rhs and any(is_variable(term) for term in head):
+        head_getter = _getter([layout.slot(term) for term in head])
+    return SeedPlan(
+        atom=seed,
+        arity=seed.arity,
+        same=tuple(same),
+        differ=tuple(differ),
+        tail=tuple(layout.tail),
+        head=head_getter,
+        rhs=rhs,
+        atoms=tuple(join_atoms),
+    )
+
+
+def _compile_probe(
+    atom: RelationAtom,
+    bound: int,
+    atom_bits: int,
+    later: Sequence[tuple[Term, ComparisonOp, Term]],
+    later_bits: Sequence[int],
+    bits: Mapping[Variable, int],
+    layout: _Layout,
+) -> Probe:
+    """The probe of ``atom`` when the join variables in ``bound`` are bound."""
+    key_positions: list[int] = []
+    key_slots: list[int] = []
+    out_positions: list[int] = []
+    out_slots: list[int] = []
+    same: list[tuple[int, int]] = []
+    differ: list[tuple[int, int]] = []
+    for position, term in enumerate(atom.terms):
+        bit = bits.get(term, 0) if is_variable(term) else 0
+        if bit and not bit & bound:
+            out_positions.append(position)
+            slot = layout.slot(term)
+            if slot in out_slots:
+                # A variable repeated among the out columns: bind the repeat
+                # to a scratch slot and require the two to agree.
+                scratch = layout.fresh()
+                same.append((slot, scratch))
+                out_slots.append(scratch)
+            else:
+                out_slots.append(slot)
+        elif bit or not is_variable(term) or term in layout.slots:
+            # A constant, a seed-atom variable or a bound join variable.
+            key_positions.append(position)
+            key_slots.append(layout.slot(term))
+        # Otherwise an unbound irrelevant variable occurs nowhere else in the
+        # query: the index projects it away (existential semantics).
+    after = bound | atom_bits
+    for (left, op, right), comparison_bits in zip(later, later_bits):
+        if comparison_bits & atom_bits & ~bound and not comparison_bits & ~after:
+            pairs = same if op is ComparisonOp.EQ else differ
+            pairs.append((layout.slot(left), layout.slot(right)))
+    return Probe(
+        signature=(tuple(key_positions), tuple(out_positions)),
+        key=_getter(key_slots),
+        out=tuple(out_slots),
+        same=tuple(same),
+        differ=tuple(differ),
+    )

@@ -20,15 +20,19 @@ For every LHS atom over ``R`` the checker seeds the CQ match with
 already-grounded fact set; the union over seed positions covers exactly the
 new answers.  The full left-hand side is never re-evaluated, which cuts the
 per-tuple cost from ``O(|facts|^k)`` to ``O(|facts|^(k-1))`` for a
-``k``-atom constraint.  The remaining-atom join runs through the hash
-indexes of :class:`~repro.relational.indexing.IndexedFactStore` in the
-selectivity-greedy order of :mod:`repro.search.joinplan`.
+``k``-atom constraint.  The checker compiles every (constraint, seed atom)
+pair once, at construction, into a :class:`~repro.search.joinplan.SeedPlan`:
+a push tests the row's positions directly, decides a one-atom constraint
+from the row alone, and joins the remaining atoms of the others through the
+hash indexes of :class:`~repro.relational.indexing.IndexedFactStore` in the
+selectivity-greedy order of :func:`repro.search.joinplan.join_escapes_rhs`.
 
 The incremental surface is a :class:`CheckerSession` (created per search via
 :meth:`ConstraintChecker.session`): a ``push(relation, row)`` /- ``pop()``
 snapshot stack over a fact store owned by the session.  Sessions make the
-checker itself stateless, so one :class:`ConstraintChecker` can be shared by
-the :class:`repro.api.Database` facade, the parallel engine's workers and
+checker itself stateless — its plans never change after construction — so
+one :class:`ConstraintChecker` can be shared by the
+:class:`repro.api.Database` facade, the parallel engine's workers and
 arbitrarily many concurrent searches.  Because CQ answers are monotone in
 the fact store, a push can only *add* violations and popping it removes
 exactly the violations it added — the session tracks per-push violation
@@ -46,41 +50,31 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from repro.constraints.containment import ContainmentConstraint
 from repro.exceptions import SearchError
-from repro.queries.atoms import Comparison, RelationAtom
-from repro.queries.evaluation import evaluate_cq_on_facts, match_atom
-from repro.queries.terms import Term, Variable
+from repro.queries.evaluation import evaluate_cq_on_facts
 from repro.relational.indexing import IndexedFactStore
 from repro.relational.instance import Row
 from repro.relational.master import MasterData
-from repro.search.joinplan import join_escapes_rhs, relevant_variables
+from repro.search.joinplan import SeedPlan, compile_seed_plans, join_escapes_rhs, seed_matches
 
 
 @dataclass(frozen=True)
 class _Entry:
-    """One constraint with everything the delta evaluator precomputes."""
+    """One constraint with its LHS relations and precomputed RHS."""
 
     constraint: ContainmentConstraint
     relations: frozenset[str]
     rhs: frozenset[Row]
-    atoms: tuple[RelationAtom, ...]
-    comparisons: tuple[Comparison, ...]
-    head: tuple[Term, ...]
-    #: relation name → indices of the LHS atoms that can match a tuple of it.
-    seeds: Mapping[str, tuple[int, ...]]
-    #: variables the indexed join must keep (head/comparison/shared); the
-    #: rest are existentially projected away by the index buckets.
-    relevant: frozenset[Variable]
 
 
 class ConstraintChecker:
     """Containment-constraint checks with precomputed right-hand sides.
 
     ``master`` and ``constraints`` form the constraint context; the
-    right-hand sides ``p(D_m)`` are evaluated once here and shared by every
-    session.
+    right-hand sides ``p(D_m)`` are evaluated and every (constraint, seed
+    atom) plan is compiled once here, and shared by every session.
     """
 
-    __slots__ = ("_entries", "_base_violations")
+    __slots__ = ("_entries", "_base_violations", "_seeds")
 
     def __init__(
         self,
@@ -89,33 +83,35 @@ class ConstraintChecker:
     ) -> None:
         entries: list[_Entry] = []
         base: set[int] = set()
+        seeds: dict[str, list[tuple[int, tuple[SeedPlan, ...]]]] = {}
         for index, constraint in enumerate(constraints):
             query = constraint.query
-            seeds: dict[str, tuple[int, ...]] = {}
-            for atom_index, atom in enumerate(query.atoms):
-                seeds[atom.relation] = seeds.get(atom.relation, ()) + (atom_index,)
             entry = _Entry(
                 constraint=constraint,
                 relations=frozenset(query.relation_names()),
                 rhs=constraint.right_answer(master),
-                atoms=query.atoms,
-                comparisons=query.comparisons,
-                head=query.head,
-                seeds=seeds,
-                relevant=relevant_variables(
-                    query.atoms, query.comparisons, query.head
-                ),
             )
             entries.append(entry)
-            if not entry.atoms:
+            if not query.atoms:
                 # Atom-free constraints (constant/equality-only LHS) never
                 # touch a relation, so no push can ever re-check them; their
                 # verdict is fixed at construction time and seeded into every
                 # session as a base violation when it fails.
                 if not evaluate_cq_on_facts(query, {}) <= entry.rhs:
                     base.add(index)
+                continue
+            plans = compile_seed_plans(query, entry.rhs)
+            for relation in sorted(entry.relations):
+                on_relation = tuple(plan for plan in plans if plan.atom.relation == relation)
+                if on_relation:
+                    seeds.setdefault(relation, []).append((index, on_relation))
         self._entries = entries
         self._base_violations = frozenset(base)
+        #: relation → (constraint index, plans seeded by a tuple of it), in
+        #: constraint order.
+        self._seeds: Mapping[str, tuple[tuple[int, tuple[SeedPlan, ...]], ...]] = {
+            relation: tuple(plans) for relation, plans in seeds.items()
+        }
 
     @property
     def constraints(self) -> list[ContainmentConstraint]:
@@ -159,47 +155,28 @@ class ConstraintChecker:
         ``already`` are skipped — they were violated before this push, and by
         monotonicity they stay violated until the pushes that violated them
         are popped.
+
+        A new LHS answer must map some atom over ``relation`` onto ``row``,
+        so each such atom's plan seeds the match with the row; the remaining
+        atoms join against the full fact store (which already contains the
+        row, covering homomorphisms that use it several times).
         """
-        fresh: set[int] = set()
-        for index, entry in enumerate(self._entries):
-            if index in already or relation not in entry.seeds:
+        fresh: list[int] = []
+        for index, plans in self._seeds.get(relation, ()):
+            if index in already:
                 continue
-            if self._delta_violates(entry, facts, relation, row):
-                fresh.add(index)
+            for plan in plans:
+                values = seed_matches(plan, row)
+                if values is None:
+                    continue
+                if plan.atoms:
+                    escapes = join_escapes_rhs(facts, plan, values)
+                else:
+                    escapes = plan.head is None or plan.head(values) not in plan.rhs
+                if escapes:
+                    fresh.append(index)
+                    break
         return frozenset(fresh)
-
-    def _delta_violates(
-        self,
-        entry: _Entry,
-        facts: IndexedFactStore,
-        relation: str,
-        row: Row,
-    ) -> bool:
-        """Whether some *new* LHS answer (one using ``row``) escapes the RHS.
-
-        Seeds the conjunctive match at every LHS atom over ``relation`` in
-        turn: a new homomorphism must map at least one such atom onto the new
-        tuple, and the remaining atoms join against the full fact store
-        (which already contains the tuple, covering homomorphisms that use it
-        several times) through the store's hash indexes, in greedy
-        selectivity order (:func:`repro.search.joinplan.join_escapes_rhs`).
-        """
-        for atom_index in entry.seeds[relation]:
-            seed = match_atom(entry.atoms[atom_index], row, {})
-            if seed is None:
-                continue
-            rest = entry.atoms[:atom_index] + entry.atoms[atom_index + 1:]
-            if join_escapes_rhs(
-                facts,
-                rest,
-                entry.comparisons,
-                entry.head,
-                entry.rhs,
-                seed,
-                entry.relevant,
-            ):
-                return True
-        return False
 
 
 #: One trail frame: ``(relation, row, actually_added, newly_violated_ids)``.
@@ -252,10 +229,14 @@ class CheckerSession:
         return [entries[index].constraint for index in sorted(self._violated)]
 
     def push(self, relation: str, row: Row) -> bool:
-        """Add ``row`` to ``relation``; return whether all constraints hold."""
+        """Add ``row`` to ``relation``; return whether all constraints hold.
+
+        A retracted session records no trail entry: it can never pop again.
+        """
         row, added = self.facts.add_row(relation, row)
         if not added:
-            self._trail.append((relation, row, False, frozenset()))
+            if not self._retracted:
+                self._trail.append((relation, row, False, frozenset()))
             return not self._violated
         try:
             fresh = self._checker._newly_violated(
@@ -268,7 +249,8 @@ class CheckerSession:
             self.facts.discard_row(relation, row)
             raise
         self._violated |= fresh
-        self._trail.append((relation, row, True, fresh))
+        if not self._retracted:
+            self._trail.append((relation, row, True, fresh))
         return not self._violated
 
     def pop(self) -> None:
@@ -298,9 +280,11 @@ class CheckerSession:
         mentions ``relation``.
 
         Retraction trades the trail for flexibility: the per-push violation
-        attribution no longer matches the store afterwards, so subsequent
-        :meth:`pop` calls raise.  Sessions used for backtracking search
-        should never retract; sessions owned by the update layer never pop.
+        attribution no longer matches the store afterwards, so the session
+        drops its trail, records none from then on (``depth`` stays 0) and
+        subsequent :meth:`pop` calls raise.  Sessions used for backtracking
+        search should never retract; sessions owned by the update layer
+        never pop.
 
         Returns whether the row was present (and therefore removed).
         """
@@ -308,6 +292,7 @@ class CheckerSession:
         if not self.facts.discard_row(relation, row):
             return False
         self._retracted = True
+        self._trail.clear()
         for index, entry in enumerate(self._checker._entries):
             if relation not in entry.relations:
                 continue

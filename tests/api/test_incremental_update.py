@@ -324,6 +324,26 @@ def test_live_session_decisions_report_per_call_stats():
         assert counted.stats.worlds == fresh.stats.worlds
 
 
+def test_row_replacements_keep_the_baseline_trail_bounded():
+    """Regression: the ground-fact checker session unwinds by retract() and
+    can never pop, yet every push after a retraction recorded a trail entry,
+    so its memory grew with the number of updates (371 B per replacement)."""
+    scenario = build_patient_scenario()
+    db = Database(scenario.figure1, scenario.master, scenario.constraints)
+    db.update(add_rows={"MVisit": [BOB_ROWS[0]]})
+    db.update(add_rows={"MVisit": [BOB_ROWS[1]]}, drop_rows={"MVisit": [BOB_ROWS[0]]})
+    baseline = db._baseline
+    assert baseline is not None
+    depth = baseline.depth
+    for step in range(2000):
+        old, new = BOB_ROWS if step % 2 else BOB_ROWS[::-1]
+        result = db.update(add_rows={"MVisit": [new]}, drop_rows={"MVisit": [old]})
+        assert result.consistent is None
+        assert db._baseline is baseline
+        assert baseline.depth == depth
+    assert baseline.facts["MVisit"] == db.cinstance.ground_tuples()["MVisit"]
+
+
 # ---------------------------------------------------------------------------
 # hypothesis: random scripts vs a rebuilt oracle
 # ---------------------------------------------------------------------------

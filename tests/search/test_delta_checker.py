@@ -1,16 +1,19 @@
 """Differential suite for the delta-evaluated :class:`ConstraintChecker`.
 
 The library's semi-naive delta checker must be observationally identical to
-the recompute-from-scratch reference checker
-(:class:`checker_oracles.FullRecomputeChecker`) — and both must agree with
-the stateless full evaluation of the current fact store — on **every**
-push/pop sequence, not only the well-behaved ones the search engine produces.
-The hypothesis properties below drive randomly generated constraint sets,
-fact rows and operation sequences through both checkers in lockstep; the
+the recompute-from-scratch and linear-scan reference checkers
+(:class:`checker_oracles.FullRecomputeChecker`,
+:class:`checker_oracles.LinearScanChecker`) — and all must agree with the
+stateless full evaluation of the current fact store — on **every** push/pop
+sequence, not only the well-behaved ones the search engine produces.  The
+hypothesis properties below drive randomly generated constraint sets, fact
+rows and operation sequences through the three checkers in lockstep, and
+every constraint shape the compiled seed plans treat apart on its own; the
 hand-written regressions pin the trickiest protocol corners (pushing after a
 violation, popping back across a violation, pushing a tuple that is already
-present) and the engine-level equivalence (identical worlds *and* identical
-node/prune counters from :class:`WorldSearch` under either checker).
+present, retracting) and the engine-level equivalence (identical worlds
+*and* identical node/prune counters from :class:`WorldSearch` under either
+checker).
 
 Every test carries the ``delta_differential`` marker so ``scripts/check.sh``
 can run the semantics gate as a dedicated step.
@@ -22,11 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checker_oracles import CHECKERS, FullRecomputeChecker, check
+from checker_oracles import CHECKERS, check
 from repro.constraints.containment import cc, denial_cc, projection
 from repro.ctables.cinstance import cinstance
 from repro.ctables.possible_worlds import default_active_domain
-from repro.exceptions import SearchError
+from repro.exceptions import ArityError, SearchError
 from repro.queries.atoms import atom, eq, neq
 from repro.queries.cq import boolean_cq, cq
 from repro.queries.terms import var
@@ -90,7 +93,58 @@ CONSTRAINT_POOL = [
         projection("Rm", "A", "B"),
         name="eq-bound-head",
     ),
+    # The shapes the compiled seed plans (joinplan.compile_seed_plans) treat
+    # apart: tests on row positions, compile-time resolution and decision
+    # of comparisons, comparisons tested as soon as a join binds them.
+    cc(
+        cq("r1", [y], atoms=[atom("R", 1, y)]),
+        projection("Sm", "A"),
+        name="const-position",
+    ),
+    cc(
+        cq("loop", [x], atoms=[atom("R", x, x)]),
+        projection("Sm", "A"),
+        name="repeated-variable",
+    ),
+    denial_cc(
+        boolean_cq(
+            "symmetric",
+            atoms=[atom("R", x, y), atom("R", z, w)],
+            comparisons=[eq(x, w), eq(y, z), neq(x, y)],
+        ),
+        name="eq-atom-variables",
+    ),
+    cc(
+        cq(
+            "paper_shape",
+            [x],
+            atoms=[atom("R", x, y), atom("S", z)],
+            comparisons=[eq(y, 1), neq(z, 0)],
+        ),
+        projection("Sm", "A"),
+        name="eq-neq-constant",
+    ),
+    cc(
+        cq("chain", [z], atoms=[atom("R", x, y)], comparisons=[eq(z, w), eq(w, y)]),
+        projection("Sm", "A"),
+        name="head-via-chain",
+    ),
+    cc(
+        cq("never", [x], atoms=[atom("R", x, y)], comparisons=[eq(0, 1)]),
+        projection("Sm", "A"),
+        name="false-constants",
+    ),
+    denial_cc(
+        boolean_cq(
+            "s_path",
+            atoms=[atom("R", x, y), atom("R", y, z), atom("S", w)],
+            comparisons=[eq(x, w), neq(x, z)],
+        ),
+        name="join3-spanning",
+    ),
 ]
+
+POOL_BY_NAME = {constraint.name: constraint for constraint in CONSTRAINT_POOL}
 
 r_rows = st.tuples(st.integers(0, 2), st.integers(0, 2))
 s_rows = st.tuples(st.integers(0, 2))
@@ -105,31 +159,37 @@ constraint_sets = st.lists(
 
 
 def lockstep(constraints, operations):
-    """Drive delta and full sessions in lockstep, asserting agreement."""
-    delta = ConstraintChecker(MASTER, constraints)
-    full = FullRecomputeChecker(MASTER, constraints)
-    delta_session = delta.session(DB_SCHEMA.relation_names)
-    full_session = full.session(DB_SCHEMA.relation_names)
+    """Drive the delta checker and both references in lockstep.
+
+    Returns the delta session and the full-recompute one.
+    """
+    sessions = {
+        label: checker_class(MASTER, constraints).session(DB_SCHEMA.relation_names)
+        for label, checker_class in CHECKERS.items()
+    }
+    delta_session = sessions["delta-indexed"]
+    stateless = ConstraintChecker(MASTER, constraints)
     for op, relation, row in operations:
         if op == "push":
-            delta_verdict = delta_session.push(relation, row)
-            full_verdict = full_session.push(relation, row)
-            assert delta_verdict == full_verdict, (relation, row)
+            verdicts = {
+                label: session.push(relation, row) for label, session in sessions.items()
+            }
+            assert len(set(verdicts.values())) == 1, (relation, row, verdicts)
         else:
             if not delta_session.depth:
                 continue
-            delta_session.pop()
-            full_session.pop()
-        assert delta_session.facts == full_session.facts
-        assert delta_session.is_satisfied == full_session.is_satisfied
+            for session in sessions.values():
+                session.pop()
         # The ground truth: the incremental verdict must equal a stateless
         # full evaluation of the current store, at every step.
-        assert delta_session.is_satisfied == check(delta, delta_session.facts)
-        assert (
-            delta_session.violated_constraints()
-            == full_session.violated_constraints()
-        )
-    return delta_session, full_session
+        assert delta_session.is_satisfied == check(stateless, delta_session.facts)
+        for label, session in sessions.items():
+            assert session.facts == delta_session.facts, label
+            assert session.is_satisfied == delta_session.is_satisfied, label
+            assert (
+                session.violated_constraints() == delta_session.violated_constraints()
+            ), label
+    return delta_session, sessions["full"]
 
 
 class TestDeltaFullAgreement:
@@ -227,6 +287,83 @@ class TestProtocolRegressions:
             )
             assert not session.is_satisfied
             assert session.push("R", (1, 1)) is False
+
+
+class TestCompiledShapes:
+    """Each constraint shape the compiled plans treat apart, on its own.
+
+    The scripts push tuples one by one and state the verdict after each; a
+    plan that drops the shape's test (a constant position, a repeated
+    variable, an equality or inequality, an equality chain, a false
+    constant comparison, a comparison spanning two joined atoms) reports a
+    violation one step too early, and one that misresolves it too late.
+    """
+
+    SCRIPTS = {
+        "const-position": [("R", (0, 1), True), ("R", (1, 0), True), ("R", (1, 1), False)],
+        "repeated-variable": [("R", (1, 2), True), ("R", (0, 0), True), ("R", (1, 1), False)],
+        "eq-atom-variables": [("R", (0, 1), True), ("R", (1, 2), True), ("R", (1, 0), False)],
+        "eq-neq-constant": [
+            ("S", (0,), True), ("S", (2,), True), ("R", (1, 0), True), ("R", (0, 1), True),
+            ("R", (1, 1), False),
+        ],
+        "head-via-chain": [("R", (0, 0), True), ("R", (1, 2), True), ("R", (2, 1), False)],
+        "false-constants": [("R", (1, 1), True), ("R", (2, 2), True), ("S", (1,), True)],
+        "join3-spanning": [
+            ("S", (2,), True), ("R", (0, 1), True), ("R", (1, 2), True), ("S", (0,), False),
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCRIPTS))
+    def test_scripted_verdicts(self, name):
+        for label, checker_class in CHECKERS.items():
+            session = checker_class(MASTER, [POOL_BY_NAME[name]]).session(
+                DB_SCHEMA.relation_names
+            )
+            for relation, row, expected in self.SCRIPTS[name]:
+                assert session.push(relation, row) is expected, (label, relation, row)
+
+    @pytest.mark.parametrize("name", sorted(POOL_BY_NAME))
+    @settings(max_examples=50, deadline=None)
+    @given(operations=st.lists(push_ops, max_size=16))
+    def test_each_shape_agrees_alone(self, name, operations):
+        lockstep([POOL_BY_NAME[name]], operations)
+
+    def test_wrong_arity_seed_row_raises(self):
+        # The plan's seed test reads row positions, so it must check the
+        # row's length first, as match_atom does.
+        for label, checker_class in CHECKERS.items():
+            session = checker_class(MASTER, [CONSTRAINT_POOL[0]]).session(
+                DB_SCHEMA.relation_names
+            )
+            with pytest.raises(ArityError):
+                session.push("R", (1,))
+            assert not session.facts["R"], label
+            assert session.depth == 0, label
+            assert session.push("R", (1, 1)) is True, label
+
+
+class TestRetractedSessionTrail:
+    """A retracted session keeps no trail: it can never pop again."""
+
+    def test_push_retract_pairs_leave_depth_unchanged(self):
+        constraints = [CONSTRAINT_POOL[0], CONSTRAINT_POOL[3]]
+        checker = ConstraintChecker(MASTER, constraints)
+        session = checker.session(DB_SCHEMA.relation_names)
+        assert session.push("R", (1, 1)) is True
+        assert session.push("R", (0, 0)) is True
+        assert session.retract("R", (0, 0)) is True
+        depth = session.depth
+        assert depth == 0
+        for step in range(1000):
+            row = (step % 3, (step // 3) % 3)
+            pushed = session.push("R", row)
+            assert pushed == check(checker, session.facts), row
+            session.retract("R", row)
+            assert session.is_satisfied == check(checker, session.facts), row
+            assert session.depth == depth
+        with pytest.raises(SearchError):
+            session.pop()
 
 
 class TestAtomFreeConstraintParity:
