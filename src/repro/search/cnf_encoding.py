@@ -181,7 +181,7 @@ def encode_world_search(
     guard is appended as a unit clause, so the clause list alone decides the
     instance and no assumptions are needed.  ``checker`` may supply
     precomputed constraint right-hand sides (shared with the propagating
-    engine); one is built from ``(master, constraints)`` otherwise.
+    engine); they are evaluated from ``(master, constraints)`` otherwise.
     """
     encoder = IncrementalEncoder(cinstance, master, constraints, adom, checker)
     encoding = encoder.encoding
@@ -250,11 +250,18 @@ class IncrementalEncoder:
             from repro.ctables.possible_worlds import default_active_domain
 
             adom = default_active_domain(cinstance, master, constraints)
-        checker = checker or ConstraintChecker(master, constraints)
-        self._entries = [
-            (constraint, relations, rhs)
-            for constraint, relations, rhs in checker.entries
-        ]
+        if checker is not None:
+            self._entries = checker.entries
+        else:
+            # Only the right-hand sides are needed, not a checker's plans.
+            self._entries = [
+                (
+                    constraint,
+                    frozenset(constraint.query.relation_names()),
+                    constraint.right_answer(master),
+                )
+                for constraint in constraints
+            ]
 
         variables = tuple(sorted(cinstance.variables(), key=lambda v: v.name))
         pools = variable_pools(variables, adom, cinstance.variable_domains())

@@ -5,41 +5,39 @@ When a tuple ``t`` joins relation ``R``, the delta checker of
 whether some LHS match that maps the atom onto ``t`` instantiates a head
 outside the constraint's right-hand side.  Everything in that question but
 the tuple and the fact store is fixed when the checker is built, so
-:func:`compile_seed_plans` resolves it once per (constraint, seed atom) into
-a :class:`SeedPlan`, and a push runs the plan without looking at the CQ again
-(plan once, then run the plan: Neumann, "Efficiently Compiling Efficient
-Query Plans for Modern Hardware", VLDB 2011):
+:func:`compile_seed_plans` resolves it once per constraint into a
+:class:`SeedPlan` per atom, and a push runs the plan without looking at the
+CQ again (plan once, then run the plan: Neumann, "Efficiently Compiling
+Efficient Query Plans for Modern Hardware", VLDB 2011):
 
-* **Environment.**  A plan reads every value from one flat sequence: the
-  pushed row itself, then the plan's *tail* (a slot per variable that only
-  the other atoms bind, and one per constant the plan compares with).  A
-  seed-atom variable is its first position in the row, so seeding binds
-  nothing.
 * **Seed tests.**  The seed atom's constant positions, its repeated-variable
-  positions and the comparisons it binds alone are tested on the row
-  positions directly.  A constraint with one atom is then decided from the
-  row: head ∉ RHS.
+  positions and the comparisons it binds alone are index pairs tested on
+  ``row + tail``, where the tail holds the constants they compare with.  A
+  constraint with one atom is then decided from the row: head ∉ RHS.
 * **Comparisons.**  A variable that no atom binds is resolved at compile
   time, through its chain of equalities, to an atom variable or a constant
   (CQs are range restricted, so one exists).  A comparison between two
   constants is decided at compile time.  Every other comparison is tested as
-  soon as the join has bound both its sides.  A match is accepted exactly
-  when :func:`~repro.queries.evaluation.finalize_assignment` would accept it
-  (the linear-scan rule of the reference checker), given that ``==`` on the
-  constants is an equivalence relation, as set membership already needs.
+  soon as the seed or the join has bound both its sides.  A match is
+  accepted exactly when :func:`~repro.queries.evaluation.finalize_assignment`
+  would accept it (the linear-scan rule of the reference checker), given
+  that ``==`` on the constants is an equivalence relation, as set membership
+  already needs.
+* **Join environment.**  A constraint with several atoms has one flat list
+  of slots, shared by all its seed plans: a slot per *relevant* variable
+  (:func:`relevant_variables`), whose bit in a bound set is ``1 << slot``,
+  then the constants the join compares with.  Seeding writes the row's
+  values into the seed atom's variable slots; the join writes the others.
 * **Signatures.**  For each remaining atom, the columns carrying constants or
   bound variables form the index *key*; the columns carrying unbound
-  *relevant* variables form the index *output* (:func:`relevant_variables`).
-  Unbound variables that are not relevant are existentially projected away
-  by the index itself — CQ answers are sets, so any single witness row is as
-  good as all of them, and duplicate continuations collapse into one bucket
-  entry.  A remaining atom's signature, and the comparisons its bindings
-  complete, depend only on which of the variables it shares (with its own
-  columns and those comparisons) are already bound, so each
-  :class:`JoinAtom` holds one precomputed :class:`Probe` per reachable bound
-  subset.  Keying probes by bound variables rather than by the set of joined
-  atoms keeps a plan's probe count proportional to its atoms (times the few
-  bound subsets each atom can see) instead of exponential in them.
+  relevant variables form the index *output*.  Unbound variables that are
+  not relevant are existentially projected away by the index itself — CQ
+  answers are sets, so any single witness row is as good as all of them,
+  and duplicate continuations collapse into one bucket entry.  An atom's
+  signature, and the comparisons its bindings complete, depend only on which
+  variables of its :attr:`JoinAtom.mask` are bound, so the join builds a
+  :class:`Probe` the first time it meets a bound subset and keeps it in the
+  atom's memo, where every seed plan of the constraint finds it.
 * **Greedy ordering.**  At every join step :func:`join_escapes_rhs` looks up
   the *actual* bucket of every remaining atom under the live binding and
   expands the smallest first — the bucket size is an exact selectivity
@@ -109,7 +107,7 @@ def _getter(indexes: Sequence[int]) -> Getter:
 
 @dataclass(frozen=True, slots=True)
 class Probe:
-    """One remaining atom's index lookup under one bound-variable subset.
+    """One remaining atom's index lookup under one bound subset.
 
     ``key`` reads the lookup key from the environment; each column of a
     bucket's out-tuples is written to the matching ``out`` slot; then the
@@ -124,16 +122,80 @@ class Probe:
     differ: Pairs
 
 
-@dataclass(frozen=True, slots=True)
-class JoinAtom:
-    """A remaining atom of a seed plan, with its probe per bound subset."""
+#: A column the join reads: ``(position, bit, slot, scratch)`` — the
+#: variable's bit (0 for a constant), its environment slot, and for a
+#: variable repeated inside the atom the scratch slot its repeat binds (-1
+#: otherwise).
+_Column = tuple[int, int, int, int]
 
-    relation: str
-    #: The join-variable bits whose binding selects the probe.
-    mask: int
-    #: The join-variable bits bound once this atom is joined.
-    binds: int
-    probes: Mapping[int, Probe]
+#: A compiled comparison: ``(left slot, right slot, is_eq, variable bits)``.
+_Test = tuple[int, int, bool, int]
+
+
+class JoinAtom:
+    """An atom of a multi-atom constraint, as the join probes it."""
+
+    __slots__ = ("relation", "mask", "binds", "probes", "_columns", "_tests")
+
+    def __init__(
+        self,
+        relation: str,
+        binds: int,
+        columns: tuple[_Column, ...],
+        tests: tuple[_Test, ...],
+    ) -> None:
+        self.relation = relation
+        #: The variable bits bound once this atom is joined.
+        self.binds = binds
+        self._columns = columns
+        #: The comparisons that share a variable with this atom.
+        self._tests = tests
+        mask = binds
+        for *_, bits in tests:
+            mask |= bits
+        #: The variable bits whose binding selects the probe.
+        self.mask = mask
+        #: Bound subset of ``mask`` → its probe, filled by :meth:`build_probe`.
+        self.probes: dict[int, Probe] = {}
+
+    def build_probe(self, bound: int) -> Probe:
+        """Build and memoise the probe under ``bound`` (a subset of ``mask``).
+
+        The probe is a pure function of the atom and ``bound``, so
+        concurrent searches that both miss the memo store equal probes.
+        """
+        key_positions: list[int] = []
+        key_slots: list[int] = []
+        out_positions: list[int] = []
+        out_slots: list[int] = []
+        same: list[tuple[int, int]] = []
+        differ: list[tuple[int, int]] = []
+        for position, bit, slot, scratch in self._columns:
+            if not bit & ~bound:
+                # A constant or a bound variable.
+                key_positions.append(position)
+                key_slots.append(slot)
+                continue
+            out_positions.append(position)
+            if scratch < 0:
+                out_slots.append(slot)
+            else:
+                # The repeat of an unbound variable must agree with its first
+                # column.
+                out_slots.append(scratch)
+                same.append((slot, scratch))
+        after = bound | self.binds
+        for left, right, equal, bits in self._tests:
+            if bits & ~bound and not bits & ~after:
+                (same if equal else differ).append((left, right))
+        probe = self.probes[bound] = Probe(
+            signature=(tuple(key_positions), tuple(out_positions)),
+            key=_getter(key_slots),
+            out=tuple(out_slots),
+            same=tuple(same),
+            differ=tuple(differ),
+        )
+        return probe
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,11 +203,14 @@ class SeedPlan:
     """A constraint CQ compiled for tuples that match one of its atoms.
 
     A pushed row matches when its length is ``arity`` and the
-    ``same``/``differ`` pairs hold on the environment ``row + tail``
-    (constant positions, repeated variables and the comparisons the seed
-    atom binds alone).  ``head`` reads the answer row (``None``:
-    every match escapes the RHS); ``atoms`` are the remaining atoms for
-    :func:`join_escapes_rhs` to join, empty for a one-atom constraint.
+    ``same``/``differ`` pairs hold on ``row + tail`` (constant positions,
+    repeated variables and the comparisons the seed atom binds alone).
+    ``head`` reads the answer row (``None``: every match escapes ``rhs``):
+    from ``row + tail`` when ``atoms`` is empty (a one-atom constraint),
+    from the join environment otherwise.  The join starts from
+    ``template``, writes ``row[position]`` into each ``(slot, position)``
+    of ``scatter``, which binds the variable bits in ``bound``, and joins
+    the remaining ``atoms``.
     """
 
     atom: RelationAtom
@@ -155,6 +220,9 @@ class SeedPlan:
     tail: Row
     head: Getter | None
     rhs: AbstractSet[Row]
+    template: Row
+    scatter: Pairs
+    bound: int
     atoms: tuple[JoinAtom, ...]
 
 
@@ -170,7 +238,7 @@ def _holds(values: Sequence[Constant], same: Pairs, differ: Pairs) -> bool:
 
 
 def seed_matches(plan: SeedPlan, row: Row) -> Row | None:
-    """The plan's environment ``row + tail``, or ``None`` if a seed test fails.
+    """The row extended by the plan's tail, or ``None`` if a seed test fails.
 
     A row of the wrong length raises
     :class:`~repro.exceptions.ArityError`, as
@@ -191,14 +259,16 @@ def seed_matches(plan: SeedPlan, row: Row) -> Row | None:
 def join_escapes_rhs(store: IndexedFactStore, plan: SeedPlan, seeded: Row) -> bool:
     """Whether some join of the plan's remaining atoms has a head ∉ RHS.
 
-    ``seeded`` is the environment :func:`seed_matches` returned for the
-    pushed row.  This is the indexed counterpart of a linear-scan join: it
-    returns ``True`` exactly when
-    :func:`~repro.queries.evaluation.match_conjunction`, seeded with the
-    same row, would yield an assignment whose instantiated head escapes the
-    constraint's right-hand side.
+    ``seeded`` is what :func:`seed_matches` returned for the pushed row.
+    This is the indexed counterpart of a linear-scan join: it returns
+    ``True`` exactly when :func:`~repro.queries.evaluation.match_conjunction`,
+    seeded with the same row, would yield an assignment whose instantiated
+    head escapes the constraint's right-hand side.
     """
-    return _descend(store, plan, list(seeded), plan.atoms, 0)
+    values = list(plan.template)
+    for slot, position in plan.scatter:
+        values[slot] = seeded[position]
+    return _descend(store, plan, values, plan.atoms, plan.bound)
 
 
 def _descend(
@@ -208,13 +278,16 @@ def _descend(
     remaining: tuple[JoinAtom, ...],
     bound: int,
 ) -> bool:
-    """Join ``remaining`` greedily; ``bound`` holds the join-variable bits
-    set so far, and ``values`` their slots (the join writes them)."""
+    """Join ``remaining`` greedily; ``bound`` holds the variable bits set so
+    far, and ``values`` their slots (the join writes them)."""
     best = -1
     best_probe: Probe | None = None
     best_bucket: Mapping[Row, int] = {}
     for position, atom in enumerate(remaining):
-        probe = atom.probes[bound & atom.mask]
+        selected = bound & atom.mask
+        probe = atom.probes.get(selected)
+        if probe is None:
+            probe = atom.build_probe(selected)
         bucket = store.index(atom.relation, probe.signature).group(probe.key(values))
         if not bucket:
             # This atom must still be matched, and every match agrees with
@@ -253,7 +326,11 @@ def compile_seed_plans(query: ConjunctiveQuery, rhs: AbstractSet[Row]) -> tuple[
     atom_variables: set[Variable] = set()
     for atom in query.atoms:
         atom_variables |= atom.variables()
-    resolved = _resolve_free_variables(query, atom_variables)
+    resolved: dict[Variable, Term] = {}
+    for comparison in query.comparisons:
+        if not comparison.variables() <= atom_variables:
+            resolved = _resolve_free_variables(query, atom_variables)
+            break
 
     def resolve(term: Term) -> Term:
         return resolved.get(term, term) if is_variable(term) else term
@@ -270,13 +347,101 @@ def compile_seed_plans(query: ConjunctiveQuery, rhs: AbstractSet[Row]) -> tuple[
         elif not comparison.op.holds(left, right):
             return ()
     head = tuple(resolve(term) for term in query.head)
-    if not any(is_variable(term) for term in head) and head in rhs:
+    constant_head = not any(is_variable(term) for term in head)
+    if constant_head and head in rhs:
         return ()
+    # With an empty RHS, or a constant head outside it, every match escapes.
+    reads_head = bool(rhs) and not constant_head
+    if len(query.atoms) == 1:
+        (atom,) = query.atoms
+        layout = _RowLayout(atom)
+        same, differ = layout.tests(atom, comparisons)
+        head_getter = _getter([layout.slot(term) for term in head]) if reads_head else None
+        return (
+            SeedPlan(
+                atom=atom,
+                arity=atom.arity,
+                same=same,
+                differ=differ,
+                tail=tuple(layout.tail),
+                head=head_getter,
+                rhs=rhs,
+                template=(),
+                scatter=(),
+                bound=0,
+                atoms=(),
+            ),
+        )
+
     relevant = relevant_variables(query.atoms, query.comparisons, query.head)
-    return tuple(
-        _compile_seed(query.atoms, index, comparisons, head, rhs, relevant)
-        for index in range(len(query.atoms))
-    )
+    environment: list[Constant] = []
+    slots: dict[Variable, int] = {}
+    for atom in query.atoms:
+        for term in atom.terms:
+            if is_variable(term) and term in relevant and term not in slots:
+                slots[term] = len(environment)
+                environment.append(None)
+
+    def fresh(value: Constant = None) -> int:
+        environment.append(value)
+        return len(environment) - 1
+
+    def slot(term: Term) -> int:
+        return slots[term] if is_variable(term) else fresh(term)
+
+    def bit(term: Term) -> int:
+        return 1 << slots[term] if is_variable(term) else 0
+
+    tests = [
+        (slot(left), slot(right), op is ComparisonOp.EQ, bit(left) | bit(right))
+        for left, op, right in comparisons
+    ]
+    join_atoms: list[JoinAtom] = []
+    for atom in query.atoms:
+        columns: list[_Column] = []
+        binds = 0
+        for position, term in enumerate(atom.terms):
+            if not is_variable(term):
+                columns.append((position, 0, fresh(term), -1))
+                continue
+            variable_slot = slots.get(term)
+            if variable_slot is None:
+                # An irrelevant variable occurs nowhere else in the query:
+                # the index projects it away (existential semantics).
+                continue
+            variable_bit = 1 << variable_slot
+            # A repeat of a variable inside the atom binds a scratch slot.
+            scratch = fresh() if binds & variable_bit else -1
+            binds |= variable_bit
+            columns.append((position, variable_bit, variable_slot, scratch))
+        atom_tests = tuple(test for test in tests if test[3] & binds)
+        join_atoms.append(JoinAtom(atom.relation, binds, tuple(columns), atom_tests))
+    head_getter = _getter([slot(term) for term in head]) if reads_head else None
+    template = tuple(environment)
+
+    plans = []
+    for index, atom in enumerate(query.atoms):
+        layout = _RowLayout(atom)
+        same, differ = layout.tests(atom, comparisons)
+        scatter = tuple(
+            (slots[term], position) for term, position in layout.slots.items() if term in slots
+        )
+        plans.append(
+            SeedPlan(
+                atom=atom,
+                arity=atom.arity,
+                same=same,
+                differ=differ,
+                tail=tuple(layout.tail),
+                head=head_getter,
+                rhs=rhs,
+                template=template,
+                scatter=scatter,
+                bound=join_atoms[index].binds,
+                atoms=tuple(join_atoms[:index] + join_atoms[index + 1 :]),
+            )
+        )
+    return tuple(plans)
 
 
 def _resolve_free_variables(
@@ -315,154 +480,39 @@ def _resolve_free_variables(
     return resolved
 
 
-class _Layout:
-    """Environment slots of one seed plan: the row, then the tail."""
+class _RowLayout:
+    """Slots of ``row + tail`` for one seed atom."""
 
     def __init__(self, seed: RelationAtom) -> None:
         self.arity = seed.arity
         self.tail: list[Constant] = []
+        #: Each variable of the seed atom → its first position.
         self.slots: dict[Variable, int] = {}
         for position, term in enumerate(seed.terms):
             if is_variable(term):
                 self.slots.setdefault(term, position)
 
-    def fresh(self, value: Constant = None) -> int:
-        self.tail.append(value)
+    def slot(self, term: Term) -> int:
+        """A variable's first position, or a new tail slot for a constant."""
+        if is_variable(term):
+            return self.slots[term]
+        self.tail.append(term)
         return self.arity + len(self.tail) - 1
 
-    def slot(self, term: Term) -> int:
-        """The slot of a variable (allocated on first use) or a new constant."""
-        if not is_variable(term):
-            return self.fresh(term)
-        slot = self.slots.get(term)
-        if slot is None:
-            slot = self.slots[term] = self.fresh()
-        return slot
-
-
-def _compile_seed(
-    atoms: Sequence[RelationAtom],
-    seed_index: int,
-    comparisons: Sequence[tuple[Term, ComparisonOp, Term]],
-    head: tuple[Term, ...],
-    rhs: AbstractSet[Row],
-    relevant: AbstractSet[Variable],
-) -> SeedPlan:
-    """The plan for tuples that match ``atoms[seed_index]``."""
-    seed = atoms[seed_index]
-    layout = _Layout(seed)
-    seed_variables = set(layout.slots)
-    same: list[tuple[int, int]] = []
-    differ: list[tuple[int, int]] = []
-    for position, term in enumerate(seed.terms):
-        if not is_variable(term):
-            same.append((position, layout.slot(term)))
-        elif layout.slots[term] != position:
-            same.append((layout.slots[term], position))
-
-    later: list[tuple[Term, ComparisonOp, Term]] = []
-    for comparison in comparisons:
-        left, op, right = comparison
-        if any(is_variable(t) and t not in seed_variables for t in (left, right)):
-            later.append(comparison)
-        else:
-            pairs = same if op is ComparisonOp.EQ else differ
-            pairs.append((layout.slot(left), layout.slot(right)))
-
-    remaining = [atom for index, atom in enumerate(atoms) if index != seed_index]
-    join_variables = [
-        term
-        for atom in remaining
-        for term in atom.terms
-        if is_variable(term) and term in relevant and term not in seed_variables
-    ]
-    bits = {variable: 1 << bit for bit, variable in enumerate(dict.fromkeys(join_variables))}
-
-    def mask(terms: Iterable[Term]) -> int:
-        result = 0
-        for term in terms:
-            if is_variable(term):
-                result |= bits.get(term, 0)
-        return result
-
-    atom_bits = [mask(atom.terms) for atom in remaining]
-    later_bits = [mask((left, right)) for left, _op, right in later]
-    join_atoms = []
-    for index, atom in enumerate(remaining):
-        selector = atom_bits[index]
-        for comparison_bits in later_bits:
-            if comparison_bits & atom_bits[index]:
-                selector |= comparison_bits
-        reachable = {0}
-        for other, other_bits in enumerate(atom_bits):
-            contribution = other_bits & selector
-            if other != index and contribution:
-                reachable |= {bound | contribution for bound in sorted(reachable)}
-        probes = {
-            bound: _compile_probe(atom, bound, atom_bits[index], later, later_bits, bits, layout)
-            for bound in sorted(reachable)
-        }
-        join_atoms.append(JoinAtom(atom.relation, selector, atom_bits[index], probes))
-
-    head_getter = None
-    if rhs and any(is_variable(term) for term in head):
-        head_getter = _getter([layout.slot(term) for term in head])
-    return SeedPlan(
-        atom=seed,
-        arity=seed.arity,
-        same=tuple(same),
-        differ=tuple(differ),
-        tail=tuple(layout.tail),
-        head=head_getter,
-        rhs=rhs,
-        atoms=tuple(join_atoms),
-    )
-
-
-def _compile_probe(
-    atom: RelationAtom,
-    bound: int,
-    atom_bits: int,
-    later: Sequence[tuple[Term, ComparisonOp, Term]],
-    later_bits: Sequence[int],
-    bits: Mapping[Variable, int],
-    layout: _Layout,
-) -> Probe:
-    """The probe of ``atom`` when the join variables in ``bound`` are bound."""
-    key_positions: list[int] = []
-    key_slots: list[int] = []
-    out_positions: list[int] = []
-    out_slots: list[int] = []
-    same: list[tuple[int, int]] = []
-    differ: list[tuple[int, int]] = []
-    for position, term in enumerate(atom.terms):
-        bit = bits.get(term, 0) if is_variable(term) else 0
-        if bit and not bit & bound:
-            out_positions.append(position)
-            slot = layout.slot(term)
-            if slot in out_slots:
-                # A variable repeated among the out columns: bind the repeat
-                # to a scratch slot and require the two to agree.
-                scratch = layout.fresh()
-                same.append((slot, scratch))
-                out_slots.append(scratch)
-            else:
-                out_slots.append(slot)
-        elif bit or not is_variable(term) or term in layout.slots:
-            # A constant, a seed-atom variable or a bound join variable.
-            key_positions.append(position)
-            key_slots.append(layout.slot(term))
-        # Otherwise an unbound irrelevant variable occurs nowhere else in the
-        # query: the index projects it away (existential semantics).
-    after = bound | atom_bits
-    for (left, op, right), comparison_bits in zip(later, later_bits):
-        if comparison_bits & atom_bits & ~bound and not comparison_bits & ~after:
-            pairs = same if op is ComparisonOp.EQ else differ
-            pairs.append((layout.slot(left), layout.slot(right)))
-    return Probe(
-        signature=(tuple(key_positions), tuple(out_positions)),
-        key=_getter(key_slots),
-        out=tuple(out_slots),
-        same=tuple(same),
-        differ=tuple(differ),
-    )
+    def tests(
+        self, seed: RelationAtom, comparisons: Sequence[tuple[Term, ComparisonOp, Term]]
+    ) -> tuple[Pairs, Pairs]:
+        """The seed's ``same``/``differ`` pairs: its constant positions, its
+        repeated variables and the comparisons it binds alone."""
+        same: list[tuple[int, int]] = []
+        differ: list[tuple[int, int]] = []
+        for position, term in enumerate(seed.terms):
+            first = self.slot(term)
+            if first != position:
+                same.append((first, position))
+        for left, op, right in comparisons:
+            if all(not is_variable(term) or term in self.slots for term in (left, right)):
+                (same if op is ComparisonOp.EQ else differ).append(
+                    (self.slot(left), self.slot(right))
+                )
+        return tuple(same), tuple(differ)

@@ -412,13 +412,14 @@ class ParallelWorldSearch:
         self._min_parallel = min_parallel_valuations
         self._chunks_per_worker = max(1, chunks_per_worker)
         self._shard_order = shard_order
-        self._checker = checker
+        # One checker for the ordering pass and every serial fallback.
+        self._checker = checker or ConstraintChecker(master, constraints)
         self._stop_check = stop_check
         self.stats = ParallelSearchStats(workers=self._workers)
 
         # The serial engine's order/pools are the ground truth the shards
         # reproduce; computing them here costs one ordering pass, no search.
-        base = WorldSearch(cinstance, master, constraints, adom, checker=checker)
+        base = WorldSearch(cinstance, master, constraints, adom, checker=self._checker)
         self._order = base.order
         self._pools = base.pools
 

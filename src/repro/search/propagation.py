@@ -30,8 +30,9 @@ selectivity-greedy order of :func:`repro.search.joinplan.join_escapes_rhs`.
 The incremental surface is a :class:`CheckerSession` (created per search via
 :meth:`ConstraintChecker.session`): a ``push(relation, row)`` /- ``pop()``
 snapshot stack over a fact store owned by the session.  Sessions make the
-checker itself stateless — its plans never change after construction — so
-one :class:`ConstraintChecker` can be shared by the
+checker itself stateless — its plans never change after construction, and
+the join probes they memoise on first use are pure functions of the plan —
+so one :class:`ConstraintChecker` can be shared by the
 :class:`repro.api.Database` facade, the parallel engine's workers and
 arbitrarily many concurrent searches.  Because CQ answers are monotone in
 the fact store, a push can only *add* violations and popping it removes
@@ -255,12 +256,7 @@ class CheckerSession:
 
     def pop(self) -> None:
         """Undo the most recent push (facts, index entries, violation state)."""
-        if self._retracted:
-            raise SearchError(
-                "pop() after retract(): a retraction invalidates the per-push "
-                "violation attribution, so the trail no longer mirrors the "
-                "store; use a fresh session for push/pop search"
-            )
+        self._refuse_if_retracted("pop()")
         if not self._trail:
             raise SearchError("pop() without a matching push()")
         relation, row, added, fresh = self._trail.pop()
@@ -282,9 +278,9 @@ class CheckerSession:
         Retraction trades the trail for flexibility: the per-push violation
         attribution no longer matches the store afterwards, so the session
         drops its trail, records none from then on (``depth`` stays 0) and
-        subsequent :meth:`pop` calls raise.  Sessions used for backtracking
-        search should never retract; sessions owned by the update layer
-        never pop.
+        subsequent :meth:`pop` and :meth:`pop_to` calls raise.  Sessions used
+        for backtracking search should never retract; sessions owned by the
+        update layer never pop.
 
         Returns whether the row was present (and therefore removed).
         """
@@ -308,5 +304,14 @@ class CheckerSession:
 
     def pop_to(self, mark: int) -> None:
         """Pop until the trail is back at the given snapshot token."""
+        self._refuse_if_retracted("pop_to()")
         while len(self._trail) > mark:
             self.pop()
+
+    def _refuse_if_retracted(self, call: str) -> None:
+        if self._retracted:
+            raise SearchError(
+                f"{call} after retract(): a retraction invalidates the per-push "
+                "violation attribution, so the trail no longer mirrors the "
+                "store; use a fresh session for push/pop search"
+            )

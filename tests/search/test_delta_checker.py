@@ -21,6 +21,10 @@ can run the semantics gate as a dedicated step.
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +145,11 @@ CONSTRAINT_POOL = [
             comparisons=[eq(x, w), neq(x, z)],
         ),
         name="join3-spanning",
+    ),
+    cc(
+        cq("loop_s", [x], atoms=[atom("S", x), atom("R", y, y)]),
+        projection("Sm", "A"),
+        name="repeat-in-join",
     ),
 ]
 
@@ -294,9 +303,10 @@ class TestCompiledShapes:
 
     The scripts push tuples one by one and state the verdict after each; a
     plan that drops the shape's test (a constant position, a repeated
-    variable, an equality or inequality, an equality chain, a false
-    constant comparison, a comparison spanning two joined atoms) reports a
-    violation one step too early, and one that misresolves it too late.
+    variable in the seed or in a joined atom, an equality or inequality, an
+    equality chain, a false constant comparison, a comparison spanning two
+    joined atoms) reports a violation one step too early, and one that
+    misresolves it too late.
     """
 
     SCRIPTS = {
@@ -312,6 +322,7 @@ class TestCompiledShapes:
         "join3-spanning": [
             ("S", (2,), True), ("R", (0, 1), True), ("R", (1, 2), True), ("S", (0,), False),
         ],
+        "repeat-in-join": [("R", (0, 1), True), ("S", (1,), True), ("R", (2, 2), False)],
     }
 
     @pytest.mark.parametrize("name", sorted(SCRIPTS))
@@ -343,6 +354,73 @@ class TestCompiledShapes:
             assert session.push("R", (1, 1)) is True, label
 
 
+class TestSharedProbeMemo:
+    """Join probes are built on first use and shared by every session.
+
+    One checker serves interleaved sessions; whichever session meets a
+    bound subset first builds the probe the other then reuses, and each
+    verdict must still equal a stateless evaluation of its own store.
+    """
+
+    JOINS = [constraint for constraint in CONSTRAINT_POOL if len(constraint.query.atoms) > 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        operations=st.lists(st.tuples(st.integers(0, 1), push_ops), max_size=30)
+    )
+    def test_interleaved_sessions_agree_with_full_evaluation(self, operations):
+        checker = ConstraintChecker(MASTER, self.JOINS)
+        sessions = [checker.session(DB_SCHEMA.relation_names) for _ in range(2)]
+        for which, (op, relation, row) in operations:
+            session = sessions[which]
+            if op == "push":
+                session.push(relation, row)
+            elif session.depth:
+                session.pop()
+            assert session.is_satisfied == check(checker, session.facts)
+
+    def test_threads_racing_on_an_empty_memo_agree_with_full_evaluation(self):
+        # More threads than cores start together on a fresh checker with a
+        # short switch interval, so they interleave inside build_probe; a
+        # probe published half-built or under the wrong bound subset would
+        # make some verdict differ from a full evaluation.
+        failures: list[tuple] = []
+
+        def run(checker: ConstraintChecker, start: threading.Barrier, seed: int) -> None:
+            rng = random.Random(seed)
+            session = checker.session(DB_SCHEMA.relation_names)
+            start.wait()
+            for _ in range(60):
+                if session.depth and rng.random() < 0.3:
+                    session.pop()
+                elif rng.random() < 0.5:
+                    session.push("R", (rng.randrange(3), rng.randrange(3)))
+                else:
+                    session.push("S", (rng.randrange(3),))
+                if session.is_satisfied != check(checker, session.facts):
+                    failures.append((seed, dict(session.facts)))
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(30):
+                checker = ConstraintChecker(MASTER, self.JOINS)
+                start = threading.Barrier(6)
+                threads = [
+                    threading.Thread(target=run, args=(checker, start, 6 * round_ + index))
+                    for index in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+
 class TestRetractedSessionTrail:
     """A retracted session keeps no trail: it can never pop again."""
 
@@ -364,6 +442,17 @@ class TestRetractedSessionTrail:
             assert session.depth == depth
         with pytest.raises(SearchError):
             session.pop()
+
+    def test_pop_to_after_retract_raises(self):
+        checker = ConstraintChecker(MASTER, [CONSTRAINT_POOL[0]])
+        session = checker.session(DB_SCHEMA.relation_names)
+        mark = session.mark()
+        session.push("R", (1, 1))
+        session.push("R", (0, 0))
+        session.retract("R", (0, 0))
+        for token in (mark, session.mark()):
+            with pytest.raises(SearchError):
+                session.pop_to(token)
 
 
 class TestAtomFreeConstraintParity:

@@ -110,6 +110,26 @@ class TestShardPlanning:
         list(search.search())
         assert search.stats.serial_fallback
 
+    def test_serial_fallback_shares_the_planning_checker(self, monkeypatch):
+        # The ordering pass and the serial fallback run on one checker.
+        import repro.search.propagation as propagation
+
+        built = []
+        compile_plans = propagation.ConstraintChecker.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            compile_plans(self, *args, **kwargs)
+
+        monkeypatch.setattr(propagation.ConstraintChecker, "__init__", counting)
+        workload = registry_workload(master_size=3, db_rows=3, variable_count=2)
+        search = ParallelWorldSearch(
+            workload.cinstance, workload.master, workload.constraints, workers=2
+        )
+        assert search.has_world()
+        assert search.stats.serial_fallback
+        assert len(built) == 1
+
     def test_ground_instance_has_no_shards(self):
         T = cinstance(PAIR_SCHEMA, R=[("c", "d")])
         search = forced(T, EMPTY_MASTER, [])

@@ -70,6 +70,20 @@ class TestEncodingStructure:
         assert encoding.stats.baseline_tuples == 1
         assert not encoding.trivially_unsat
 
+    def test_encoder_builds_no_checker(self, monkeypatch):
+        # The encoder needs only the constraints' right-hand sides; a
+        # checker would compile delta plans it never runs.
+        import repro.search.cnf_encoding as cnf_encoding
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the encoder built a ConstraintChecker")
+
+        monkeypatch.setattr(cnf_encoding, "ConstraintChecker", refuse)
+        forbid_all = denial_cc(cq("q", [x, y], atoms=[atom("R", x, y)]))
+        T = cinstance(PAIR_SCHEMA, R=[(x, "e")])
+        encoding = encode_world_search(T, EMPTY_MASTER, [forbid_all])
+        assert list(iter_solver_models(encoding)) == []
+
     def test_ground_violation_has_no_world(self):
         # The ground row alone violates the constraint.  That is no longer
         # flagged at encode time: the asserted guard refutes the clause.
