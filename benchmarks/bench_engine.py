@@ -32,7 +32,8 @@ sweep, and extends the sweeps to regimes each engine targets:
   the indexed delta checker.
 
 Each case first asserts *parity* (identical verdict / model count from every
-engine that runs it) and then reports the timings.  Seven gates are
+call of every engine that runs it) and then reports the timings: each
+(case, engine) cell is the median of :data:`CASE_REPEATS` calls.  Seven gates are
 evaluated, and every verdict is printed; the run fails if any gate fails:
 
 * the propagating engine must keep its ≥ 3x headline speedup over naive on
@@ -147,6 +148,10 @@ UPDATE_STREAM_STEPS = 50
 REQUIRED_COMPONENT_SPEEDUP = 5.0
 
 ALL_ENGINES = ("naive", "propagating", "sat", "parallel")
+
+#: Each (case, engine) cell is timed as the median of this many calls (odd,
+#: so the median is one call's time and its stats are that call's).
+CASE_REPEATS = 5
 
 
 def _host_cpus() -> int:
@@ -804,24 +809,33 @@ def print_update_stream_report(results: list[dict]) -> None:
 
 
 def run_cases(cases: list[Case]) -> list[Outcome] | None:
-    """Time every case on its engines; ``None`` signals a parity failure."""
+    """Time every case on its engines; ``None`` signals a parity failure.
+
+    Each engine runs a case :data:`CASE_REPEATS` times; the cell keeps the
+    median call's time and stats, and every call's verdict must equal every
+    other call's, on every engine.
+    """
     outcomes: list[Outcome] = []
     for case in cases:
         seconds: dict[str, float] = {}
         verdicts: dict[str, object] = {}
+        calls: dict[str, object] = {}
         stats: dict[str, dict] = {}
         for engine in case.engines:
-            verdict, elapsed = _timed(lambda e=engine: case.run(e))
+            runs = [_timed(lambda e=engine: case.run(e)) for _ in range(CASE_REPEATS)]
+            for call, (verdict, _elapsed) in enumerate(runs, 1):
+                calls[f"{engine}#{call}"] = verdict
+            verdict, elapsed = sorted(runs, key=lambda run: run[1])[CASE_REPEATS // 2]
             seconds[engine] = elapsed
             verdicts[engine] = verdict
             decision_stats = _decision_stats(verdict)
             if decision_stats is not None:
                 stats[engine] = decision_stats
-        distinct = {repr(v) for v in verdicts.values()}
+        distinct = {repr(v) for v in calls.values()}
         if len(distinct) > 1:
             print(
                 f"PARITY FAILURE in {case.group} [{case.label}]: "
-                + ", ".join(f"{e}={v!r}" for e, v in verdicts.items())
+                + ", ".join(f"{label}={v!r}" for label, v in calls.items())
             )
             return None
         outcomes.append(
@@ -843,6 +857,7 @@ def _format_cell(outcome: Outcome, engine: str) -> str:
 
 
 def print_report(outcomes: list[Outcome]) -> None:
+    print(f"\nEach engine cell: the median of {CASE_REPEATS} calls.")
     width = max(len(f"[{o.case.label}]") for o in outcomes)
     group = None
     for outcome in outcomes:
@@ -1087,6 +1102,7 @@ def write_json(
         "smoke": smoke,
         "status": "passed" if status == 0 else "failed",
         "engines": list(ALL_ENGINES),
+        "case_repeats": CASE_REPEATS,
         "cases": [
             {
                 "group": o.case.group,

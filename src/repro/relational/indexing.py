@@ -57,11 +57,11 @@ class FactIndex:
     """One hash index over one relation for one bound-position signature.
 
     ``buckets`` maps each key projection to the multiset of out projections
-    of the rows sharing that key; ``entries`` counts distinct out-tuples
-    across all buckets (used for selectivity estimates by the join planner).
+    of the rows sharing that key; a key whose multiset empties is dropped.
+    The join sizes a bucket exactly (``len``), so no statistics are kept.
     """
 
-    __slots__ = ("key_positions", "out_positions", "buckets", "entries")
+    __slots__ = ("key_positions", "out_positions", "buckets")
 
     def __init__(
         self,
@@ -72,7 +72,6 @@ class FactIndex:
         self.key_positions = key_positions
         self.out_positions = out_positions
         self.buckets: dict[Row, dict[Row, int]] = {}
-        self.entries = 0
         for row in rows:
             self.add(row)
 
@@ -81,10 +80,7 @@ class FactIndex:
         key = tuple(row[p] for p in self.key_positions)
         out = tuple(row[p] for p in self.out_positions)
         bucket = self.buckets.setdefault(key, {})
-        count = bucket.get(out, 0)
-        if count == 0:
-            self.entries += 1
-        bucket[out] = count + 1
+        bucket[out] = bucket.get(out, 0) + 1
 
     def discard(self, row: Row) -> None:
         """Unregister one previously :meth:`add`-ed row."""
@@ -96,7 +92,6 @@ class FactIndex:
             bucket[out] = count
         else:
             del bucket[out]
-            self.entries -= 1
             if not bucket:
                 del self.buckets[key]
 
@@ -104,14 +99,10 @@ class FactIndex:
         """The out-tuple multiset stored under ``key`` (empty if absent)."""
         return self.buckets.get(key, _EMPTY_BUCKET)
 
-    def estimate(self) -> float:
-        """Estimated bucket size: mean distinct out-tuples per key."""
-        return self.entries / max(1, len(self.buckets))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FactIndex(key={self.key_positions}, out={self.out_positions}, "
-            f"{len(self.buckets)} buckets, {self.entries} entries)"
+            f"{len(self.buckets)} buckets)"
         )
 
 

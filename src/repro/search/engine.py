@@ -14,6 +14,13 @@ restriction (Proposition 3.3, Lemmas 4.2/5.2):
   delta-evaluates only the constraint answers the new tuple can produce — a
   violated branch is pruned without ever materialising its exponentially
   many completions, and without re-running any constraint's full CQ;
+* a row is also *checked early*, without a push, against each compiled
+  constraint plan as soon as the row positions that plan reads
+  (:attr:`repro.search.joinplan.SeedPlan.reads`) and the row's condition
+  are ground: every completion of the row agrees on those positions, so an
+  answer escaping the right-hand side now escapes in every world below (CQ
+  monotonicity), and the subtree of the row's remaining variables is cut
+  before it is enumerated;
 * for pure existence checks (:meth:`WorldSearch.has_world`), the fresh
   ``New`` values of the active domain are interchangeable, so the search
   explores only one representative per permutation class of fresh values
@@ -25,6 +32,9 @@ restriction (Proposition 3.3, Lemmas 4.2/5.2):
 The engine enumerates exactly the valuations the naive path accepts (pruning
 is sound and complete for satisfying valuations), so
 :mod:`repro.ctables.possible_worlds` can route through it transparently.
+Early checks cut only subtrees without a satisfying valuation, so the
+``(valuation, world)`` sequence is the one a search that checked complete
+rows alone would produce; only ``nodes`` and the pushes fall.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from repro.constraints.containment import (
 )
 from repro.ctables.adom import ActiveDomain, variable_pools
 from repro.ctables.cinstance import CInstance
+from repro.ctables.conditions import Condition
 from repro.ctables.ctable import CTableRow
 from repro.ctables.valuation import Valuation
 from repro.exceptions import SearchCancelledError, SearchError
@@ -45,6 +56,7 @@ from repro.queries.terms import Variable
 from repro.relational.domains import Constant
 from repro.relational.instance import GroundInstance, Row
 from repro.relational.master import MasterData
+from repro.search.joinplan import SeedPlan
 from repro.search.ordering import order_variables
 from repro.search.propagation import CheckerSession, ConstraintChecker
 
@@ -57,13 +69,34 @@ POOL_ORDERS = ("fresh_first",)
 
 @dataclass
 class SearchStats:
-    """Counters describing one search run (reset per :class:`WorldSearch`)."""
+    """Counters describing one search run (reset per :class:`WorldSearch`).
+
+    ``nodes`` counts value assignments tried.  ``pruned`` counts the
+    branches cut, by either kind of cut: a push that violated a constraint,
+    or an early check of a row not yet complete.
+    """
 
     nodes: int = 0
     pruned: int = 0
     worlds: int = 0
     duplicate_worlds: int = 0
     symmetry_skips: int = 0
+
+
+@dataclass(frozen=True, slots=True)
+class _EarlyCheck:
+    """The plans that judge a variable row at one depth before it completes.
+
+    ``template`` is the row with ``None`` for its variables; each
+    ``(position, variable)`` of ``fills`` writes the value of a variable
+    assigned by that depth, which covers every position the plans read.
+    ``condition`` is the row's condition, ground by that depth too.
+    """
+
+    condition: Condition
+    template: tuple[Constant, ...]
+    fills: tuple[tuple[int, Variable], ...]
+    plans: tuple[SeedPlan, ...]
 
 
 #: The canonical world form produced by :func:`world_key`: the relations'
@@ -186,22 +219,54 @@ class WorldSearch:
             self._order = order_variables(
                 self._pools, [row.variables() for _name, row in rows]
             )
-        position = {variable: i for i, variable in enumerate(self._order)}
+        # depth[v]: the search depth from which variable v is assigned.
+        depth = {variable: i + 1 for i, variable in enumerate(self._order)}
         # completions[0] holds the rows that are ground from the start;
         # completions[d + 1] the rows whose last variable is order[d].
         self._completions: list[list[tuple[str, CTableRow]]] = [
             [] for _ in range(len(self._order) + 1)
         ]
+        self._early: list[list[_EarlyCheck]] = [[] for _ in self._completions]
         for name, row in rows:
-            row_variables = row.variables()
-            level = (
-                1 + max(position[v] for v in row_variables) if row_variables else 0
-            )
+            level = max((depth[v] for v in row.variables()), default=0)
             self._completions[level].append((name, row))
+            self._schedule_early_checks(name, row, level, depth)
 
         self._fresh_rank: dict[Constant, int] = {}
         if break_symmetry:
             self._fresh_rank = self._interchangeable_fresh_ranks(master, constraints)
+
+    def _schedule_early_checks(
+        self, name: str, row: CTableRow, level: int, depth: Mapping[Variable, int]
+    ) -> None:
+        """Schedule each plan of ``row`` at the first depth where the
+        positions it reads and the row's condition are ground, when that
+        depth comes before ``level``, the row's completion depth."""
+        if not level:
+            return  # ground from the start: pushed at the root
+        conditioned = max((depth[v] for v in row.condition.variables()), default=0)
+        variables = {p: t for p, t in enumerate(row.terms) if isinstance(t, Variable)}
+        ground_at = {p: depth[v] for p, v in variables.items()}
+        plans_at: dict[int, list[SeedPlan]] = {}
+        for _index, plans in self._checker.seed_plans(name):
+            for plan in plans:
+                if plan.arity != row.arity:
+                    continue  # the push raises the ArityError
+                at = max([conditioned, *(ground_at.get(p, 0) for p in plan.reads)])
+                if at < level:
+                    plans_at.setdefault(at, []).append(plan)
+        if not plans_at:
+            return
+        template = tuple(None if p in variables else t for p, t in enumerate(row.terms))
+        for at, plans_here in plans_at.items():
+            self._early[at].append(
+                _EarlyCheck(
+                    condition=row.condition,
+                    template=template,
+                    fills=tuple((p, v) for p, v in variables.items() if ground_at[p] <= at),
+                    plans=tuple(plans_here),
+                )
+            )
 
     @property
     def order(self) -> list[Variable]:
@@ -261,7 +326,8 @@ class WorldSearch:
         level: int,
         valuation: Valuation,
     ) -> bool:
-        """Push the rows completed at ``level``; ``False`` on a violation.
+        """Push the rows completed at ``level`` and run its early checks;
+        ``False`` on a violation.
 
         The caller unwinds via :meth:`CheckerSession.pop_to` against a mark
         taken before the call, so a partially applied level needs no special
@@ -278,7 +344,24 @@ class WorldSearch:
         # A level may complete without a single push (no rows ground here),
         # in which case the session's standing verdict decides: at the root
         # this is where an atom-free constraint's base violation surfaces.
-        return session.is_satisfied
+        if not session.is_satisfied:
+            return False
+        # A row not yet complete whose condition holds is in every world
+        # below, and a plan reading only its ground positions judges every
+        # completion alike: by CQ monotonicity an escape now is an escape in
+        # every world of the subtree.
+        escapes, facts = self._checker.escapes, session.facts
+        for check in self._early[level]:
+            if not check.condition.evaluate(valuation):
+                continue
+            values = list(check.template)
+            for position, variable in check.fills:
+                values[position] = valuation[variable]
+            partial = tuple(values)
+            for plan in check.plans:
+                if escapes(facts, plan, partial):
+                    return False
+        return True
 
     def _descend(
         self,

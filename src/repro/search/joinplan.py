@@ -50,6 +50,7 @@ Efficient Query Plans for Modern Hardware", VLDB 2011):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
@@ -210,11 +211,14 @@ class SeedPlan:
     from the join environment otherwise.  The join starts from
     ``template``, writes ``row[position]`` into each ``(slot, position)``
     of ``scatter``, which binds the variable bits in ``bound``, and joins
-    the remaining ``atoms``.
+    the remaining ``atoms``.  ``reads`` lists, in order, the row positions
+    the plan reads (every seed-test, ``scatter`` and one-atom ``head``
+    position): rows that agree on them get the same verdict from the plan.
     """
 
     atom: RelationAtom
     arity: int
+    reads: tuple[int, ...]
     same: Pairs
     differ: Pairs
     tail: Row
@@ -224,6 +228,11 @@ class SeedPlan:
     scatter: Pairs
     bound: int
     atoms: tuple[JoinAtom, ...]
+
+
+def _reads(arity: int, indexes: Iterable[int]) -> tuple[int, ...]:
+    """The row positions among ``indexes`` (those below ``arity``), in order."""
+    return tuple(sorted({index for index in indexes if index < arity}))
 
 
 def _holds(values: Sequence[Constant], same: Pairs, differ: Pairs) -> bool:
@@ -356,15 +365,16 @@ def compile_seed_plans(query: ConjunctiveQuery, rhs: AbstractSet[Row]) -> tuple[
         (atom,) = query.atoms
         layout = _RowLayout(atom)
         same, differ = layout.tests(atom, comparisons)
-        head_getter = _getter([layout.slot(term) for term in head]) if reads_head else None
+        head_slots = [layout.slot(term) for term in head] if reads_head else []
         return (
             SeedPlan(
                 atom=atom,
                 arity=atom.arity,
+                reads=_reads(atom.arity, chain(*same, *differ, head_slots)),
                 same=same,
                 differ=differ,
                 tail=tuple(layout.tail),
-                head=head_getter,
+                head=_getter(head_slots) if reads_head else None,
                 rhs=rhs,
                 template=(),
                 scatter=(),
@@ -430,6 +440,7 @@ def compile_seed_plans(query: ConjunctiveQuery, rhs: AbstractSet[Row]) -> tuple[
             SeedPlan(
                 atom=atom,
                 arity=atom.arity,
+                reads=_reads(atom.arity, chain(*same, *differ, (p for _slot, p in scatter))),
                 same=same,
                 differ=differ,
                 tail=tuple(layout.tail),

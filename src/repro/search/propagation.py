@@ -39,9 +39,13 @@ the fact store, a push can only *add* violations and popping it removes
 exactly the violations it added — the session tracks per-push violation
 sets, so verdicts stay exact across any push/pop sequence (including pushes
 after a violation and pushes of already-present tuples).  Sessions evaluate
-each push through :meth:`ConstraintChecker._newly_violated`, the one hook a
+each push through :meth:`ConstraintChecker._newly_violated`, the hook a
 reference checker overrides to swap the evaluation strategy while keeping
-the session protocol.
+the session protocol.  The library path runs each plan through
+:meth:`ConstraintChecker.escapes` and reads the plans through
+:meth:`ConstraintChecker.seed_plans`, both shared with the early checks of
+:class:`repro.search.engine.WorldSearch`, which run a plan on a row that is
+not yet complete and push nothing.
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ from repro.relational.indexing import IndexedFactStore
 from repro.relational.instance import Row
 from repro.relational.master import MasterData
 from repro.search.joinplan import SeedPlan, compile_seed_plans, join_escapes_rhs, seed_matches
+
+
+#: ``(constraint index, that constraint's plans)`` pairs, in constraint order.
+SeededPlans = tuple[tuple[int, tuple[SeedPlan, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -110,7 +118,7 @@ class ConstraintChecker:
         self._base_violations = frozenset(base)
         #: relation → (constraint index, plans seeded by a tuple of it), in
         #: constraint order.
-        self._seeds: Mapping[str, tuple[tuple[int, tuple[SeedPlan, ...]], ...]] = {
+        self._seeds: Mapping[str, SeededPlans] = {
             relation: tuple(plans) for relation, plans in seeds.items()
         }
 
@@ -163,21 +171,39 @@ class ConstraintChecker:
         row, covering homomorphisms that use it several times).
         """
         fresh: list[int] = []
-        for index, plans in self._seeds.get(relation, ()):
+        for index, plans in self.seed_plans(relation):
             if index in already:
                 continue
             for plan in plans:
-                values = seed_matches(plan, row)
-                if values is None:
-                    continue
-                if plan.atoms:
-                    escapes = join_escapes_rhs(facts, plan, values)
-                else:
-                    escapes = plan.head is None or plan.head(values) not in plan.rhs
-                if escapes:
+                if self.escapes(facts, plan, row):
                     fresh.append(index)
                     break
         return frozenset(fresh)
+
+    def seed_plans(self, relation: str) -> SeededPlans:
+        """``(constraint index, plans)`` for the plans a tuple of ``relation``
+        seeds, in constraint order.
+
+        The push path and the early checks of
+        :class:`repro.search.engine.WorldSearch` both read the plans here, so
+        a checker that overrides this hook changes both.
+        """
+        return self._seeds.get(relation, ())
+
+    def escapes(self, facts: IndexedFactStore, plan: SeedPlan, row: Row) -> bool:
+        """Whether a match of ``plan`` that maps its atom onto ``row`` has a
+        head outside the constraint's right-hand side.
+
+        The remaining atoms join against ``facts``.  Only the positions in
+        ``plan.reads`` of ``row`` are read, so every row that agrees with
+        ``row`` on them gets the same verdict against the same facts.
+        """
+        values = seed_matches(plan, row)
+        if values is None:
+            return False
+        if plan.atoms:
+            return join_escapes_rhs(facts, plan, values)
+        return plan.head is None or plan.head(values) not in plan.rhs
 
 
 #: One trail frame: ``(relation, row, actually_added, newly_violated_ids)``.

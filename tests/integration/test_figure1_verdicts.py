@@ -11,15 +11,20 @@ viable)`` alone takes about 94 s on SAT (its encoding grounds the tableau row
 over every column; ROADMAP item 1) and about 56 s on parallel (each shard
 returns its whole chunk; ROADMAP item 4), against about a second on the two
 engines below.
+
+The last test pins the early checks of the propagating search on Example 2.2
+against the push-only reference checker of ``tests/search/checker_oracles.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import Database
+from repro import Database, is_relatively_complete
 from repro.completeness.models import CompletenessModel
+from repro.search.registry import use_checker
 from repro.workloads.patients import build_patient_scenario
+from tests.search.checker_oracles import PushOnlyChecker
 
 #: The verdicts Examples 2.2 and 2.3 state, by (query, model).
 PAPER_VERDICTS = {
@@ -66,3 +71,28 @@ def test_figure1_verdict(scenario, engine, query_name, model):
     )
     assert bool(decision) is VERDICTS[(query_name, model)]
     assert decision.engine_used == engine
+
+
+def test_example_2_2_checks_the_tableau_row_before_it_completes(scenario):
+    # The FD NHS → name reads only (NHS, name) of the tableau row
+    # MVisit(?n, ?na, 'LON', ?y), so the search judges the row once ?n and
+    # ?na are ground instead of running ?y through its pool for every pair
+    # that already fails.  The push-only reference visits 27,355 nodes.
+    query = scenario.queries()["Q3"]
+    database = Database(scenario.figure1, scenario.master, scenario.constraints)
+    decision = database.complete(query, CompletenessModel.VIABLE, engine="propagating")
+    with use_checker(PushOnlyChecker(scenario.master, scenario.constraints)):
+        reference = is_relatively_complete(
+            scenario.figure1,
+            query,
+            scenario.master,
+            scenario.constraints,
+            CompletenessModel.VIABLE,
+            adom=database.adom(query),
+            engine="propagating",
+        )
+    assert bool(decision) is False
+    assert bool(reference) is False
+    assert decision.stats.searches == reference.stats.searches
+    assert decision.stats.worlds == reference.stats.worlds
+    assert decision.stats.nodes * 5 <= reference.stats.nodes

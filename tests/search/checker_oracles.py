@@ -18,12 +18,19 @@ Both subclass :class:`ConstraintChecker` and override only its per-push hook
 trail, violation bookkeeping and fact store: a verdict that differs can only
 come from the evaluation strategy.
 
+:class:`PushOnlyChecker` keeps the library's evaluation but overrides the plan
+hook ``seed_plans`` so that every plan reads the whole row: a
+:class:`~repro.search.engine.WorldSearch` under it checks a row only once the
+row is complete and pushed, with no early check — the reference the
+early-check suites compare the library's search with.
+
 :func:`check` evaluates a whole fact store statelessly, from scratch — the
 ground truth the incremental verdicts are compared with.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import AbstractSet, Mapping, Sequence
 
 from repro.constraints.containment import ContainmentConstraint
@@ -37,7 +44,7 @@ from repro.queries.evaluation import (
 from repro.relational.indexing import IndexedFactStore
 from repro.relational.instance import Row
 from repro.relational.master import MasterData
-from repro.search.propagation import ConstraintChecker
+from repro.search.propagation import ConstraintChecker, SeededPlans
 
 Facts = Mapping[str, AbstractSet[Row]]
 
@@ -127,6 +134,30 @@ def _delta_escapes(
             if instantiate_head(query.head, assignment) not in rhs:
                 return True
     return False
+
+
+class PushOnlyChecker(ConstraintChecker):
+    """The library checker with every plan reading every row position.
+
+    The search schedules an early check of a row only at a depth where the
+    positions the plan reads are ground before the row completes, so under
+    this checker it schedules none; pushes evaluate exactly as the library's.
+    """
+
+    def __init__(
+        self, master: MasterData, constraints: Sequence[ContainmentConstraint]
+    ) -> None:
+        super().__init__(master, constraints)
+        self._whole_rows: dict[str, SeededPlans] = {}
+
+    def seed_plans(self, relation: str) -> SeededPlans:
+        plans = self._whole_rows.get(relation)
+        if plans is None:
+            plans = self._whole_rows[relation] = tuple(
+                (index, tuple(replace(plan, reads=tuple(range(plan.arity))) for plan in seeded))
+                for index, seeded in super().seed_plans(relation)
+            )
+        return plans
 
 
 #: Every checker the differential suites run in lockstep, by label: the

@@ -112,24 +112,24 @@ class TestFactIndex:
         index.add(("a", "t1", "b"))
         index.add(("a", "t2", "b"))
         assert index.group(("a",)) == {("b",): 2}
-        assert index.entries == 1
+        assert index.buckets == {("a",): {("b",): 2}}
         index.discard(("a", "t1", "b"))
         assert index.group(("a",)) == {("b",): 1}
         index.discard(("a", "t2", "b"))
         assert index.group(("a",)) == {}
-        assert index.entries == 0
         assert not index.buckets  # empty buckets are garbage-collected
 
     def test_group_of_unknown_key_is_empty(self):
         index = FactIndex((0,), (1,), rows=[("a", "b")])
         assert index.group(("zzz",)) == {}
 
-    def test_estimate_is_mean_distinct_out_tuples_per_bucket(self):
+    def test_emptied_key_is_dropped_and_others_kept(self):
         index = FactIndex((0,), (1,))
         for row in [("a", 1), ("a", 2), ("a", 3), ("b", 1)]:
             index.add(row)
-        assert index.estimate() == pytest.approx(2.0)  # 4 entries / 2 buckets
-        assert FactIndex((0,), (1,)).estimate() == 0.0
+        for row in [("a", 1), ("a", 2), ("a", 3)]:
+            index.discard(row)
+        assert index.buckets == {("b",): {(1,): 1}}
 
     def test_incremental_maintenance_matches_rebuild(self):
         rows = [("a", i % 3, f"t{i}") for i in range(9)] + [("b", 0, "u")]
@@ -140,7 +140,6 @@ class TestFactIndex:
             incremental.discard(row)
         rebuilt = FactIndex((0, 1), (2,), rows=[r for r in rows if r not in rows[::2]])
         assert incremental.buckets == rebuilt.buckets
-        assert incremental.entries == rebuilt.entries
 
 
 class TestIndexedFactStore:
@@ -189,7 +188,7 @@ class TestIndexedFactStore:
         index = store.index("R", ((0,), (1,)))
         store.discard_row("R", ("ghost", 1))
         store.discard_row("T", ("ghost", 1))
-        assert index.entries == 0
+        assert not index.buckets
 
 
 class TestInstanceIndex:
