@@ -7,7 +7,10 @@ randomly parameterised workloads, in two campaign families:
 * **static** — a generated c-instance is run through every engine via
   :func:`harness.assert_engine_parity` (world sets, multisets,
   ``(valuation, world)`` pairs, counts, existence, parallel-vs-serial order
-  identity), plus a periodic :func:`harness.assert_workers_independent`
+  identity) and :func:`harness.assert_rooted_parity` (its ground rows split
+  off as an instance ``I``, every engine's run of a search template over
+  the other rows rooted at ``I`` must equal that engine over the whole
+  instance), plus a periodic :func:`harness.assert_workers_independent`
   sweep over worker counts and shard orders;
 * **stream** — a random ground add/drop script is applied step-by-step via
   :meth:`repro.api.Database.update` and checked against a
@@ -49,6 +52,7 @@ sys.path.insert(0, str(REPO_ROOT / "tests" / "search"))
 
 from harness import (  # noqa: E402  (path set up above)
     assert_engine_parity,
+    assert_rooted_parity,
     assert_update_stream_parity,
     assert_workers_independent,
 )
@@ -77,6 +81,7 @@ def run_static_case(seed: int) -> str:
     )
     workload = registry_workload(**params)
     assert_engine_parity(workload.cinstance, workload.master, workload.constraints)
+    assert_rooted_parity(workload.cinstance, workload.master, workload.constraints)
     if seed % 7 == 0:
         # Periodically also sweep worker counts and shard orders through the
         # forced process-pool path (expensive: forks real processes).

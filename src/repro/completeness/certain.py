@@ -17,7 +17,7 @@ intersections are exact under that restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.constraints.containment import ContainmentConstraint
 from repro.ctables.adom import ActiveDomain
@@ -28,6 +28,10 @@ from repro.queries.evaluation import Query, evaluate, is_monotone
 from repro.relational.instance import GroundInstance, Row
 from repro.relational.master import MasterData
 from repro.search.registry import EngineConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (repro.completeness.extensions
+    # imports back into this package through repro.reductions)
+    from repro.completeness.extensions import SingleTupleExtensions
 
 
 @dataclass(frozen=True)
@@ -80,12 +84,7 @@ def certain_answer_over_models(
 def _world_contribution(
     world: GroundInstance,
     query: Query,
-    master: MasterData,
-    constraints: Sequence[ContainmentConstraint],
-    adom: ActiveDomain,
-    limit: int | None,
-    engine: EngineConfig | str | None = None,
-    workers: int | None = None,
+    extensions: SingleTupleExtensions,
 ) -> tuple[frozenset[Row] | None, bool]:
     """``⋂_{I' ∈ Ext(I)} Q(I')`` for one possible world ``I`` (monotone ``Q``).
 
@@ -98,29 +97,17 @@ def _world_contribution(
     * if some valid extension leaves the answer unchanged ("unhelpful"
       extension), the intersection is exactly ``Q(I)``.
 
-    The extension sweep is routed through
-    :func:`~repro.completeness.extensions.single_tuple_extensions` with
-    ``fresh_first=True``: an all-fresh tuple is very often such an unhelpful
-    valid extension, and now that pool ordering is a pluggable engine hint
+    ``extensions`` is the caller's fresh-first
+    :class:`~repro.completeness.extensions.SingleTupleExtensions`: an
+    all-fresh tuple is very often such an unhelpful valid extension, and
     the sweep shares the engine-routed (and engine-selectable) extension
     search instead of a private candidate scan.  The short-circuits make the
     result order-independent, so any engine yields the same contribution.
     """
-    from repro.completeness.extensions import single_tuple_extensions
-
     base = evaluate(query, world)
     contribution: frozenset[Row] | None = None
     found_extension = False
-    for extended in single_tuple_extensions(
-        world,
-        master,
-        constraints,
-        adom,
-        limit=limit,
-        engine=engine,
-        workers=workers,
-        fresh_first=True,
-    ):
+    for extended in extensions.over(world):
         found_extension = True
         extended_answer = evaluate(query, extended)
         if extended_answer == base:
@@ -167,15 +154,19 @@ def certain_answer_over_extensions(
             "the certain answer over extensions is only computed for monotone "
             "queries (CQ, UCQ, ∃FO+, FP); weak-model analysis of FO is undecidable"
         )
+    from repro.completeness.extensions import SingleTupleExtensions
+
     if adom is None:
         adom = default_active_domain(cinstance, master, constraints, query)
+    extensions = SingleTupleExtensions(
+        cinstance.schema, master, constraints, adom, limit=limit,
+        engine=engine, workers=workers, fresh_first=True,
+    )
     answer: frozenset[Row] | None = None
     saw_world = False
     for world in models(cinstance, master, constraints, adom, engine=engine, workers=workers):
         saw_world = True
-        contribution, has_extensions = _world_contribution(
-            world, query, master, constraints, adom, limit, engine, workers
-        )
+        contribution, has_extensions = _world_contribution(world, query, extensions)
         if not has_extensions:
             continue
         answer = contribution if answer is None else answer & contribution

@@ -25,6 +25,14 @@ original scan walked, the SAT and parallel engines apply their own
 machinery, and the naive engine reproduces the original scan as the
 reference the parity harness compares against.
 
+The deciders test many ground instances (every world of ``Mod_Adom(T)``)
+against the same adjoined rows over one Adom, so the searches are built
+once per decider call: :class:`TableauExtensions` and
+:class:`SingleTupleExtensions` hold one
+:class:`~repro.search.registry.SearchTemplate` per tableau or relation, and
+their ``over(I)`` roots it at each instance.  The one-shot functions below
+build one and use it once.
+
 :func:`candidate_rows` survives as a thin cross product over
 :func:`candidate_pools`, the *pool provider* the engine routing and the
 remaining direct consumers (the certain-answer short-circuit sweep, the RCQP
@@ -51,11 +59,12 @@ from repro.queries.terms import Variable, is_variable
 from repro.relational.domains import Constant
 from repro.relational.instance import GroundInstance, Row
 from repro.relational.master import MasterData
-from repro.relational.schema import RelationSchema
+from repro.relational.schema import DatabaseSchema, RelationSchema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle
     # through repro.reductions.implication, which consumes candidate_rows)
-    from repro.search.registry import EngineConfig
+    from repro.search.propagation import ConstraintChecker
+    from repro.search.registry import EngineConfig, SearchTemplate
 
 
 # reprolint: disable=R004 -- world-level predicate (one instance against V),
@@ -130,6 +139,100 @@ def _extension_variables(name: str, relation: RelationSchema) -> tuple[Variable,
     )
 
 
+class SingleTupleExtensions:
+    """The single-tuple extension searches of one schema over one Adom.
+
+    Built once per decider call and rooted at each instance by
+    :meth:`over`; the parameters are those of
+    :func:`single_tuple_extensions`, whose semantics :meth:`over` has.  The
+    search template of a relation is built on its first engine-routed
+    search and shared by every later instance.
+    """
+
+    def __init__(
+        self,
+        schema: DatabaseSchema,
+        master: MasterData,
+        constraints: Sequence[ContainmentConstraint],
+        adom: ActiveDomain,
+        relations: Sequence[str] | None = None,
+        limit: int | None = None,
+        engine: EngineConfig | str | None = None,
+        workers: int | None = None,
+        fresh_first: bool = False,
+    ) -> None:
+        from repro.search.registry import EngineConfig as _EngineConfig
+
+        self._schema = schema
+        self._master = master
+        self._constraints = constraints
+        self._adom = adom
+        self._limit = limit
+        self._workers = workers
+        self._engine: EngineConfig | str | None = engine
+        self._scan_only = False
+        if fresh_first:
+            config = _EngineConfig.coerce(engine)
+            if config.spec().capabilities.pool_order_hints:
+                self._engine = _EngineConfig(
+                    config.name,
+                    config.workers,
+                    {**dict(config.options), "pool_order": "fresh_first"},
+                )
+            else:
+                self._scan_only = True
+        names = relations if relations is not None else schema.relation_names
+        self._pools = {
+            name: candidate_pools(schema[name], adom, fresh_first) for name in names
+        }
+        self._templates: dict[str, tuple[tuple[Variable, ...], SearchTemplate]] = {}
+
+    def _template(self, name: str) -> tuple[tuple[Variable, ...], SearchTemplate]:
+        from repro.ctables.possible_worlds import search_template
+
+        entry = self._templates.get(name)
+        if entry is None:
+            variables = _extension_variables(name, self._schema[name])
+            template = search_template(
+                CInstance(self._schema).with_row(name, variables),
+                self._master, self._constraints, self._adom,
+                engine=self._engine, workers=self._workers,
+            )
+            entry = self._templates[name] = (variables, template)
+        return entry
+
+    def over(self, instance: GroundInstance) -> Iterator[GroundInstance]:
+        """Partially closed extensions of ``instance`` by one Adom tuple."""
+        limit = self._limit
+        inspected = 0
+        for name, pools in self._pools.items():
+            universe = math.prod(len(pool) for pool in pools)
+            existing = instance.relation(name).rows
+            if (limit is not None and inspected + universe > limit) or self._scan_only:
+                # Direct scan: either the budget cannot cover this relation's
+                # universe (inspect candidates one at a time so a witness early
+                # in pool order is still found, and the bound trips exactly
+                # where it used to), or a fresh-first sweep was requested and
+                # the selected engine cannot honour the pool-order hint.
+                for row in itertools.product(*pools):
+                    inspected += 1
+                    if limit is not None and inspected > limit:
+                        raise _budget_exceeded(limit, "single-tuple extension")
+                    if row in existing:
+                        continue
+                    extended = instance.with_tuple(name, row)
+                    if satisfies_all(extended, self._master, self._constraints):
+                        yield extended
+                continue
+            inspected += universe
+            variables, template = self._template(name)
+            for valuation, _world in template.over(instance).search():
+                row = tuple(valuation[variable] for variable in variables)
+                if row in existing:
+                    continue
+                yield instance.with_tuple(name, row)
+
+
 def single_tuple_extensions(
     instance: GroundInstance,
     master: MasterData,
@@ -147,7 +250,8 @@ def single_tuple_extensions(
     the search runs over ``I`` adjoined with one all-variable row, whose
     satisfying valuations are exactly the addable tuples (valuations that
     ground the row onto an existing tuple reproduce ``I`` itself and are
-    filtered out — extensions are strict).
+    filtered out — extensions are strict).  Callers that extend many
+    instances over one Adom build one :class:`SingleTupleExtensions` instead.
 
     Parameters
     ----------
@@ -178,60 +282,10 @@ def single_tuple_extensions(
         candidate scan instead — the extension *set* is identical on every
         path, only the discovery order differs.
     """
-    from repro.ctables.possible_worlds import models_with_valuations
-    from repro.search.registry import EngineConfig as _EngineConfig
-
-    engine_selection: EngineConfig | str | None = engine
-    engine_honours_order = True
-    if fresh_first:
-        config = _EngineConfig.coerce(engine)
-        engine_honours_order = config.spec().capabilities.pool_order_hints
-        if engine_honours_order:
-            engine_selection = _EngineConfig(
-                config.name,
-                config.workers,
-                {**dict(config.options), "pool_order": "fresh_first"},
-            )
-
-    names = list(relations) if relations is not None else list(
-        instance.schema.relation_names
-    )
-    base = CInstance.from_ground_instance(instance)
-    inspected = 0
-    for name in names:
-        rel_schema = instance.schema[name]
-        pools = candidate_pools(rel_schema, adom, fresh_first=fresh_first)
-        universe = math.prod(len(pool) for pool in pools)
-        existing = instance.relation(name).rows
-        if (limit is not None and inspected + universe > limit) or (
-            fresh_first and not engine_honours_order
-        ):
-            # Direct scan: either the budget cannot cover this relation's
-            # universe (inspect candidates one at a time so a witness early
-            # in pool order is still found, and the bound trips exactly
-            # where it used to), or a fresh-first sweep was requested and
-            # the selected engine cannot honour the pool-order hint.
-            for row in itertools.product(*pools):
-                inspected += 1
-                if limit is not None and inspected > limit:
-                    raise _budget_exceeded(limit, "single-tuple extension")
-                if row in existing:
-                    continue
-                extended = instance.with_tuple(name, row)
-                if satisfies_all(extended, master, constraints):
-                    yield extended
-            continue
-        inspected += universe
-        variables = _extension_variables(name, rel_schema)
-        augmented = base.with_row(name, variables)
-        for valuation, _world in models_with_valuations(
-            augmented, master, constraints, adom,
-            engine=engine_selection, workers=workers,
-        ):
-            row = tuple(valuation[variable] for variable in variables)
-            if row in existing:
-                continue
-            yield instance.with_tuple(name, row)
+    yield from SingleTupleExtensions(
+        instance.schema, master, constraints, adom, relations=relations,
+        limit=limit, engine=engine, workers=workers, fresh_first=fresh_first,
+    ).over(instance)
 
 
 # reprolint: disable=R004 -- boolean existence probe consumed by
@@ -254,15 +308,19 @@ def has_partially_closed_extension(
     The unbudgeted probe runs with ``has_model``-style fresh-value symmetry
     breaking: per relation, the search over ``I`` adjoined with one
     all-variable row enumerates one valuation per orbit of the fresh-value
-    permutation group (``break_symmetry=True``).  This is sound for the
+    permutation group (``break_symmetry=True``).  ``I`` may mention fresh
+    Adom values (a possible world of a c-instance does, wherever a variable
+    took one); those values are distinguished, like every constant of
+    ``I``, and left out of the ranks, so only the fresh values that nothing
+    in the input mentions are permuted.  This is sound for the
     strict-extension filter because the acceptance predicate — "the adjoined
     row differs from every existing tuple of ``I``" — is invariant under
-    permutations of the unmentioned fresh Adom values: ``I`` is ground and
-    mentions no fresh value, so permuting fresh values maps strict-extension
-    witnesses to strict-extension witnesses within the same orbit.  A
-    relation with no existing tuples cannot produce a duplicate at all, so
-    there the probe collapses to a plain existence check and engines may
-    additionally cancel in-flight work at the first world.
+    permutations of those values: they occur in no tuple of ``I``, so
+    permuting them maps strict-extension witnesses to strict-extension
+    witnesses within the same orbit.  A relation with no existing tuples
+    cannot produce a duplicate at all, so there the probe collapses to a
+    plain existence check and engines may additionally cancel in-flight
+    work at the first world.
 
     A ``limit`` budget keeps the historical per-candidate accounting (and
     its :class:`BoundExceededError` trip point), which is incompatible with
@@ -276,25 +334,21 @@ def has_partially_closed_extension(
             return True
         return False
 
-    from repro.ctables.possible_worlds import has_model, models_with_valuations
+    from repro.ctables.possible_worlds import search_template
 
-    base = CInstance.from_ground_instance(instance)
-    for name in instance.schema.relation_names:
-        rel_schema = instance.schema[name]
+    schema = instance.schema
+    for name in schema.relation_names:
         existing = instance.relation(name).rows
-        variables = _extension_variables(name, rel_schema)
-        augmented = base.with_row(name, variables)
+        variables = _extension_variables(name, schema[name])
+        run = search_template(
+            CInstance(schema).with_row(name, variables), master, constraints, adom,
+            engine=engine, workers=workers, break_symmetry=True,
+        ).over(instance)
         if not existing:
-            if has_model(
-                augmented, master, constraints, adom,
-                engine=engine, workers=workers,
-            ):
+            if run.has_world():
                 return True
             continue
-        for valuation, _world in models_with_valuations(
-            augmented, master, constraints, adom,
-            engine=engine, workers=workers, break_symmetry=True,
-        ):
+        for valuation, _world in run.search():
             if tuple(valuation[variable] for variable in variables) not in existing:
                 return True
     return False
@@ -303,7 +357,7 @@ def has_partially_closed_extension(
 def _tableau_pools(
     query: ConjunctiveQuery,
     adom: ActiveDomain,
-    instance: GroundInstance | None,
+    schema: DatabaseSchema | None,
 ) -> tuple[list[Variable], list[list[Constant]]]:
     """The (sorted) query variables and their candidate pools over ``Adom``.
 
@@ -314,8 +368,7 @@ def _tableau_pools(
     """
     variables = sorted(query.variables(), key=lambda v: v.name)
     restrictions: dict[Variable, list[Constant]] = {}
-    if instance is not None:
-        schema = instance.schema
+    if schema is not None:
         for atom in query.atoms:
             if atom.relation not in schema:
                 continue
@@ -343,11 +396,116 @@ def tableau_valuations(
     in finite-domain attribute positions are restricted to those domains when
     the relation is part of the instance schema.
     """
-    variables, pools = _tableau_pools(query, adom, instance)
+    variables, pools = _tableau_pools(
+        query, adom, instance.schema if instance is not None else None
+    )
     for combo in itertools.product(*pools):
         valuation = dict(zip(variables, combo))
         if all(c.evaluate(valuation) for c in query.comparisons):
             yield valuation
+
+
+class TableauExtensions:
+    """The tableau-extension search of one CQ over one Adom.
+
+    Built once per decider call and rooted at each instance by
+    :meth:`over`, whose semantics are those of :func:`tableau_extensions`.
+    The engine search over the tableau's rows is compiled here, once, as a
+    :class:`~repro.search.registry.SearchTemplate`; a ``limit`` the
+    valuation universe exceeds, and a tableau without atoms, keep the
+    direct scans.  ``checker`` is handed to the engine (the ground check
+    shares its own).
+    """
+
+    def __init__(
+        self,
+        query: ConjunctiveQuery,
+        schema: DatabaseSchema,
+        master: MasterData,
+        constraints: Sequence[ContainmentConstraint],
+        adom: ActiveDomain,
+        limit: int | None = None,
+        engine: EngineConfig | str | None = None,
+        workers: int | None = None,
+        checker: ConstraintChecker | None = None,
+    ) -> None:
+        from repro.ctables.possible_worlds import search_template
+
+        self._query = query
+        self._master = master
+        self._constraints = constraints
+        self._adom = adom
+        variables, pools = _tableau_pools(query, adom, schema)
+        self._limit = (
+            limit
+            if limit is not None and math.prod(len(pool) for pool in pools) > limit
+            else None
+        )
+        row_variables: set[Variable] = set()
+        for atom in query.atoms:
+            row_variables |= atom.variables()
+        # Query variables bound only through equality atoms occur in no
+        # tableau row: they are enumerated directly over their pools.
+        self._free = [
+            (variable, pool)
+            for variable, pool in zip(variables, pools)
+            if variable not in row_variables
+        ]
+        self._template: SearchTemplate | None = None
+        if self._limit is None and query.atoms:
+            tableau = CInstance(schema)
+            for atom in query.atoms:
+                tableau = tableau.with_row(atom.relation, atom.terms)
+            self._template = search_template(
+                tableau, master, constraints, adom,
+                engine=engine, workers=workers, checker=checker,
+            )
+
+    def _merged_valuations(
+        self, engine_valuation: Mapping[Variable, Constant]
+    ) -> Iterator[dict[Variable, Constant]]:
+        if not self._free:
+            yield dict(engine_valuation)
+            return
+        free = self._free
+        for combo in itertools.product(*(pool for _variable, pool in free)):
+            merged = dict(engine_valuation)
+            merged.update(zip((variable for variable, _pool in free), combo))
+            yield merged
+
+    def over(
+        self, instance: GroundInstance
+    ) -> Iterator[tuple[dict[Variable, Constant], GroundInstance]]:
+        """Partially closed extensions ``instance ∪ ν(T_Q)``, with ``ν``."""
+        from repro.queries.tableau import freeze
+
+        query, master, constraints = self._query, self._master, self._constraints
+        comparisons = query.comparisons
+        if self._limit is not None:
+            limit = self._limit
+            inspected = 0
+            for valuation in tableau_valuations(query, self._adom, instance):
+                inspected += 1
+                if inspected > limit:
+                    raise _budget_exceeded(limit, "tableau extension")
+                extended = instance.with_tuples(freeze(query.atoms, valuation))
+                if satisfies_all(extended, master, constraints):
+                    yield valuation, extended
+            return
+        if self._template is None:
+            # No tableau rows: the "extension" is I itself, kept iff partially
+            # closed; every comparison-satisfying valuation is a witness.
+            if not satisfies_all(instance, master, constraints):
+                return
+            for valuation in self._merged_valuations({}):
+                if all(c.evaluate(valuation) for c in comparisons):
+                    yield valuation, instance
+            return
+        for engine_valuation, _world in self._template.over(instance).search():
+            for valuation in self._merged_valuations(engine_valuation):
+                if not all(c.evaluate(valuation) for c in comparisons):
+                    continue
+                yield valuation, instance.with_tuples(freeze(query.atoms, valuation))
 
 
 def tableau_extensions(
@@ -373,7 +531,9 @@ def tableau_extensions(
     cross-product point.  Query variables bound only through equality atoms
     (they occur in no tableau row) are enumerated directly over their pools,
     and the query's comparison atoms are applied to the merged valuation —
-    exactly the :func:`tableau_valuations` semantics.
+    exactly the :func:`tableau_valuations` semantics.  Callers that extend
+    many instances by one tableau over one Adom build one
+    :class:`TableauExtensions` instead.
 
     ``limit`` caps the number of candidate valuations inspected.  When the
     valuation universe fits the budget the engine search runs (and the whole
@@ -381,62 +541,10 @@ def tableau_extensions(
     witnesses early in enumeration order are still produced before the bound
     trips, exactly as before the engine routing.
     """
-    from repro.ctables.possible_worlds import models_with_valuations
-    from repro.queries.tableau import freeze
-
-    variables, pools = _tableau_pools(query, adom, instance)
-    if limit is not None and math.prod(len(pool) for pool in pools) > limit:
-        inspected = 0
-        for valuation in tableau_valuations(query, adom, instance):
-            inspected += 1
-            if inspected > limit:
-                raise _budget_exceeded(limit, "tableau extension")
-            additions = freeze(query.atoms, valuation)
-            extended = instance.with_tuples(additions)
-            if satisfies_all(extended, master, constraints):
-                yield valuation, extended
-        return
-    row_variables: set[Variable] = set()
-    for atom in query.atoms:
-        row_variables |= atom.variables()
-    free = [
-        (variable, pool)
-        for variable, pool in zip(variables, pools)
-        if variable not in row_variables
-    ]
-
-    def merged_valuations(
-        engine_valuation: Mapping[Variable, Constant],
-    ) -> Iterator[dict[Variable, Constant]]:
-        if not free:
-            yield dict(engine_valuation)
-            return
-        for combo in itertools.product(*(pool for _variable, pool in free)):
-            merged = dict(engine_valuation)
-            merged.update(zip((variable for variable, _pool in free), combo))
-            yield merged
-
-    if not query.atoms:
-        # No tableau rows: the "extension" is I itself, kept iff partially
-        # closed; every comparison-satisfying valuation is a witness.
-        if not satisfies_all(instance, master, constraints):
-            return
-        for valuation in merged_valuations({}):
-            if all(c.evaluate(valuation) for c in query.comparisons):
-                yield valuation, instance
-        return
-
-    augmented = CInstance.from_ground_instance(instance)
-    for atom in query.atoms:
-        augmented = augmented.with_row(atom.relation, atom.terms)
-    for engine_valuation, _world in models_with_valuations(
-        augmented, master, constraints, adom, engine=engine, workers=workers
-    ):
-        for valuation in merged_valuations(engine_valuation):
-            if not all(c.evaluate(valuation) for c in query.comparisons):
-                continue
-            extended = instance.with_tuples(freeze(query.atoms, valuation))
-            yield valuation, extended
+    yield from TableauExtensions(
+        query, instance.schema, master, constraints, adom,
+        limit=limit, engine=engine, workers=workers,
+    ).over(instance)
 
 
 def bounded_extensions(
@@ -461,15 +569,16 @@ def bounded_extensions(
     yielded) once, and a budget equal to the number of distinct extensions
     completes normally instead of tripping on a trailing duplicate.
     """
+    extensions = SingleTupleExtensions(
+        instance.schema, master, constraints, adom, engine=engine, workers=workers
+    )
     frontier: list[GroundInstance] = [instance]
     seen: set[GroundInstance] = {instance}
     produced = 0
     for _ in range(max_new_tuples):
         next_frontier: list[GroundInstance] = []
         for current in frontier:
-            for extended in single_tuple_extensions(
-                current, master, constraints, adom, engine=engine, workers=workers
-            ):
+            for extended in extensions.over(current):
                 if extended in seen:
                     continue
                 produced += 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.completeness.extensions import bounded_extensions, tableau_extensions
+from repro.completeness.extensions import TableauExtensions, bounded_extensions
 from repro.constraints.containment import (
     ContainmentConstraint,
     constraint_set_constants,
@@ -39,6 +39,7 @@ from repro.queries.evaluation import (
 )
 from repro.relational.instance import GroundInstance, Row
 from repro.relational.master import MasterData
+from repro.relational.schema import DatabaseSchema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle
     # through repro.reductions.implication, which consumes this module)
@@ -90,6 +91,78 @@ def ground_active_domain(
     )
 
 
+class GroundCompletenessCheck:
+    """The Lemma 4.2/4.3 test of ground instances for one query over one Adom.
+
+    The strong, viable and MINP deciders test every world of
+    ``Mod_Adom(T)`` (and MINP its subinstances) against the same query
+    tableaux over the same Adom, so they build one check per call: one
+    :class:`~repro.completeness.extensions.TableauExtensions` per disjunct,
+    rooted at each instance by :meth:`witness`.  Partial closure of the
+    instance is checked on the checker the searches share: the ambient one
+    of :func:`~repro.search.registry.use_checker`, else one built here.
+
+    Raises
+    ------
+    QueryError
+        If the query is not in a positive language (CQ, UCQ, ∃FO⁺); use
+        :func:`is_ground_complete_bounded` for FO/FP.
+    """
+
+    def __init__(
+        self,
+        query: Query,
+        schema: DatabaseSchema,
+        master: MasterData,
+        constraints: Sequence[ContainmentConstraint],
+        adom: ActiveDomain,
+        limit: int | None = None,
+        engine: EngineConfig | str | None = None,
+        workers: int | None = None,
+    ) -> None:
+        from repro.search.propagation import ConstraintChecker
+        from repro.search.registry import ambient_checker
+
+        if not supports_exact_strong_check(query):
+            raise QueryError(
+                "exact ground completeness requires CQ/UCQ/∃FO+; got "
+                f"{classify(query).value} — use is_ground_complete_bounded instead"
+            )
+        self._query = query
+        self._checker = ambient_checker() or ConstraintChecker(master, constraints)
+        self._extensions = [
+            TableauExtensions(
+                disjunct, schema, master, constraints, adom, limit=limit,
+                engine=engine, workers=workers, checker=self._checker,
+            )
+            for disjunct in as_union_of_cqs(query).disjuncts
+        ]
+
+    def witness(self, instance: GroundInstance) -> IncompletenessWitness | None:
+        """An extension of ``instance`` changing the answer; ``None`` when
+        the instance is complete.
+
+        Raises :class:`CompletenessError` when the instance is not
+        partially closed.
+        """
+        if not self._checker.satisfied_by(instance):
+            raise CompletenessError(
+                "the instance is not partially closed relative to (Dm, V)"
+            )
+        query = self._query
+        base_answer = evaluate(query, instance)
+        for extensions in self._extensions:
+            for _valuation, extended in extensions.over(instance):
+                extended_answer = evaluate(query, extended)
+                if extended_answer != base_answer:
+                    return IncompletenessWitness(
+                        instance=instance,
+                        extension=extended,
+                        new_answers=frozenset(extended_answer - base_answer),
+                    )
+        return None
+
+
 def find_ground_incompleteness_witness(
     instance: GroundInstance,
     query: Query,
@@ -107,7 +180,8 @@ def find_ground_incompleteness_witness(
     need to be considered.  Returns ``None`` when the instance is complete.
     The tableau-extension search is engine-routed
     (:func:`~repro.completeness.extensions.tableau_extensions`);
-    ``engine``/``workers`` select the world-search engine.
+    ``engine``/``workers`` select the world-search engine.  Callers testing
+    many instances over one Adom build one :class:`GroundCompletenessCheck`.
 
     Raises
     ------
@@ -117,32 +191,12 @@ def find_ground_incompleteness_witness(
     CompletenessError
         If the instance is not partially closed to begin with.
     """
-    if not supports_exact_strong_check(query):
-        raise QueryError(
-            "exact ground completeness requires CQ/UCQ/∃FO+; got "
-            f"{classify(query).value} — use is_ground_complete_bounded instead"
-        )
-    if not satisfies_all(instance, master, constraints):
-        raise CompletenessError(
-            "the instance is not partially closed relative to (Dm, V)"
-        )
     if adom is None:
         adom = ground_active_domain(instance, query, master, constraints)
-    base_answer = evaluate(query, instance)
-    unfolded = as_union_of_cqs(query)
-    for disjunct in unfolded.disjuncts:
-        for _valuation, extended in tableau_extensions(
-            instance, disjunct, master, constraints, adom, limit=limit,
-            engine=engine, workers=workers,
-        ):
-            extended_answer = evaluate(query, extended)
-            if extended_answer != base_answer:
-                return IncompletenessWitness(
-                    instance=instance,
-                    extension=extended,
-                    new_answers=frozenset(extended_answer - base_answer),
-                )
-    return None
+    return GroundCompletenessCheck(
+        query, instance.schema, master, constraints, adom,
+        limit=limit, engine=engine, workers=workers,
+    ).witness(instance)
 
 
 def is_ground_complete(

@@ -22,9 +22,13 @@ The notion of minimality depends on the model (Section 2.2):
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.completeness.ground import is_ground_complete
+from repro.completeness.ground import (
+    GroundCompletenessCheck,
+    IncompletenessWitness,
+    find_ground_incompleteness_witness,
+)
 from repro.completeness.models import CompletenessModel
 from repro.completeness.weak import is_weakly_complete
 from repro.constraints.containment import ContainmentConstraint
@@ -43,6 +47,24 @@ from repro.search.registry import EngineConfig
 # ---------------------------------------------------------------------------
 # ground instances (strong/viable notion, Lemma 4.7)
 # ---------------------------------------------------------------------------
+def _minimality(
+    instance: GroundInstance,
+    witness_of: Callable[[GroundInstance], IncompletenessWitness | None],
+) -> tuple[bool, object]:
+    """Lemma 4.7 with ``witness_of`` as the completeness test.
+
+    Returns the verdict and the refuting evidence: the incompleteness
+    witness of ``instance`` itself, or the smaller complete subinstance.
+    """
+    witness = witness_of(instance)
+    if witness is not None:
+        return False, witness
+    for smaller in instance.proper_subinstances():
+        if witness_of(smaller) is None:
+            return False, smaller
+    return True, None
+
+
 def is_minimal_ground_complete(
     instance: GroundInstance,
     query: Query,
@@ -65,24 +87,20 @@ def is_minimal_ground_complete(
     """
     rec = DecisionRecorder("minp", engine)
     with rec:
-        complete = is_ground_complete(
-            instance, query, master, constraints, adom=adom, limit=limit,
-            engine=engine, workers=workers,
-        )
-        if not complete:
-            return_witness: object = complete.witness
-            holds = False
+        if adom is not None:
+            witness_of = GroundCompletenessCheck(
+                query, instance.schema, master, constraints, adom,
+                limit=limit, engine=engine, workers=workers,
+            ).witness
         else:
-            holds = True
-            return_witness = None
-            for smaller in instance.proper_subinstances():
-                if is_ground_complete(
-                    smaller, query, master, constraints, adom=adom, limit=limit,
+            # Without an Adom each instance is tested over its own.
+            def witness_of(candidate: GroundInstance) -> IncompletenessWitness | None:
+                return find_ground_incompleteness_witness(
+                    candidate, query, master, constraints, limit=limit,
                     engine=engine, workers=workers,
-                ):
-                    holds = False
-                    return_witness = smaller
-                    break
+                )
+
+        holds, return_witness = _minimality(instance, witness_of)
     return rec.decision(holds, witness=return_witness)
 
 
@@ -113,16 +131,17 @@ def is_minimal_strongly_complete(
             )
         if adom is None:
             adom = default_active_domain(cinstance, master, constraints, query)
+        check = GroundCompletenessCheck(
+            query, cinstance.schema, master, constraints, adom,
+            limit=limit, engine=engine, workers=workers,
+        )
         saw_world = False
         witness: GroundInstance | None = None
         for world in models(
             cinstance, master, constraints, adom, engine=engine, workers=workers
         ):
             saw_world = True
-            if not is_minimal_ground_complete(
-                world, query, master, constraints, adom=adom, limit=limit,
-                engine=engine, workers=workers,
-            ):
+            if not _minimality(world, check.witness)[0]:
                 witness = world
                 break
         if not saw_world:
@@ -157,16 +176,17 @@ def is_minimal_viably_complete(
             )
         if adom is None:
             adom = default_active_domain(cinstance, master, constraints, query)
+        check = GroundCompletenessCheck(
+            query, cinstance.schema, master, constraints, adom,
+            limit=limit, engine=engine, workers=workers,
+        )
         saw_world = False
         witness: GroundInstance | None = None
         for world in models(
             cinstance, master, constraints, adom, engine=engine, workers=workers
         ):
             saw_world = True
-            if is_minimal_ground_complete(
-                world, query, master, constraints, adom=adom, limit=limit,
-                engine=engine, workers=workers,
-            ):
+            if _minimality(world, check.witness)[0]:
                 witness = world
                 break
         if not saw_world:

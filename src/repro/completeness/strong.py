@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.completeness.ground import (
+    GroundCompletenessCheck,
     IncompletenessWitness,
-    find_ground_incompleteness_witness,
     is_ground_complete_bounded,
 )
 from repro.completeness.models import CompletenessModel
@@ -75,13 +75,14 @@ def find_strong_incompleteness_witness(
     """
     if adom is None:
         adom = default_active_domain(cinstance, master, constraints, query)
+    check = GroundCompletenessCheck(
+        query, cinstance.schema, master, constraints, adom,
+        limit=limit, engine=engine, workers=workers,
+    )
     saw_world = False
     for world in models(cinstance, master, constraints, adom, engine=engine, workers=workers):
         saw_world = True
-        witness = find_ground_incompleteness_witness(
-            world, query, master, constraints, adom=adom, limit=limit,
-            engine=engine, workers=workers,
-        )
+        witness = check.witness(world)
         if witness is not None:
             return StrongIncompletenessWitness(world=world, ground_witness=witness)
     if not saw_world and require_consistent:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.completeness.ground import is_ground_complete, is_ground_complete_bounded
+from repro.completeness.ground import GroundCompletenessCheck, is_ground_complete_bounded
 from repro.completeness.models import CompletenessModel
 from repro.constraints.containment import ContainmentConstraint
 from repro.ctables.adom import ActiveDomain
@@ -56,13 +56,14 @@ def find_viable_witness(
     """
     if adom is None:
         adom = default_active_domain(cinstance, master, constraints, query)
+    check = GroundCompletenessCheck(
+        query, cinstance.schema, master, constraints, adom,
+        limit=limit, engine=engine, workers=workers,
+    )
     saw_world = False
     for world in models(cinstance, master, constraints, adom, engine=engine, workers=workers):
         saw_world = True
-        if is_ground_complete(
-            world, query, master, constraints, adom=adom, limit=limit,
-            engine=engine, workers=workers,
-        ):
+        if check.witness(world) is None:
             return world
     if not saw_world and require_consistent:
         raise InconsistentCInstanceError(

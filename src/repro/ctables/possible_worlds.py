@@ -66,6 +66,7 @@ from repro.search.registry import (
     DEFAULT_ENGINE,
     EngineConfig,
     EngineSpec,
+    SearchTemplate,
     WorldSearchLike,
 )
 
@@ -76,6 +77,7 @@ __all__ = [
     "model_count",
     "models",
     "models_with_valuations",
+    "search_template",
 ]
 
 
@@ -150,8 +152,6 @@ def models_with_valuations(
     engine: EngineConfig | str | None = None,
     workers: int | None = None,
     checker: "ConstraintChecker | None" = None,
-    *,
-    break_symmetry: bool = False,
 ) -> Iterator[tuple[Valuation, GroundInstance]]:
     """Enumerate ``(µ, µ(T))`` pairs with ``µ(T) ∈ Mod_Adom(T, D_m, V)``.
 
@@ -162,21 +162,9 @@ def models_with_valuations(
     checker-accepting engines — pass it explicitly for generator consumers
     (the ambient :func:`repro.search.registry.use_checker` channel must not
     be held open across generator suspension).
-
-    ``break_symmetry=True`` asks engines that support it for fresh-value
-    symmetry reduction (value precedence over the interchangeable fresh Adom
-    values): the enumeration then yields exactly one representative per
-    orbit of the fresh-value permutation group instead of the full set of
-    valuations.  That is *not* the ``Mod_Adom`` multiset — only existence
-    probes whose acceptance predicate is invariant under fresh-value
-    permutation (e.g. the strict-extension filter of
-    :func:`repro.completeness.extensions.has_partially_closed_extension`)
-    may use it.  Engines without the capability ignore the flag, which is
-    sound: they enumerate a superset of the representatives.
     """
     yield from _make_search(
-        cinstance, master, constraints, adom, engine, workers,
-        existence=break_symmetry, checker=checker,
+        cinstance, master, constraints, adom, engine, workers, checker=checker
     ).search()
 
 
@@ -226,6 +214,49 @@ def has_model(
         cinstance, master, constraints, adom, engine, workers,
         existence=True, checker=checker,
     ).has_world()
+
+
+def search_template(
+    cinstance: CInstance,
+    master: MasterData,
+    constraints: Sequence[ContainmentConstraint],
+    adom: ActiveDomain,
+    engine: EngineConfig | str | None = None,
+    workers: int | None = None,
+    checker: "ConstraintChecker | None" = None,
+    *,
+    break_symmetry: bool = False,
+) -> SearchTemplate:
+    """Runs over ``T ∪ I`` for one c-instance ``T`` and many ground ``I``.
+
+    ``template.over(I)`` is the selected engine's search over ``T ∪ I``
+    (drain it with ``search()``, ``worlds()`` or ``has_world()``); see
+    :class:`~repro.search.registry.SearchTemplate`.  ``adom`` is required,
+    because the default Adom of ``T`` alone is not the Adom of ``T ∪ I``.
+
+    ``break_symmetry=True`` asks engines that support it for fresh-value
+    symmetry reduction (value precedence over the interchangeable fresh Adom
+    values): a run then yields exactly one representative per orbit of the
+    fresh-value permutation group instead of the full set of valuations.
+    That is *not* the ``Mod_Adom`` multiset — only existence probes whose
+    acceptance predicate is invariant under fresh-value permutation (e.g.
+    the strict-extension filter of
+    :func:`repro.completeness.extensions.has_partially_closed_extension`)
+    may use it.  Engines without the capability ignore the flag, which is
+    sound: they enumerate a superset of the representatives.
+    """
+    spec, workers, options = _engine_plan(engine, workers)
+    return SearchTemplate(
+        spec,
+        cinstance,
+        master,
+        constraints,
+        adom,
+        workers=workers,
+        checker=checker,
+        break_symmetry=break_symmetry and spec.capabilities.symmetry_breaking,
+        options=options,
+    )
 
 
 def model_count(

@@ -5,7 +5,9 @@ how the major subsystems plug into each other, so that type checkers (the
 ``mypy --strict`` gate) and human readers share one written contract:
 
 * :class:`WorldSearchEngine` — what a registered world-search engine
-  factory must produce (the registry's ``WorldSearchLike`` is an alias);
+  factory must produce (the registry's ``WorldSearchLike`` is an alias),
+  and :class:`RootedWorldSearchEngine`, what an engine declaring the
+  ``rooted_runs`` capability adds to it;
 * :class:`SupportsCheckerSessions` / :class:`CheckerSessionProtocol` — the
   incremental constraint-checking channel engines consume;
 * :class:`SearchSink` — the collector fed by
@@ -33,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CheckerSessionProtocol",
     "QueryProtocol",
+    "RootedWorldSearchEngine",
     "SearchSink",
     "SupportsCheckerSessions",
     "WorldSearchEngine",
@@ -68,6 +71,19 @@ class WorldSearchEngine(Protocol):
 
     def count_worlds(self) -> int:
         """The number of distinct possible worlds."""
+        ...
+
+
+@runtime_checkable
+class RootedWorldSearchEngine(WorldSearchEngine, Protocol):
+    """An engine whose runs can be rooted at a ground instance.
+
+    Declared by the ``rooted_runs`` registry capability and consumed by
+    :class:`repro.search.registry.SearchTemplate`.
+    """
+
+    def over(self, instance: GroundInstance) -> WorldSearchEngine:
+        """A run over ``T ∪ instance`` sharing this engine's compiled plan."""
         ...
 
 

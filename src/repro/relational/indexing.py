@@ -41,7 +41,9 @@ same machinery for immutable instances via
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping
 
 from repro.relational.domains import Constant
 from repro.relational.instance import GroundInstance, Row
@@ -53,15 +55,38 @@ Signature = tuple[tuple[int, ...], tuple[int, ...]]
 _EMPTY_BUCKET: Mapping[Row, int] = {}
 
 
+def _single(position: int, row: Row) -> Row:
+    return (row[position],)
+
+
+def _nothing(row: Row) -> Row:
+    return ()
+
+
+def _projector(positions: tuple[int, ...]) -> Callable[[Row], Row]:
+    """A function projecting a row onto ``positions``, always as a tuple.
+
+    ``itemgetter`` returns a tuple for two or more positions only: with one
+    it returns the bare value, and with none it cannot be built.  Every
+    projector pickles, as the indexes cached on a ground instance do.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        return partial(_single, positions[0])
+    return _nothing
+
+
 class FactIndex:
     """One hash index over one relation for one bound-position signature.
 
     ``buckets`` maps each key projection to the multiset of out projections
     of the rows sharing that key; a key whose multiset empties is dropped.
     The join sizes a bucket exactly (``len``), so no statistics are kept.
+    Both projections are compiled once, when the index is built.
     """
 
-    __slots__ = ("key_positions", "out_positions", "buckets")
+    __slots__ = ("key_positions", "out_positions", "buckets", "_key", "_out")
 
     def __init__(
         self,
@@ -71,21 +96,22 @@ class FactIndex:
     ) -> None:
         self.key_positions = key_positions
         self.out_positions = out_positions
+        self._key = _projector(key_positions)
+        self._out = _projector(out_positions)
         self.buckets: dict[Row, dict[Row, int]] = {}
         for row in rows:
             self.add(row)
 
     def add(self, row: Row) -> None:
         """Register one stored row with the index."""
-        key = tuple(row[p] for p in self.key_positions)
-        out = tuple(row[p] for p in self.out_positions)
-        bucket = self.buckets.setdefault(key, {})
+        bucket = self.buckets.setdefault(self._key(row), {})
+        out = self._out(row)
         bucket[out] = bucket.get(out, 0) + 1
 
     def discard(self, row: Row) -> None:
         """Unregister one previously :meth:`add`-ed row."""
-        key = tuple(row[p] for p in self.key_positions)
-        out = tuple(row[p] for p in self.out_positions)
+        key = self._key(row)
+        out = self._out(row)
         bucket = self.buckets[key]
         count = bucket[out] - 1
         if count:

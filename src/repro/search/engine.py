@@ -24,10 +24,15 @@ restriction (Proposition 3.3, Lemmas 4.2/5.2):
 * for pure existence checks (:meth:`WorldSearch.has_world`), the fresh
   ``New`` values of the active domain are interchangeable, so the search
   explores only one representative per permutation class of fresh values
-  (``break_symmetry=True``); and
+  (``break_symmetry=True``);
 * world enumeration deduplicates via a cheap canonical form
   (:func:`world_key`) instead of hashing full :class:`GroundInstance`
-  objects.
+  objects; and
+* the compiled plan (order, pools, completion levels, early-check schedule
+  and the rows compiled for grounding) is built once per c-instance ``T``:
+  :meth:`WorldSearch.over` roots a run at a ground instance ``I`` and is
+  equivalent to a fresh search over ``T ∪ I``, which is how the deciders
+  test every world of ``Mod_Adom(T)`` against the same adjoined rows.
 
 The engine enumerates exactly the valuations the naive path accepts (pruning
 is sound and complete for satisfying valuations), so
@@ -39,7 +44,8 @@ rows alone would produce; only ``nodes`` and the pushes fall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.constraints.containment import (
@@ -84,18 +90,41 @@ class SearchStats:
 
 
 @dataclass(frozen=True, slots=True)
+class _CompiledRow:
+    """A c-table row compiled once, with the plan, for grounding at a node.
+
+    ``template`` is the row with ``None`` for its variables; each
+    ``(position, variable)`` of ``fills`` writes the value of a variable.
+    ``condition`` is the row's condition, or ``None`` when it is ``TRUE``
+    and needs no evaluation.  A completed row fills every variable
+    position; the row of an early check fills the positions ground by the
+    check's depth, which cover every position its plans read.
+    """
+
+    relation: str
+    condition: Condition | None
+    template: tuple[Constant, ...]
+    fills: tuple[tuple[int, Variable], ...]
+
+
+def _compile_row(relation: str, row: CTableRow) -> _CompiledRow:
+    return _CompiledRow(
+        relation=relation,
+        condition=None if row.condition.is_true else row.condition,
+        template=tuple(None if isinstance(t, Variable) else t for t in row.terms),
+        fills=tuple((p, t) for p, t in enumerate(row.terms) if isinstance(t, Variable)),
+    )
+
+
+@dataclass(frozen=True, slots=True)
 class _EarlyCheck:
     """The plans that judge a variable row at one depth before it completes.
 
-    ``template`` is the row with ``None`` for its variables; each
-    ``(position, variable)`` of ``fills`` writes the value of a variable
-    assigned by that depth, which covers every position the plans read.
-    ``condition`` is the row's condition, ground by that depth too.
+    ``row`` fills the variables assigned by that depth; its condition is
+    ground by that depth too.
     """
 
-    condition: Condition
-    template: tuple[Constant, ...]
-    fills: tuple[tuple[int, Variable], ...]
+    row: _CompiledRow
     plans: tuple[SeedPlan, ...]
 
 
@@ -223,21 +252,36 @@ class WorldSearch:
         depth = {variable: i + 1 for i, variable in enumerate(self._order)}
         # completions[0] holds the rows that are ground from the start;
         # completions[d + 1] the rows whose last variable is order[d].
-        self._completions: list[list[tuple[str, CTableRow]]] = [
+        self._completions: list[list[_CompiledRow]] = [
             [] for _ in range(len(self._order) + 1)
         ]
         self._early: list[list[_EarlyCheck]] = [[] for _ in self._completions]
         for name, row in rows:
             level = max((depth[v] for v in row.variables()), default=0)
-            self._completions[level].append((name, row))
-            self._schedule_early_checks(name, row, level, depth)
+            compiled = _compile_row(name, row)
+            self._completions[level].append(compiled)
+            self._schedule_early_checks(compiled, row, level, depth)
 
+        # The tuples of the ground instance a run is rooted at (over()).
+        self._root: tuple[tuple[str, frozenset[Row]], ...] = ()
+        self._break_symmetry = break_symmetry
+        self._mentioned: frozenset[Constant] = frozenset()
         self._fresh_rank: dict[Constant, int] = {}
         if break_symmetry:
-            self._fresh_rank = self._interchangeable_fresh_ranks(master, constraints)
+            self._mentioned = frozenset().union(
+                cinstance.constants(),
+                master.constants(),
+                constraint_set_constants(constraints),
+                adom.finite_domain_values,
+            )
+            self._fresh_rank = self._interchangeable_fresh_ranks(self._mentioned)
 
     def _schedule_early_checks(
-        self, name: str, row: CTableRow, level: int, depth: Mapping[Variable, int]
+        self,
+        compiled: _CompiledRow,
+        row: CTableRow,
+        level: int,
+        depth: Mapping[Variable, int],
     ) -> None:
         """Schedule each plan of ``row`` at the first depth where the
         positions it reads and the row's condition are ground, when that
@@ -245,27 +289,19 @@ class WorldSearch:
         if not level:
             return  # ground from the start: pushed at the root
         conditioned = max((depth[v] for v in row.condition.variables()), default=0)
-        variables = {p: t for p, t in enumerate(row.terms) if isinstance(t, Variable)}
-        ground_at = {p: depth[v] for p, v in variables.items()}
+        ground_at = {p: depth[v] for p, v in compiled.fills}
         plans_at: dict[int, list[SeedPlan]] = {}
-        for _index, plans in self._checker.seed_plans(name):
+        for _index, plans in self._checker.seed_plans(compiled.relation):
             for plan in plans:
                 if plan.arity != row.arity:
                     continue  # the push raises the ArityError
                 at = max([conditioned, *(ground_at.get(p, 0) for p in plan.reads)])
                 if at < level:
                     plans_at.setdefault(at, []).append(plan)
-        if not plans_at:
-            return
-        template = tuple(None if p in variables else t for p, t in enumerate(row.terms))
         for at, plans_here in plans_at.items():
+            fills = tuple((p, v) for p, v in compiled.fills if ground_at[p] <= at)
             self._early[at].append(
-                _EarlyCheck(
-                    condition=row.condition,
-                    template=template,
-                    fills=tuple((p, v) for p, v in variables.items() if ground_at[p] <= at),
-                    plans=tuple(plans_here),
-                )
+                _EarlyCheck(row=replace(compiled, fills=fills), plans=tuple(plans_here))
             )
 
     @property
@@ -278,26 +314,48 @@ class WorldSearch:
         """The per-variable candidate pools (after any overrides)."""
         return {variable: list(pool) for variable, pool in self._pools.items()}
 
+    def over(self, instance: GroundInstance) -> "WorldSearch":
+        """A run of this search rooted at the ground instance ``instance``.
+
+        The run is equivalent to a fresh :class:`WorldSearch` over ``T ∪ I``
+        (``T`` this search's c-instance, ``I`` the instance) with the same
+        Adom, checker and options: the tuples of ``I`` are pushed at the
+        root, before the rows of ``T`` that are ground from the start; the
+        run has its own checker session and :attr:`stats`; and under
+        ``break_symmetry`` the fresh values ``I`` mentions are excluded from
+        the interchangeable ranks, as ``T ∪ I`` would exclude them.  The
+        compiled plan is shared with this search, not rebuilt: ``I`` adds no
+        variable, so the order, the pools, the completion levels and the
+        early-check schedule of ``T ∪ I`` are those of ``T``.
+        """
+        if instance.schema != self._schema:
+            raise SearchError("a rooted run needs an instance over the search's schema")
+        run = copy.copy(self)
+        run.stats = SearchStats()
+        run._root = tuple(
+            (name, instance.relation(name).rows) for name in self._schema.relation_names
+        )
+        if self._break_symmetry:
+            run._fresh_rank = self._interchangeable_fresh_ranks(
+                self._mentioned | instance.constants()
+            )
+        return run
+
     # ------------------------------------------------------------------
     # symmetry
     # ------------------------------------------------------------------
     def _interchangeable_fresh_ranks(
-        self,
-        master: MasterData,
-        constraints: Sequence[ContainmentConstraint],
+        self, mentioned: frozenset[Constant]
     ) -> dict[Constant, int]:
         """Rank the fresh Adom values that nothing in the input distinguishes.
 
-        A fresh value is interchangeable when it occurs in no c-table term or
-        condition, no master tuple, no constraint and no finite attribute
+        A fresh value is interchangeable when it is not ``mentioned``: it
+        occurs in no c-table term or condition (nor in the instance a run is
+        rooted at), no master tuple, no constraint and no finite attribute
         domain — then any permutation of such values maps satisfying
         valuations to satisfying valuations, and it suffices to explore
         assignments whose fresh values are first used in rank order.
         """
-        mentioned: set[Constant] = set(self._cinstance.constants())
-        mentioned |= set(master.constants())
-        mentioned |= set(constraint_set_constants(constraints))
-        mentioned |= set(self._adom.finite_domain_values)
         ranks: dict[Constant, int] = {}
         for value in self._adom.fresh_values:
             if value not in mentioned:
@@ -310,7 +368,11 @@ class WorldSearch:
     def search(self) -> Iterator[tuple[Valuation, GroundInstance]]:
         """Enumerate ``(µ, µ(T))`` pairs with ``(µ(T), D_m) |= V``."""
         session = self._checker.session(self._schema.relation_names)
-        if not self._push_level(session, 0, {}):
+        # reprolint: disable=R002 -- the root of a run is never popped: the
+        # session is the run's own.  The verdict is a union of violations,
+        # so the order of these pushes changes neither it nor the facts.
+        rooted = all(session.push(name, row) for name, rows in self._root for row in rows)
+        if not rooted or not self._push_level(session, 0, {}):
             # The tuples fixed by the ground rows already violate a CC; by
             # monotonicity no valuation can repair that.
             self.stats.pruned += 1
@@ -333,13 +395,15 @@ class WorldSearch:
         taken before the call, so a partially applied level needs no special
         handling — pops are symmetric with pushes either way.
         """
-        for name, row in self._completions[level]:
-            ground = row.apply(valuation)
-            if ground is None:
+        for row in self._completions[level]:
+            if row.condition is not None and not row.condition.evaluate(valuation):
                 continue
+            values = list(row.template)
+            for position, variable in row.fills:
+                values[position] = valuation[variable]
             # reprolint: disable=R002 -- pops are the caller's contract: every
             # caller unwinds via pop_to against a mark taken before this call.
-            if not session.push(name, ground):
+            if not session.push(row.relation, tuple(values)):
                 return False
         # A level may complete without a single push (no rows ground here),
         # in which case the session's standing verdict decides: at the root
@@ -352,10 +416,11 @@ class WorldSearch:
         # every world of the subtree.
         escapes, facts = self._checker.escapes, session.facts
         for check in self._early[level]:
-            if not check.condition.evaluate(valuation):
+            row = check.row
+            if row.condition is not None and not row.condition.evaluate(valuation):
                 continue
-            values = list(check.template)
-            for position, variable in check.fills:
+            values = list(row.template)
+            for position, variable in row.fills:
                 values[position] = valuation[variable]
             partial = tuple(values)
             for plan in check.plans:

@@ -57,7 +57,7 @@ from repro.constraints.containment import ContainmentConstraint
 from repro.exceptions import SearchError
 from repro.queries.evaluation import evaluate_cq_on_facts
 from repro.relational.indexing import IndexedFactStore
-from repro.relational.instance import Row
+from repro.relational.instance import GroundInstance, Row
 from repro.relational.master import MasterData
 from repro.search.joinplan import SeedPlan, compile_seed_plans, join_escapes_rhs, seed_matches
 
@@ -147,6 +147,22 @@ class ConstraintChecker:
         concurrent searches, each with its own session.
         """
         return CheckerSession(self, relation_names)
+
+    def satisfied_by(self, instance: GroundInstance) -> bool:
+        """Whether ``(instance, D_m) |= V``: the instance is partially closed.
+
+        The instance's tuples are pushed on a session of their own, so the
+        answer costs one delta check per tuple against the precomputed
+        right-hand sides, not a full evaluation of every constraint.
+        """
+        session = self.session(instance.schema.relation_names)
+        for name in instance.schema.relation_names:
+            for row in instance.relation(name).rows:
+                # reprolint: disable=R002 -- never popped: the session is this
+                # call's own and is dropped on return.
+                if not session.push(name, row):
+                    return False
+        return session.is_satisfied
 
     # ------------------------------------------------------------------
     # per-push evaluation (used by sessions)

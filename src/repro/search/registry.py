@@ -29,8 +29,10 @@ Capability flags let callers pick fast paths without knowing engine
 internals: ``counts_natively`` routes ``model_count`` to the engine's own
 counting (SAT per-component counts, parallel shard-count merging),
 ``symmetry_breaking`` tells existence checks to request the fresh-value
-symmetry reduction, and ``supports_cancellation`` marks engines that can
-abandon work early once an answer is known.
+symmetry reduction, ``supports_cancellation`` marks engines that can
+abandon work early once an answer is known, and ``rooted_runs`` marks
+engines whose search object roots a run at a ground instance without
+rebuilding its plan (:class:`SearchTemplate`).
 
 The module also hosts two *ambient* channels that avoid parameter
 threading through the decision procedures:
@@ -56,8 +58,9 @@ from repro.constraints.containment import ContainmentConstraint
 from repro.ctables.adom import ActiveDomain
 from repro.ctables.cinstance import CInstance
 from repro.exceptions import SearchError
+from repro.relational.instance import GroundInstance
 from repro.relational.master import MasterData
-from repro.protocols import SearchSink, WorldSearchEngine
+from repro.protocols import RootedWorldSearchEngine, SearchSink, WorldSearchEngine
 from repro.search.engine import WorldSearch
 from repro.search.naive import NaiveWorldSearch
 from repro.search.parallel import ParallelWorldSearch
@@ -107,6 +110,12 @@ class EngineCapabilities:
         :meth:`repro.api.Database.update` without rebuilding its search
         state (the SAT engine keeps its encoding and live solver across
         updates via assumption-guarded tuple-presence literals).
+    rooted_runs:
+        The search object offers ``over(instance)``: a run rooted at a
+        ground instance ``I``, equivalent to a fresh engine over ``T ∪ I``,
+        that shares the plan compiled for ``T`` with every other run (the
+        propagating engine).  :class:`SearchTemplate` builds a fresh engine
+        over ``T ∪ I`` per run for the engines without it.
     """
 
     counts_natively: bool = False
@@ -115,6 +124,7 @@ class EngineCapabilities:
     accepts_checker: bool = True
     pool_order_hints: bool = False
     supports_incremental: bool = False
+    rooted_runs: bool = False
 
 
 @dataclass(frozen=True)
@@ -152,6 +162,59 @@ class EngineSpec:
         )
         record_search(search)
         return search
+
+
+class SearchTemplate:
+    """Runs of one engine over ``T ∪ I`` for one ``T`` and many ground ``I``.
+
+    A decider that tests many ground instances against the same adjoined
+    rows (a query tableau, one all-variable tuple per relation) over one
+    Adom builds a template for those rows once and asks :meth:`over` for
+    the run at each instance.  An engine declaring
+    :attr:`EngineCapabilities.rooted_runs` is built once, here, and its runs
+    share the plan it compiled; any other engine is built afresh over
+    ``T ∪ I`` for every run.  Either way each run is reported to the
+    :func:`collect_searches` sinks as one search, and the template, which
+    never runs, as none.  The ambient checker is read when the template is
+    built, so keep a template no longer than the call that built it.
+    """
+
+    def __init__(
+        self,
+        spec: EngineSpec,
+        cinstance: CInstance,
+        master: MasterData,
+        constraints: Sequence[ContainmentConstraint],
+        adom: ActiveDomain,
+        *,
+        workers: int | None = None,
+        checker: ConstraintChecker | None = None,
+        break_symmetry: bool = False,
+        options: Mapping[str, Any] | None = None,
+    ) -> None:
+        if checker is None and spec.capabilities.accepts_checker:
+            checker = ambient_checker()
+        self._cinstance = cinstance
+        self._factory = spec.factory
+        self._arguments = (master, constraints, adom)
+        self._keywords: dict[str, Any] = dict(
+            options or {}, workers=workers, checker=checker, break_symmetry=break_symmetry
+        )
+        self._rooted: RootedWorldSearchEngine | None = None
+        if spec.capabilities.rooted_runs:
+            self._rooted = self._factory(cinstance, *self._arguments, **self._keywords)
+
+    def over(self, instance: GroundInstance) -> WorldSearchLike:
+        """The engine's run over ``T ∪ instance``, reported as one search."""
+        if self._rooted is not None:
+            run = self._rooted.over(instance)
+        else:
+            union = CInstance.from_ground_instance(instance)
+            for name, _index, row in self._cinstance.rows():
+                union = union.with_row(name, row.terms, row.condition)
+            run = self._factory(union, *self._arguments, **self._keywords)
+        record_search(run)
+        return run
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +463,7 @@ register_engine(
         supports_cancellation=True,
         symmetry_breaking=True,
         pool_order_hints=True,
+        rooted_runs=True,
     ),
 )
 register_engine(

@@ -12,6 +12,11 @@ over every column; ROADMAP item 1) and about 56 s on parallel (each shard
 returns its whole chunk; ROADMAP item 4), against about a second on the two
 engines below.
 
+Each call's ``Decision.stats`` effort (searches, nodes, worlds) is pinned
+too: the deciders build each call's extension searches once and root them
+at every world, and a rooted run must do exactly the work of the fresh
+search over the world it replaces.
+
 The last test pins the early checks of the propagating search on Example 2.2
 against the push-only reference checker of ``tests/search/checker_oracles.py``.
 """
@@ -51,6 +56,45 @@ TABLE_VERDICTS = {
 
 VERDICTS = {**TABLE_VERDICTS, **PAPER_VERDICTS}
 
+#: ``(searches, nodes, worlds)`` of each call's ``Decision.stats``, as a
+#: fresh search per world and tableau (or relation) measured them.
+EFFORT = {
+    "propagating": {
+        ("Q1", "strong"): (291, 5562, 597),
+        ("Q1", "weak"): (292, 1844, 904),
+        ("Q1", "viable"): (2, 20, 2),
+        ("Q2_absent", "strong"): (326, 6555, 343),
+        ("Q2_absent", "weak"): (3, 8, 3),
+        ("Q2_absent", "viable"): (2, 21, 1),
+        ("Q2_present", "strong"): (18, 310, 18),
+        ("Q2_present", "weak"): (3, 8, 3),
+        ("Q2_present", "viable"): (2, 20, 1),
+        ("Q3", "strong"): (2, 9, 2),
+        ("Q3", "weak"): (3, 8, 3),
+        ("Q3", "viable"): (326, 2655, 668),
+        ("Q4", "strong"): (18, 5514, 35),
+        ("Q4", "weak"): (292, 1844, 904),
+        ("Q4", "viable"): (2, 344, 2),
+    },
+    "naive": {
+        ("Q1", "strong"): (291, 5544, 597),
+        ("Q1", "weak"): (2, 648, 614),
+        ("Q1", "viable"): (2, 19, 2),
+        ("Q2_absent", "strong"): (326, 6536, 343),
+        ("Q2_absent", "weak"): (2, 2, 2),
+        ("Q2_absent", "viable"): (2, 20, 1),
+        ("Q2_present", "strong"): (18, 309, 18),
+        ("Q2_present", "weak"): (2, 2, 2),
+        ("Q2_present", "viable"): (2, 19, 1),
+        ("Q3", "strong"): (2, 78, 2),
+        ("Q3", "weak"): (2, 2, 2),
+        ("Q3", "viable"): (326, 25386, 668),
+        ("Q4", "strong"): (18, 5223, 35),
+        ("Q4", "weak"): (2, 648, 614),
+        ("Q4", "viable"): (2, 325, 2),
+    },
+}
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -60,6 +104,7 @@ def scenario():
 def test_the_table_covers_every_query_and_model(scenario):
     models = {model.value for model in CompletenessModel}
     assert set(VERDICTS) == {(query, model) for query in scenario.queries() for model in models}
+    assert all(set(effort) == set(VERDICTS) for effort in EFFORT.values())
 
 
 @pytest.mark.parametrize("engine", ["propagating", "naive"])
@@ -71,6 +116,8 @@ def test_figure1_verdict(scenario, engine, query_name, model):
     )
     assert bool(decision) is VERDICTS[(query_name, model)]
     assert decision.engine_used == engine
+    stats = decision.stats
+    assert (stats.searches, stats.nodes, stats.worlds) == EFFORT[engine][(query_name, model)]
 
 
 def test_example_2_2_checks_the_tableau_row_before_it_completes(scenario):

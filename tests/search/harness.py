@@ -12,6 +12,9 @@ reference enumeration in one call:
   ``engine``-accepting decision procedure across engines;
 * :func:`assert_workers_independent` — the parallel engine's results do not
   depend on the ``workers`` count or on the order shards are submitted in;
+* :func:`assert_rooted_parity` — every engine's run of a search template
+  over the variable rows, rooted at the ground rows, equals that engine's
+  search over the whole instance;
 * :func:`assert_extension_engine_parity` — the engine-routed extension
   searches of :mod:`repro.completeness.extensions` (single-tuple, tableau,
   bounded) produce identical results from every engine *and* agree with
@@ -47,18 +50,20 @@ from repro.constraints.containment import (
     relation_containment_cc,
     satisfies_all,
 )
+from repro.ctables.cinstance import CInstance
 from repro.ctables.possible_worlds import (
     default_active_domain,
     has_model,
     model_count,
     models,
     models_with_valuations,
+    search_template,
 )
 from repro.queries.atoms import atom, neq
 from repro.queries.cq import cq
 from repro.queries.terms import var
 from repro.relational.domains import BOOLEAN_DOMAIN
-from repro.relational.instance import instance
+from repro.relational.instance import GroundInstance, instance
 from repro.relational.master import MasterData
 from repro.relational.schema import RelationSchema, database_schema, schema
 from repro.api import Database
@@ -243,6 +248,44 @@ def assert_workers_independent(
                 reference = observed
             else:
                 assert observed == reference, (workers, shard_order)
+
+
+def split_ground_rows(cinst) -> tuple[CInstance, GroundInstance]:
+    """``(T, I)``: the rows with a variable or a condition, and the rest."""
+    rows: dict[str, list] = {name: [] for name in cinst.schema.relation_names}
+    tuples: dict[str, list] = {name: [] for name in cinst.schema.relation_names}
+    for name, _index, row in cinst.rows():
+        if row.is_ground():
+            tuples[name].append(row.terms)
+        else:
+            rows[name].append(row)
+    return CInstance(cinst.schema, rows), GroundInstance(cinst.schema, tuples)
+
+
+def assert_rooted_parity(
+    cinst, master, constraints, engines: Sequence[str] = ALL_ENGINES, adom=None
+) -> None:
+    """A run rooted at the ground rows equals the search of the whole instance.
+
+    The ground rows become the instance ``I`` a template over the other rows
+    is rooted at (:func:`repro.ctables.possible_worlds.search_template`);
+    every engine must then enumerate what it enumerates over the whole
+    instance: the same ``(valuation, world)`` sequence, or the same set on
+    SAT, whose order follows its encoding.
+    """
+    if adom is None:
+        adom = default_active_domain(cinst, master, constraints)
+    T, I = split_ground_rows(cinst)
+    for engine in engines:
+        rooted = list(search_template(T, master, constraints, adom, engine=engine)
+                      .over(I).search())
+        whole = list(models_with_valuations(cinst, master, constraints, adom, engine=engine))
+        if engine == "sat":
+            assert {(frozenset(v.items()), world) for v, world in rooted} == {
+                (frozenset(v.items()), world) for v, world in whole
+            }, engine
+        else:
+            assert rooted == whole, engine
 
 
 # ---------------------------------------------------------------------------

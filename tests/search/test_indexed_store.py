@@ -20,6 +20,8 @@ runs this suite as part of the dedicated semantics gate.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +120,20 @@ class TestFactIndex:
         index.discard(("a", "t2", "b"))
         assert index.group(("a",)) == {}
         assert not index.buckets  # empty buckets are garbage-collected
+
+    def test_empty_key_and_one_position_out_project_to_tuples(self):
+        # The compiled projections must yield tuples for every signature
+        # size: an empty key is the one bucket (), and a one-position out
+        # is a 1-tuple, not the bare value.
+        index = FactIndex((), (1,), rows=[("a", "b"), ("c", "b"), ("c", "d")])
+        assert index.buckets == {(): {("b",): 2, ("d",): 1}}
+        index.discard(("a", "b"))
+        assert index.group(()) == {("b",): 1, ("d",): 1}
+        wide = FactIndex((0, 1), (), rows=[("a", "b", "c")])
+        assert wide.buckets == {("a", "b"): {(): 1}}
+        # Indexes cached on a ground instance travel with it.
+        for built in (index, wide):
+            assert pickle.loads(pickle.dumps(built)).buckets == built.buckets
 
     def test_group_of_unknown_key_is_empty(self):
         index = FactIndex((0,), (1,), rows=[("a", "b")])
