@@ -1,23 +1,19 @@
-"""EXP-ENGINE — four-way world-search comparison (naive / propagating / SAT / parallel).
+"""EXP-ENGINE — three-way world-search comparison (naive / propagating / SAT).
 
 Every decision procedure bottoms out in the enumeration of
-``Mod_Adom(T, D_m, V)``.  This benchmark compares the four engines behind it
+``Mod_Adom(T, D_m, V)``.  This benchmark compares the three engines behind it
 (``engine="naive"`` — the original cross-product scan, ``engine="propagating"``
-— the backtracking search of :mod:`repro.search`, ``engine="sat"`` — the
-CNF encoding solved by the DPLL solver of :mod:`repro.reductions.dpll`, and
-``engine="parallel"`` — the sharded process-parallel engine of
-:mod:`repro.search.parallel`) on the workloads the other benchmark files
-sweep, and extends the sweeps to regimes each engine targets:
+— the backtracking search of :mod:`repro.search`, and ``engine="sat"`` — the
+CNF encoding solved by the DPLL solver of :mod:`repro.reductions.dpll`) on
+the workloads the other benchmark files sweep, and extends the sweeps to
+regimes each engine targets:
 
 * sizes whose cross product the naive path cannot materialise at all (the
   propagating/SAT-only scale-up rows),
 * the inequality-heavy chain family
   (:func:`repro.workloads.generator.inequality_chain_workload`), whose
   ≠-laden constraints the monotone-CC pruner cannot prune early but the SAT
-  engine refutes by unit propagation and conflict learning, and
-* the wide-pool family (:func:`repro.workloads.generator.wide_pool_workload`),
-  whose root-wide, pruning-heavy search tree is the sharding regime of the
-  parallel engine, and
+  engine refutes by unit propagation and conflict learning,
 * the wide-constraint family
   (:func:`repro.workloads.generator.wide_constraint_workload`), whose
   many-atom constraint left-hand sides make the per-node constraint check
@@ -33,17 +29,13 @@ sweep, and extends the sweeps to regimes each engine targets:
 
 Each case first asserts *parity* (identical verdict / model count from every
 call of every engine that runs it) and then reports the timings: each
-(case, engine) cell is the median of :data:`CASE_REPEATS` calls.  Seven gates are
-evaluated, and every verdict is printed; the run fails if any gate fails:
+(case, engine) cell is the median of :data:`CASE_REPEATS` calls.  Six gates
+are evaluated, and every verdict is printed; the run fails if any gate fails:
 
 * the propagating engine must keep its ≥ 3x headline speedup over naive on
   the largest naive-feasible registry cases (enforced in full mode),
 * the SAT engine must beat the propagating engine on at least one
   inequality-heavy case, in smoke mode too,
-* the parallel engine at 4 workers must reach a ≥ 2x speedup over the
-  propagating engine on the wide-pool family — enforced whenever the host
-  has at least 4 CPUs (a single-core host cannot physically exhibit a
-  process-parallel speedup; the gate is then reported as skipped),
 * the (indexed) delta checker must be ≥ 3x faster **per search node** than
   the full-recompute reference checker on the wide-constraint family (all
   checkers drive the identical propagating search tree, so the node counts
@@ -106,7 +98,6 @@ from repro.reductions.consistency_reduction import (  # noqa: E402
 )
 from repro.reductions.sat import random_forall_exists_instance  # noqa: E402
 from repro.search.engine import WorldSearch  # noqa: E402
-from repro.search.parallel import shutdown_pools  # noqa: E402
 from repro.search.sat_engine import (  # noqa: E402
     IncrementalSATSession,
     SATWorldSearch,
@@ -118,17 +109,12 @@ from repro.workloads.generator import (  # noqa: E402
     skewed_join_workload,
     update_stream_workload,
     wide_constraint_workload,
-    wide_pool_workload,
 )
 
 #: Acceptance floor for the propagating-vs-naive headline (ISSUE 1 criterion).
 REQUIRED_SPEEDUP = 3.0
 #: The SAT engine must beat propagating on ≥ 1 inequality-heavy case (ISSUE 2).
 REQUIRED_SAT_WIN = 1.0
-#: The parallel engine must reach this speedup over propagating on the
-#: wide-pool family (ISSUE 3 criterion), at the worker count below.
-REQUIRED_PARALLEL_SPEEDUP = 2.0
-PARALLEL_GATE_WORKERS = 4
 #: The indexed delta checker must reach this per-node speedup over the full
 #: checker on the wide-constraint family (the ISSUE 5 criterion, raised from
 #: 2x by ISSUE 7 once the delta joins became hash-indexed).
@@ -147,7 +133,7 @@ UPDATE_STREAM_STEPS = 50
 #: by this factor on instances with >= 3 independent components (ISSUE 10).
 REQUIRED_COMPONENT_SPEEDUP = 5.0
 
-ALL_ENGINES = ("naive", "propagating", "sat", "parallel")
+ALL_ENGINES = ("naive", "propagating", "sat")
 
 #: Each (case, engine) cell is timed as the median of this many calls (odd,
 #: so the median is one call's time and its stats are that call's).
@@ -171,7 +157,6 @@ class Case:
     engines: tuple[str, ...] = ALL_ENGINES
     headline: bool = False
     sat_showcase: bool = False
-    parallel_showcase: bool = False
 
 
 @dataclass
@@ -346,58 +331,7 @@ def _scale_up_cases(smoke: bool, seed: int) -> list[Case]:
                 run=lambda engine, w=workload: is_consistent(
                     w.cinstance, w.master, w.constraints, engine=engine
                 ),
-                engines=("propagating", "sat", "parallel"),
-            )
-        )
-    return cases
-
-
-def _wide_pool_cases(smoke: bool) -> list[Case]:
-    """The wide-pool family: the parallel engine's target regime.
-
-    Every variable's candidate pool is the whole (wide) active domain and the
-    all-distinct denial CC makes the per-node pruning work heavy, so the
-    search tree shards cleanly across worker processes.  In the pigeonhole
-    regime (``rows > values_per_key``) the instance is inconsistent and every
-    engine must exhaust the tree — the worst case the strong/weak deciders
-    face on every world visit.  The naive cross product (and the grounding-
-    heavy CNF encoding of the SAT engine) are not competitive here, so the
-    comparison is propagating vs parallel, with ``workers=4`` pinned on the
-    parallel side (the gate's worker count).
-    """
-    exists_sweep = [(6, 5), (7, 6)] if smoke else [(6, 5), (7, 6), (8, 6)]
-    count_sweep = [(6, 6)] if smoke else [(6, 6), (7, 6)]
-    cases = []
-
-    def workers_for(engine: str) -> int | None:
-        return PARALLEL_GATE_WORKERS if engine == "parallel" else None
-
-    for rows, values_per_key in exists_sweep:
-        workload = wide_pool_workload(rows, values_per_key)
-        cases.append(
-            Case(
-                group="consistency (wide pool)",
-                label=f"rows={rows} vpk={values_per_key}",
-                run=lambda engine, w=workload: is_consistent(
-                    w.cinstance, w.master, w.constraints,
-                    engine=engine, workers=workers_for(engine),
-                ),
-                engines=("propagating", "parallel"),
-                parallel_showcase=True,
-            )
-        )
-    for rows, values_per_key in count_sweep:
-        workload = wide_pool_workload(rows, values_per_key)
-        cases.append(
-            Case(
-                group="model_count (wide pool)",
-                label=f"rows={rows} vpk={values_per_key}",
-                run=lambda engine, w=workload: model_count(
-                    w.cinstance, w.master, w.constraints,
-                    engine=engine, workers=workers_for(engine),
-                ),
-                engines=("propagating", "parallel"),
-                parallel_showcase=True,
+                engines=("propagating", "sat"),
             )
         )
     return cases
@@ -865,32 +799,23 @@ def print_report(outcomes: list[Outcome]) -> None:
             group = outcome.case.group
             print(f"\n== {group} ==")
             header = "".ljust(width)
-            print(
-                f"{header}  {'naive':>10}  {'propagating':>11}  {'sat':>10}  "
-                f"{'parallel':>10}"
-            )
+            print(f"{header}  {'naive':>10}  {'propagating':>11}  {'sat':>10}")
         name = f"[{outcome.case.label}]".ljust(width)
         prop_speed = outcome.speedup("propagating", over="naive")
         sat_speed = outcome.speedup("sat", over="propagating")
-        parallel_speed = outcome.speedup("parallel", over="propagating")
         annotations = []
         if prop_speed is not None:
             annotations.append(f"prop/naive={prop_speed:.1f}x")
         if sat_speed is not None:
             annotations.append(f"sat/prop={sat_speed:.2f}x")
-        if parallel_speed is not None:
-            annotations.append(f"par/prop={parallel_speed:.2f}x")
         if outcome.case.headline:
             annotations.append("<== headline")
         if outcome.case.sat_showcase:
             annotations.append("<== sat gate")
-        if outcome.case.parallel_showcase:
-            annotations.append("<== parallel gate")
         print(
             f"{name}  {_format_cell(outcome, 'naive')}  "
             f"{_format_cell(outcome, 'propagating'):>11}  "
             f"{_format_cell(outcome, 'sat')}  "
-            f"{_format_cell(outcome, 'parallel')}  "
             f"verdict={outcome.verdict!r}  " + " ".join(annotations)
         )
 
@@ -916,17 +841,6 @@ def evaluate_gates(
         if o.case.sat_showcase
     }
     best_sat = max((s for s in sat_wins.values() if s is not None), default=None)
-
-    parallel_wins = {
-        f"{o.case.group} [{o.case.label}]": o.speedup("parallel", over="propagating")
-        for o in outcomes
-        if o.case.parallel_showcase
-    }
-    best_parallel = max(
-        (s for s in parallel_wins.values() if s is not None), default=None
-    )
-    host_cpus = _host_cpus()
-    parallel_gate_enforced = host_cpus >= PARALLEL_GATE_WORKERS
 
     checker_results = checker_results or []
     delta_by_case = {
@@ -1000,23 +914,6 @@ def evaluate_gates(
         "SAT engine did not beat the propagating engine anywhere",
     )
     gate(
-        "parallel",
-        best_parallel,
-        lambda v: not parallel_gate_enforced or v >= REQUIRED_PARALLEL_SPEEDUP,
-        lambda v: "Best parallel-vs-propagating speedup on the wide-pool family "
-        f"(workers={PARALLEL_GATE_WORKERS}): {v:.2f}x "
-        f"(required >= {REQUIRED_PARALLEL_SPEEDUP:.0f}x on hosts with >= "
-        f"{PARALLEL_GATE_WORKERS} CPUs; this host has {host_cpus})",
-        "parallel engine did not reach the required speedup over the "
-        "propagating engine on the wide-pool family",
-    )
-    if best_parallel is not None and not parallel_gate_enforced:
-        print(
-            f"parallel gate SKIPPED: host has {host_cpus} CPU(s) < "
-            f"{PARALLEL_GATE_WORKERS}; a process-parallel speedup cannot be "
-            "demonstrated here (parity above still covered the engine)"
-        )
-    gate(
         "delta-vs-full",
         worst_delta,
         lambda v: v >= REQUIRED_DELTA_SPEEDUP,
@@ -1063,12 +960,7 @@ def evaluate_gates(
         "sat_vs_propagating_by_case": sat_wins,
         "best_sat_vs_propagating": best_sat,
         "required_sat_win": REQUIRED_SAT_WIN,
-        "parallel_vs_propagating_by_case": parallel_wins,
-        "best_parallel_vs_propagating": best_parallel,
-        "required_parallel_speedup": REQUIRED_PARALLEL_SPEEDUP,
-        "parallel_gate_workers": PARALLEL_GATE_WORKERS,
-        "host_cpus": host_cpus,
-        "parallel_gate_enforced": parallel_gate_enforced,
+        "host_cpus": _host_cpus(),
         "delta_vs_full_checker_by_case": delta_by_case,
         "worst_delta_vs_full_checker": worst_delta,
         "required_delta_speedup": REQUIRED_DELTA_SPEEDUP,
@@ -1113,14 +1005,10 @@ def write_json(
                     "propagating_vs_naive": o.speedup("propagating", over="naive"),
                     "sat_vs_naive": o.speedup("sat", over="naive"),
                     "sat_vs_propagating": o.speedup("sat", over="propagating"),
-                    "parallel_vs_propagating": o.speedup(
-                        "parallel", over="propagating"
-                    ),
                 },
                 "stats": o.stats,
                 "headline": o.case.headline,
                 "sat_showcase": o.case.sat_showcase,
-                "parallel_showcase": o.case.parallel_showcase,
             }
             for o in outcomes
         ],
@@ -1137,33 +1025,29 @@ def run_benchmark(smoke: bool, json_path: str | None = None, seed: int = 0) -> i
         + _model_count_cases(smoke, seed)
         + _inequality_cases(smoke)
         + _scale_up_cases(smoke, seed)
-        + _wide_pool_cases(smoke)
     )
-    try:
-        outcomes = run_cases(cases)
-        if outcomes is None:
-            return 1
-        checker_results = run_checker_comparison(smoke)
-        if checker_results is None:
-            return 1
-        update_results = run_update_stream_comparison(smoke, seed)
-        if update_results is None:
-            return 1
-        sat_gen2_results = run_sat_gen2_comparison(smoke)
-        if sat_gen2_results is None:
-            return 1
-        print_report(outcomes)
-        print_checker_report(checker_results)
-        print_update_stream_report(update_results)
-        print_sat_gen2_report(sat_gen2_results)
-        summary, status = evaluate_gates(
-            outcomes, smoke, checker_results, update_results, sat_gen2_results
-        )
-        if json_path:
-            write_json(json_path, outcomes, summary, smoke, status)
-        return status
-    finally:
-        shutdown_pools()
+    outcomes = run_cases(cases)
+    if outcomes is None:
+        return 1
+    checker_results = run_checker_comparison(smoke)
+    if checker_results is None:
+        return 1
+    update_results = run_update_stream_comparison(smoke, seed)
+    if update_results is None:
+        return 1
+    sat_gen2_results = run_sat_gen2_comparison(smoke)
+    if sat_gen2_results is None:
+        return 1
+    print_report(outcomes)
+    print_checker_report(checker_results)
+    print_update_stream_report(update_results)
+    print_sat_gen2_report(sat_gen2_results)
+    summary, status = evaluate_gates(
+        outcomes, smoke, checker_results, update_results, sat_gen2_results
+    )
+    if json_path:
+        write_json(json_path, outcomes, summary, smoke, status)
+    return status
 
 
 def main() -> int:

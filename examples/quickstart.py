@@ -83,7 +83,7 @@ def main() -> None:
     print("=" * 72)
     print("Engine selection through EngineConfig (same verdicts, any engine)")
     print("=" * 72)
-    for config in ("propagating", EngineConfig(name="sat"), EngineConfig(name="parallel", workers=2)):
+    for config in ("propagating", EngineConfig(name="sat")):
         decision = db.complete(scenario.q1, CompletenessModel.STRONG, engine=config)
         print(
             f"  engine={decision.engine_used:<12} strong(Q1)={decision.holds}  "

@@ -7,15 +7,16 @@
 #      pyproject.toml (skipped with a warning if mypy is not installed) and
 #      the reprolint AST invariant suite (pure stdlib, never skipped):
 #      determinism of world-enumeration order, CheckerSession push/pop
-#      balance, registry routing, Decision discipline, fork safety,
+#      balance, registry routing, Decision discipline, stats-ledger
+#      accumulation,
 #   3. the public-API stability check (tests/api/test_public_surface.py):
 #      repro.__all__, the Database facade signatures, the Decision /
 #      EngineConfig field lists and the built-in engine set must match the
 #      reviewed snapshot (regenerate deliberately with
 #      scripts/update_api_snapshot.py),
-#   4. the tier-1 test suite (includes the four-way engine-parity tests, the
-#      extension-search parity suite and the facade-vs-functional parity
-#      suite), with `-p no:cacheprovider` so runs are stateless, and with
+#   4. the tier-1 test suite (includes the three-way engine-parity tests,
+#      the extension-search parity suite, the facade-vs-functional parity
+#      suite and a run of every examples/*.py script), with `-p no:cacheprovider` so runs are stateless, and with
 #      coverage (`--cov=repro --cov-fail-under=$COV_FAIL_UNDER`) when
 #      pytest-cov is installed, so a PR cannot silently drop tested lines,
 #   5. the benchmark's own tests (perfbench/tests; `testpaths` collects only
@@ -33,7 +34,7 @@
 #      fails CI with an unambiguous banner even though the same tests also
 #      run inside the tier-1 suite,
 #   8. a 60-second smoke slice of the differential fuzz campaign
-#      (scripts/fuzz_differential.py, fixed seed): random four-way
+#      (scripts/fuzz_differential.py, fixed seed): random three-way
 #      engine-parity cases interleaved with update-vs-rebuild streams
 #      through Database.update, whose live SAT session counts twice per
 #      step; the nightly CI job runs the same script for 15 minutes with a
@@ -45,16 +46,14 @@
 #      `python -m repro.service` subprocess on an ephemeral port and asserts
 #      cache hits, single-flight collapse, NDJSON streaming, update
 #      invalidation and a clean SIGTERM drain over real sockets,
-#  11. the engine smoke benchmark (four-way parity + seven perf gates, every
+#  11. the engine smoke benchmark (three-way parity + six perf gates, every
 #      verdict printed before the step fails on any of them: the
 #      propagating-vs-naive headline (reported only, in smoke mode),
-#      SAT-vs-propagating and parallel-vs-propagating, the indexed delta
-#      checker against both reference checkers of
-#      tests/search/checker_oracles.py, incremental Database.update vs
-#      rebuild-and-redecide, and SAT component counting vs blocking-clause
-#      enumeration; the parallel gate needs >= 4 host CPUs and reports
-#      itself as skipped on smaller machines), writing machine-readable
-#      results to BENCH_ENGINE.json,
+#      SAT-vs-propagating, the indexed delta checker against both
+#      reference checkers of tests/search/checker_oracles.py, incremental
+#      Database.update vs rebuild-and-redecide, and SAT component counting
+#      vs blocking-clause enumeration), writing machine-readable results to
+#      BENCH_ENGINE.json,
 #  12. the service smoke benchmark (benchmarks/bench_service.py --smoke):
 #      warm-cache speedup, single-flight engine-run count, first-world
 #      streaming latency and warm-service-vs-cold-rebuild gates, writing
@@ -158,7 +157,7 @@ echo "== service smoke (python -m repro.service subprocess lifecycle) =="
 python scripts/service_smoke.py
 
 echo
-echo "== engine smoke benchmark (four-way parity + speedup gates) =="
+echo "== engine smoke benchmark (three-way parity + speedup gates) =="
 python benchmarks/bench_engine.py --smoke --json BENCH_ENGINE.json
 
 echo

@@ -1,17 +1,18 @@
 #!/usr/bin/env python
 """Seeded differential fuzz campaign over the world-search engines.
 
-Drives the reusable four-way harness (``tests/search/harness.py``) with
-randomly parameterised workloads, in two campaign families:
+Drives the reusable three-way harness (``tests/search/harness.py``: naive
+reference, propagating, SAT) with randomly parameterised workloads, in three
+campaign families:
 
 * **static** — a generated c-instance is run through every engine via
   :func:`harness.assert_engine_parity` (world sets, multisets,
-  ``(valuation, world)`` pairs, counts, existence, parallel-vs-serial order
-  identity) and :func:`harness.assert_rooted_parity` (its ground rows split
+  ``(valuation, world)`` pairs, counts, existence, and ``stats.worlds``
+  counting the valuations after ``search()`` and ``count_worlds()`` on every
+  engine) and :func:`harness.assert_rooted_parity` (its ground rows split
   off as an instance ``I``, every engine's run of a search template over
   the other rows rooted at ``I`` must equal that engine over the whole
-  instance), plus a periodic :func:`harness.assert_workers_independent`
-  sweep over worker counts and shard orders;
+  instance);
 * **stream** — a random ground add/drop script is applied step-by-step via
   :meth:`repro.api.Database.update` and checked against a
   rebuilt-from-scratch facade at every step through
@@ -54,7 +55,6 @@ from harness import (  # noqa: E402  (path set up above)
     assert_engine_parity,
     assert_rooted_parity,
     assert_update_stream_parity,
-    assert_workers_independent,
 )
 from repro.ctables.possible_worlds import default_active_domain  # noqa: E402
 from repro.search.engine import WorldSearch  # noqa: E402
@@ -70,7 +70,7 @@ from repro.workloads.generator import (  # noqa: E402
 
 
 def run_static_case(seed: int) -> str:
-    """One four-way static-parity case; returns a human-readable label."""
+    """One three-way static-parity case; returns a human-readable label."""
     rng = random.Random(f"fuzz-static:{seed}")
     params = dict(
         master_size=rng.randint(2, 5),
@@ -82,12 +82,6 @@ def run_static_case(seed: int) -> str:
     workload = registry_workload(**params)
     assert_engine_parity(workload.cinstance, workload.master, workload.constraints)
     assert_rooted_parity(workload.cinstance, workload.master, workload.constraints)
-    if seed % 7 == 0:
-        # Periodically also sweep worker counts and shard orders through the
-        # forced process-pool path (expensive: forks real processes).
-        assert_workers_independent(
-            workload.cinstance, workload.master, workload.constraints
-        )
     return f"static {params}"
 
 
@@ -109,8 +103,6 @@ def run_stream_case(seed: int) -> str:
         workload.base.master,
         workload.base.constraints,
         workload.script,
-        # The forced-fork spot checks dominate small-case runtime; sample them.
-        fork_check=(seed % 5 == 0),
     )
     return f"stream {params}"
 

@@ -142,7 +142,7 @@ from repro.relational import (
 )
 from repro.workloads import build_patient_scenario, registry_workload
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "BOOLEAN_DOMAIN",

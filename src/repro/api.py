@@ -13,7 +13,7 @@ once::
     db.count(engine="sat")                      # native SAT model counting
     db.complete(query, model=STRONG)            # RCDP, rich Decision
     db.minp(query)                              # MINP
-    db.rcqp(query, engine=EngineConfig(name="parallel", workers=4))
+    db.rcqp(query, engine=EngineConfig(name="sat"))
 
 What the facade adds over the functional layer:
 
@@ -24,8 +24,8 @@ What the facade adds over the functional layer:
   checker-accepting engine (via the registry's ambient-checker channel, so
   the sharing reaches engines created deep inside the deciders);
 * **uniform engine selection** — every method accepts ``engine=`` as a name
-  string or an :class:`~repro.search.registry.EngineConfig` (name + workers
-  + per-engine options), resolved through the engine registry, with a
+  string or an :class:`~repro.search.registry.EngineConfig` (name +
+  per-engine options), resolved through the engine registry, with a
   facade-level default set at construction;
 * **rich results** — decision-problem methods return
   :class:`~repro.decision.Decision` objects carrying the witness, the
@@ -449,7 +449,6 @@ class Database:
                 problem,
                 args_key,
                 config.spec().name,
-                config.workers,
                 tuple(sorted(config.options.items())),
             )
             hash(key)
@@ -559,7 +558,6 @@ class Database:
         """Whether a call routes through the live incremental SAT session."""
         return (
             config.spec().capabilities.supports_incremental
-            and config.workers is None
             and not config.options
         )
 
@@ -714,10 +712,9 @@ class Database:
         ``.value`` is the count and the decision is truthy iff at least one
         world exists.  Engines whose registry capabilities declare
         ``counts_natively`` count without materialising worlds (SAT
-        per-component counts, parallel shard-count merging).  On an
-        incremental-capable engine the count enumerates over the live
-        session's encoding (no re-encode after updates); verdicts are cached
-        until an update touches any relation.
+        per-component counts).  On an incremental-capable engine the count
+        enumerates over the live session's encoding (no re-encode after
+        updates); verdicts are cached until an update touches any relation.
         """
         config = self._engine(engine)
 

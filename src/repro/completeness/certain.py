@@ -55,7 +55,6 @@ def certain_answer_over_models(
     constraints: Sequence[ContainmentConstraint],
     adom: ActiveDomain | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> frozenset[Row]:
     """``⋂_{I ∈ Mod_Adom(T, D_m, V)} Q(I)``.
 
@@ -68,7 +67,7 @@ def certain_answer_over_models(
     if adom is None:
         adom = default_active_domain(cinstance, master, constraints, query)
     answer: frozenset[Row] | None = None
-    for world in models(cinstance, master, constraints, adom, engine=engine, workers=workers):
+    for world in models(cinstance, master, constraints, adom, engine=engine):
         world_answer = evaluate(query, world)
         answer = world_answer if answer is None else answer & world_answer
         if not answer:
@@ -132,7 +131,6 @@ def certain_answer_over_extensions(
     adom: ActiveDomain | None = None,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> ExtensionCertainAnswer:
     """``⋂_{I ∈ Mod(T), I' ∈ Ext(I)} Q(I')`` for monotone queries.
 
@@ -160,11 +158,11 @@ def certain_answer_over_extensions(
         adom = default_active_domain(cinstance, master, constraints, query)
     extensions = SingleTupleExtensions(
         cinstance.schema, master, constraints, adom, limit=limit,
-        engine=engine, workers=workers, fresh_first=True,
+        engine=engine, fresh_first=True,
     )
     answer: frozenset[Row] | None = None
     saw_world = False
-    for world in models(cinstance, master, constraints, adom, engine=engine, workers=workers):
+    for world in models(cinstance, master, constraints, adom, engine=engine):
         saw_world = True
         contribution, has_extensions = _world_contribution(world, query, extensions)
         if not has_extensions:

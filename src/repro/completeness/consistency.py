@@ -42,7 +42,6 @@ def is_consistent(
     constraints: Sequence[ContainmentConstraint],
     adom: ActiveDomain | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
     *,
     witness: bool = False,
 ) -> Decision:
@@ -67,7 +66,7 @@ def is_consistent(
                 iter(
                     models(
                         cinstance, master, constraints, adom,
-                        engine=engine, workers=workers,
+                        engine=engine,
                     )
                 ),
                 None,
@@ -75,7 +74,7 @@ def is_consistent(
             holds = world is not None
         else:
             holds = has_model(
-                cinstance, master, constraints, adom, engine=engine, workers=workers
+                cinstance, master, constraints, adom, engine=engine
             )
     return rec.decision(holds, witness=world)
 
@@ -86,12 +85,11 @@ def consistent_world(
     constraints: Sequence[ContainmentConstraint],
     adom: ActiveDomain | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> GroundInstance | None:
     """A witness world in ``Mod_Adom(T, D_m, V)``, or ``None`` if inconsistent."""
     if adom is None:
         adom = default_active_domain(cinstance, master, constraints)
-    for world in models(cinstance, master, constraints, adom, engine=engine, workers=workers):
+    for world in models(cinstance, master, constraints, adom, engine=engine):
         return world
     return None
 
@@ -121,7 +119,6 @@ def is_extensible(
     *,
     witness: bool = False,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Whether ``Ext(I, D_m, V)`` is non-empty (the extensibility problem).
 
@@ -130,7 +127,7 @@ def is_extensible(
     violating ``V`` (the argument in the proof of Proposition 3.3).  The
     single-tuple search is engine-routed
     (:func:`~repro.completeness.extensions.single_tuple_extensions`), so
-    ``engine``/``workers`` select the world-search engine exactly as for the
+    ``engine`` selects the world-search engine exactly as for the
     consistency problem.
 
     Returns a :class:`~repro.decision.Decision`; with ``witness=True`` a
@@ -145,13 +142,13 @@ def is_extensible(
         if witness:
             extended = extension_witness(
                 instance, master, constraints, adom, limit=limit,
-                engine=engine, workers=workers,
+                engine=engine,
             )
             holds = extended is not None
         else:
             holds = has_partially_closed_extension(
                 instance, master, constraints, adom, limit=limit,
-                engine=engine, workers=workers,
+                engine=engine,
             )
     return rec.decision(holds, witness=extended)
 
@@ -163,14 +160,13 @@ def extension_witness(
     adom: ActiveDomain | None = None,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> GroundInstance | None:
     """A single-tuple partially closed extension of ``I``, or ``None``."""
     if adom is None:
         adom = extensibility_active_domain(instance, master, constraints)
     for extended in single_tuple_extensions(
         instance, master, constraints, adom, limit=limit,
-        engine=engine, workers=workers,
+        engine=engine,
     ):
         return extended
     return None

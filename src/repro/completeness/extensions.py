@@ -16,14 +16,13 @@ Both searches are **engine-routed**: an extension search *is* a world search
 over the c-instance obtained by adjoining candidate rows with fresh variables
 (one all-variable row for the single-tuple case, the query tableau's atoms
 for the tableau case) to the ground instance ``I``.  Every enumerator below
-therefore accepts the same ``engine=`` / ``workers=`` selection as the rest
-of the library (a registered engine name, an
-:class:`~repro.search.registry.EngineConfig`, or ``None`` for the default)
-and resolves it through the engine registry — the propagating engine prunes
-constraint-violating candidates without materialising the cross product the
-original scan walked, the SAT and parallel engines apply their own
-machinery, and the naive engine reproduces the original scan as the
-reference the parity harness compares against.
+therefore accepts the same ``engine=`` selection as the rest of the library
+(a registered engine name, an :class:`~repro.search.registry.EngineConfig`,
+or ``None`` for the default) and resolves it through the engine registry —
+the propagating engine prunes constraint-violating candidates without
+materialising the cross product the original scan walked, the SAT engine
+applies its own machinery, and the naive engine reproduces the original
+scan as the reference the parity harness compares against.
 
 The deciders test many ground instances (every world of ``Mod_Adom(T)``)
 against the same adjoined rows over one Adom, so the searches are built
@@ -158,7 +157,6 @@ class SingleTupleExtensions:
         relations: Sequence[str] | None = None,
         limit: int | None = None,
         engine: EngineConfig | str | None = None,
-        workers: int | None = None,
         fresh_first: bool = False,
     ) -> None:
         from repro.search.registry import EngineConfig as _EngineConfig
@@ -168,16 +166,14 @@ class SingleTupleExtensions:
         self._constraints = constraints
         self._adom = adom
         self._limit = limit
-        self._workers = workers
         self._engine: EngineConfig | str | None = engine
         self._scan_only = False
         if fresh_first:
             config = _EngineConfig.coerce(engine)
             if config.spec().capabilities.pool_order_hints:
                 self._engine = _EngineConfig(
-                    config.name,
-                    config.workers,
-                    {**dict(config.options), "pool_order": "fresh_first"},
+                    name=config.name,
+                    options={**dict(config.options), "pool_order": "fresh_first"},
                 )
             else:
                 self._scan_only = True
@@ -196,7 +192,7 @@ class SingleTupleExtensions:
             template = search_template(
                 CInstance(self._schema).with_row(name, variables),
                 self._master, self._constraints, self._adom,
-                engine=self._engine, workers=self._workers,
+                engine=self._engine,
             )
             entry = self._templates[name] = (variables, template)
         return entry
@@ -241,7 +237,6 @@ def single_tuple_extensions(
     relations: Sequence[str] | None = None,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
     fresh_first: bool = False,
 ) -> Iterator[GroundInstance]:
     """Partially closed extensions of ``I`` obtained by adding one Adom tuple.
@@ -267,7 +262,7 @@ def single_tuple_extensions(
         drained within the budget falls back to the lazy per-candidate scan,
         preserving the historical semantics where an early witness is found
         and returned before the budget runs out.
-    engine, workers:
+    engine:
         World-search engine selection, as accepted everywhere else in the
         library.
     fresh_first:
@@ -284,7 +279,7 @@ def single_tuple_extensions(
     """
     yield from SingleTupleExtensions(
         instance.schema, master, constraints, adom, relations=relations,
-        limit=limit, engine=engine, workers=workers, fresh_first=fresh_first,
+        limit=limit, engine=engine, fresh_first=fresh_first,
     ).over(instance)
 
 
@@ -297,7 +292,6 @@ def has_partially_closed_extension(
     adom: ActiveDomain,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> bool:
     """Whether ``Ext(I, D_m, V)`` is non-empty.
 
@@ -329,7 +323,7 @@ def has_partially_closed_extension(
     if limit is not None:
         for _ in single_tuple_extensions(
             instance, master, constraints, adom, limit=limit,
-            engine=engine, workers=workers,
+            engine=engine,
         ):
             return True
         return False
@@ -342,7 +336,7 @@ def has_partially_closed_extension(
         variables = _extension_variables(name, schema[name])
         run = search_template(
             CInstance(schema).with_row(name, variables), master, constraints, adom,
-            engine=engine, workers=workers, break_symmetry=True,
+            engine=engine, break_symmetry=True,
         ).over(instance)
         if not existing:
             if run.has_world():
@@ -426,7 +420,6 @@ class TableauExtensions:
         adom: ActiveDomain,
         limit: int | None = None,
         engine: EngineConfig | str | None = None,
-        workers: int | None = None,
         checker: ConstraintChecker | None = None,
     ) -> None:
         from repro.ctables.possible_worlds import search_template
@@ -458,7 +451,7 @@ class TableauExtensions:
                 tableau = tableau.with_row(atom.relation, atom.terms)
             self._template = search_template(
                 tableau, master, constraints, adom,
-                engine=engine, workers=workers, checker=checker,
+                engine=engine, checker=checker,
             )
 
     def _merged_valuations(
@@ -516,7 +509,6 @@ def tableau_extensions(
     adom: ActiveDomain,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Iterator[tuple[dict[Variable, Constant], GroundInstance]]:
     """Partially closed extensions ``I ∪ ν(T_Q)`` for Adom-valuations ``ν``.
 
@@ -543,7 +535,7 @@ def tableau_extensions(
     """
     yield from TableauExtensions(
         query, instance.schema, master, constraints, adom,
-        limit=limit, engine=engine, workers=workers,
+        limit=limit, engine=engine,
     ).over(instance)
 
 
@@ -555,7 +547,6 @@ def bounded_extensions(
     max_new_tuples: int = 1,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Iterator[GroundInstance]:
     """Partially closed extensions adding up to ``max_new_tuples`` Adom tuples.
 
@@ -570,7 +561,7 @@ def bounded_extensions(
     completes normally instead of tripping on a trailing duplicate.
     """
     extensions = SingleTupleExtensions(
-        instance.schema, master, constraints, adom, engine=engine, workers=workers
+        instance.schema, master, constraints, adom, engine=engine
     )
     frontier: list[GroundInstance] = [instance]
     seen: set[GroundInstance] = {instance}

@@ -118,7 +118,6 @@ class GroundCompletenessCheck:
         adom: ActiveDomain,
         limit: int | None = None,
         engine: EngineConfig | str | None = None,
-        workers: int | None = None,
     ) -> None:
         from repro.search.propagation import ConstraintChecker
         from repro.search.registry import ambient_checker
@@ -133,7 +132,7 @@ class GroundCompletenessCheck:
         self._extensions = [
             TableauExtensions(
                 disjunct, schema, master, constraints, adom, limit=limit,
-                engine=engine, workers=workers, checker=self._checker,
+                engine=engine, checker=self._checker,
             )
             for disjunct in as_union_of_cqs(query).disjuncts
         ]
@@ -171,7 +170,6 @@ def find_ground_incompleteness_witness(
     adom: ActiveDomain | None = None,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> IncompletenessWitness | None:
     """Search for a partially closed extension changing the query answer.
 
@@ -180,7 +178,7 @@ def find_ground_incompleteness_witness(
     need to be considered.  Returns ``None`` when the instance is complete.
     The tableau-extension search is engine-routed
     (:func:`~repro.completeness.extensions.tableau_extensions`);
-    ``engine``/``workers`` select the world-search engine.  Callers testing
+    ``engine`` selects the world-search engine.  Callers testing
     many instances over one Adom build one :class:`GroundCompletenessCheck`.
 
     Raises
@@ -195,7 +193,7 @@ def find_ground_incompleteness_witness(
         adom = ground_active_domain(instance, query, master, constraints)
     return GroundCompletenessCheck(
         query, instance.schema, master, constraints, adom,
-        limit=limit, engine=engine, workers=workers,
+        limit=limit, engine=engine,
     ).witness(instance)
 
 
@@ -207,7 +205,6 @@ def is_ground_complete(
     adom: ActiveDomain | None = None,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Whether a partially closed ground instance is complete for the query.
 
@@ -220,7 +217,7 @@ def is_ground_complete(
     with rec:
         witness = find_ground_incompleteness_witness(
             instance, query, master, constraints, adom=adom, limit=limit,
-            engine=engine, workers=workers,
+            engine=engine,
         )
     return rec.decision(witness is None, witness=witness)
 
@@ -234,7 +231,6 @@ def is_ground_complete_bounded(
     adom: ActiveDomain | None = None,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Bounded completeness check usable for any query language.
 
@@ -259,7 +255,7 @@ def is_ground_complete_bounded(
         for extended in bounded_extensions(
             instance, master, constraints, adom,
             max_new_tuples=max_new_tuples, limit=limit,
-            engine=engine, workers=workers,
+            engine=engine,
         ):
             extended_answer = evaluate(query, extended)
             if extended_answer != base_answer:

@@ -73,7 +73,6 @@ def is_minimal_ground_complete(
     adom: ActiveDomain | None = None,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Whether ``I`` is a minimal ground instance complete for ``Q``.
 
@@ -90,14 +89,14 @@ def is_minimal_ground_complete(
         if adom is not None:
             witness_of = GroundCompletenessCheck(
                 query, instance.schema, master, constraints, adom,
-                limit=limit, engine=engine, workers=workers,
+                limit=limit, engine=engine,
             ).witness
         else:
             # Without an Adom each instance is tested over its own.
             def witness_of(candidate: GroundInstance) -> IncompletenessWitness | None:
                 return find_ground_incompleteness_witness(
                     candidate, query, master, constraints, limit=limit,
-                    engine=engine, workers=workers,
+                    engine=engine,
                 )
 
         holds, return_witness = _minimality(instance, witness_of)
@@ -115,7 +114,6 @@ def is_minimal_strongly_complete(
     adom: ActiveDomain | None = None,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """MINPˢ: every world of ``Mod_Adom(T)`` is a minimal complete instance.
 
@@ -133,12 +131,12 @@ def is_minimal_strongly_complete(
             adom = default_active_domain(cinstance, master, constraints, query)
         check = GroundCompletenessCheck(
             query, cinstance.schema, master, constraints, adom,
-            limit=limit, engine=engine, workers=workers,
+            limit=limit, engine=engine,
         )
         saw_world = False
         witness: GroundInstance | None = None
         for world in models(
-            cinstance, master, constraints, adom, engine=engine, workers=workers
+            cinstance, master, constraints, adom, engine=engine
         ):
             saw_world = True
             if not _minimality(world, check.witness)[0]:
@@ -160,7 +158,6 @@ def is_minimal_viably_complete(
     adom: ActiveDomain | None = None,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """MINPᵛ: some world of ``Mod_Adom(T)`` is a minimal complete instance.
 
@@ -178,12 +175,12 @@ def is_minimal_viably_complete(
             adom = default_active_domain(cinstance, master, constraints, query)
         check = GroundCompletenessCheck(
             query, cinstance.schema, master, constraints, adom,
-            limit=limit, engine=engine, workers=workers,
+            limit=limit, engine=engine,
         )
         saw_world = False
         witness: GroundInstance | None = None
         for world in models(
-            cinstance, master, constraints, adom, engine=engine, workers=workers
+            cinstance, master, constraints, adom, engine=engine
         ):
             saw_world = True
             if _minimality(world, check.witness)[0]:
@@ -208,7 +205,6 @@ def is_minimal_weakly_complete(
     adom: ActiveDomain | None = None,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """MINPʷ: ``T`` is weakly complete and no strict sub-c-instance is.
 
@@ -224,7 +220,7 @@ def is_minimal_weakly_complete(
     with rec:
         if not is_weakly_complete(
             cinstance, query, master, constraints, adom=adom, limit=limit,
-            engine=engine, workers=workers,
+            engine=engine,
         ):
             holds = False
             witness: CInstance | None = None
@@ -234,7 +230,7 @@ def is_minimal_weakly_complete(
             for smaller in cinstance.strict_subinstances():
                 if is_weakly_complete(
                     smaller, query, master, constraints, limit=limit,
-                    engine=engine, workers=workers,
+                    engine=engine,
                 ):
                     holds = False
                     witness = smaller
@@ -249,7 +245,6 @@ def is_minimal_weakly_complete_cq(
     constraints: Sequence[ContainmentConstraint],
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """MINPʷ for CQ via the characterisation of Lemma 5.7 (coDP upper bound).
 
@@ -264,7 +259,7 @@ def is_minimal_weakly_complete_cq(
         empty = CInstance(cinstance.schema)
         empty_is_weakly_complete = is_weakly_complete(
             empty, query, master, constraints, limit=limit,
-            engine=engine, workers=workers,
+            engine=engine,
         )
         if empty_is_weakly_complete:
             holds = cinstance.is_empty()
@@ -272,7 +267,7 @@ def is_minimal_weakly_complete_cq(
             holds = False
         else:
             holds = has_model(
-                cinstance, master, constraints, engine=engine, workers=workers
+                cinstance, master, constraints, engine=engine
             )
     return rec.decision(holds)
 
@@ -289,7 +284,6 @@ def is_minimal_complete(
     adom: ActiveDomain | None = None,
     limit: int | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Decide MINP for the given completeness model (exact cells only)."""
     if isinstance(database, GroundInstance):
@@ -298,15 +292,15 @@ def is_minimal_complete(
         cinstance = database
     if model is CompletenessModel.STRONG:
         return is_minimal_strongly_complete(
-            cinstance, query, master, constraints, adom=adom, limit=limit, engine=engine, workers=workers
+            cinstance, query, master, constraints, adom=adom, limit=limit, engine=engine
         )
     if model is CompletenessModel.WEAK:
         return is_minimal_weakly_complete(
-            cinstance, query, master, constraints, adom=adom, limit=limit, engine=engine, workers=workers
+            cinstance, query, master, constraints, adom=adom, limit=limit, engine=engine
         )
     if model is CompletenessModel.VIABLE:
         return is_minimal_viably_complete(
-            cinstance, query, master, constraints, adom=adom, limit=limit, engine=engine, workers=workers
+            cinstance, query, master, constraints, adom=adom, limit=limit, engine=engine
         )
     raise QueryError(f"unknown completeness model {model!r}")
 

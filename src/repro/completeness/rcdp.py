@@ -68,7 +68,6 @@ def is_relatively_complete(
     limit: int | None = None,
     require_consistent: bool = True,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Decide RCDP for the given completeness model.
 
@@ -101,9 +100,6 @@ def is_relatively_complete(
     engine:
         World-search engine selection (see
         :mod:`repro.ctables.possible_worlds`).
-    workers:
-        Process-pool size for ``engine="parallel"`` (default: one worker per
-        available CPU); ignored by the other engines.
     """
     cinstance = as_cinstance(database)
     if model is CompletenessModel.STRONG:
@@ -117,7 +113,6 @@ def is_relatively_complete(
                 limit=limit,
                 require_consistent=require_consistent,
                 engine=engine,
-                workers=workers,
             )
         if allow_bounded:
             return is_strongly_complete_bounded(
@@ -130,7 +125,6 @@ def is_relatively_complete(
                 limit=limit,
                 require_consistent=require_consistent,
                 engine=engine,
-                workers=workers,
             )
         raise QueryError(
             f"RCDP^s is undecidable for {classify(query).value} (Theorem 4.1); "
@@ -147,7 +141,6 @@ def is_relatively_complete(
                 limit=limit,
                 require_consistent=require_consistent,
                 engine=engine,
-                workers=workers,
             )
         if allow_bounded:
             return is_weakly_complete_bounded(
@@ -160,7 +153,6 @@ def is_relatively_complete(
                 limit=limit,
                 require_consistent=require_consistent,
                 engine=engine,
-                workers=workers,
             )
         raise QueryError(
             f"RCDP^w is undecidable for {classify(query).value} (Theorem 5.1); "
@@ -177,7 +169,6 @@ def is_relatively_complete(
                 limit=limit,
                 require_consistent=require_consistent,
                 engine=engine,
-                workers=workers,
             )
         if allow_bounded:
             return is_viably_complete_bounded(
@@ -190,7 +181,6 @@ def is_relatively_complete(
                 limit=limit,
                 require_consistent=require_consistent,
                 engine=engine,
-                workers=workers,
             )
         raise QueryError(
             f"RCDP^v is undecidable for {classify(query).value} (Theorem 6.1); "

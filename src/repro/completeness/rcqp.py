@@ -314,7 +314,6 @@ def _rcqp_engine_search(
     max_size: int,
     max_instances: int | None,
     spec: EngineSpec,
-    workers: int | None = None,
     options: Mapping[str, Any] | None = None,
 ) -> RCQPWitness:
     """Witness search routed through a registered world-search engine.
@@ -326,9 +325,7 @@ def _rcqp_engine_search(
     constraint before they are materialised (unlike the naive combination
     scan, which inspects and rejects them one by one); the SAT engine
     compiles each composition to CNF so the DPLL solver enumerates only the
-    partially closed candidates; the parallel engine shards each
-    composition's enumeration over a process pool (small compositions take
-    its serial fallback automatically).  Any engine registered through
+    partially closed candidates.  Any engine registered through
     :func:`repro.search.registry.register_engine` slots in the same way.
     """
     base = empty_instance(schema)
@@ -346,7 +343,7 @@ def _rcqp_engine_search(
                 shape = _all_variable_cinstance(schema, counts)
                 search = spec.create(
                     shape, master, constraints, adom,
-                    workers=workers, options=options,
+                    options=options,
                 )
                 # The global `seen` set already deduplicates by world_key
                 # across compositions, so the per-search dedup pass is
@@ -369,7 +366,7 @@ def _rcqp_engine_search(
                     # witnesses of Lemma 4.2.
                     if is_ground_complete(
                         candidate, query, master, constraints,
-                        engine=spec.name, workers=workers,
+                        engine=spec.name,
                     ):
                         return RCQPWitness(
                             found=True, witness=candidate,
@@ -386,7 +383,6 @@ def rcqp_bounded_search(
     max_size: int = 2,
     max_instances: int | None = 200_000,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Search for a ground instance complete for ``Q`` with at most ``max_size`` tuples.
 
@@ -408,11 +404,10 @@ def rcqp_bounded_search(
     with rec:
         config = EngineConfig.coerce(engine)
         spec = config.spec()
-        resolved_workers = workers if workers is not None else config.workers
         if spec.name != "naive":
             outcome = _rcqp_engine_search(
                 query, schema, master, constraints, max_size, max_instances,
-                spec=spec, workers=resolved_workers, options=config.options,
+                spec=spec, options=config.options,
             )
         else:
             outcome = _rcqp_naive_search(
@@ -477,7 +472,6 @@ def rcqp(
     model: "str | None" = None,
     max_size: int = 2,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Convenience front-end for RCQP.
 
@@ -503,5 +497,4 @@ def rcqp(
         ).with_(model=resolved)
     return rcqp_bounded_search(
         query, schema, master, constraints, max_size=max_size, engine=engine,
-        workers=workers,
     ).with_(model=resolved)

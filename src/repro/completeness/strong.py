@@ -58,7 +58,6 @@ def find_strong_incompleteness_witness(
     limit: int | None = None,
     require_consistent: bool = True,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> StrongIncompletenessWitness | None:
     """Search for a world of ``T`` that is not relatively complete for ``Q``.
 
@@ -77,10 +76,10 @@ def find_strong_incompleteness_witness(
         adom = default_active_domain(cinstance, master, constraints, query)
     check = GroundCompletenessCheck(
         query, cinstance.schema, master, constraints, adom,
-        limit=limit, engine=engine, workers=workers,
+        limit=limit, engine=engine,
     )
     saw_world = False
-    for world in models(cinstance, master, constraints, adom, engine=engine, workers=workers):
+    for world in models(cinstance, master, constraints, adom, engine=engine):
         saw_world = True
         witness = check.witness(world)
         if witness is not None:
@@ -102,7 +101,6 @@ def is_strongly_complete(
     limit: int | None = None,
     require_consistent: bool = True,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Whether ``T`` is strongly complete for ``Q`` relative to ``(D_m, V)``.
 
@@ -121,7 +119,7 @@ def is_strongly_complete(
             adom=adom,
             limit=limit,
             require_consistent=require_consistent,
-            engine=engine, workers=workers,
+            engine=engine,
         )
     return rec.decision(witness is None, witness=witness)
 
@@ -136,7 +134,6 @@ def is_strongly_complete_bounded(
     limit: int | None = None,
     require_consistent: bool = True,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Bounded strong-completeness check for arbitrary query languages.
 
@@ -159,7 +156,7 @@ def is_strongly_complete_bounded(
         saw_world = False
         witness: StrongIncompletenessWitness | None = None
         for world in models(
-            cinstance, master, constraints, adom, engine=engine, workers=workers
+            cinstance, master, constraints, adom, engine=engine
         ):
             saw_world = True
             ground = is_ground_complete_bounded(
@@ -171,7 +168,6 @@ def is_strongly_complete_bounded(
                 adom=adom,
                 limit=limit,
                 engine=engine,
-                workers=workers,
             )
             if not ground:
                 witness = StrongIncompletenessWitness(

@@ -46,7 +46,6 @@ def find_viable_witness(
     limit: int | None = None,
     require_consistent: bool = True,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> GroundInstance | None:
     """A possible world of ``T`` that is relatively complete for ``Q``, if any.
 
@@ -58,10 +57,10 @@ def find_viable_witness(
         adom = default_active_domain(cinstance, master, constraints, query)
     check = GroundCompletenessCheck(
         query, cinstance.schema, master, constraints, adom,
-        limit=limit, engine=engine, workers=workers,
+        limit=limit, engine=engine,
     )
     saw_world = False
-    for world in models(cinstance, master, constraints, adom, engine=engine, workers=workers):
+    for world in models(cinstance, master, constraints, adom, engine=engine):
         saw_world = True
         if check.witness(world) is None:
             return world
@@ -82,7 +81,6 @@ def is_viably_complete(
     limit: int | None = None,
     require_consistent: bool = True,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Whether ``T`` is viably complete for ``Q`` relative to ``(D_m, V)``.
 
@@ -100,7 +98,7 @@ def is_viably_complete(
             adom=adom,
             limit=limit,
             require_consistent=require_consistent,
-            engine=engine, workers=workers,
+            engine=engine,
         )
     return rec.decision(witness is not None, witness=witness)
 
@@ -115,7 +113,6 @@ def is_viably_complete_bounded(
     limit: int | None = None,
     require_consistent: bool = True,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Bounded viable-completeness check for arbitrary query languages.
 
@@ -135,7 +132,7 @@ def is_viably_complete_bounded(
         saw_world = False
         witness: GroundInstance | None = None
         for world in models(
-            cinstance, master, constraints, adom, engine=engine, workers=workers
+            cinstance, master, constraints, adom, engine=engine
         ):
             saw_world = True
             if is_ground_complete_bounded(
@@ -147,7 +144,6 @@ def is_viably_complete_bounded(
                 adom=adom,
                 limit=limit,
                 engine=engine,
-                workers=workers,
             ):
                 witness = world
                 break

@@ -64,7 +64,6 @@ def weak_completeness_report(
     limit: int | None = None,
     require_consistent: bool = True,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Compute both certain answers and the weak-completeness verdict.
 
@@ -91,7 +90,7 @@ def weak_completeness_report(
         try:
             over_models = certain_answer_over_models(
                 cinstance, query, master, constraints, adom=adom,
-                engine=engine, workers=workers,
+                engine=engine,
             )
         except InconsistentCInstanceError:
             if require_consistent:
@@ -105,7 +104,7 @@ def weak_completeness_report(
         else:
             over_extensions: ExtensionCertainAnswer = certain_answer_over_extensions(
                 cinstance, query, master, constraints, adom=adom, limit=limit,
-                engine=engine, workers=workers,
+                engine=engine,
             )
             if over_extensions.family_is_empty:
                 verdict = True
@@ -129,7 +128,6 @@ def is_weakly_complete(
     limit: int | None = None,
     require_consistent: bool = True,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Whether ``T`` is weakly complete for ``Q`` relative to ``(D_m, V)``.
 
@@ -145,7 +143,7 @@ def is_weakly_complete(
         adom=adom,
         limit=limit,
         require_consistent=require_consistent,
-        engine=engine, workers=workers,
+        engine=engine,
     )
 
 
@@ -159,7 +157,6 @@ def is_weakly_complete_bounded(
     limit: int | None = None,
     require_consistent: bool = True,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
 ) -> Decision:
     """Bounded weak-completeness check usable for any query language.
 
@@ -183,7 +180,7 @@ def is_weakly_complete_bounded(
         any_extension = False
         saw_world = False
         for world in models(
-            cinstance, master, constraints, adom, engine=engine, workers=workers
+            cinstance, master, constraints, adom, engine=engine
         ):
             saw_world = True
             world_answer = evaluate(query, world)
@@ -193,7 +190,7 @@ def is_weakly_complete_bounded(
             for extended in bounded_extensions(
                 world, master, constraints, adom,
                 max_new_tuples=max_new_tuples, limit=limit,
-                engine=engine, workers=workers,
+                engine=engine,
             ):
                 any_extension = True
                 extended_answer = evaluate(query, extended)

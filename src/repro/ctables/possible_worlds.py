@@ -24,15 +24,7 @@ the default.  The built-in engines:
   :mod:`repro.reductions.dpll`; existence checks are a single SAT call and
   enumeration uses selector-projected blocking clauses.  Conditions and
   (in)equality-heavy constraints are evaluated once, at encoding time, which
-  is the regime where this engine overtakes the propagating one;
-* ``engine="parallel"`` — the sharded process-parallel engine of
-  :mod:`repro.search.parallel`: the propagating search tree is partitioned by
-  the first ordered variable's pool values (pairs of the first two variables
-  when the first pool is small) and the shards are farmed to a process pool,
-  with results merged in shard order so the enumeration is order-identical
-  to the serial propagating engine.  The ``workers`` keyword (default: one
-  per available CPU) sizes the pool; small searches silently fall back to
-  the serial path; and
+  is the regime where this engine overtakes the propagating one; and
 * ``engine="naive"`` — the original cross-product enumeration
   (:class:`~repro.search.naive.NaiveWorldSearch`), kept as the reference
   implementation the engines are parity-tested against.
@@ -40,8 +32,7 @@ the default.  The built-in engines:
 Additional engines registered through
 :func:`repro.search.registry.register_engine` are selectable here without
 any change to this module.  All engines produce the same set of valuations
-and worlds (only the enumeration order may differ; the parallel engine
-reproduces the ``"propagating"`` order exactly).  The higher-level decision
+and worlds (only the enumeration order may differ).  The higher-level decision
 procedures (consistency, RCDP, RCQP, MINP) are built on top of this module
 in :mod:`repro.completeness`.
 """
@@ -82,16 +73,11 @@ __all__ = [
 
 
 def _engine_plan(
-    engine: EngineConfig | str | None, workers: int | None
-) -> tuple[EngineSpec, int | None, Mapping[str, Any]]:
-    """Resolve an engine selection to ``(spec, workers, factory options)``.
-
-    An explicit ``workers=`` argument wins over the config's ``workers``
-    field (the keyword is the more local declaration).
-    """
+    engine: EngineConfig | str | None,
+) -> tuple[EngineSpec, Mapping[str, Any]]:
+    """Resolve an engine selection to ``(spec, factory options)``."""
     config = EngineConfig.coerce(engine)
-    spec = config.spec()
-    return spec, workers if workers is not None else config.workers, config.options
+    return config.spec(), config.options
 
 
 def _make_search(
@@ -100,12 +86,11 @@ def _make_search(
     constraints: Sequence[ContainmentConstraint],
     adom: ActiveDomain | None,
     engine: EngineConfig | str | None,
-    workers: int | None,
     *,
     existence: bool = False,
     checker: "ConstraintChecker | None" = None,
 ) -> WorldSearchLike:
-    spec, workers, options = _engine_plan(engine, workers)
+    spec, options = _engine_plan(engine)
     if adom is None:
         adom = default_active_domain(cinstance, master, constraints)
     return spec.create(
@@ -113,7 +98,6 @@ def _make_search(
         master,
         constraints,
         adom,
-        workers=workers,
         checker=checker,
         break_symmetry=existence and spec.capabilities.symmetry_breaking,
         options=options,
@@ -150,21 +134,18 @@ def models_with_valuations(
     constraints: Sequence[ContainmentConstraint],
     adom: ActiveDomain | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
     checker: "ConstraintChecker | None" = None,
 ) -> Iterator[tuple[Valuation, GroundInstance]]:
     """Enumerate ``(µ, µ(T))`` pairs with ``µ(T) ∈ Mod_Adom(T, D_m, V)``.
 
-    ``workers`` sizes the worker pool of engines that support one (default:
-    one worker per available CPU); the other engines ignore it.  ``checker``
-    optionally shares a prebuilt
+    ``checker`` optionally shares a prebuilt
     :class:`~repro.search.propagation.ConstraintChecker` with
     checker-accepting engines — pass it explicitly for generator consumers
     (the ambient :func:`repro.search.registry.use_checker` channel must not
     be held open across generator suspension).
     """
     yield from _make_search(
-        cinstance, master, constraints, adom, engine, workers, checker=checker
+        cinstance, master, constraints, adom, engine, checker=checker
     ).search()
 
 
@@ -175,19 +156,17 @@ def models(
     adom: ActiveDomain | None = None,
     deduplicate: bool = True,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
     checker: "ConstraintChecker | None" = None,
 ) -> Iterator[GroundInstance]:
     """Enumerate ``Mod_Adom(T, D_m, V)``.
 
     Distinct valuations may induce the same ground instance; by default the
     duplicates are suppressed so callers iterate over the set of worlds.
-    ``workers`` sizes the worker pool of engines that support one;
     ``checker`` shares a prebuilt constraint checker (see
     :func:`models_with_valuations`).
     """
     yield from _make_search(
-        cinstance, master, constraints, adom, engine, workers, checker=checker
+        cinstance, master, constraints, adom, engine, checker=checker
     ).worlds(deduplicate=deduplicate)
 
 
@@ -197,7 +176,6 @@ def has_model(
     constraints: Sequence[ContainmentConstraint],
     adom: ActiveDomain | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
     checker: "ConstraintChecker | None" = None,
 ) -> bool:
     """Whether ``Mod(T, D_m, V)`` is non-empty (the consistency property).
@@ -206,12 +184,10 @@ def has_model(
     coincides with emptiness over all valuations.  Engines whose
     capabilities declare ``symmetry_breaking`` are asked to apply fresh-value
     symmetry reduction here, which preserves (non-)emptiness but not the
-    world multiset — existence is all this function reports.  Engines with
-    ``supports_cancellation`` abandon in-flight work as soon as an answer is
-    known (the parallel engine races its shards and cancels the losers).
+    world multiset — existence is all this function reports.
     """
     return _make_search(
-        cinstance, master, constraints, adom, engine, workers,
+        cinstance, master, constraints, adom, engine,
         existence=True, checker=checker,
     ).has_world()
 
@@ -222,7 +198,6 @@ def search_template(
     constraints: Sequence[ContainmentConstraint],
     adom: ActiveDomain,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
     checker: "ConstraintChecker | None" = None,
     *,
     break_symmetry: bool = False,
@@ -245,14 +220,13 @@ def search_template(
     may use it.  Engines without the capability ignore the flag, which is
     sound: they enumerate a superset of the representatives.
     """
-    spec, workers, options = _engine_plan(engine, workers)
+    spec, options = _engine_plan(engine)
     return SearchTemplate(
         spec,
         cinstance,
         master,
         constraints,
         adom,
-        workers=workers,
         checker=checker,
         break_symmetry=break_symmetry and spec.capabilities.symmetry_breaking,
         options=options,
@@ -265,22 +239,17 @@ def model_count(
     constraints: Sequence[ContainmentConstraint],
     adom: ActiveDomain | None = None,
     engine: EngineConfig | str | None = None,
-    workers: int | None = None,
     checker: "ConstraintChecker | None" = None,
 ) -> int:
     """The number of distinct worlds in ``Mod_Adom(T, D_m, V)``.
 
     Engines whose capabilities declare ``counts_natively`` count without
     materialising the worlds through :func:`models` — the SAT engine
-    multiplies the sub-world counts of its clause-graph components, the
-    parallel engine merges per-shard world-key sets — which is both faster
-    and lighter on memory for wide instances.
+    multiplies the sub-world counts of its clause-graph components — which
+    is both faster and lighter on memory for wide instances.
     """
-    spec, resolved_workers, _options = _engine_plan(engine, workers)
-    search = _make_search(
-        cinstance, master, constraints, adom, engine, resolved_workers,
-        checker=checker,
-    )
+    spec, _options = _engine_plan(engine)
+    search = _make_search(cinstance, master, constraints, adom, engine, checker=checker)
     if spec.capabilities.counts_natively:
         return search.count_worlds()
     return sum(1 for _ in search.worlds(deduplicate=True))

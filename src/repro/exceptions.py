@@ -77,8 +77,8 @@ class SearchCancelledError(SearchError):
     """A cooperative world search was cancelled via its ``stop_check`` hook.
 
     Raised by :class:`repro.search.engine.WorldSearch` when the caller-supplied
-    ``stop_check`` callable reports ``True`` mid-search.  The parallel engine
-    uses it to abort outstanding shards once another shard has found a model.
+    ``stop_check`` callable reports ``True`` mid-search.  The service's
+    ``/worlds`` stream uses it to stop searching once its client disconnects.
     """
 
 

@@ -46,13 +46,15 @@ __all__ = [
 class WorldSearchEngine(Protocol):
     """The object shape every registered engine factory must produce.
 
-    The four built-in engines (propagating, sat, parallel, naive) all
-    satisfy this protocol, and the registry's
+    The three built-in engines (propagating, sat, naive) all satisfy this
+    protocol, and the registry's
     :data:`~repro.search.registry.EngineFactory` is typed to return it.
     ``stats`` is deliberately loose (``Any``): the per-engine stats shapes
-    are heterogeneous (tree-search node counts, CNF clause counts, shard
-    merge counters) and are folded together duck-typed by
-    :func:`repro.decision.aggregate_search_stats`.
+    are heterogeneous (tree-search node counts, CNF clause counts) and are
+    folded together duck-typed by
+    :func:`repro.decision.aggregate_search_stats`.  Every engine's
+    ``stats.worlds`` counts satisfying valuations, after both
+    :meth:`search` and :meth:`count_worlds`.
     """
 
     stats: Any

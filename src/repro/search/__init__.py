@@ -1,7 +1,7 @@
 """Search engines over the possible worlds of a c-instance.
 
 The decision procedures of the paper all reduce to enumerating (or probing)
-``Mod_Adom(T, D_m, V)``.  This package provides the three non-trivial
+``Mod_Adom(T, D_m, V)``.  This package provides the two non-trivial
 engines behind that enumeration:
 
 * the **propagating** engine (:mod:`repro.search.engine`) — pruned
@@ -11,13 +11,7 @@ engines behind that enumeration:
 * the **SAT** engine (:mod:`repro.search.sat_engine`) — membership is
   compiled to CNF (:mod:`repro.search.cnf_encoding`) and decided by the
   DPLL solver of :mod:`repro.reductions.dpll`; conditions and
-  inequality-heavy constraints are evaluated once at encoding time;
-* the **parallel** engine (:mod:`repro.search.parallel`) — the propagating
-  search tree is sharded by the first ordered variable's pool values (pairs
-  of the first two when the first pool is small) and the shards are run by a
-  process pool, with shard-order merging so the output is order-identical to
-  the serial propagating engine, early cancellation of outstanding shards
-  for existence checks, and a serial fallback for small searches.
+  inequality-heavy constraints are evaluated once at encoding time.
 
 All engines are registered in the pluggable registry of
 :mod:`repro.search.registry` (the cross-product reference path included, as
@@ -27,8 +21,7 @@ a name string or an :class:`~repro.search.registry.EngineConfig` — through
 :func:`repro.search.registry.get_engine`, so third-party engines registered
 with :func:`repro.search.registry.register_engine` are selectable everywhere
 without touching core modules.  The default is ``engine="propagating"``; the
-SAT route is ``engine="sat"``, the sharded route is ``engine="parallel"``
-(with a ``workers=`` knob) and the reference path is ``engine="naive"``.
+SAT route is ``engine="sat"`` and the reference path is ``engine="naive"``.
 """
 
 from repro.search.cnf_encoding import (
@@ -39,12 +32,6 @@ from repro.search.cnf_encoding import (
 from repro.search.engine import SearchStats, WorldSearch, world_key
 from repro.search.naive import NaiveSearchStats, NaiveWorldSearch
 from repro.search.ordering import order_variables
-from repro.search.parallel import (
-    ParallelSearchStats,
-    ParallelWorldSearch,
-    resolve_workers,
-    shutdown_pools,
-)
 from repro.search.propagation import CheckerSession, ConstraintChecker
 from repro.search.registry import (
     DEFAULT_ENGINE,
@@ -69,8 +56,6 @@ __all__ = [
     "EngineSpec",
     "NaiveSearchStats",
     "NaiveWorldSearch",
-    "ParallelSearchStats",
-    "ParallelWorldSearch",
     "SATSearchStats",
     "SATWorldSearch",
     "SearchStats",
@@ -82,8 +67,6 @@ __all__ = [
     "order_variables",
     "register_engine",
     "resolve_engine_name",
-    "resolve_workers",
-    "shutdown_pools",
     "unregister_engine",
     "world_key",
 ]

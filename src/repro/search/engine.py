@@ -164,21 +164,12 @@ class WorldSearch:
         A prebuilt :class:`ConstraintChecker` for ``(master, constraints)``.
         Callers that run many searches against the same master data pass one
         to avoid re-evaluating the constraint right-hand sides per search.
-    order:
-        A forced variable-assignment order (must cover exactly the variables
-        of the c-instance).  The parallel engine pins the serial order here so
-        every shard enumerates its subtree in the same sequence the serial
-        search would, making the merged output order-identical to serial.
-    pool_overrides:
-        Per-variable replacement candidate pools, intersected with the
-        variable's Adom pool.  The parallel engine restricts the shard
-        variables to a single value each; the subtree under that prefix is
-        then exactly the corresponding branch of the serial search.
     stop_check:
         A zero-argument callable polled every :data:`STOP_CHECK_STRIDE` search
         nodes; returning ``True`` aborts the search by raising
-        :class:`~repro.exceptions.SearchCancelledError`.  Used for
-        cross-process cancellation of existence checks.
+        :class:`~repro.exceptions.SearchCancelledError`.  The service's
+        ``/worlds`` stream passes one that turns true when its client
+        disconnects.
     pool_order:
         A value-order hint applied (stably) to every candidate pool.  The
         only hint currently defined is ``"fresh_first"``: try the fresh
@@ -199,8 +190,6 @@ class WorldSearch:
         *,
         break_symmetry: bool = False,
         checker: ConstraintChecker | None = None,
-        order: Sequence[Variable] | None = None,
-        pool_overrides: Mapping[Variable, Sequence[Constant]] | None = None,
         stop_check: Callable[[], bool] | None = None,
         pool_order: str | None = None,
     ) -> None:
@@ -217,15 +206,6 @@ class WorldSearch:
 
         restrictions = cinstance.variable_domains()
         self._pools = variable_pools(cinstance.variables(), adom, restrictions)
-        if pool_overrides:
-            for variable, values in pool_overrides.items():
-                if variable not in self._pools:
-                    raise SearchError(
-                        f"pool override for {variable!r}, which is not a "
-                        "variable of the c-instance"
-                    )
-                allowed = set(self._pools[variable])
-                self._pools[variable] = [v for v in values if v in allowed]
         if pool_order is not None:
             if pool_order not in POOL_ORDERS:
                 raise SearchError(
@@ -237,17 +217,9 @@ class WorldSearch:
                 # existing relative order.
                 pool.sort(key=lambda value: value not in fresh)
         rows = [(name, row) for name, _index, row in cinstance.rows()]
-        if order is not None:
-            if set(order) != set(self._pools) or len(order) != len(self._pools):
-                raise SearchError(
-                    "forced variable order must cover exactly the variables "
-                    "of the c-instance"
-                )
-            self._order = list(order)
-        else:
-            self._order = order_variables(
-                self._pools, [row.variables() for _name, row in rows]
-            )
+        self._order = order_variables(
+            self._pools, [row.variables() for _name, row in rows]
+        )
         # depth[v]: the search depth from which variable v is assigned.
         depth = {variable: i + 1 for i, variable in enumerate(self._order)}
         # completions[0] holds the rows that are ground from the start;
@@ -311,7 +283,7 @@ class WorldSearch:
 
     @property
     def pools(self) -> dict[Variable, list[Constant]]:
-        """The per-variable candidate pools (after any overrides)."""
+        """The per-variable candidate pools (after any ``pool_order``)."""
         return {variable: list(pool) for variable, pool in self._pools.items()}
 
     def over(self, instance: GroundInstance) -> "WorldSearch":

@@ -4,9 +4,8 @@ The original reference path enumerated ``itertools.product`` over the
 variable pools inline in :mod:`repro.ctables.possible_worlds`.  Wrapping it
 in :class:`NaiveWorldSearch` gives it the same object shape as the other
 engines (:class:`~repro.search.engine.WorldSearch`,
-:class:`~repro.search.sat_engine.SATWorldSearch`,
-:class:`~repro.search.parallel.ParallelWorldSearch`) so the engine registry
-(:mod:`repro.search.registry`) can treat all four uniformly — and so the
+:class:`~repro.search.sat_engine.SATWorldSearch`) so the engine registry
+(:mod:`repro.search.registry`) can treat all three uniformly — and so the
 differential harness keeps a reference implementation whose only cleverness
 is having none: every Adom valuation is materialised and the containment
 constraints are checked on complete worlds only.

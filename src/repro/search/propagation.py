@@ -33,8 +33,7 @@ snapshot stack over a fact store owned by the session.  Sessions make the
 checker itself stateless — its plans never change after construction, and
 the join probes they memoise on first use are pure functions of the plan —
 so one :class:`ConstraintChecker` can be shared by the
-:class:`repro.api.Database` facade, the parallel engine's workers and
-arbitrarily many concurrent searches.  Because CQ answers are monotone in
+:class:`repro.api.Database` facade and arbitrarily many concurrent searches.  Because CQ answers are monotone in
 the fact store, a push can only *add* violations and popping it removes
 exactly the violations it added — the session tracks per-push violation
 sets, so verdicts stay exact across any push/pop sequence (including pushes

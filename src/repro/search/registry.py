@@ -2,13 +2,13 @@
 
 Before this module existed, every engine was wired in by hand: adding one
 meant growing string ``if/elif`` chains in
-:mod:`repro.ctables.possible_worlds` *and* in the RCQP witness search, plus
-per-call-site ``workers=`` threading.  The registry replaces those chains
-with a single object model, in the spirit of object registries in
-long-running server codebases: an engine is a **name**, a **factory** and a
-set of declared **capabilities**, and everything downstream (the
-:mod:`possible_worlds <repro.ctables.possible_worlds>` front-ends, the
-deciders, the :class:`repro.api.Database` facade) resolves engines through
+:mod:`repro.ctables.possible_worlds` *and* in the RCQP witness search.  The
+registry replaces those chains with a single object model, in the spirit of
+object registries in long-running server codebases: an engine is a
+**name**, a **factory** and a set of declared **capabilities**, and
+everything downstream (the :mod:`possible_worlds
+<repro.ctables.possible_worlds>` front-ends, the deciders, the
+:class:`repro.api.Database` facade) resolves engines through
 :func:`get_engine` alone.
 
 Third-party or experimental engines become drop-ins::
@@ -17,7 +17,7 @@ Third-party or experimental engines become drop-ins::
 
     register_engine(
         "my-engine",
-        lambda cinstance, master, constraints, adom, *, workers, checker,
+        lambda cinstance, master, constraints, adom, *, checker,
                break_symmetry, **options: MySearch(...),
         capabilities=EngineCapabilities(counts_natively=True),
     )
@@ -27,12 +27,11 @@ accepted — no core module is touched.
 
 Capability flags let callers pick fast paths without knowing engine
 internals: ``counts_natively`` routes ``model_count`` to the engine's own
-counting (SAT per-component counts, parallel shard-count merging),
-``symmetry_breaking`` tells existence checks to request the fresh-value
-symmetry reduction, ``supports_cancellation`` marks engines that can
-abandon work early once an answer is known, and ``rooted_runs`` marks
-engines whose search object roots a run at a ground instance without
-rebuilding its plan (:class:`SearchTemplate`).
+counting (SAT per-component counts), ``symmetry_breaking`` tells existence
+checks to request the fresh-value symmetry reduction,
+``supports_cancellation`` marks engines that honour a ``stop_check``
+option, and ``rooted_runs`` marks engines whose search object roots a run
+at a ground instance without rebuilding its plan (:class:`SearchTemplate`).
 
 The module also hosts two *ambient* channels that avoid parameter
 threading through the decision procedures:
@@ -63,7 +62,6 @@ from repro.relational.master import MasterData
 from repro.protocols import RootedWorldSearchEngine, SearchSink, WorldSearchEngine
 from repro.search.engine import WorldSearch
 from repro.search.naive import NaiveWorldSearch
-from repro.search.parallel import ParallelWorldSearch
 from repro.search.propagation import ConstraintChecker
 from repro.search.sat_engine import SATWorldSearch
 
@@ -76,10 +74,10 @@ DEFAULT_ENGINE = "propagating"
 WorldSearchLike = WorldSearchEngine
 
 
-#: ``factory(cinstance, master, constraints, adom, *, workers, checker,
+#: ``factory(cinstance, master, constraints, adom, *, checker,
 #: break_symmetry, **options) -> WorldSearchLike``.  Factories are free to
 #: ignore hints that do not apply to them (the SAT factory ignores
-#: ``workers``); unknown ``options`` keys should raise.
+#: ``break_symmetry``); unknown ``options`` keys should raise.
 EngineFactory = Callable[..., WorldSearchLike]
 
 
@@ -93,10 +91,12 @@ class EngineCapabilities:
         ``count_worlds()`` is cheaper than draining ``worlds()`` — e.g. the
         SAT engine multiplies per-component sub-world counts without
         materialising :class:`~repro.relational.instance.GroundInstance`
-        objects, and the parallel engine merges per-shard world-key sets.
-        ``model_count`` routes through the native path when set.
+        objects.  ``model_count`` routes through the native path when set.
     supports_cancellation:
-        Existence checks can abandon in-flight work once an answer is known.
+        The factory honours a ``stop_check`` option: a zero-argument
+        callable the search polls, aborting with
+        :class:`~repro.exceptions.SearchCancelledError` once it returns
+        ``True`` (how the service stops a stream whose client left).
     symmetry_breaking:
         The factory honours ``break_symmetry=True`` for existence checks.
     accepts_checker:
@@ -142,7 +142,6 @@ class EngineSpec:
         constraints: Sequence[ContainmentConstraint],
         adom: ActiveDomain | None,
         *,
-        workers: int | None = None,
         checker: ConstraintChecker | None = None,
         break_symmetry: bool = False,
         options: Mapping[str, Any] | None = None,
@@ -155,7 +154,6 @@ class EngineSpec:
             master,
             constraints,
             adom,
-            workers=workers,
             checker=checker,
             break_symmetry=break_symmetry,
             **dict(options or {}),
@@ -187,7 +185,6 @@ class SearchTemplate:
         constraints: Sequence[ContainmentConstraint],
         adom: ActiveDomain,
         *,
-        workers: int | None = None,
         checker: ConstraintChecker | None = None,
         break_symmetry: bool = False,
         options: Mapping[str, Any] | None = None,
@@ -198,7 +195,7 @@ class SearchTemplate:
         self._factory = spec.factory
         self._arguments = (master, constraints, adom)
         self._keywords: dict[str, Any] = dict(
-            options or {}, workers=workers, checker=checker, break_symmetry=break_symmetry
+            options or {}, checker=checker, break_symmetry=break_symmetry
         )
         self._rooted: RootedWorldSearchEngine | None = None
         if spec.capabilities.rooted_runs:
@@ -282,9 +279,8 @@ class EngineConfig:
     """A resolved-at-call-time engine selection.
 
     ``name=None`` means the registry default (:data:`DEFAULT_ENGINE`);
-    ``workers`` sizes worker pools for engines that support them;
     ``options`` are passed through to the engine factory verbatim (e.g.
-    ``{"shard_order": "reversed"}`` for the parallel engine).
+    ``{"pool_order": "fresh_first"}`` for the propagating engine).
 
     Every ``engine=`` keyword in the library accepts a plain name string, an
     :class:`EngineConfig`, or ``None`` — :meth:`coerce` normalises all
@@ -292,14 +288,13 @@ class EngineConfig:
     """
 
     name: str | None = None
-    workers: int | None = None
     options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "options", dict(self.options))
 
     def __hash__(self) -> int:
-        return hash((self.name, self.workers, tuple(sorted(self.options))))
+        return hash((self.name, tuple(sorted(self.options))))
 
     @classmethod
     def coerce(cls, value: "EngineConfig | str | None") -> "EngineConfig":
@@ -392,12 +387,10 @@ def _propagating_factory(
     constraints: Sequence[ContainmentConstraint],
     adom: ActiveDomain | None,
     *,
-    workers: int | None,
     checker: ConstraintChecker | None,
     break_symmetry: bool,
     **options: Any,
 ) -> WorldSearchEngine:
-    del workers  # serial engine
     return WorldSearch(
         cinstance,
         master,
@@ -415,30 +408,12 @@ def _sat_factory(
     constraints: Sequence[ContainmentConstraint],
     adom: ActiveDomain | None,
     *,
-    workers: int | None,
     checker: ConstraintChecker | None,
     break_symmetry: bool,
     **options: Any,
 ) -> WorldSearchEngine:
-    del workers, break_symmetry  # one SAT call decides existence anyway
+    del break_symmetry  # one SAT call decides existence anyway
     return SATWorldSearch(cinstance, master, constraints, adom, checker=checker, **options)
-
-
-def _parallel_factory(
-    cinstance: CInstance,
-    master: MasterData,
-    constraints: Sequence[ContainmentConstraint],
-    adom: ActiveDomain | None,
-    *,
-    workers: int | None,
-    checker: ConstraintChecker | None,
-    break_symmetry: bool,
-    **options: Any,
-) -> WorldSearchEngine:
-    del break_symmetry  # applied internally, per front-end
-    return ParallelWorldSearch(
-        cinstance, master, constraints, adom, workers=workers, checker=checker, **options
-    )
 
 
 def _naive_factory(
@@ -447,12 +422,11 @@ def _naive_factory(
     constraints: Sequence[ContainmentConstraint],
     adom: ActiveDomain | None,
     *,
-    workers: int | None,
     checker: ConstraintChecker | None,
     break_symmetry: bool,
     **options: Any,
 ) -> WorldSearchEngine:
-    del workers, checker, break_symmetry  # the reference path optimises nothing
+    del checker, break_symmetry  # the reference path optimises nothing
     return NaiveWorldSearch(cinstance, master, constraints, adom, **options)
 
 
@@ -470,11 +444,6 @@ register_engine(
     "sat",
     _sat_factory,
     EngineCapabilities(counts_natively=True, supports_incremental=True),
-)
-register_engine(
-    "parallel",
-    _parallel_factory,
-    EngineCapabilities(counts_natively=True, supports_cancellation=True),
 )
 register_engine(
     "naive",

@@ -89,8 +89,7 @@ class _ReplicaPayload:
 # session version moves (every update bumps it).  Keeping the replica alive
 # across requests lets the worker reuse its checker, Adom and its *own*
 # decision cache for process-local repeats.
-# reprolint: disable=R005 -- deliberate per-process memo cache: each forked
-# worker keeps its own replicas; the parent never reads or depends on them.
+# Each forked worker keeps its own replicas; the parent never reads them.
 _REPLICAS: dict[str, tuple[int, Database]] = {}
 
 
@@ -244,9 +243,7 @@ class DatabasePool:
         request = parse_decision(state.spec, body)
         engine = parse_engine(body)
         include_witness = bool(body.get("include_witness", False))
-        engine_key = (
-            (engine.name, engine.workers) if engine is not None else state.engine
-        )
+        engine_key = engine.name if engine is not None else state.engine
         flight_key = (
             name,
             request.problem,

@@ -134,19 +134,17 @@ def _parse_bool(body: Mapping[str, Any], key: str, default: bool) -> bool:
 
 
 def parse_engine(body: Mapping[str, Any]) -> EngineConfig | None:
-    """The engine selection of a request body (``engine`` / ``workers``).
+    """The engine selection of a request body (its ``engine`` name).
 
     ``None`` when the request leaves the choice to the session's default.
     """
     name = body.get("engine")
-    workers = _parse_optional_int(body, "workers")
-    if name is None and workers is None:
+    if name is None:
         return None
-    if name is not None and not isinstance(name, str):
+    if not isinstance(name, str):
         raise ServiceError("\"engine\" must be an engine name (string)")
     try:
         config = EngineConfig.coerce(name)
-        config = EngineConfig(config.name, workers, config.options)
         config.spec()  # validate the name against the registry now
     except Exception as err:
         raise ServiceError(f"bad engine selection: {err}") from err

@@ -340,9 +340,8 @@ class DecisionService:
             raise ServiceError(f"bad engine selection: {err}") from err
         if spec.capabilities.supports_cancellation:
             config = EngineConfig(
-                config.name,
-                config.workers,
-                {**config.options, "stop_check": cancel.is_set},
+                name=config.name,
+                options={**config.options, "stop_check": cancel.is_set},
             )
         return config
 

@@ -278,7 +278,7 @@ def inequality_chain_workload(
 
 @dataclass(frozen=True)
 class WidePoolWorkload:
-    """A wide-first-pool workload (the parallel engine's target regime)."""
+    """A wide-first-pool workload: every variable ranges over the whole Adom."""
 
     schema: DatabaseSchema
     master: MasterData
@@ -290,7 +290,7 @@ class WidePoolWorkload:
 
 
 def wide_pool_workload(rows: int, values_per_key: int) -> WidePoolWorkload:
-    """Build the wide-pool family targeted by ``engine="parallel"``.
+    """Build the wide-pool family: one fresh variable per key, wide pools.
 
     The schema is ``Record(key, value)`` bounded by the master registry
     ``Registry(key, value)``, which holds every pair ``(kᵢ, vⱼ)`` for
@@ -307,10 +307,9 @@ def wide_pool_workload(rows: int, values_per_key: int) -> WidePoolWorkload:
     in the inconsistent regime every decider must exhaust the whole search
     tree.  Every variable's candidate pool is the full active domain
     (``rows + values_per_key`` registry constants plus one fresh value per
-    variable), so the tree is *wide at the root* — the regime where sharding
-    the first variable's pool across worker processes pays off — while the
-    per-node pruning work (a join of the all-distinct CC over the grounded
-    rows) is heavy enough to dominate process-pool overhead.
+    variable), so the tree is *wide at the root*, and the per-node pruning
+    work (a join of the all-distinct CC over the grounded rows) is heavy.
+    The service's ``wide`` workload plugin serves this family.
     """
     db_schema = database_schema(schema("Record", "key", "value"))
     master_schema = database_schema(schema("Registry", "key", "value"))

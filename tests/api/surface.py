@@ -47,5 +47,5 @@ def build_surface() -> dict:
         "decision_stats_fields": field_names(DecisionStats),
         "engine_config_fields": field_names(EngineConfig),
         "engine_capabilities_fields": field_names(EngineCapabilities),
-        "builtin_engines": ["propagating", "sat", "parallel", "naive"],
+        "builtin_engines": ["propagating", "sat", "naive"],
     }

@@ -50,7 +50,7 @@ from repro.workloads.generator import registry_workload
 from repro.workloads.patients import build_patient_scenario
 
 #: Every engine the repository registers in core, reference first.
-ALL_ENGINES = ("naive", "propagating", "sat", "parallel")
+ALL_ENGINES = ("naive", "propagating", "sat")
 
 x, y = var("x"), var("y")
 
@@ -260,36 +260,22 @@ class TestFacadeStateCaching:
         with pytest.raises(SearchError):
             db.count(engine="no-such-engine")
 
-    def test_forced_parallel_native_count_merges_shard_keys(self):
-        # min_parallel_valuations=0 disables the serial fallback, so the
-        # counts_natively fast path (per-shard world-key sets merged in the
-        # parent) runs even on this small instance; the count must match the
-        # reference engine exactly, duplicates across shards included.
-        workload = registry_workload(master_size=3, db_rows=3, variable_count=2)
-        db = Database(workload.cinstance, workload.master, workload.constraints)
-        forced = db.count(
-            engine=EngineConfig(
-                name="parallel",
-                workers=2,
-                options={"min_parallel_valuations": 0},
-            )
-        )
-        assert forced.value == db.count(engine="naive").value
-
     def test_engine_config_options_reach_the_factory(self):
         workload = registry_workload(master_size=3, db_rows=3, variable_count=2)
         db = Database(workload.cinstance, workload.master, workload.constraints)
-        reference = frozenset(db.worlds(engine="parallel"))
-        reversed_order = frozenset(
+        reference = frozenset(db.worlds(engine="propagating"))
+        fresh_first = frozenset(
             db.worlds(
                 engine=EngineConfig(
-                    name="parallel",
-                    workers=2,
-                    options={"shard_order": "reversed", "min_parallel_valuations": 0},
+                    name="propagating", options={"pool_order": "fresh_first"}
                 )
             )
         )
-        assert reversed_order == reference
+        assert fresh_first == reference
+        # The factory validates the option it receives.
+        bogus = EngineConfig(name="propagating", options={"pool_order": "bogus"})
+        with pytest.raises(SearchError):
+            list(db.worlds(engine=bogus))
 
 
 class TestAmbientStateHygiene:
@@ -335,8 +321,7 @@ class TestDummyEngineRegistration:
     @pytest.fixture
     def dummy_engine(self):
         def factory(
-            cinst, master, constraints, adom, *, workers, checker, break_symmetry,
-            **options,
+            cinst, master, constraints, adom, *, checker, break_symmetry, **options,
         ):
             # Delegate to the propagating search: a drop-in replacement
             # demonstrating that no core module needs to know this engine.

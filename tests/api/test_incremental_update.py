@@ -40,7 +40,7 @@ from repro.search.registry import EngineConfig
 from repro.workloads.generator import registry_workload, update_stream_workload
 from repro.workloads.patients import build_patient_scenario
 
-ALL_ENGINES = ("naive", "propagating", "sat", "parallel")
+ALL_ENGINES = ("naive", "propagating", "sat")
 
 
 def make_database(seed: int = 0, **kwargs) -> Database:

@@ -64,7 +64,7 @@ from repro.relational.master import MasterData, empty_master
 from repro.relational.schema import RelationSchema, database_schema, schema
 from repro.utils.naming import is_fresh_constant
 
-# The brute-force oracles are shared with the four-way extension-parity suite
+# The brute-force oracles are shared with the three-way extension-parity suite
 # (tests/search/test_extension_parity.py); one definition, two consumers.
 from tests.search.harness import (
     oracle_bounded_extensions,
@@ -121,7 +121,7 @@ class TestCandidateRows:
 # single-tuple extensions vs the oracle
 # ---------------------------------------------------------------------------
 class TestSingleTupleExtensions:
-    @pytest.mark.parametrize("engine", ["naive", "propagating", "sat", "parallel"])
+    @pytest.mark.parametrize("engine", ["naive", "propagating", "sat"])
     @pytest.mark.parametrize(
         "base_rows",
         [[], [(0, 0)], [(0, 0), (1, 1)]],
@@ -286,7 +286,7 @@ class TestTableauExtensions:
 # bounded extensions vs the oracle
 # ---------------------------------------------------------------------------
 class TestBoundedExtensions:
-    @pytest.mark.parametrize("engine", ["naive", "propagating", "sat", "parallel"])
+    @pytest.mark.parametrize("engine", ["naive", "propagating", "sat"])
     @pytest.mark.parametrize("max_new_tuples", [1, 2])
     def test_matches_oracle(self, max_new_tuples, engine):
         base = instance(BOOL_PAIR_SCHEMA, R=[])
@@ -408,7 +408,7 @@ class TestRequireConsistentInterplay:
         master = empty_master(database_schema(schema("M", "A")))
         return T, master, [forbid_all]
 
-    @pytest.mark.parametrize("engine", ["naive", "propagating", "sat", "parallel"])
+    @pytest.mark.parametrize("engine", ["naive", "propagating", "sat"])
     def test_deciders_raise_then_go_vacuous(self, inconsistent, engine):
         T, master, constraints = inconsistent
         assert not is_consistent(T, master, constraints, engine=engine)

@@ -6,11 +6,9 @@ Figure 1 c-instance.  Seven of the fifteen verdicts are stated by the paper
 (Examples 2.2 and 2.3); the other eight are the table the default engine
 committed, and the naive cross-product engine must reproduce all fifteen.
 
-``engine="sat"`` and ``engine="parallel"`` are left out: ``complete(Q3,
-viable)`` alone takes about 94 s on SAT (its encoding grounds the tableau row
-over every column; ROADMAP item 1) and about 56 s on parallel (each shard
-returns its whole chunk; ROADMAP item 4), against about a second on the two
-engines below.
+``engine="sat"`` is left out: ``complete(Q3, viable)`` alone takes about
+94 s on SAT (its encoding grounds the tableau row over every column; ROADMAP
+item 1), against about a second on the two engines below.
 
 Each call's ``Decision.stats`` effort (searches, nodes, worlds) is pinned
 too: the deciders build each call's extension searches once and root them

@@ -59,8 +59,8 @@ def test_all_rules_sorted_and_unique():
     codes = [rule.code for rule in RULES]
     assert codes == sorted(codes)
     assert len(codes) == len(set(codes))
-    assert len(codes) >= 5  # the issue's floor: determinism, session
-    # balance, registry contract, decision discipline, fork safety
+    assert len(codes) >= 5  # determinism, session balance, registry
+    # contract, decision discipline, stats-ledger accumulation
 
 
 def test_get_rule_round_trips_and_rejects_unknown():
@@ -74,7 +74,7 @@ def test_rules_do_not_fire_outside_their_scope():
     """A snippet that would be flagged in scope is ignored off scope."""
     for rule in RULES:
         if rule.applies_to("some/unrelated/module.py"):
-            continue  # globally-scoped rules (R005) have no off-scope path
+            continue  # a globally-scoped rule has no off-scope path
         for snippet in rule.must_flag:
             assert not lint_source(snippet, "some/unrelated/module.py", [rule])
 

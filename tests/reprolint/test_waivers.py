@@ -73,9 +73,9 @@ def test_unknown_waiver_code_reports_r000():
 
 
 def test_comma_separated_codes_parse():
-    waived = parse_waivers("x = 1  # reprolint: disable=R001, R005\n")
-    assert waived[1] == {"R001", "R005"}
-    assert waived[2] == {"R001", "R005"}  # trailing waivers cover line below
+    waived = parse_waivers("x = 1  # reprolint: disable=R001, R002\n")
+    assert waived[1] == {"R001", "R002"}
+    assert waived[2] == {"R001", "R002"}  # trailing waivers cover line below
 
 
 def test_respect_waivers_false_surfaces_waived_findings():

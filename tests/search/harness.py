@@ -5,13 +5,11 @@ reference enumeration in one call:
 
 * :func:`assert_engine_parity` — identical world sets, world multisets,
   ``(valuation, world)`` pair sets, model counts and existence verdicts from
-  every engine, plus an *order-identity* check between ``"parallel"`` and
-  ``"propagating"`` (the parallel engine promises to reproduce the serial
-  enumeration order exactly, not just the same sets);
+  every engine, and one meaning for ``stats.worlds`` in all of them (the
+  reference included): the number of ``(valuation, world)`` pairs, after a
+  drained ``search()`` and after ``count_worlds()``;
 * :func:`assert_decider_parity` — identical verdicts from an
   ``engine``-accepting decision procedure across engines;
-* :func:`assert_workers_independent` — the parallel engine's results do not
-  depend on the ``workers`` count or on the order shards are submitted in;
 * :func:`assert_rooted_parity` — every engine's run of a search template
   over the variable rows, rooted at the ground rows, equals that engine's
   search over the whole instance;
@@ -24,9 +22,8 @@ reference enumeration in one call:
   finite domains, saturated bounds, joins and comparison-laden tableaux.
 
 New engines join the corpus by being added to :data:`ALL_ENGINES`; every
-parity test in ``tests/search`` routes through this module, so a fifth
-engine lands with four-way (then five-way) parity guaranteed by
-construction.
+parity test in ``tests/search`` routes through this module, so a fourth
+engine lands with four-way parity guaranteed by construction.
 """
 
 from __future__ import annotations
@@ -67,11 +64,10 @@ from repro.relational.instance import GroundInstance, instance
 from repro.relational.master import MasterData
 from repro.relational.schema import RelationSchema, database_schema, schema
 from repro.api import Database
-from repro.search.parallel import ParallelWorldSearch
 from repro.search.registry import EngineConfig
 
 #: Every world-search engine the repository ships, reference first.
-ALL_ENGINES = ("naive", "propagating", "sat", "parallel")
+ALL_ENGINES = ("naive", "propagating", "sat")
 
 #: The engine the others are compared against.
 REFERENCE_ENGINE = "naive"
@@ -88,46 +84,41 @@ class EngineObservation:
     worlds: frozenset
     world_multiset: Counter
     pairs: frozenset
-    ordered_worlds: tuple
     count: int
     has: bool
+    #: ``stats.worlds`` after a drained ``search()`` and after
+    #: ``count_worlds()``, each on a fresh engine.
+    worlds_stat: tuple[int, int]
 
 
-def observe_engine(
-    cinst, master, constraints, adom, engine, workers=None
-) -> EngineObservation:
+def observe_worlds_stat(cinst, master, constraints, adom, engine) -> tuple[int, int]:
+    """``stats.worlds`` of one engine after ``search()`` and ``count_worlds()``."""
+    spec = EngineConfig.coerce(engine).spec()
+    drained = spec.create(cinst, master, constraints, adom)
+    for _pair in drained.search():
+        pass
+    counted = spec.create(cinst, master, constraints, adom)
+    counted.count_worlds()
+    return drained.stats.worlds, counted.stats.worlds
+
+
+def observe_engine(cinst, master, constraints, adom, engine) -> EngineObservation:
     """Run one instance through one engine, capturing every public surface."""
     return EngineObservation(
         engine=engine,
-        worlds=frozenset(
-            models(cinst, master, constraints, adom, engine=engine, workers=workers)
-        ),
+        worlds=frozenset(models(cinst, master, constraints, adom, engine=engine)),
         world_multiset=Counter(
-            models(
-                cinst,
-                master,
-                constraints,
-                adom,
-                deduplicate=False,
-                engine=engine,
-                workers=workers,
-            )
+            models(cinst, master, constraints, adom, deduplicate=False, engine=engine)
         ),
         pairs=frozenset(
             (frozenset(valuation.items()), world)
             for valuation, world in models_with_valuations(
-                cinst, master, constraints, adom, engine=engine, workers=workers
+                cinst, master, constraints, adom, engine=engine
             )
         ),
-        ordered_worlds=tuple(
-            models(cinst, master, constraints, adom, engine=engine, workers=workers)
-        ),
-        count=model_count(
-            cinst, master, constraints, adom, engine=engine, workers=workers
-        ),
-        has=has_model(
-            cinst, master, constraints, adom, engine=engine, workers=workers
-        ),
+        count=model_count(cinst, master, constraints, adom, engine=engine),
+        has=has_model(cinst, master, constraints, adom, engine=engine),
+        worlds_stat=observe_worlds_stat(cinst, master, constraints, adom, engine),
     )
 
 
@@ -137,36 +128,34 @@ def assert_engine_parity(
     constraints,
     query=None,
     engines: Sequence[str] = CHECKED_ENGINES,
-    workers: int | None = None,
     adom=None,
 ) -> dict[str, EngineObservation]:
     """All engines agree with the reference on every observable surface.
+
+    ``stats.worlds`` is checked on the reference and on every engine: it
+    counts the ``(valuation, world)`` pairs, so a stat that counted distinct
+    worlds after ``count_worlds()`` would fail here on any instance where two
+    valuations ground the same world.
 
     Returns the per-engine observations so callers can make extra assertions
     (e.g. on expected world counts) without re-running the engines.
     """
     if adom is None:
         adom = default_active_domain(cinst, master, constraints, query)
-    reference = observe_engine(
-        cinst, master, constraints, adom, REFERENCE_ENGINE, workers=workers
-    )
+    reference = observe_engine(cinst, master, constraints, adom, REFERENCE_ENGINE)
     observations = {REFERENCE_ENGINE: reference}
     for engine in engines:
-        observed = observe_engine(
-            cinst, master, constraints, adom, engine, workers=workers
-        )
+        observed = observe_engine(cinst, master, constraints, adom, engine)
         observations[engine] = observed
         assert observed.worlds == reference.worlds, engine
         assert observed.world_multiset == reference.world_multiset, engine
         assert observed.pairs == reference.pairs, engine
         assert observed.count == reference.count, engine
         assert observed.has == reference.has, engine
-    if "parallel" in observations and "propagating" in observations:
-        # Stronger than set parity: the merged shard enumeration must be
-        # order-identical to the serial propagating enumeration.
-        assert (
-            observations["parallel"].ordered_worlds
-            == observations["propagating"].ordered_worlds
+    for engine, observed in observations.items():
+        valuations = len(observed.pairs)
+        assert observed.worlds_stat == (valuations, valuations), (
+            "stats.worlds", engine, observed.worlds_stat, valuations,
         )
     return observations
 
@@ -183,71 +172,6 @@ def assert_decider_parity(
     for engine in engines:
         assert run(engine) == reference, engine
     return reference
-
-
-def parallel_observation(
-    cinst,
-    master,
-    constraints,
-    adom=None,
-    workers: int | None = 2,
-    shard_order: str = "pool",
-) -> tuple[tuple, bool]:
-    """(ordered pair list, existence) from a *forced* parallel run.
-
-    ``min_parallel_valuations=0`` disables the serial fallback, so even tiny
-    instances exercise the sharded process-pool path.
-    """
-    if adom is None:
-        adom = default_active_domain(cinst, master, constraints)
-
-    def build() -> ParallelWorldSearch:
-        return ParallelWorldSearch(
-            cinst,
-            master,
-            constraints,
-            adom,
-            workers=workers,
-            min_parallel_valuations=0,
-            shard_order=shard_order,
-        )
-
-    pairs = tuple(
-        (frozenset(valuation.items()), world) for valuation, world in build().search()
-    )
-    return pairs, build().has_world()
-
-
-def assert_workers_independent(
-    cinst,
-    master,
-    constraints,
-    adom=None,
-    workers_settings: Sequence[int | None] = (1, 2, None),
-) -> None:
-    """Parallel results are identical across worker counts and shard orders.
-
-    ``None`` means the default (one worker per available CPU); ``workers=1``
-    takes the serial fallback, so this also pins parallel-vs-serial parity.
-    Each worker count is additionally run with reversed shard submission.
-    """
-    if adom is None:
-        adom = default_active_domain(cinst, master, constraints)
-    reference = None
-    for workers in workers_settings:
-        for shard_order in ("pool", "reversed"):
-            observed = parallel_observation(
-                cinst,
-                master,
-                constraints,
-                adom,
-                workers=workers,
-                shard_order=shard_order,
-            )
-            if reference is None:
-                reference = observed
-            else:
-                assert observed == reference, (workers, shard_order)
 
 
 def split_ground_rows(cinst) -> tuple[CInstance, GroundInstance]:
@@ -455,9 +379,7 @@ class ExtensionObservation:
     has_extension: bool
 
 
-def observe_extensions(
-    fixture: ExtensionFixture, engine: str, workers=None
-) -> ExtensionObservation:
+def observe_extensions(fixture: ExtensionFixture, engine: str) -> ExtensionObservation:
     """Run one fixture's three extension searches through one engine."""
     adom = extensibility_active_domain(
         fixture.base, fixture.master, list(fixture.constraints)
@@ -467,26 +389,26 @@ def observe_extensions(
         single=frozenset(
             single_tuple_extensions(
                 fixture.base, fixture.master, fixture.constraints, adom,
-                engine=engine, workers=workers,
+                engine=engine,
             )
         ),
         tableau=frozenset(
             (frozenset(valuation.items()), extended)
             for valuation, extended in tableau_extensions(
                 fixture.base, fixture.query, fixture.master,
-                fixture.constraints, adom, engine=engine, workers=workers,
+                fixture.constraints, adom, engine=engine,
             )
         ),
         bounded=frozenset(
             bounded_extensions(
                 fixture.base, fixture.master, fixture.constraints, adom,
                 max_new_tuples=fixture.max_new_tuples,
-                engine=engine, workers=workers,
+                engine=engine,
             )
         ),
         has_extension=has_partially_closed_extension(
             fixture.base, fixture.master, fixture.constraints, adom,
-            engine=engine, workers=workers,
+            engine=engine,
         ),
     )
 
@@ -494,7 +416,6 @@ def observe_extensions(
 def assert_extension_engine_parity(
     fixture: ExtensionFixture,
     engines: Sequence[str] = CHECKED_ENGINES,
-    workers=None,
 ) -> dict[str, ExtensionObservation]:
     """Every engine agrees with the naive reference *and* the oracles."""
     adom = extensibility_active_domain(
@@ -510,14 +431,14 @@ def assert_extension_engine_parity(
         fixture.base, fixture.master, fixture.constraints, adom,
         fixture.max_new_tuples,
     )
-    reference = observe_extensions(fixture, REFERENCE_ENGINE, workers=workers)
+    reference = observe_extensions(fixture, REFERENCE_ENGINE)
     assert reference.single == expected_single, fixture.label
     assert reference.tableau == expected_tableau, fixture.label
     assert reference.bounded == expected_bounded, fixture.label
     assert reference.has_extension == bool(expected_single), fixture.label
     observations = {REFERENCE_ENGINE: reference}
     for engine in engines:
-        observed = observe_extensions(fixture, engine, workers=workers)
+        observed = observe_extensions(fixture, engine)
         observations[engine] = observed
         assert observed.single == reference.single, (fixture.label, engine)
         assert observed.tableau == reference.tableau, (fixture.label, engine)
@@ -532,7 +453,7 @@ def assert_extension_engine_parity(
 # ---------------------------------------------------------------------------
 # update-stream parity (incremental Database.update vs rebuild oracle)
 # ---------------------------------------------------------------------------
-def observe_database(db, engine, workers=None) -> tuple:
+def observe_database(db, engine) -> tuple:
     """One facade's observable surface under one engine, canonicalised.
 
     Mirrors :func:`observe_engine` at the :class:`repro.api.Database` level:
@@ -540,14 +461,13 @@ def observe_database(db, engine, workers=None) -> tuple:
     verdict.  Returned as a plain tuple so whole observations compare with
     ``==`` across engines and across facades.
     """
-    config = EngineConfig(engine, workers=workers)
-    worlds = frozenset(db.worlds(engine=config))
+    worlds = frozenset(db.worlds(engine=engine))
     pairs = frozenset(
         (frozenset(valuation.items()), world)
-        for valuation, world in db.valuations(engine=config)
+        for valuation, world in db.valuations(engine=engine)
     )
-    count = db.count(engine=config).value
-    has = bool(db.is_consistent(engine=config, witness=False))
+    count = db.count(engine=engine).value
+    has = bool(db.is_consistent(engine=engine, witness=False))
     return (worlds, pairs, count, has)
 
 
@@ -557,8 +477,6 @@ def assert_update_stream_parity(
     constraints,
     script,
     engines: Sequence[str] = CHECKED_ENGINES,
-    workers: int | None = None,
-    fork_check: bool = True,
 ):
     """One incremental facade tracks a rebuild oracle across an update script.
 
@@ -575,33 +493,21 @@ def assert_update_stream_parity(
     the decision cache: its enumeration solver outlives every count, so a
     count that left state behind would show up in the second.
 
-    With ``fork_check`` the midpoint and final states are additionally run
-    through :func:`parallel_observation` (serial fallback disabled), so
-    fork-based parallel workers prove they observe the post-update state.
-
     Returns the incremental facade so callers can assert on its final state.
     """
     db = Database(cinst, master, constraints, engine="sat")
-    steps = list(script)
-    fork_steps = {len(steps) // 2, len(steps) - 1} if (fork_check and steps) else set()
-    for index, step in enumerate(steps):
+    for index, step in enumerate(script):
         if step.kind == "add":
             db.update(add_rows={step.relation: [step.row]})
         else:
             db.update(drop_rows={step.relation: [step.row]})
         oracle = Database(db.cinstance, master, constraints, engine="sat")
-        reference = observe_database(oracle, REFERENCE_ENGINE, workers=workers)
+        reference = observe_database(oracle, REFERENCE_ENGINE)
         counts = (db.count().value, db._sat_session_for().count_worlds())
         assert counts == (reference[2], reference[2]), (index, step)
         for engine in engines:
-            incremental = observe_database(db, engine, workers=workers)
+            incremental = observe_database(db, engine)
             assert incremental == reference, (index, step, engine)
-            rebuilt = observe_database(oracle, engine, workers=workers)
+            rebuilt = observe_database(oracle, engine)
             assert rebuilt == reference, (index, step, engine)
-        if index in fork_steps:
-            pairs, has = parallel_observation(
-                db.cinstance, master, constraints, adom=db.adom(), workers=workers
-            )
-            assert frozenset(pairs) == reference[1], (index, step)
-            assert has == reference[3], (index, step)
     return db

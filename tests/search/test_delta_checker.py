@@ -469,7 +469,7 @@ class TestAtomFreeConstraintParity:
 
         forbid = denial_cc(boolean_cq("always", comparisons=[eq(1, 1)]), name="⊥")
         T = cinstance(DB_SCHEMA)
-        for engine in ("naive", "propagating", "sat", "parallel"):
+        for engine in ("naive", "propagating", "sat"):
             assert list(models(T, MASTER, [forbid], engine=engine)) == [], engine
             assert has_model(T, MASTER, [forbid], engine=engine) is False, engine
 
@@ -478,7 +478,7 @@ class TestAtomFreeConstraintParity:
 
         forbid = denial_cc(boolean_cq("always", comparisons=[eq(1, 1)]), name="⊥")
         T = cinstance(DB_SCHEMA, R=[(x, y)])
-        for engine in ("naive", "propagating", "sat", "parallel"):
+        for engine in ("naive", "propagating", "sat"):
             assert list(models(T, MASTER, [forbid], engine=engine)) == [], engine
 
 

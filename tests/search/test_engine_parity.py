@@ -1,8 +1,8 @@
 """Parity tests: every engine must agree with the naive reference path.
 
-The pruned world-search engine, the SAT-backed engine and the sharded
-process-parallel engine (:mod:`repro.search`) replace the naive cross-product
-enumeration of ``Mod_Adom(T, D_m, V)``; these tests assert all engines
+The pruned world-search engine and the SAT-backed engine
+(:mod:`repro.search`) replace the naive cross-product enumeration of
+``Mod_Adom(T, D_m, V)``; these tests assert all engines
 produce identical world sets, valuation sets and decision verdicts on every
 fixture family the repository uses — workloads, the patients scenario, the
 hardness-reduction instances, conditioned rows and hypothesis-generated
@@ -12,7 +12,8 @@ The comparisons themselves live in the reusable differential harness
 (:mod:`harness` in this directory): each fixture family is one
 :func:`harness.assert_engine_parity` / :func:`harness.assert_decider_parity`
 call, and a new engine joins the whole corpus by being added to
-``harness.ALL_ENGINES``.
+``harness.ALL_ENGINES``.  The ``stop_check`` hook of the propagating engine,
+which the service's ``/worlds`` stream cancels through, is tested here too.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.ctables.possible_worlds import (
     has_model,
     models,
 )
-from repro.exceptions import SearchError
+from repro.exceptions import SearchCancelledError, SearchError
 from repro.queries.atoms import atom, eq, neq
 from repro.queries.cq import cq
 from repro.queries.terms import Variable, var
@@ -54,6 +55,7 @@ from repro.relational.schema import RelationSchema, database_schema, schema
 from repro.reductions.consistency_reduction import build_consistency_reduction
 from repro.reductions.sat import random_forall_exists_instance
 from repro.search import ConstraintChecker, WorldSearch, order_variables, world_key
+from repro.search.engine import STOP_CHECK_STRIDE
 from repro.workloads.generator import registry_workload, wide_pool_workload
 from repro.workloads.patients import build_patient_scenario
 
@@ -61,7 +63,7 @@ x, y, z = var("x"), var("y"), var("z")
 
 
 # ---------------------------------------------------------------------------
-# world-set parity across the fixture families (four-way, via the harness)
+# world-set parity across the fixture families (three-way, via the harness)
 # ---------------------------------------------------------------------------
 class TestWorldParity:
     @pytest.mark.parametrize(
@@ -389,6 +391,94 @@ class TestEngineInternals:
         assert search.stats.nodes == 0
 
 
+class TestStopCheck:
+    def test_stop_check_aborts_search(self):
+        # Big enough that the search visits more than one poll stride.
+        workload = wide_pool_workload(rows=4, values_per_key=3)
+        adom = default_active_domain(
+            workload.cinstance, workload.master, workload.constraints
+        )
+        search = WorldSearch(
+            workload.cinstance,
+            workload.master,
+            workload.constraints,
+            adom,
+            stop_check=lambda: True,
+        )
+        with pytest.raises(SearchCancelledError):
+            list(search.search())
+        # The poll happens every STOP_CHECK_STRIDE nodes, not per node.
+        assert search.stats.nodes == STOP_CHECK_STRIDE
+
+    def test_stop_check_false_is_harmless(self):
+        workload = registry_workload(master_size=3, db_rows=3, variable_count=2)
+        adom = default_active_domain(
+            workload.cinstance, workload.master, workload.constraints
+        )
+        plain = list(
+            WorldSearch(
+                workload.cinstance, workload.master, workload.constraints, adom
+            ).search()
+        )
+        polled = list(
+            WorldSearch(
+                workload.cinstance,
+                workload.master,
+                workload.constraints,
+                adom,
+                stop_check=lambda: False,
+            ).search()
+        )
+        assert plain == polled
+
+    def test_enumeration_cancelled_mid_stream(self):
+        # The service's /worlds stream rides on this: a stop_check that flips
+        # true mid-enumeration aborts the search at its next poll, before the
+        # remaining worlds are produced.
+        workload = wide_pool_workload(rows=3, values_per_key=4)  # 24 worlds
+        cancelled = {"flag": False}
+        search = WorldSearch(
+            workload.cinstance,
+            workload.master,
+            workload.constraints,
+            stop_check=lambda: cancelled["flag"],
+        )
+        seen = 0
+        with pytest.raises(SearchCancelledError):
+            for _pair in search.search():
+                seen += 1
+                if seen == 3:
+                    cancelled["flag"] = True
+        assert 3 <= seen < 24
+        assert search.stats.nodes == STOP_CHECK_STRIDE
+
+    def test_existence_check_honours_stop_check(self):
+        # No world exists (four keys, three registry values, all distinct), so
+        # has_world walks past the first poll before it could answer.
+        workload = wide_pool_workload(rows=4, values_per_key=3)
+        search = WorldSearch(
+            workload.cinstance,
+            workload.master,
+            workload.constraints,
+            stop_check=lambda: True,
+        )
+        with pytest.raises(SearchCancelledError):
+            search.has_world()
+        assert search.stats.nodes == STOP_CHECK_STRIDE
+
+    def test_count_honours_stop_check(self):
+        workload = wide_pool_workload(rows=3, values_per_key=4)
+        search = WorldSearch(
+            workload.cinstance,
+            workload.master,
+            workload.constraints,
+            stop_check=lambda: True,
+        )
+        with pytest.raises(SearchCancelledError):
+            search.count_worlds()
+        assert search.stats.nodes == STOP_CHECK_STRIDE
+
+
 # ---------------------------------------------------------------------------
 # engine selection surface
 # ---------------------------------------------------------------------------
@@ -401,7 +491,6 @@ class TestEngineSelection:
         assert resolve_engine_name(None) == "propagating"
         assert resolve_engine_name("naive") == "naive"
         assert resolve_engine_name("sat") == "sat"
-        assert resolve_engine_name("parallel") == "parallel"
 
     def test_worldsearch_builds_default_adom(self):
         workload = registry_workload(master_size=2, db_rows=2, variable_count=1)

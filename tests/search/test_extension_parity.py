@@ -1,14 +1,14 @@
-"""Four-way engine parity for the engine-routed extension searches.
+"""Three-way engine parity for the engine-routed extension searches.
 
 ``completeness/extensions.py`` now rides the engine registry like every
 other decider: single-tuple, tableau and bounded extension enumeration are
 world searches over an instance augmented with candidate extension rows.
 These tests run the :data:`~tests.search.harness.EXTENSION_FIXTURES` family
-through all four engines via
+through all three engines via
 :func:`~tests.search.harness.assert_extension_engine_parity` (which also
 pins every engine against the independent brute-force oracles), exercise the
 extensibility decider across engines, and check that a dynamically
-registered fifth engine is reachable from the extension surface too.
+registered fourth engine is reachable from the extension surface too.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.search.registry import register_engine, unregister_engine
 
 from tests.search.harness import (
     ALL_ENGINES,
-    CHECKED_ENGINES,
     EXTENSION_FIXTURES,
     assert_decider_parity,
     assert_extension_engine_parity,
@@ -36,7 +35,7 @@ from tests.search.harness import (
 @pytest.mark.parametrize(
     "fixture", EXTENSION_FIXTURES, ids=[f.label for f in EXTENSION_FIXTURES]
 )
-def test_four_way_extension_parity(fixture):
+def test_three_way_extension_parity(fixture):
     assert_extension_engine_parity(fixture)
 
 
@@ -79,7 +78,7 @@ def test_registered_engine_reaches_extension_search():
     )
     created = []
 
-    def factory(cinstance, master, constraints, adom, *, workers, checker,
+    def factory(cinstance, master, constraints, adom, *, checker,
                 break_symmetry, **options):
         search = WorldSearch(
             cinstance, master, constraints, adom,
@@ -102,12 +101,3 @@ def test_registered_engine_reaches_extension_search():
     assert produced == oracle_single_tuple_extensions(
         fixture.base, fixture.master, fixture.constraints, adom
     )
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_parallel_extension_workers_independent(workers):
-    fixture = EXTENSION_FIXTURES[3]
-    observations = assert_extension_engine_parity(
-        fixture, engines=CHECKED_ENGINES, workers=workers
-    )
-    assert observations["parallel"].single == observations["naive"].single

@@ -9,10 +9,9 @@ on **every** push/pop sequence — the hash-join planner of
 evaluated, never what it answers.  The hypothesis properties below drive all
 three checkers in lockstep over random operation sequences (including pops
 across violations); the engine-level tests lock identical world streams and
-node/prune counters; the parallel test covers fork-inherited workers, whose
-indexes are session-local and rebuilt lazily per worker.  Unit tests pin the index machinery itself:
-multiset bucket discards, lazy build vs incremental maintenance, value
-interning and the per-instance index cache.
+node/prune counters.  Unit tests pin the index machinery itself: multiset
+bucket discards, lazy build vs incremental maintenance, value interning and
+the per-instance index cache.
 
 Every test carries the ``delta_differential`` marker so ``scripts/check.sh``
 runs this suite as part of the dedicated semantics gate.
@@ -40,7 +39,6 @@ from repro.relational.master import MasterData
 from repro.relational.schema import database_schema, schema
 from repro.search.engine import WorldSearch
 from repro.search.naive import NaiveWorldSearch
-from repro.search.parallel import ParallelWorldSearch
 from repro.search.propagation import ConstraintChecker
 from repro.workloads.generator import (
     registry_workload,
@@ -347,36 +345,6 @@ class TestEngineLevelDifferential:
             observed[label] = (pairs, search.stats.nodes, search.stats.pruned)
         assert observed["delta-indexed"] == observed["delta-linear"]
         assert observed["delta-indexed"] == observed["full"]
-
-
-class TestParallelForkParity:
-    """Fork-inherited workers rebuild their session-local indexes lazily."""
-
-    @pytest.mark.parametrize("reference", ["delta-linear", "full"])
-    def test_forced_parallel_matches_serial_worlds(self, reference):
-        workload = wide_pool_workload(rows=3, values_per_key=3)
-        adom = default_active_domain(
-            workload.cinstance, workload.master, workload.constraints
-        )
-        serial = WorldSearch(
-            workload.cinstance, workload.master, workload.constraints, adom,
-            checker=CHECKERS[reference](workload.master, workload.constraints),
-        )
-        expected = [
-            (frozenset(valuation.items()), world)
-            for valuation, world in serial.search()
-        ]
-        parallel = ParallelWorldSearch(
-            workload.cinstance, workload.master, workload.constraints, adom,
-            checker=ConstraintChecker(workload.master, workload.constraints),
-            workers=2,
-            min_parallel_valuations=0,
-        )
-        got = [
-            (frozenset(valuation.items()), world)
-            for valuation, world in parallel.search()
-        ]
-        assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ engine over ``T ∪ I`` makes: the propagating engine, which declares the
 ``rooted_runs`` capability and shares its compiled plan between runs, must
 give the identical ``(valuation, world)`` sequence and the same ``nodes``,
 ``pruned`` and ``worlds``; the engines without the flag are built afresh
-over ``T ∪ I`` per run and give the same sequence (naive, parallel, a
-drop-in) or the same set (SAT).
+over ``T ∪ I`` per run and give the same sequence (naive, a drop-in) or
+the same set (SAT).
 
 The corpus and the hypothesis suite cover ground rows, conditions, repeated
 variables, a row that never grounds and an instance that is not partially
@@ -82,9 +82,8 @@ def drop_in():
     yields the engines its factory built."""
     built = []
 
-    def factory(cinstance, master, constraints, adom, *, workers, checker,
+    def factory(cinstance, master, constraints, adom, *, checker,
                 break_symmetry, **options):
-        del workers
         search = WorldSearch(cinstance, master, constraints, adom,
                              break_symmetry=break_symmetry, checker=checker, **options)
         built.append(search)
@@ -118,7 +117,7 @@ def rooted_and_fresh(engine, T, I, constraints, break_symmetry=False):
         rooted = template.over(I)
     assert runs == [rooted]  # one run, one recorded search
     fresh = spec.create(
-        union(T, I), MASTER, constraints, adom, workers=config.workers,
+        union(T, I), MASTER, constraints, adom,
         break_symmetry=break_symmetry and spec.capabilities.symmetry_breaking,
         options=config.options,
     )
@@ -142,7 +141,7 @@ def assert_rooted_equals_fresh(engine, T, I, constraints, break_symmetry=False):
     return pairs
 
 
-ENGINES = ["propagating", "naive", "sat", "parallel", DROP_IN]
+ENGINES = ["propagating", "naive", "sat", DROP_IN]
 
 CORPUS = {
     "tableau-row": (
@@ -169,14 +168,6 @@ class TestCorpus:
         rows, tuples, constraints = CORPUS[name]
         assert_rooted_equals_fresh(
             engine, cinstance(DB_SCHEMA, **rows), instance(DB_SCHEMA, **tuples), constraints
-        )
-
-    @pytest.mark.parametrize("name", sorted(CORPUS))
-    def test_forced_parallel_run_equals_a_fresh_engine(self, name):
-        rows, tuples, constraints = CORPUS[name]
-        config = EngineConfig("parallel", workers=2, options={"min_parallel_valuations": 0})
-        assert_rooted_equals_fresh(
-            config, cinstance(DB_SCHEMA, **rows), instance(DB_SCHEMA, **tuples), constraints
         )
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -293,9 +284,9 @@ def rooted_cases(draw):
 class TestRandomInstances:
     @settings(max_examples=60, deadline=None)
     @given(case=rooted_cases(), break_symmetry=st.booleans())
-    def test_propagating_naive_and_parallel(self, case, break_symmetry):
+    def test_propagating_and_naive(self, case, break_symmetry):
         T, I, constraints = case
-        for engine in ("propagating", "naive", "parallel"):
+        for engine in ("propagating", "naive"):
             assert_rooted_equals_fresh(engine, T, I, constraints, break_symmetry)
 
     @settings(max_examples=25, deadline=None)

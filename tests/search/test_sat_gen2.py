@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Database, EngineConfig
 from repro.constraints.containment import denial_cc
 from repro.ctables.cinstance import CInstance, cinstance
 from repro.ctables.conditions import condition
@@ -36,7 +35,8 @@ from repro.relational.master import empty_master
 from repro.relational.schema import RelationSchema, database_schema, schema
 from repro.search.engine import WorldSearch
 from repro.search.sat_engine import IncrementalSATSession, SATWorldSearch
-from repro.ctables.possible_worlds import default_active_domain
+from repro.ctables.possible_worlds import default_active_domain, model_count
+from repro.decision import DecisionRecorder
 from repro.workloads.generator import (
     disconnected_components_workload,
     inequality_chain_workload,
@@ -307,12 +307,17 @@ class TestComponentCounting:
 # ---------------------------------------------------------------------------
 class TestDecisionStats:
     def test_one_shot_count_reports_components(self):
-        # A config the live session does not take (here: a worker count)
-        # runs the one-shot engine, whose component count reaches the stats.
+        # The functional count runs the one-shot engine (the facade counts
+        # on its live session); its component count reaches the stats of
+        # the decision recorded around it.
         workload = disconnected_components_workload(
             components=2, rows_per_component=2, values=3
         )
-        db = Database(workload.cinstance, workload.master, workload.constraints)
-        decision = db.count(engine=EngineConfig("sat", workers=1))
+        rec = DecisionRecorder("model-count", "sat")
+        with rec:
+            count = model_count(
+                workload.cinstance, workload.master, workload.constraints, engine="sat"
+            )
+        decision = rec.decision(count > 0, value=count)
         assert decision.value == workload.world_count
         assert decision.stats.components == 2

@@ -1,6 +1,6 @@
 """SAT engine internals: the CNF encoding, model decoding and enumeration.
 
-Four-way world/verdict parity across the shared fixture corpus lives in
+Three-way world/verdict parity across the shared fixture corpus lives in
 ``test_engine_parity.py``, built on the differential harness of
 :mod:`harness` (every check there runs ``engine="sat"`` too); this module
 exercises what is specific to the SAT route — the encoding's

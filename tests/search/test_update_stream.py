@@ -5,7 +5,7 @@ The differential harness gains an *update-stream* mode in this PR
 applies a scripted sequence of ground adds/drops via
 :meth:`repro.api.Database.update` while, at every step, a fresh facade is
 rebuilt from scratch over the same c-instance and both are observed through
-all four engines.  Any divergence — a stale decision cache entry, a live
+all three engines.  Any divergence — a stale decision cache entry, a live
 SAT solver whose assumption set drifted from the c-instance, a checker
 session left holding a retracted tuple — shows up as a parity failure at
 the exact step that introduced it.
@@ -22,8 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harness import assert_update_stream_parity, observe_database, parallel_observation
-from repro.api import Database
+from harness import assert_update_stream_parity
 from repro.workloads.generator import update_stream_workload
 
 pytestmark = pytest.mark.delta_differential
@@ -96,36 +95,4 @@ def test_random_stream_parity(seed, steps):
         workload.base.master,
         workload.base.constraints,
         workload.script,
-        fork_check=False,
     )
-
-
-def test_forked_workers_observe_post_update_state():
-    """A forced process-pool run sees the updated rows, not the originals.
-
-    ``parallel_observation`` disables the serial fallback, so the shards
-    really fork; their merged result must match the incremental facade's
-    own observation after the update (and differ from the pre-update one).
-    """
-    workload = update_stream_workload(
-        steps=0, master_size=4, db_rows=2, variable_count=1, seed=7
-    )
-    base = workload.base
-    db = Database(base.cinstance, base.master, base.constraints, engine="sat")
-    before_pairs, _before_has = parallel_observation(
-        db.cinstance, base.master, base.constraints, adom=db.adom()
-    )
-    registry_rows = sorted(base.master.relation("Registry").rows)
-    present = {
-        row.terms for row in db.cinstance.table("Record").rows if not row.variables()
-    }
-    new_row = next(row for row in registry_rows if row not in present)
-    db.update(add_rows={"Record": [new_row]})
-    after_pairs, after_has = parallel_observation(
-        db.cinstance, base.master, base.constraints, adom=db.adom()
-    )
-    worlds, pairs, _count, has = observe_database(db, "parallel")
-    assert frozenset(after_pairs) == pairs
-    assert after_has == has
-    assert frozenset(after_pairs) != frozenset(before_pairs)
-    assert all(new_row in world.relation("Record").rows for world in worlds)

@@ -13,11 +13,12 @@ import sys
 
 import pytest
 
-from repro.api import Database
+from repro.api import Database, EngineConfig
 from repro.decision import json_safe
 from repro.exceptions import ServiceError
 from repro.service.plugins import get_service_plugin
 from repro.service.pool import DatabasePool
+from repro.service.problems import parse_engine
 
 
 def run(coro):
@@ -68,6 +69,35 @@ def test_invalid_session_names_and_engines():
         pool.create_session("", "patients")
     with pytest.raises(ServiceError):
         pool.add_session("ok", patients_spec(), engine="no-such-engine")
+
+
+@pytest.mark.parametrize(
+    ("body", "expected"),
+    [
+        ({}, None),
+        # The wire "workers" field went with the parallel engine; like any
+        # unknown field it is ignored.
+        ({"workers": 2}, None),
+        ({"engine": "sat", "workers": 2}, EngineConfig(name="sat")),
+    ],
+    ids=["default", "workers-alone", "engine-and-workers"],
+)
+def test_parse_engine(body, expected):
+    assert parse_engine(body) == expected
+
+
+def test_parse_engine_rejects_a_non_string_engine():
+    with pytest.raises(ServiceError) as err:
+        parse_engine({"engine": 2})
+    assert err.value.status == 400
+
+
+def test_parse_engine_rejects_the_parallel_engine():
+    with pytest.raises(ServiceError) as err:
+        parse_engine({"engine": "parallel"})
+    assert err.value.status == 400
+    for name in ("propagating", "sat", "naive"):
+        assert repr(name) in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ def test_health_engines_and_session_crud():
         client = ServiceClient(svc.base_url)
         assert client.healthz() == {"ok": True, "status": "ok"}
         engines = {e["name"]: e["capabilities"] for e in client.engines()}
-        assert {"propagating", "sat", "parallel", "naive"} <= set(engines)
-        assert engines["parallel"]["supports_cancellation"] is True
+        assert {"propagating", "sat", "naive"} <= set(engines)
+        assert engines["propagating"]["supports_cancellation"] is True
 
         assert client.sessions() == []
         info = client.create_session("demo", "patients")

@@ -2,7 +2,7 @@
 
 Run as ``python -m tools.reprolint src tests benchmarks``; see
 :mod:`tools.reprolint.core` for the framework and the waiver syntax, and
-``tools/reprolint/rules/`` for the individual rules (R001–R005).
+``tools/reprolint/rules/`` for the individual rules (R001–R004 and R006).
 """
 
 from tools.reprolint.core import (

@@ -16,7 +16,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "AST lints for repro-specific invariants: determinism of "
             "world-enumeration order, CheckerSession push/pop balance, "
-            "engine-registry routing, Decision discipline, fork safety."
+            "engine-registry routing, Decision discipline, stats-ledger "
+            "accumulation."
         ),
     )
     parser.add_argument(

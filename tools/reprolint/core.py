@@ -4,15 +4,14 @@
 this repository and that no generic linter knows about — the guarantees the
 Fan–Geerts deciders rest on:
 
-* parallel shard enumeration stays order-identical to the serial engine,
-  so world-enumeration paths must never iterate unordered sets (R001);
+* world enumeration is deterministic — the early-check and rooted-run
+  tests pin exact ``(valuation, world)`` sequences — so world-enumeration
+  paths must never iterate unordered sets (R001);
 * ``CheckerSession`` push/pop stays balanced across exceptions (R002);
 * deciders resolve engines through the registry, never by importing engine
   classes directly (R003);
 * public decider entry points return :class:`repro.decision.Decision` and
   never swallow ``SearchCancelledError`` (R004);
-* work submitted to the parallel process pool captures no module-level
-  mutable state (R005);
 * stats ledgers accumulate in place and are never rebound to another
   object's ``.stats`` outside ``__init__`` (R006).
 
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Iterable, Iterator, Sequence
 
-#: ``# reprolint: disable=R001`` or ``disable=R001,R005`` (optionally followed
+#: ``# reprolint: disable=R001`` or ``disable=R001,R002`` (optionally followed
 #: by ``-- justification`` free text, which the parser ignores).
 WAIVER_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)")
 

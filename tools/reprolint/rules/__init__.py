@@ -3,7 +3,6 @@
 from tools.reprolint.rules import (  # noqa: F401  (imported for registration)
     decision_discipline,
     determinism,
-    fork_safety,
     registry_contract,
     session_balance,
     stats_rebinding,

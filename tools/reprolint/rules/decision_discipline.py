@@ -5,9 +5,10 @@ PR 4 rebuilt the public decision surface around
 witnesses and engine attribution.  A decider that returns a bare ``bool``
 silently drops all of that, and callers (the :class:`repro.api.Database`
 facade, benchmarks reading ``Decision.stats``) break in ways no test of the
-*verdict* notices.  Similarly, ``SearchCancelledError`` is the parallel
-engine's cancellation signal — an ``except`` that eats it turns "the caller
-cancelled" into "the decider answered", an unsound verdict.
+*verdict* notices.  Similarly, ``SearchCancelledError`` is the engines'
+cancellation signal (the ``stop_check`` hook) — an ``except`` that eats it
+turns "the caller cancelled" into "the decider answered", an unsound
+verdict.
 
 Inside ``src/repro/completeness/`` the rule flags:
 

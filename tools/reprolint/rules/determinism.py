@@ -1,10 +1,14 @@
 """R001 — no unordered-set iteration on world-enumeration paths.
 
-The parallel engine's headline guarantee (PR 3, locked by the four-way
-differential harness) is that its merged enumeration is *order-identical* to
-the serial propagating engine.  That only holds while every enumeration path
-is deterministic: iterating a bare ``set``/``frozenset`` hands the iteration
-order to the hash seed, which varies across processes and runs.  Inside
+The world-search tests pin enumeration *order*, not just sets: a
+propagating search whose early checks cut branches must yield the exact
+``(valuation, world)`` sequence of the push-only reference
+(``tests/search/test_early_checks.py``), and a run rooted at a ground
+instance the exact sequence of a fresh engine over ``T ∪ I``
+(``tests/search/test_rooted_search.py``).  That only holds while every
+enumeration path is deterministic: iterating a bare ``set``/``frozenset``
+hands the iteration order to the hash seed, which varies across processes
+and runs.  Inside
 ``src/repro/search/`` and ``src/repro/ctables/possible_worlds.py``, iterate
 sets only through ``sorted(...)`` (or another documented canonical order,
 with a waiver).
@@ -87,8 +91,8 @@ class DeterminismRule(Rule):
     code = "R001"
     name = "set-iteration-on-enumeration-path"
     rationale = (
-        "world-enumeration order must be deterministic (parallel-vs-serial "
-        "order identity is a tested guarantee); iterate sets via sorted() or "
+        "world-enumeration order must be deterministic (the early-check and "
+        "rooted-run order-identity tests pin it); iterate sets via sorted() or "
         "waive with a documented canonical order"
     )
     fixture_path = "src/repro/search/example.py"

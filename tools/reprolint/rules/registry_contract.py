@@ -3,14 +3,14 @@
 PR 4's registry (:mod:`repro.search.registry`) made engines pluggable: an
 ``engine=`` keyword accepts a name / :class:`EngineConfig` and everything
 downstream resolves it via ``get_engine``.  That contract dies quietly the
-first time a decider imports ``WorldSearch`` or ``ParallelWorldSearch``
+first time a decider imports ``WorldSearch`` or ``SATWorldSearch``
 directly — the capability flags, the ambient checker channel and the
 ``Decision`` stats collection are all bypassed, and third-party engines stop
 being drop-ins for that code path.
 
 The rule bans, inside ``src/repro/completeness/``, any import of the
 concrete engine modules (``repro.search.engine`` / ``naive`` /
-``sat_engine`` / ``parallel``) and any reference to the engine class names.
+``sat_engine``) and any reference to the engine class names.
 ``repro.search.registry`` (and the checker in ``repro.search.propagation``)
 remain fair game — that is the supported surface.
 """
@@ -29,11 +29,10 @@ _BANNED_MODULES = frozenset(
     {
         "repro.search.naive",
         "repro.search.sat_engine",
-        "repro.search.parallel",
     }
 )
 _BANNED_NAMES = frozenset(
-    {"WorldSearch", "NaiveWorldSearch", "SATWorldSearch", "ParallelWorldSearch"}
+    {"WorldSearch", "NaiveWorldSearch", "SATWorldSearch"}
 )
 
 
@@ -53,7 +52,7 @@ class RegistryContractRule(Rule):
         "from repro.search.engine import WorldSearch\n"
         "def decide(cinstance, master, constraints):\n"
         "    return WorldSearch(cinstance, master, constraints).has_world()\n",
-        "import repro.search.parallel\n",
+        "import repro.search.sat_engine\n",
     )
     must_pass = (
         "from repro.search.registry import EngineConfig, get_engine\n"
