@@ -2,7 +2,7 @@
 """Seeded differential fuzz campaign over the world-search engines.
 
 Drives the reusable three-way harness (``tests/search/harness.py``: naive
-reference, propagating, SAT) with randomly parameterised workloads, in three
+reference, propagating, SAT) with randomly parameterised workloads, in four
 campaign families:
 
 * **static** — a generated c-instance is run through every engine via
@@ -24,9 +24,17 @@ campaign families:
   counted three ways (the one-shot SAT engine's component-caching count,
   the live SAT session's blocking-clause enumeration and the propagating
   engine) and every answer is checked against the closed-form
-  ``values ** (row_width * components)`` world count.
+  ``values ** (row_width * components)`` world count;
+* **deciders** — a random c-instance and CQ or UCQ of
+  :func:`harness.random_decider_case` meet the strong, viable and MINP
+  deciders, which test one world per renaming of the fresh Adom values on
+  the propagating engine: :func:`harness.assert_representative_parity`
+  holds them to the verdict and witness of a drop-in that tests every world
+  (and to the naive verdict), and :func:`harness.assert_limited_parity` to
+  its answers under a ``limit``.
 
-Every case is reproduced by its printed seed::
+The family is ``seed % 4`` in the order above.  Every case is reproduced by
+its printed seed::
 
     python scripts/fuzz_differential.py --replay 1234
 
@@ -53,8 +61,11 @@ sys.path.insert(0, str(REPO_ROOT / "tests" / "search"))
 
 from harness import (  # noqa: E402  (path set up above)
     assert_engine_parity,
+    assert_limited_parity,
+    assert_representative_parity,
     assert_rooted_parity,
     assert_update_stream_parity,
+    random_decider_case,
 )
 from repro.ctables.possible_worlds import default_active_domain  # noqa: E402
 from repro.search.engine import WorldSearch  # noqa: E402
@@ -136,10 +147,21 @@ def run_components_case(seed: int) -> str:
     return f"components {params}"
 
 
+def run_deciders_case(seed: int) -> str:
+    """One strong/viable/MINP case against full enumeration, unbounded and
+    under a ``limit``; returns a human-readable label."""
+    case = random_decider_case(seed)
+    assert_representative_parity(case)
+    limit = random.Random(f"fuzz-deciders:{seed}").choice([5, 10, 20])
+    assert_limited_parity(case, limit)
+    return f"deciders limit={limit} {case.label}"
+
+
 CASE_FAMILIES = (
     ("static", run_static_case),
     ("stream", run_stream_case),
     ("components", run_components_case),
+    ("deciders", run_deciders_case),
 )
 
 

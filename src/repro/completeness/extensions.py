@@ -24,7 +24,7 @@ materialising the cross product the original scan walked, the SAT engine
 applies its own machinery, and the naive engine reproduces the original
 scan as the reference the parity harness compares against.
 
-The deciders test many ground instances (every world of ``Mod_Adom(T)``)
+The deciders test many ground instances (the worlds of ``Mod_Adom(T)``)
 against the same adjoined rows over one Adom, so the searches are built
 once per decider call: :class:`TableauExtensions` and
 :class:`SingleTupleExtensions` hold one

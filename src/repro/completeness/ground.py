@@ -94,8 +94,8 @@ def ground_active_domain(
 class GroundCompletenessCheck:
     """The Lemma 4.2/4.3 test of ground instances for one query over one Adom.
 
-    The strong, viable and MINP deciders test every world of
-    ``Mod_Adom(T)`` (and MINP its subinstances) against the same query
+    The strong, viable and MINP deciders test the worlds of
+    ``Mod_Adom(T)`` (and MINP their subinstances) against the same query
     tableaux over the same Adom, so they build one check per call: one
     :class:`~repro.completeness.extensions.TableauExtensions` per disjunct,
     rooted at each instance by :meth:`witness`.  Partial closure of the

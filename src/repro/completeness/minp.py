@@ -34,7 +34,7 @@ from repro.completeness.weak import is_weakly_complete
 from repro.constraints.containment import ContainmentConstraint
 from repro.ctables.adom import ActiveDomain
 from repro.ctables.cinstance import CInstance
-from repro.ctables.possible_worlds import default_active_domain, has_model, models
+from repro.ctables.possible_worlds import default_active_domain, has_model, representative_worlds
 from repro.decision import Decision, DecisionRecorder
 from repro.exceptions import InconsistentCInstanceError, QueryError
 from repro.queries.classify import QueryLanguage, classify, supports_exact_strong_check
@@ -135,8 +135,8 @@ def is_minimal_strongly_complete(
         )
         saw_world = False
         witness: GroundInstance | None = None
-        for world in models(
-            cinstance, master, constraints, adom, engine=engine
+        for world in representative_worlds(
+            cinstance, master, constraints, adom, query, engine=engine
         ):
             saw_world = True
             if not _minimality(world, check.witness)[0]:
@@ -179,8 +179,8 @@ def is_minimal_viably_complete(
         )
         saw_world = False
         witness: GroundInstance | None = None
-        for world in models(
-            cinstance, master, constraints, adom, engine=engine
+        for world in representative_worlds(
+            cinstance, master, constraints, adom, query, engine=engine
         ):
             saw_world = True
             if _minimality(world, check.witness)[0]:

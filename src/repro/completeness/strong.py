@@ -8,8 +8,10 @@ adding tuples cannot change the query answer.
 Deciders:
 
 * :func:`is_strongly_complete` — exact for CQ, UCQ and ∃FO⁺ (Πᵖ₂-complete,
-  Theorem 4.1), via the characterisation of Lemma 4.2/4.3: check every world
-  in ``Mod_Adom(T)`` with the ground-instance completeness test.
+  Theorem 4.1), via the characterisation of Lemma 4.2/4.3: check the worlds
+  in ``Mod_Adom(T)``, one per renaming of the fresh values
+  (:func:`~repro.ctables.possible_worlds.representative_worlds`), with the
+  ground-instance completeness test.
 * :func:`is_strongly_complete_bounded` — sound-but-incomplete variant for FO
   and FP, for which the problem is undecidable.
 """
@@ -28,7 +30,7 @@ from repro.completeness.models import CompletenessModel
 from repro.constraints.containment import ContainmentConstraint
 from repro.ctables.adom import ActiveDomain
 from repro.ctables.cinstance import CInstance
-from repro.ctables.possible_worlds import default_active_domain, models
+from repro.ctables.possible_worlds import default_active_domain, models, representative_worlds
 from repro.decision import Decision, DecisionRecorder
 from repro.exceptions import InconsistentCInstanceError
 from repro.queries.evaluation import Query
@@ -79,7 +81,7 @@ def find_strong_incompleteness_witness(
         limit=limit, engine=engine,
     )
     saw_world = False
-    for world in models(cinstance, master, constraints, adom, engine=engine):
+    for world in representative_worlds(cinstance, master, constraints, adom, query, engine=engine):
         saw_world = True
         witness = check.witness(world)
         if witness is not None:

@@ -28,7 +28,7 @@ from repro.completeness.models import CompletenessModel
 from repro.constraints.containment import ContainmentConstraint
 from repro.ctables.adom import ActiveDomain
 from repro.ctables.cinstance import CInstance
-from repro.ctables.possible_worlds import default_active_domain, models
+from repro.ctables.possible_worlds import default_active_domain, models, representative_worlds
 from repro.decision import Decision, DecisionRecorder
 from repro.exceptions import InconsistentCInstanceError
 from repro.queries.evaluation import Query
@@ -60,7 +60,7 @@ def find_viable_witness(
         limit=limit, engine=engine,
     )
     saw_world = False
-    for world in models(cinstance, master, constraints, adom, engine=engine):
+    for world in representative_worlds(cinstance, master, constraints, adom, query, engine=engine):
         saw_world = True
         if check.witness(world) is None:
             return world

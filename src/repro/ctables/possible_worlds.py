@@ -17,7 +17,8 @@ the default.  The built-in engines:
   :mod:`repro.search`: variables are assigned one at a time, containment
   constraints are checked on partially grounded worlds so dead branches are
   pruned before their exponentially many completions are materialised, fresh
-  Adom values are symmetry-reduced for pure existence checks, and duplicate
+  Adom values are symmetry-reduced for existence checks and for the
+  deciders' per-world tests (:func:`representative_worlds`), and duplicate
   worlds are suppressed via a canonical form;
 * ``engine="sat"`` — membership in ``Mod_Adom(T, D_m, V)`` is compiled to
   CNF (:mod:`repro.search.cnf_encoding`) and handed to the DPLL solver of
@@ -39,6 +40,7 @@ in :mod:`repro.completeness`.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.constraints.containment import (
@@ -68,6 +70,7 @@ __all__ = [
     "model_count",
     "models",
     "models_with_valuations",
+    "representative_worlds",
     "search_template",
 ]
 
@@ -87,7 +90,7 @@ def _make_search(
     adom: ActiveDomain | None,
     engine: EngineConfig | str | None,
     *,
-    existence: bool = False,
+    break_symmetry: bool = False,
     checker: "ConstraintChecker | None" = None,
 ) -> WorldSearchLike:
     spec, options = _engine_plan(engine)
@@ -99,7 +102,7 @@ def _make_search(
         constraints,
         adom,
         checker=checker,
-        break_symmetry=existence and spec.capabilities.symmetry_breaking,
+        break_symmetry=break_symmetry and spec.capabilities.symmetry_breaking,
         options=options,
     )
 
@@ -183,13 +186,44 @@ def has_model(
     By the correctness argument of Proposition 3.3, emptiness over ``Adom``
     coincides with emptiness over all valuations.  Engines whose
     capabilities declare ``symmetry_breaking`` are asked to apply fresh-value
-    symmetry reduction here, which preserves (non-)emptiness but not the
-    world multiset — existence is all this function reports.
+    symmetry reduction here: renaming cannot turn a world into none, so
+    (non-)emptiness is kept.
     """
     return _make_search(
         cinstance, master, constraints, adom, engine,
-        existence=True, checker=checker,
+        break_symmetry=True, checker=checker,
     ).has_world()
+
+
+def representative_worlds(
+    cinstance: CInstance,
+    master: MasterData,
+    constraints: Sequence[ContainmentConstraint],
+    adom: ActiveDomain,
+    query: Query,
+    engine: EngineConfig | str | None = None,
+) -> Iterator[GroundInstance]:
+    """One world of ``Mod_Adom(T, D_m, V)`` per renaming of the fresh values.
+
+    CQ, UCQ and ∃FO⁺ queries are generic, so a permutation of the fresh Adom
+    values that ``T``, ``D_m``, ``V`` and ``Q`` never mention maps worlds to
+    worlds, complete worlds to complete worlds and minimal ones to minimal
+    ones.  The strong, viable and MINP deciders therefore test one world per
+    class: engines that declare ``symmetry_breaking`` enumerate only the
+    class representatives, the others every world.  The query's constants
+    are moved out of ``fresh_values``, which leaves the value set and the
+    pools unchanged but keeps them out of the interchangeable values.  The
+    propagating engine's representative is the first member of its class in
+    search order, so the first world a decider accepts is the one the full
+    enumeration finds.
+    """
+    constants = query_constants(query)
+    adom = replace(
+        adom, fresh_values=tuple(v for v in adom.fresh_values if v not in constants)
+    )
+    yield from _make_search(
+        cinstance, master, constraints, adom, engine, break_symmetry=True
+    ).worlds()
 
 
 def search_template(
@@ -213,12 +247,11 @@ def search_template(
     symmetry reduction (value precedence over the interchangeable fresh Adom
     values): a run then yields exactly one representative per orbit of the
     fresh-value permutation group instead of the full set of valuations.
-    That is *not* the ``Mod_Adom`` multiset — only existence probes whose
-    acceptance predicate is invariant under fresh-value permutation (e.g.
-    the strict-extension filter of
-    :func:`repro.completeness.extensions.has_partially_closed_extension`)
-    may use it.  Engines without the capability ignore the flag, which is
-    sound: they enumerate a superset of the representatives.
+    That is *not* the ``Mod_Adom`` multiset, so only a per-run test that
+    renaming cannot change may use it (e.g. the strict-extension filter of
+    :func:`repro.completeness.extensions.has_partially_closed_extension`).
+    Engines without the capability ignore the flag, which is sound: they
+    enumerate a superset of the representatives.
     """
     spec, options = _engine_plan(engine)
     return SearchTemplate(

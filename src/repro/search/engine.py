@@ -21,10 +21,12 @@ restriction (Proposition 3.3, Lemmas 4.2/5.2):
   answer escaping the right-hand side now escapes in every world below (CQ
   monotonicity), and the subtree of the row's remaining variables is cut
   before it is enumerated;
-* for pure existence checks (:meth:`WorldSearch.has_world`), the fresh
-  ``New`` values of the active domain are interchangeable, so the search
-  explores only one representative per permutation class of fresh values
-  (``break_symmetry=True``);
+* the fresh ``New`` values of the active domain that nothing in the input
+  mentions are interchangeable, so a caller whose per-world test renaming
+  cannot change (an existence check, or a decider's test of a generic
+  query) explores only one representative per permutation class of those
+  values (``break_symmetry=True``): the first member of the class in search
+  order;
 * world enumeration deduplicates via a cheap canonical form
   (:func:`world_key`) instead of hashing full :class:`GroundInstance`
   objects; and
@@ -32,7 +34,7 @@ restriction (Proposition 3.3, Lemmas 4.2/5.2):
   and the rows compiled for grounding) is built once per c-instance ``T``:
   :meth:`WorldSearch.over` roots a run at a ground instance ``I`` and is
   equivalent to a fresh search over ``T ∪ I``, which is how the deciders
-  test every world of ``Mod_Adom(T)`` against the same adjoined rows.
+  test the worlds of ``Mod_Adom(T)`` against the same adjoined rows.
 
 The engine enumerates exactly the valuations the naive path accepts (pruning
 is sound and complete for satisfying valuations), so
@@ -157,9 +159,11 @@ class WorldSearch:
         other three.
     break_symmetry:
         Restrict the search to one representative per permutation class of
-        interchangeable fresh Adom values.  Sound for existence checks only:
-        it preserves whether *some* satisfying valuation exists, not the full
-        world set, so enumerating callers must leave it off.
+        interchangeable fresh Adom values, the class's first member in
+        search order.  Sound for any per-world test that renaming those
+        values cannot change: whether *some* world exists, or the first
+        world passing or failing such a test, are kept; the world set is
+        not, so callers that need every world must leave it off.
     checker:
         A prebuilt :class:`ConstraintChecker` for ``(master, constraints)``.
         Callers that run many searches against the same master data pass one
@@ -238,8 +242,11 @@ class WorldSearch:
         self._root: tuple[tuple[str, frozenset[Row]], ...] = ()
         self._break_symmetry = break_symmetry
         self._mentioned: frozenset[Constant] = frozenset()
+        self._fresh_order: list[Constant] = []
         self._fresh_rank: dict[Constant, int] = {}
         if break_symmetry:
+            fresh = set(adom.fresh_values)
+            self._fresh_order = [value for value in adom.ordered() if value in fresh]
             self._mentioned = frozenset().union(
                 cinstance.constants(),
                 master.constants(),
@@ -326,10 +333,12 @@ class WorldSearch:
         rooted at), no master tuple, no constraint and no finite attribute
         domain — then any permutation of such values maps satisfying
         valuations to satisfying valuations, and it suffices to explore
-        assignments whose fresh values are first used in rank order.
+        assignments whose fresh values are first used in rank order.  The
+        ranks follow the pools' order, so those assignments are the first
+        of their class in search order.
         """
         ranks: dict[Constant, int] = {}
-        for value in self._adom.fresh_values:
+        for value in self._fresh_order:
             if value not in mentioned:
                 ranks[value] = len(ranks)
         return ranks

@@ -28,10 +28,11 @@ accepted — no core module is touched.
 Capability flags let callers pick fast paths without knowing engine
 internals: ``counts_natively`` routes ``model_count`` to the engine's own
 counting (SAT per-component counts), ``symmetry_breaking`` tells existence
-checks to request the fresh-value symmetry reduction,
-``supports_cancellation`` marks engines that honour a ``stop_check``
-option, and ``rooted_runs`` marks engines whose search object roots a run
-at a ground instance without rebuilding its plan (:class:`SearchTemplate`).
+checks and the strong, viable and MINP deciders to request the fresh-value
+symmetry reduction, ``supports_cancellation`` marks engines that honour a
+``stop_check`` option, and ``rooted_runs`` marks engines whose search
+object roots a run at a ground instance without rebuilding its plan
+(:class:`SearchTemplate`).
 
 The module also hosts two *ambient* channels that avoid parameter
 threading through the decision procedures:
@@ -98,7 +99,11 @@ class EngineCapabilities:
         :class:`~repro.exceptions.SearchCancelledError` once it returns
         ``True`` (how the service stops a stream whose client left).
     symmetry_breaking:
-        The factory honours ``break_symmetry=True`` for existence checks.
+        The factory honours ``break_symmetry=True``: a run explores one
+        valuation per renaming of the fresh Adom values nothing mentions.
+        Sound for any per-world test that renaming cannot change: existence
+        checks, and the strong, viable and MINP deciders on generic queries
+        (:func:`~repro.ctables.possible_worlds.representative_worlds`).
     accepts_checker:
         The factory reuses a prebuilt
         :class:`~repro.search.propagation.ConstraintChecker`.

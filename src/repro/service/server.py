@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import logging
 import threading
 from dataclasses import asdict
 from typing import Any, Mapping
@@ -58,6 +59,9 @@ from repro.service.http import (
 from repro.service.metrics import ServiceMetrics
 from repro.service.plugins import get_service_plugin
 from repro.service.pool import DatabasePool, SessionState
+
+#: Where the service logs: every internal error, with its traceback.
+_LOG = logging.getLogger("repro.service")
 
 __all__ = ["DecisionService", "ServiceThread"]
 
@@ -192,6 +196,13 @@ class DecisionService:
                 pass  # client went away mid-response; nothing to tell it
             except Exception as err:  # noqa: BLE001 - the server must survive
                 self.metrics.errors += 1
+                _LOG.exception(
+                    "500 on %s %s: %s.%s",
+                    request.method,
+                    request.path,
+                    type(err).__module__,
+                    type(err).__qualname__,
+                )
                 with contextlib.suppress(ConnectionError, OSError):
                     await send_json(
                         writer,

@@ -19,7 +19,12 @@ reference enumeration in one call:
   independent brute-force oracles built straight from ``itertools.product``
   over the Adom pools plus :func:`satisfies_all` on complete instances —
   the :data:`EXTENSION_FIXTURES` family feeds it ground instances covering
-  finite domains, saturated bounds, joins and comparison-laden tableaux.
+  finite domains, saturated bounds, joins and comparison-laden tableaux;
+* :func:`assert_representative_parity` — the strong, viable and MINP
+  deciders, which test one world per renaming of the fresh Adom values on
+  the propagating engine, give the verdict and witness of the
+  :data:`FULL_ENUMERATION` drop-in that tests every world, on the random
+  c-instances and queries of :func:`random_decider_case`.
 
 New engines join the corpus by being added to :data:`ALL_ENGINES`; every
 parity test in ``tests/search`` routes through this module, so a fourth
@@ -29,9 +34,11 @@ engine lands with four-way parity guaranteed by construction.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Sequence
 
 from repro.completeness.consistency import extensibility_active_domain
 from repro.completeness.extensions import (
@@ -40,6 +47,12 @@ from repro.completeness.extensions import (
     single_tuple_extensions,
     tableau_extensions,
 )
+from repro.completeness.minp import (
+    is_minimal_strongly_complete,
+    is_minimal_viably_complete,
+)
+from repro.completeness.strong import is_strongly_complete
+from repro.completeness.viable import is_viably_complete
 from repro.constraints.containment import (
     cc,
     denial_cc,
@@ -47,7 +60,9 @@ from repro.constraints.containment import (
     relation_containment_cc,
     satisfies_all,
 )
-from repro.ctables.cinstance import CInstance
+from repro.ctables.cinstance import CInstance, cinstance
+from repro.ctables.conditions import condition, var_eq, var_neq
+from repro.ctables.ctable import CTableRow
 from repro.ctables.possible_worlds import (
     default_active_domain,
     has_model,
@@ -56,15 +71,22 @@ from repro.ctables.possible_worlds import (
     models_with_valuations,
     search_template,
 )
+from repro.exceptions import BoundExceededError, InconsistentCInstanceError
 from repro.queries.atoms import atom, neq
-from repro.queries.cq import cq
+from repro.queries.cq import boolean_cq, cq
 from repro.queries.terms import var
+from repro.queries.ucq import ucq
 from repro.relational.domains import BOOLEAN_DOMAIN
 from repro.relational.instance import GroundInstance, instance
 from repro.relational.master import MasterData
 from repro.relational.schema import RelationSchema, database_schema, schema
 from repro.api import Database
-from repro.search.registry import EngineConfig
+from repro.search.registry import (
+    EngineConfig,
+    get_engine,
+    register_engine,
+    unregister_engine,
+)
 
 #: Every world-search engine the repository ships, reference first.
 ALL_ENGINES = ("naive", "propagating", "sat")
@@ -511,3 +533,171 @@ def assert_update_stream_parity(
             rebuilt = observe_database(oracle, engine)
             assert rebuilt == reference, (index, step, engine)
     return db
+
+
+# ---------------------------------------------------------------------------
+# one world per renaming: the exact deciders against full enumeration
+# ---------------------------------------------------------------------------
+#: The propagating engine registered without ``symmetry_breaking``: the
+#: strong, viable and MINP deciders test every world on it.
+FULL_ENUMERATION = "propagating-full-enumeration"
+
+#: The four deciders that test one world per renaming class.
+REPRESENTATIVE_DECIDERS = {
+    "strong": is_strongly_complete,
+    "viable": is_viably_complete,
+    "minp-strong": is_minimal_strongly_complete,
+    "minp-viable": is_minimal_viably_complete,
+}
+
+DECIDER_SCHEMA = database_schema(schema("R", "A", "B"), schema("S", "A"))
+DECIDER_MASTER = MasterData(
+    database_schema(schema("Rm", "A", "B")), {"Rm": [(0, 0), (0, 1), (1, 2)]}
+)
+#: The variables of every decider case.  The Adom supplies their fresh
+#: values in name order (v, v1, v2), and the pools sort them by ``repr``
+#: (v1, v2, v): the ranks must follow the pools for the witnesses to agree.
+_v, _v1, _v2 = var("v"), var("v1"), var("v2")
+#: The optional constraints: R bounded by the master relation, and A → B.
+DECIDER_BOUND = cc(
+    cq("r", [_v, _v1], atoms=[atom("R", _v, _v1)]), projection("Rm", "A", "B"),
+    name="r⊆rm",
+)
+DECIDER_FD = denial_cc(
+    boolean_cq("fd", atoms=[atom("R", _v, _v1), atom("R", _v, _v2)],
+               comparisons=[neq(_v1, _v2)]),
+    name="fd:A→B",
+)
+
+
+@contextmanager
+def full_enumeration_engine() -> Iterator[str]:
+    """Register :data:`FULL_ENUMERATION` for the block; yields its name."""
+    spec = get_engine("propagating")
+    register_engine(
+        FULL_ENUMERATION, spec.factory,
+        replace(spec.capabilities, symmetry_breaking=False), replace=True,
+    )
+    try:
+        yield FULL_ENUMERATION
+    finally:
+        unregister_engine(FULL_ENUMERATION)
+
+
+@dataclass(frozen=True)
+class DeciderCase:
+    """An input of the strong, viable and MINP deciders."""
+
+    cinstance: CInstance
+    constraints: tuple
+    query: object
+    label: str
+    master: MasterData = DECIDER_MASTER
+
+
+def random_decider_case(seed: int) -> DeciderCase:
+    """A small c-instance over ``R(A, B)`` and ``S(A)`` with a CQ or UCQ.
+
+    Rows draw constants inside and outside the master data and two of the
+    three variables, so variables repeat within and across rows, and a row
+    may carry a condition; the bound CC and the FD are each present or not.
+    The query's variables share their names with those of ``T`` and ``V``,
+    which keeps the Adom at three fresh values, and its constants may lie
+    outside the master data.
+    """
+    rng = random.Random(f"deciders:{seed}")
+    row_terms = [0, 1, 2, 7, _v, _v2, _v, _v2]
+
+    def row(arity: int) -> CTableRow:
+        terms = [rng.choice(row_terms) for _ in range(arity)]
+        if rng.random() < 0.6:
+            return CTableRow(terms)
+        test = var_eq if rng.random() < 0.5 else var_neq
+        return CTableRow(terms, condition(test(rng.choice([_v, _v2]), rng.choice([0, 1, 7]))))
+
+    T = cinstance(
+        DECIDER_SCHEMA,
+        R=[row(2) for _ in range(rng.randint(1, 2))],
+        S=[row(1) for _ in range(rng.randint(0, 1))],
+    )
+    constraints = tuple(c for c in (DECIDER_BOUND, DECIDER_FD) if rng.random() < 0.5)
+    query_terms = [0, 1, 7, _v, _v1, _v2, _v, _v1, _v2]
+    arity = rng.choice([0, 1])
+
+    def conjunct(name: str):
+        atoms = []
+        for _ in range(rng.randint(1, 2)):
+            if rng.random() < 0.6:
+                atoms.append(atom("R", rng.choice(query_terms), rng.choice(query_terms)))
+            else:
+                atoms.append(atom("S", rng.choice(query_terms)))
+        variables = sorted({t for a in atoms for t in a.variables()}, key=lambda v: v.name)
+        if arity and not variables:
+            atoms.append(atom("S", _v))
+            variables = [_v]
+        return cq(name, [rng.choice(variables)] if arity else [], atoms=atoms)
+
+    if rng.random() < 0.3:
+        query = ucq("Q", conjunct("Q1"), conjunct("Q2"))
+    else:
+        query = conjunct("Q")
+    rows = " ".join(f"{name}{row!r}" for name, _index, row in T.rows())
+    label = f"T={{{rows}}} V={[c.name for c in constraints]} Q={query!r}"
+    return DeciderCase(T, constraints, query, label)
+
+
+def decider_outcomes(case: DeciderCase, engine: str, limit: int | None = None) -> dict:
+    """``(verdict, witness, searches)`` of each of the four deciders, or
+    ``(exception name,)`` where one raised the inconsistency or the bound."""
+    outcomes: dict[str, tuple] = {}
+    for name, decide in REPRESENTATIVE_DECIDERS.items():
+        try:
+            decision = decide(
+                case.cinstance, case.query, case.master, list(case.constraints),
+                limit=limit, engine=engine,
+            )
+        except (InconsistentCInstanceError, BoundExceededError) as err:
+            outcomes[name] = (type(err).__name__,)
+        else:
+            outcomes[name] = (bool(decision), decision.witness, decision.stats.searches)
+    return outcomes
+
+
+def assert_representative_parity(case: DeciderCase) -> dict:
+    """The deciders on propagating against every world, and naive.
+
+    Against :data:`FULL_ENUMERATION` the verdict and the witness must be
+    identical, and ``stats.searches`` never higher; the naive engine, which
+    tests every world in its own order, must give the same verdict.  An
+    inconsistent c-instance must raise on all three.  Returns the
+    propagating outcomes and the full enumeration's, by decider.
+    """
+    with full_enumeration_engine() as full:
+        expected = decider_outcomes(case, full)
+    reduced = decider_outcomes(case, "propagating")
+    naive = decider_outcomes(case, "naive")
+    for name, want in expected.items():
+        got = reduced[name]
+        assert got[:2] == want[:2], (name, case.label)
+        assert naive[name][:1] == want[:1], (name, "naive", case.label)
+        if len(want) == 3:
+            assert got[2] <= want[2], (name, "searches", got[2], want[2], case.label)
+    return {name: (reduced[name], expected[name]) for name in expected}
+
+
+def assert_limited_parity(case: DeciderCase, limit: int) -> dict:
+    """Under a ``limit``, every answer of the full enumeration is kept.
+
+    Where :data:`FULL_ENUMERATION` answers, the propagating engine gives the
+    same verdict and witness.  Where it raises ``BoundExceededError`` the
+    propagating engine may answer instead, because it skips the worlds whose
+    tableau scans tripped the bound; it never raises where the full
+    enumeration answers.  Returns both outcomes by decider.
+    """
+    with full_enumeration_engine() as full:
+        expected = decider_outcomes(case, full, limit=limit)
+    reduced = decider_outcomes(case, "propagating", limit=limit)
+    for name, want in expected.items():
+        if want != ("BoundExceededError",):
+            assert reduced[name][:2] == want[:2], (name, limit, case.label)
+    return {name: (reduced[name], expected[name]) for name in expected}

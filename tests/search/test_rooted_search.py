@@ -232,8 +232,9 @@ def test_no_template_survives_its_decider_call(monkeypatch):
     monkeypatch.setattr(SearchTemplate, "__init__", spy)
     database = Database(scenario.figure1, scenario.master, scenario.constraints)
     strong = database.complete(queries["Q1"], CompletenessModel.STRONG)
-    # One template for the one tableau, against 290 worlds.
-    assert len(built) == 1 and strong.stats.searches == 291
+    # One template for the one tableau, rooted at the 51 worlds that
+    # represent the 290 up to renaming of the fresh values.
+    assert len(built) == 1 and strong.stats.searches == 52
     decisions = [
         database.complete(queries["Q1"], CompletenessModel.WEAK),
         database.complete(queries["Q3"], CompletenessModel.VIABLE),

@@ -15,8 +15,12 @@ These assert the PR's acceptance gates at the wire level:
 
 from __future__ import annotations
 
+import http.client
+import json
+import logging
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -343,6 +347,45 @@ def sleepy_engine():
         yield "sleepy"
     finally:
         unregister_engine("sleepy")
+
+
+def _broken_factory(*args, **kwargs):
+    raise RuntimeError("injected fault")
+
+
+def test_every_internal_error_is_logged_with_its_traceback(caplog):
+    caplog.set_level(logging.ERROR, logger="repro.service")
+    register_engine("broken", _broken_factory, EngineCapabilities())
+    try:
+        with make_service() as svc:
+            client = ServiceClient(svc.base_url)
+            client.create_session("demo", "patients")
+            bodies = []
+            for problem in ("consistency", "count"):
+                url = urlsplit(svc.base_url)
+                connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+                try:
+                    connection.request(
+                        "POST", "/sessions/demo/decide",
+                        body=json.dumps({"problem": problem, "engine": "broken"}),
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = connection.getresponse()
+                    bodies.append((response.status, json.loads(response.read())))
+                finally:
+                    connection.close()
+            assert client.metrics()["errors"] == 2
+    finally:
+        unregister_engine("broken")
+    assert bodies == [(500, {"ok": False, "error": "internal error: injected fault"})] * 2
+    records = [r for r in caplog.records if r.name == "repro.service"]
+    assert len(records) == 2
+    for record in records:
+        assert record.levelno == logging.ERROR
+        assert record.exc_info is not None and record.exc_info[0] is RuntimeError
+        assert record.getMessage() == (
+            "500 on POST /sessions/demo/decide: builtins.RuntimeError"
+        )
 
 
 def test_request_timeout_is_504(sleepy_engine):
