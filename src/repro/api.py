@@ -20,9 +20,9 @@ What the facade adds over the functional layer:
 * **cached ``Adom``** — the Proposition 3.3 active domain is computed once
   per (database, query) pair and reused across calls;
 * **a prebuilt ``ConstraintChecker``** — the constraint right-hand sides are
-  evaluated against the master data once per facade, then shared with every
-  checker-accepting engine (via the registry's ambient-checker channel, so
-  the sharing reaches engines created deep inside the deciders);
+  evaluated against the master data once per facade, then handed to every
+  engine factory (via the registry's ambient-checker channel, so the
+  sharing reaches engines created deep inside the deciders);
 * **uniform engine selection** — every method accepts ``engine=`` as a name
   string or an :class:`~repro.search.registry.EngineConfig` (name +
   per-engine options), resolved through the engine registry, with a
@@ -31,18 +31,18 @@ What the facade adds over the functional layer:
   :class:`~repro.decision.Decision` objects carrying the witness, the
   engine used and the run stats.
 
-Capability-driven fast paths: :meth:`Database.count` routes to
-engine-native counting when the engine's registry capabilities declare
-``counts_natively``; :meth:`Database.is_consistent` asks for fresh-value
-symmetry breaking from engines that support it when no witness is
-requested.
+Capability-driven fast paths: :meth:`Database.is_consistent` asks for
+fresh-value symmetry breaking from engines that support it when no witness
+is requested, and :meth:`Database.count` counts through the engine's own
+``count_worlds()`` (the SAT engine without building a world).
 
 The facade is also *updatable*: :meth:`Database.update` applies row-level
 adds/drops in place, recomputes only the state the change can affect (Adom
 delta, per-relation fingerprints, dependency-scoped decision cache eviction
 — see :mod:`repro.incremental`), incrementally maintains a ground-fact
 :class:`~repro.search.propagation.CheckerSession`, and — when the effective
-engine declares ``supports_incremental`` — keeps a live
+engine is the built-in SAT engine (its spec's factory is
+:func:`~repro.search.registry.sat_factory`) with no options — keeps a live
 :class:`~repro.search.sat_engine.IncrementalSATSession` whose DPLL solver
 survives the whole update stream.  That session answers
 :meth:`Database.is_consistent` (with or without a witness) and
@@ -83,7 +83,7 @@ from repro.queries.evaluation import Query, query_relation_names
 from repro.relational.instance import GroundInstance, Row
 from repro.relational.master import MasterData
 from repro.search.propagation import CheckerSession, ConstraintChecker
-from repro.search.registry import EngineConfig, record_search, use_checker
+from repro.search.registry import EngineConfig, record_search, sat_factory, use_checker
 from repro.search.sat_engine import IncrementalSATSession
 
 __all__ = ["Database", "Decision", "EngineConfig", "UpdateBatch", "UpdateResult"]
@@ -555,11 +555,10 @@ class Database:
         )
 
     def _uses_incremental_session(self, config: EngineConfig) -> bool:
-        """Whether a call routes through the live incremental SAT session."""
-        return (
-            config.spec().capabilities.supports_incremental
-            and not config.options
-        )
+        """Whether a call routes through the live incremental SAT session:
+        only an engine the built-in SAT factory builds does, not one of a
+        drop-in factory (``"sat"`` registered again included)."""
+        return config.spec().factory is sat_factory and not config.options
 
     def _sat_session_for(self) -> IncrementalSATSession:
         if self._sat_session is None:
@@ -665,11 +664,12 @@ class Database:
         pass ``witness=False`` for the cheaper existence-only probe (engines
         may then use symmetry breaking and early cancellation).
 
-        On an incremental-capable engine (plain ``engine="sat"``) both forms
-        route through the facade's live SAT session: after an update only
-        the guard assumptions change, so the solver — with all its learned
-        clauses — answers without a re-encode (``stats.reused_solver``), and
-        the witness is ``µ(T)`` for the solver's model.
+        On plain ``engine="sat"`` (the built-in SAT factory, no options)
+        both forms route through the facade's live SAT session: after an
+        update only the guard assumptions change, so the solver — with all
+        its learned clauses — answers without a re-encode
+        (``stats.reused_solver``), and the witness is ``µ(T)`` for the
+        solver's model.
         Verdicts are cached; witness-free consistency depends only on the
         constraint-constrained relations, so updates elsewhere keep the
         cached answer valid.
@@ -710,11 +710,12 @@ class Database:
         """The number of distinct possible worlds, as a Decision.
 
         ``.value`` is the count and the decision is truthy iff at least one
-        world exists.  Engines whose registry capabilities declare
-        ``counts_natively`` count without materialising worlds (SAT
-        per-component counts).  On an incremental-capable engine the count
-        enumerates over the live session's encoding (no re-encode after
-        updates); verdicts are cached until an update touches any relation.
+        world exists.  Every engine counts through its own
+        ``count_worlds()``; the one-shot SAT engine multiplies
+        per-component counts without materialising worlds.  On plain
+        ``engine="sat"`` the count enumerates over the live session's
+        encoding (no re-encode after updates); verdicts are cached until an
+        update touches any relation.
         """
         config = self._engine(engine)
 

@@ -142,8 +142,8 @@ def models_with_valuations(
     """Enumerate ``(µ, µ(T))`` pairs with ``µ(T) ∈ Mod_Adom(T, D_m, V)``.
 
     ``checker`` optionally shares a prebuilt
-    :class:`~repro.search.propagation.ConstraintChecker` with
-    checker-accepting engines — pass it explicitly for generator consumers
+    :class:`~repro.search.propagation.ConstraintChecker` with the
+    engine — pass it explicitly for generator consumers
     (the ambient :func:`repro.search.registry.use_checker` channel must not
     be held open across generator suspension).
     """
@@ -276,13 +276,11 @@ def model_count(
 ) -> int:
     """The number of distinct worlds in ``Mod_Adom(T, D_m, V)``.
 
-    Engines whose capabilities declare ``counts_natively`` count without
-    materialising the worlds through :func:`models` — the SAT engine
-    multiplies the sub-world counts of its clause-graph components — which
-    is both faster and lighter on memory for wide instances.
+    Every engine counts through its own ``count_worlds()``: the tree
+    searches drain their deduplicated worlds, and the SAT engine multiplies
+    the sub-world counts of its clause-graph components without building a
+    world, which is faster and lighter on memory for wide instances.
     """
-    spec, _options = _engine_plan(engine)
-    search = _make_search(cinstance, master, constraints, adom, engine, checker=checker)
-    if spec.capabilities.counts_natively:
-        return search.count_worlds()
-    return sum(1 for _ in search.worlds(deduplicate=True))
+    return _make_search(
+        cinstance, master, constraints, adom, engine, checker=checker
+    ).count_worlds()

@@ -66,8 +66,11 @@ def json_safe(value: Any) -> Any:
 class DecisionStats:
     """What the engines did while a decision was being computed.
 
-    ``None`` fields mean "not applicable to the engine(s) that ran" — the
-    naive scan has no CNF clauses, the SAT engine no search nodes.
+    The engine counters are the sums of the engines'
+    :class:`~repro.search.engine.SearchStats` records
+    (:func:`aggregate_search_stats`).  ``None`` fields mean "not applicable
+    to the engine(s) that ran" — the naive scan has no CNF clauses, the SAT
+    engine no search nodes.
     """
 
     wall_time: float = 0.0
@@ -187,9 +190,11 @@ def aggregate_search_stats(
 ) -> DecisionStats:
     """Fold the stats of every engine object a decider created into one record.
 
-    Works across the heterogeneous per-engine stats shapes: ``nodes`` comes
-    from the tree-search engines, ``clauses`` from SAT encodings, ``worlds``
-    from any engine that enumerated.
+    Every engine fills one :class:`~repro.search.engine.SearchStats`, summed
+    here field by field.  A sum stays ``None`` when no engine reported the
+    field: ``nodes`` comes from the tree-search engines, ``clauses`` (the
+    encoding's size), ``reused_solver`` and ``components`` from the SAT
+    engines, and ``worlds`` from every engine that ran.
     """
     nodes: int | None = None
     clauses: int | None = None
@@ -197,24 +202,16 @@ def aggregate_search_stats(
     reused_solver: bool | None = None
     components: int | None = None
     for search in searches:
-        stats = getattr(search, "stats", None)
-        if stats is None:
-            continue
-        got_nodes = getattr(stats, "nodes", None)
-        if got_nodes is not None:
-            nodes = (nodes or 0) + got_nodes
-        encoding = getattr(stats, "encoding", None)
-        if encoding is not None and getattr(encoding, "clauses", None) is not None:
-            clauses = (clauses or 0) + encoding.clauses
-        got_worlds = getattr(stats, "worlds", None)
-        if got_worlds is not None:
-            worlds = (worlds or 0) + got_worlds
-        got_reused = getattr(stats, "reused_solver", None)
-        if got_reused is not None:
-            reused_solver = bool(reused_solver) or bool(got_reused)
-        got_components = getattr(stats, "components", None)
-        if got_components is not None:
-            components = (components or 0) + got_components
+        stats = search.stats
+        if stats.nodes is not None:
+            nodes = (nodes or 0) + stats.nodes
+        if stats.encoding is not None:
+            clauses = (clauses or 0) + stats.encoding.clauses
+        worlds = (worlds or 0) + stats.worlds
+        if stats.reused_solver is not None:
+            reused_solver = bool(reused_solver) or stats.reused_solver
+        if stats.components is not None:
+            components = (components or 0) + stats.components
     return DecisionStats(
         wall_time=wall_time,
         searches=len(searches),

@@ -23,7 +23,7 @@ as ``repro.protocols`` but free to grow new optional members.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.queries.evaluation import QueryProtocol
 
@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.constraints.containment import ContainmentConstraint
     from repro.ctables.valuation import Valuation
     from repro.relational.instance import GroundInstance, Row
+    from repro.search.engine import SearchStats
 
 __all__ = [
     "CheckerSessionProtocol",
@@ -49,15 +50,15 @@ class WorldSearchEngine(Protocol):
     The three built-in engines (propagating, sat, naive) all satisfy this
     protocol, and the registry's
     :data:`~repro.search.registry.EngineFactory` is typed to return it.
-    ``stats`` is deliberately loose (``Any``): the per-engine stats shapes
-    are heterogeneous (tree-search node counts, CNF clause counts) and are
-    folded together duck-typed by
-    :func:`repro.decision.aggregate_search_stats`.  Every engine's
-    ``stats.worlds`` counts satisfying valuations, after both
-    :meth:`search` and :meth:`count_worlds`.
+    Every engine fills one :class:`~repro.search.engine.SearchStats`, which
+    :func:`repro.decision.aggregate_search_stats` sums field by field.
+    Every engine's ``stats.worlds`` counts satisfying valuations, after both
+    :meth:`search` and :meth:`count_worlds`.  Subclassing
+    :class:`~repro.search.engine.WorldSearchBase` supplies every method
+    but :meth:`search`.
     """
 
-    stats: Any
+    stats: SearchStats
 
     def search(self) -> Iterator[tuple[Valuation, GroundInstance]]:
         """Enumerate ``(valuation, world)`` pairs of ``Mod_Adom(T, D_m, V)``."""
@@ -133,10 +134,9 @@ class SupportsCheckerSessions(Protocol):
     """The checker channel: a factory of incremental checking sessions.
 
     :class:`repro.search.propagation.ConstraintChecker` is the canonical
-    implementation; engines that accept a prebuilt checker (capability
-    ``accepts_checker``) receive one through this interface, either as an
-    explicit ``checker=`` argument or ambiently via
-    :func:`repro.search.registry.use_checker`.
+    implementation; every engine factory receives one through this
+    interface, either as an explicit ``checker=`` argument or ambiently via
+    :func:`repro.search.registry.use_checker`, and may ignore it.
     """
 
     @property

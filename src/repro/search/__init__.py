@@ -30,7 +30,7 @@ from repro.search.cnf_encoding import (
     encode_world_search,
 )
 from repro.search.engine import SearchStats, WorldSearch, world_key
-from repro.search.naive import NaiveSearchStats, NaiveWorldSearch
+from repro.search.naive import NaiveWorldSearch
 from repro.search.ordering import order_variables
 from repro.search.propagation import CheckerSession, ConstraintChecker
 from repro.search.registry import (
@@ -44,7 +44,7 @@ from repro.search.registry import (
     resolve_engine_name,
     unregister_engine,
 )
-from repro.search.sat_engine import SATSearchStats, SATWorldSearch
+from repro.search.sat_engine import SATWorldSearch
 
 __all__ = [
     "CheckerSession",
@@ -54,9 +54,7 @@ __all__ = [
     "EngineCapabilities",
     "EngineConfig",
     "EngineSpec",
-    "NaiveSearchStats",
     "NaiveWorldSearch",
-    "SATSearchStats",
     "SATWorldSearch",
     "SearchStats",
     "WorldEncoding",

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from repro.constraints.containment import (
     ContainmentConstraint,
@@ -68,6 +68,10 @@ from repro.search.joinplan import SeedPlan
 from repro.search.ordering import order_variables
 from repro.search.propagation import CheckerSession, ConstraintChecker
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.reductions.dpll import SolverStats
+    from repro.search.cnf_encoding import EncodingStats
+
 #: How many search nodes may elapse between two ``stop_check`` polls.
 STOP_CHECK_STRIDE = 64
 
@@ -77,18 +81,35 @@ POOL_ORDERS = ("fresh_first",)
 
 @dataclass
 class SearchStats:
-    """Counters describing one search run (reset per :class:`WorldSearch`).
+    """Counters describing one engine's runs: the record every engine fills.
 
-    ``nodes`` counts value assignments tried.  ``pruned`` counts the
-    branches cut, by either kind of cut: a push that violated a constraint,
-    or an early check of a row not yet complete.
+    ``worlds`` counts the satisfying valuations yielded by ``search()`` or
+    counted by ``count_worlds()``, and ``duplicate_worlds`` those whose
+    world an earlier one gave, so after ``worlds()`` or ``count_worlds()``
+    their difference is the number of distinct worlds.  ``nodes`` counts
+    the value assignments tried (complete valuations on the naive engine),
+    ``pruned`` the branches cut by a violating push or an early check.
+
+    The SAT engines leave ``nodes`` ``None`` and fill the ledgers the other
+    engines leave ``None``: ``encoding`` (the CNF's size), ``solver`` (every
+    solver's work), ``reused_solver`` (whether the live session's last call
+    was answered by its live solver kept from an earlier call; a count
+    reports ``False`` and the one-shot engine ``None``) and ``components``
+    (those the last one-shot ``count_worlds`` multiplied,
+    ``component_cache_hits`` of them from its cache).  On the live session
+    ``worlds`` and ``duplicate_worlds`` describe the most recent call.
     """
 
-    nodes: int = 0
+    nodes: int | None = 0
     pruned: int = 0
     worlds: int = 0
     duplicate_worlds: int = 0
     symmetry_skips: int = 0
+    encoding: EncodingStats | None = None
+    solver: SolverStats | None = None
+    reused_solver: bool | None = None
+    components: int | None = None
+    component_cache_hits: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,7 +169,49 @@ def world_key(world: GroundInstance) -> WorldKey:
     )
 
 
-class WorldSearch:
+class WorldSearchBase:
+    """The front-ends every engine offers over its :meth:`search`.
+
+    A subclass fills :attr:`stats` and yields the ``(µ, µ(T))`` pairs of
+    ``Mod_Adom(T, D_m, V)`` from :meth:`search`; it overrides a front-end
+    only where it has a faster path (the SAT engines decide
+    :meth:`has_world` with one solver call and count without building
+    worlds).
+    """
+
+    stats: SearchStats
+
+    def search(self) -> Iterator[tuple[Valuation, GroundInstance]]:
+        """Enumerate ``(µ, µ(T))`` pairs with ``(µ(T), D_m) |= V``."""
+        raise NotImplementedError
+
+    def __iter__(self) -> Iterator[tuple[Valuation, GroundInstance]]:
+        return self.search()
+
+    def worlds(self, deduplicate: bool = True) -> Iterator[GroundInstance]:
+        """Enumerate the worlds, suppressing duplicates by canonical form."""
+        seen: set[WorldKey] = set()
+        for _valuation, world in self.search():
+            if deduplicate:
+                key = world_key(world)
+                if key in seen:
+                    self.stats.duplicate_worlds += 1
+                    continue
+                seen.add(key)
+            yield world
+
+    def has_world(self) -> bool:
+        """Whether ``Mod_Adom(T, D_m, V)`` is non-empty."""
+        for _ in self.search():
+            return True
+        return False
+
+    def count_worlds(self) -> int:
+        """The number of distinct worlds."""
+        return sum(1 for _ in self.worlds(deduplicate=True))
+
+
+class WorldSearch(WorldSearchBase):
     """Backtracking enumeration of ``Mod_Adom(T, D_m, V)`` with propagation.
 
     Parameters
@@ -360,9 +423,6 @@ class WorldSearch:
             return
         yield from self._descend(0, {}, session, 0)
 
-    def __iter__(self) -> Iterator[tuple[Valuation, GroundInstance]]:
-        return self.search()
-
     def _push_level(
         self,
         session: CheckerSession,
@@ -436,10 +496,10 @@ class WorldSearch:
                 continue
             else:
                 next_used = used_fresh + (1 if rank == used_fresh else 0)
-            self.stats.nodes += 1
+            self.stats.nodes = nodes = (self.stats.nodes or 0) + 1
             if (
                 self._stop_check is not None
-                and self.stats.nodes % STOP_CHECK_STRIDE == 0
+                and nodes % STOP_CHECK_STRIDE == 0
                 and self._stop_check()
             ):
                 raise SearchCancelledError("world search cancelled by stop_check")
@@ -456,28 +516,3 @@ class WorldSearch:
                 # so the session stays balanced for reuse after an abort.
                 session.pop_to(mark)
                 del valuation[variable]
-
-    # ------------------------------------------------------------------
-    # front-ends
-    # ------------------------------------------------------------------
-    def worlds(self, deduplicate: bool = True) -> Iterator[GroundInstance]:
-        """Enumerate the worlds, suppressing duplicates by canonical form."""
-        seen: set[tuple[frozenset[Row], ...]] = set()
-        for _valuation, world in self.search():
-            if deduplicate:
-                key = world_key(world)
-                if key in seen:
-                    self.stats.duplicate_worlds += 1
-                    continue
-                seen.add(key)
-            yield world
-
-    def has_world(self) -> bool:
-        """Whether ``Mod_Adom(T, D_m, V)`` is non-empty."""
-        for _ in self.search():
-            return True
-        return False
-
-    def count_worlds(self) -> int:
-        """The number of distinct worlds."""
-        return sum(1 for _ in self.worlds(deduplicate=True))

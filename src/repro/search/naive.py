@@ -13,33 +13,24 @@ constraints are checked on complete worlds only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.constraints.containment import ContainmentConstraint, satisfies_all
 from repro.ctables.adom import ActiveDomain
 from repro.ctables.cinstance import CInstance
 from repro.ctables.valuation import Valuation, enumerate_valuations
-from repro.relational.instance import GroundInstance, Row
+from repro.relational.instance import GroundInstance
 from repro.relational.master import MasterData
-from repro.search.engine import world_key
+from repro.search.engine import SearchStats, WorldSearchBase
 
 
-@dataclass
-class NaiveSearchStats:
-    """Counters describing one naive enumeration run."""
-
-    nodes: int = 0  # complete valuations materialised
-    worlds: int = 0  # satisfying valuations yielded
-    duplicate_worlds: int = 0
-
-
-class NaiveWorldSearch:
+class NaiveWorldSearch(WorldSearchBase):
     """Cross-product enumeration of ``Mod_Adom(T, D_m, V)``.
 
     The reference implementation the optimised engines are parity-tested
     against: no propagation, no symmetry breaking, no sharing — just every
     valuation over the Adom pools, filtered on complete worlds.
+    ``stats.nodes`` counts the complete valuations materialised.
     """
 
     def __init__(
@@ -57,38 +48,13 @@ class NaiveWorldSearch:
         self._master = master
         self._constraints = list(constraints)
         self._adom = adom
-        self.stats = NaiveSearchStats()
+        self.stats = SearchStats()
 
     def search(self) -> Iterator[tuple[Valuation, GroundInstance]]:
         """Enumerate ``(µ, µ(T))`` pairs with ``(µ(T), D_m) |= V``."""
         for valuation in enumerate_valuations(self._cinstance, self._adom):
-            self.stats.nodes += 1
+            self.stats.nodes = (self.stats.nodes or 0) + 1
             world = self._cinstance.apply(valuation)
             if satisfies_all(world, self._master, self._constraints):
                 self.stats.worlds += 1
                 yield valuation, world
-
-    def __iter__(self) -> Iterator[tuple[Valuation, GroundInstance]]:
-        return self.search()
-
-    def worlds(self, deduplicate: bool = True) -> Iterator[GroundInstance]:
-        """Enumerate the worlds, suppressing duplicates when asked to."""
-        seen: set[tuple[frozenset[Row], ...]] = set()
-        for _valuation, world in self.search():
-            if deduplicate:
-                key = world_key(world)
-                if key in seen:
-                    self.stats.duplicate_worlds += 1
-                    continue
-                seen.add(key)
-            yield world
-
-    def has_world(self) -> bool:
-        """Whether ``Mod_Adom(T, D_m, V)`` is non-empty."""
-        for _ in self.search():
-            return True
-        return False
-
-    def count_worlds(self) -> int:
-        """The number of distinct worlds."""
-        return sum(1 for _ in self.worlds(deduplicate=True))

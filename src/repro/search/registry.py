@@ -19,20 +19,21 @@ Third-party or experimental engines become drop-ins::
         "my-engine",
         lambda cinstance, master, constraints, adom, *, checker,
                break_symmetry, **options: MySearch(...),
-        capabilities=EngineCapabilities(counts_natively=True),
+        capabilities=EngineCapabilities(supports_cancellation=True),
     )
 
 after which ``engine="my-engine"`` works everywhere an engine keyword is
 accepted — no core module is touched.
 
-Capability flags let callers pick fast paths without knowing engine
-internals: ``counts_natively`` routes ``model_count`` to the engine's own
-counting (SAT per-component counts), ``symmetry_breaking`` tells existence
-checks and the strong, viable and MINP deciders to request the fresh-value
-symmetry reduction, ``supports_cancellation`` marks engines that honour a
-``stop_check`` option, and ``rooted_runs`` marks engines whose search
+Capability flags tell callers which path an engine can take, without
+knowing engine internals: ``symmetry_breaking`` tells existence checks and
+the strong, viable and MINP deciders to request the fresh-value symmetry
+reduction, ``supports_cancellation`` marks engines that honour a
+``stop_check`` option, ``pool_order_hints`` those that honour a
+``pool_order`` option, and ``rooted_runs`` marks engines whose search
 object roots a run at a ground instance without rebuilding its plan
-(:class:`SearchTemplate`).
+(:class:`SearchTemplate`).  Every engine counts through its own
+``count_worlds()`` and receives the ambient checker, which it may ignore.
 
 The module also hosts two *ambient* channels that avoid parameter
 threading through the decision procedures:
@@ -43,7 +44,7 @@ threading through the decision procedures:
   CNF clauses to the :class:`~repro.decision.Decision` it builds;
 * :func:`use_checker` — a prebuilt
   :class:`~repro.search.propagation.ConstraintChecker` handed to every
-  checker-accepting engine created inside the block, which is how the
+  engine factory called inside the block, which is how the
   :class:`repro.api.Database` facade shares one checker across calls.
 """
 
@@ -78,21 +79,17 @@ WorldSearchLike = WorldSearchEngine
 #: ``factory(cinstance, master, constraints, adom, *, checker,
 #: break_symmetry, **options) -> WorldSearchLike``.  Factories are free to
 #: ignore hints that do not apply to them (the SAT factory ignores
-#: ``break_symmetry``); unknown ``options`` keys should raise.
+#: ``break_symmetry``, the naive one ``checker`` too); unknown ``options``
+#: keys should raise.
 EngineFactory = Callable[..., WorldSearchLike]
 
 
 @dataclass(frozen=True)
 class EngineCapabilities:
-    """Declared properties of an engine, consulted for fast paths.
+    """Declared properties of an engine, each choosing a path for callers.
 
     Attributes
     ----------
-    counts_natively:
-        ``count_worlds()`` is cheaper than draining ``worlds()`` — e.g. the
-        SAT engine multiplies per-component sub-world counts without
-        materialising :class:`~repro.relational.instance.GroundInstance`
-        objects.  ``model_count`` routes through the native path when set.
     supports_cancellation:
         The factory honours a ``stop_check`` option: a zero-argument
         callable the search polls, aborting with
@@ -104,17 +101,9 @@ class EngineCapabilities:
         Sound for any per-world test that renaming cannot change: existence
         checks, and the strong, viable and MINP deciders on generic queries
         (:func:`~repro.ctables.possible_worlds.representative_worlds`).
-    accepts_checker:
-        The factory reuses a prebuilt
-        :class:`~repro.search.propagation.ConstraintChecker`.
     pool_order_hints:
         The factory honours the ``pool_order`` option (e.g.
         ``"fresh_first"``) for value-order hints on the candidate pools.
-    supports_incremental:
-        The engine can re-decide after an in-place
-        :meth:`repro.api.Database.update` without rebuilding its search
-        state (the SAT engine keeps its encoding and live solver across
-        updates via assumption-guarded tuple-presence literals).
     rooted_runs:
         The search object offers ``over(instance)``: a run rooted at a
         ground instance ``I``, equivalent to a fresh engine over ``T ∪ I``,
@@ -123,12 +112,9 @@ class EngineCapabilities:
         over ``T ∪ I`` per run for the engines without it.
     """
 
-    counts_natively: bool = False
     supports_cancellation: bool = False
     symmetry_breaking: bool = False
-    accepts_checker: bool = True
     pool_order_hints: bool = False
-    supports_incremental: bool = False
     rooted_runs: bool = False
 
 
@@ -152,14 +138,12 @@ class EngineSpec:
         options: Mapping[str, Any] | None = None,
     ) -> WorldSearchLike:
         """Instantiate the engine, honouring ambient checker/stat channels."""
-        if checker is None and self.capabilities.accepts_checker:
-            checker = ambient_checker()
         search = self.factory(
             cinstance,
             master,
             constraints,
             adom,
-            checker=checker,
+            checker=checker or ambient_checker(),
             break_symmetry=break_symmetry,
             **dict(options or {}),
         )
@@ -194,13 +178,13 @@ class SearchTemplate:
         break_symmetry: bool = False,
         options: Mapping[str, Any] | None = None,
     ) -> None:
-        if checker is None and spec.capabilities.accepts_checker:
-            checker = ambient_checker()
         self._cinstance = cinstance
         self._factory = spec.factory
         self._arguments = (master, constraints, adom)
         self._keywords: dict[str, Any] = dict(
-            options or {}, checker=checker, break_symmetry=break_symmetry
+            options or {},
+            checker=checker or ambient_checker(),
+            break_symmetry=break_symmetry,
         )
         self._rooted: RootedWorldSearchEngine | None = None
         if spec.capabilities.rooted_runs:
@@ -407,7 +391,7 @@ def _propagating_factory(
     )
 
 
-def _sat_factory(
+def sat_factory(
     cinstance: CInstance,
     master: MasterData,
     constraints: Sequence[ContainmentConstraint],
@@ -417,6 +401,9 @@ def _sat_factory(
     break_symmetry: bool,
     **options: Any,
 ) -> WorldSearchEngine:
+    """The built-in SAT engine, a one-shot :class:`SATWorldSearch`: the only
+    engine :class:`repro.api.Database` answers from its live
+    :class:`~repro.search.sat_engine.IncrementalSATSession` instead."""
     del break_symmetry  # one SAT call decides existence anyway
     return SATWorldSearch(cinstance, master, constraints, adom, checker=checker, **options)
 
@@ -445,13 +432,5 @@ register_engine(
         rooted_runs=True,
     ),
 )
-register_engine(
-    "sat",
-    _sat_factory,
-    EngineCapabilities(counts_natively=True, supports_incremental=True),
-)
-register_engine(
-    "naive",
-    _naive_factory,
-    EngineCapabilities(accepts_checker=False),
-)
+register_engine("sat", sat_factory)
+register_engine("naive", _naive_factory)

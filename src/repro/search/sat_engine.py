@@ -13,8 +13,8 @@ DPLL solver of :mod:`repro.reductions.dpll`.  It mirrors the API of
   its world — exactly the pairs the naive cross-product scan accepts.  The
   solver branches on the selectors only and resumes from each model's trail
   instead of starting over;
-* :meth:`worlds` deduplicates by the shared canonical form
-  (:func:`repro.search.engine.world_key`);
+* :meth:`worlds` deduplicates by the shared canonical form, as on every
+  engine (:class:`repro.search.engine.WorldSearchBase`);
 * :meth:`count_worlds` multiplies the distinct sub-world counts of the
   clause graph's connected components.
 
@@ -33,7 +33,6 @@ ground-tuple updates.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.constraints.containment import ContainmentConstraint
@@ -46,40 +45,13 @@ from repro.reductions.dpll import DPLLSolver, SolverStats
 from repro.relational.instance import GroundInstance, Row
 from repro.relational.master import MasterData
 from repro.search.cnf_encoding import (
-    EncodingStats,
     IncrementalEncoder,
     WorldEncoding,
     encode_world_search,
     iter_solver_models,
 )
-from repro.search.engine import world_key
+from repro.search.engine import SearchStats, WorldSearchBase
 from repro.search.propagation import ConstraintChecker
-
-
-@dataclass
-class SATSearchStats:
-    """Counters describing one SAT-backed search run.
-
-    On the long-lived :class:`IncrementalSATSession`, ``worlds`` and
-    ``duplicate_worlds`` describe the most recent call; the ``solver``
-    ledger keeps its totals.
-    """
-
-    worlds: int = 0
-    duplicate_worlds: int = 0
-    encoding: EncodingStats | None = None
-    solver: SolverStats | None = None
-    #: whether the most recent call was answered by the incremental
-    #: session's live solver kept alive from a previous call (enumerations
-    #: run on the other solver and report ``False``); ``None`` for the
-    #: one-shot :class:`SATWorldSearch`, which builds a fresh solver per
-    #: search.
-    reused_solver: bool | None = None
-    #: clause-graph components the last one-shot ``count_worlds`` multiplied;
-    #: ``None`` until that runs.
-    components: int | None = None
-    #: component sub-counts answered from the fingerprint cache.
-    component_cache_hits: int = 0
 
 
 #: One clause-graph component: its c-instance variables, clauses and rows.
@@ -88,43 +60,7 @@ _Component = tuple[
 ]
 
 
-class _ModelStream:
-    """``search``/``worlds`` over the valuations ``_models()`` yields.
-
-    Shared by both SAT classes: each valuation is yielded once with its
-    world ``µ(T)``, and ``stats.worlds`` counts them.
-    """
-
-    _cinstance: CInstance
-    stats: SATSearchStats
-
-    def _models(self) -> Iterator[Valuation]:
-        raise NotImplementedError
-
-    def search(self) -> Iterator[tuple[Valuation, GroundInstance]]:
-        """Enumerate ``(µ, µ(T))`` pairs with ``(µ(T), D_m) |= V``."""
-        cinstance = self._cinstance
-        for valuation in self._models():
-            self.stats.worlds += 1
-            yield valuation, cinstance.apply(valuation)
-
-    def __iter__(self) -> Iterator[tuple[Valuation, GroundInstance]]:
-        return self.search()
-
-    def worlds(self, deduplicate: bool = True) -> Iterator[GroundInstance]:
-        """Enumerate the worlds, suppressing duplicates by canonical form."""
-        seen: set[tuple[frozenset[Row], ...]] = set()
-        for _valuation, world in self.search():
-            if deduplicate:
-                key = world_key(world)
-                if key in seen:
-                    self.stats.duplicate_worlds += 1
-                    continue
-                seen.add(key)
-            yield world
-
-
-class SATWorldSearch(_ModelStream):
+class SATWorldSearch(WorldSearchBase):
     """SAT-backed enumeration of ``Mod_Adom(T, D_m, V)``.
 
     Parameters mirror :class:`repro.search.engine.WorldSearch`: the
@@ -149,7 +85,7 @@ class SATWorldSearch(_ModelStream):
             cinstance, master, constraints, adom, checker=checker
         )
         self._component_cache: dict[object, tuple[int, int]] = {}
-        self.stats = SATSearchStats(encoding=self._encoding.stats)
+        self.stats = SearchStats(nodes=None, encoding=self._encoding.stats)
 
     @property
     def encoding(self) -> WorldEncoding:
@@ -174,9 +110,13 @@ class SATWorldSearch(_ModelStream):
             decisions = self._encoding.selector.values()
         return DPLLSolver(clauses, stats=self.stats.solver, decisions=decisions)
 
-    def _models(self) -> Iterator[Valuation]:
-        if not self._encoding.trivially_unsat:
-            yield from iter_solver_models(self._encoding, self._solver())
+    def search(self) -> Iterator[tuple[Valuation, GroundInstance]]:
+        """Enumerate ``(µ, µ(T))`` pairs: one per selector-projected model."""
+        if self._encoding.trivially_unsat:
+            return
+        for valuation in iter_solver_models(self._encoding, self._solver()):
+            self.stats.worlds += 1
+            yield valuation, self._cinstance.apply(valuation)
 
     def has_world(self) -> bool:
         """Whether ``Mod_Adom(T, D_m, V)`` is non-empty: one SAT call."""
@@ -204,9 +144,8 @@ class SATWorldSearch(_ModelStream):
         component; a variable-free one has none and counts one world, or
         none when its ground tuples violate a constraint.
 
-        No :class:`~repro.relational.instance.GroundInstance` is built: this
-        is the ``counts_natively`` capability the engine registry
-        advertises.  ``stats.worlds`` counts the satisfying valuations (the
+        No :class:`~repro.relational.instance.GroundInstance` is built.
+        ``stats.worlds`` counts the satisfying valuations (the
         product of the per-component ones), as enumeration would.
         """
         encoding = self._encoding
@@ -356,12 +295,13 @@ class SATWorldSearch(_ModelStream):
         return len(sub_worlds), valuations
 
 
-class IncrementalSATSession(_ModelStream):
+class IncrementalSATSession(WorldSearchBase):
     """A SAT search that outlives a stream of ground-tuple updates.
 
-    Owned by the :class:`repro.api.Database` facade (one per facade when the
-    effective engine supports it): instead of re-encoding and re-solving from
-    scratch after every :meth:`~repro.api.Database.update`, the session keeps
+    Owned by the :class:`repro.api.Database` facade (one per facade, for
+    the engine the built-in SAT factory builds): instead of re-encoding and
+    re-solving from scratch after every :meth:`~repro.api.Database.update`,
+    the session keeps
 
     * an :class:`~repro.search.cnf_encoding.IncrementalEncoder`, whose clause
       set only ever grows (guards express drops through assumptions) and
@@ -420,8 +360,8 @@ class IncrementalSATSession(_ModelStream):
         self._enumerator_fed = 0
         self._activation = self._encoder.fresh_activation()
         self.lock = threading.RLock()
-        self.stats = SATSearchStats(
-            encoding=self._encoder.encoding.stats, solver=self._solver.stats
+        self.stats = SearchStats(
+            nodes=None, encoding=self._encoder.encoding.stats, solver=self._solver.stats
         )
 
     @property
@@ -528,10 +468,14 @@ class IncrementalSATSession(_ModelStream):
             activation=self._activation,
         )
 
-    def _models(self) -> Iterator[Valuation]:
+    def search(self) -> Iterator[tuple[Valuation, GroundInstance]]:
+        """Enumerate ``(µ, µ(T))`` pairs, drained under :attr:`lock` first."""
         with self.lock:
+            cinstance = self._cinstance
             valuations = list(self._enumerate())
-        yield from valuations
+        for valuation in valuations:
+            self.stats.worlds += 1
+            yield valuation, cinstance.apply(valuation)
 
     def count_worlds(self) -> int:
         """Count distinct worlds natively (no instances are built).

@@ -1,4 +1,4 @@
-"""The surfaces 3.0.0 and 4.0.0 removed fail loudly.
+"""The surfaces 3.0.0, 4.0.0 and 5.0.0 removed fail loudly.
 
 3.0.0 deleted the 1.x→2.0 deprecation shims and the baseline toggles (see the
 README migration table); the live SAT session's encoding switches
@@ -18,6 +18,13 @@ registered engine, ``repro.search.parallel`` and its exports
 ``EngineConfig`` has two fields (``name``, ``options``), and no front-end,
 decider or engine factory takes ``workers``.  ``WorldSearch(order=,
 pool_overrides=)``, which only the shard driver used, went with it.
+
+5.0.0 gave the engines one contract.  ``EngineCapabilities`` keeps the four
+flags that choose a path: ``counts_natively`` (``model_count`` always calls
+``count_worlds()``), ``accepts_checker`` (every factory receives the ambient
+checker) and ``supports_incremental`` (the facade's live SAT session serves
+the built-in SAT factory only) went.  So did ``NaiveSearchStats`` and
+``SATSearchStats``: every engine fills one ``SearchStats``.
 
 A removed keyword must
 raise ``TypeError`` and a removed attribute ``AttributeError``: neither may be
@@ -72,7 +79,13 @@ from repro.search.engine import WorldSearch
 from repro.relational.indexing import IndexedFactStore
 from repro.search.cnf_encoding import IncrementalEncoder, encode_world_search
 from repro.search.propagation import ConstraintChecker
-from repro.search.registry import SearchTemplate, engine_names, get_engine
+from repro.search import naive, sat_engine
+from repro.search.registry import (
+    EngineCapabilities,
+    SearchTemplate,
+    engine_names,
+    get_engine,
+)
 from repro.search.sat_engine import IncrementalSATSession, SATWorldSearch
 from repro.workloads.generator import inequality_chain_workload
 from repro.workloads.patients import build_patient_scenario
@@ -198,6 +211,15 @@ REMOVED_KEYWORDS = {
     "WorldSearch(pool_overrides=)": lambda w: WorldSearch(
         w.cinstance, w.master, w.constraints, _adom(w), pool_overrides={}
     ),
+    "EngineCapabilities(counts_natively=)": lambda w: EngineCapabilities(
+        counts_natively=True
+    ),
+    "EngineCapabilities(accepts_checker=)": lambda w: EngineCapabilities(
+        accepts_checker=False
+    ),
+    "EngineCapabilities(supports_incremental=)": lambda w: EngineCapabilities(
+        supports_incremental=True
+    ),
 }
 
 
@@ -258,6 +280,17 @@ def test_parallel_exports_are_gone(name):
 def test_parallel_module_is_gone():
     with pytest.raises(ImportError):
         import repro.search.parallel  # noqa: F401
+
+
+@pytest.mark.parametrize(
+    ("module", "name"),
+    [(naive, "NaiveSearchStats"), (sat_engine, "SATSearchStats")],
+)
+def test_per_engine_stats_classes_are_gone(module, name):
+    for owner in (repro.search, module):
+        with pytest.raises(AttributeError):
+            getattr(owner, name)
+    assert name not in repro.search.__all__
 
 
 #: A query over the workload's ``Record(key, value)`` relation.

@@ -5,9 +5,13 @@ reference enumeration in one call:
 
 * :func:`assert_engine_parity` — identical world sets, world multisets,
   ``(valuation, world)`` pair sets, model counts and existence verdicts from
-  every engine, and one meaning for ``stats.worlds`` in all of them (the
-  reference included): the number of ``(valuation, world)`` pairs, after a
-  drained ``search()`` and after ``count_worlds()``;
+  every engine, and one stats record with one meaning in all of them (the
+  reference included): ``stats`` is a
+  :class:`~repro.search.engine.SearchStats`, ``stats.worlds`` is the number
+  of ``(valuation, world)`` pairs after a drained ``search()`` and after
+  ``count_worlds()``, and ``stats.worlds - stats.duplicate_worlds`` the
+  number of distinct worlds after a drained ``worlds()`` and after
+  ``count_worlds()``;
 * :func:`assert_decider_parity` — identical verdicts from an
   ``engine``-accepting decision procedure across engines;
 * :func:`assert_rooted_parity` — every engine's run of a search template
@@ -81,6 +85,7 @@ from repro.relational.instance import GroundInstance, instance
 from repro.relational.master import MasterData
 from repro.relational.schema import RelationSchema, database_schema, schema
 from repro.api import Database
+from repro.search.engine import SearchStats
 from repro.search.registry import (
     EngineConfig,
     get_engine,
@@ -111,21 +116,31 @@ class EngineObservation:
     #: ``stats.worlds`` after a drained ``search()`` and after
     #: ``count_worlds()``, each on a fresh engine.
     worlds_stat: tuple[int, int]
+    #: ``stats`` after a drained ``worlds()`` and after ``count_worlds()``,
+    #: each on a fresh engine.
+    distinct_stats: tuple[object, object]
 
 
-def observe_worlds_stat(cinst, master, constraints, adom, engine) -> tuple[int, int]:
-    """``stats.worlds`` of one engine after ``search()`` and ``count_worlds()``."""
+def observe_stats(
+    cinst, master, constraints, adom, engine
+) -> tuple[tuple[int, int], tuple[object, object]]:
+    """``stats.worlds`` of one engine after ``search()`` and ``count_worlds()``,
+    and its ``stats`` after ``worlds()`` and ``count_worlds()``."""
     spec = EngineConfig.coerce(engine).spec()
     drained = spec.create(cinst, master, constraints, adom)
     for _pair in drained.search():
         pass
+    listed = spec.create(cinst, master, constraints, adom)
+    for _world in listed.worlds():
+        pass
     counted = spec.create(cinst, master, constraints, adom)
     counted.count_worlds()
-    return drained.stats.worlds, counted.stats.worlds
+    return (drained.stats.worlds, counted.stats.worlds), (listed.stats, counted.stats)
 
 
 def observe_engine(cinst, master, constraints, adom, engine) -> EngineObservation:
     """Run one instance through one engine, capturing every public surface."""
+    worlds_stat, distinct_stats = observe_stats(cinst, master, constraints, adom, engine)
     return EngineObservation(
         engine=engine,
         worlds=frozenset(models(cinst, master, constraints, adom, engine=engine)),
@@ -140,7 +155,8 @@ def observe_engine(cinst, master, constraints, adom, engine) -> EngineObservatio
         ),
         count=model_count(cinst, master, constraints, adom, engine=engine),
         has=has_model(cinst, master, constraints, adom, engine=engine),
-        worlds_stat=observe_worlds_stat(cinst, master, constraints, adom, engine),
+        worlds_stat=worlds_stat,
+        distinct_stats=distinct_stats,
     )
 
 
@@ -154,10 +170,13 @@ def assert_engine_parity(
 ) -> dict[str, EngineObservation]:
     """All engines agree with the reference on every observable surface.
 
-    ``stats.worlds`` is checked on the reference and on every engine: it
-    counts the ``(valuation, world)`` pairs, so a stat that counted distinct
-    worlds after ``count_worlds()`` would fail here on any instance where two
-    valuations ground the same world.
+    ``stats`` is checked on the reference and on every engine.
+    ``stats.worlds`` counts the ``(valuation, world)`` pairs, so a stat that
+    counted distinct worlds after ``count_worlds()`` would fail here on any
+    instance where two valuations ground the same world; ``stats`` is a
+    :class:`~repro.search.engine.SearchStats` whose ``worlds -
+    duplicate_worlds`` is the number of distinct worlds after ``worlds()``
+    and after ``count_worlds()``.
 
     Returns the per-engine observations so callers can make extra assertions
     (e.g. on expected world counts) without re-running the engines.
@@ -179,6 +198,12 @@ def assert_engine_parity(
         assert observed.worlds_stat == (valuations, valuations), (
             "stats.worlds", engine, observed.worlds_stat, valuations,
         )
+        for stats in observed.distinct_stats:
+            assert isinstance(stats, SearchStats), ("stats type", engine, type(stats))
+            assert stats.worlds - stats.duplicate_worlds == len(observed.worlds), (
+                "stats.worlds - stats.duplicate_worlds", engine, stats,
+                len(observed.worlds),
+            )
     return observations
 
 

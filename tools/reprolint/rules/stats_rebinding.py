@@ -2,7 +2,7 @@
 
 The engines publish observability counters through long-lived stats ledgers
 (:class:`repro.reductions.dpll.SolverStats`,
-:class:`repro.search.sat_engine.SATSearchStats`, ...).  Callers hold a
+:class:`repro.search.engine.SearchStats`, ...).  Callers hold a
 reference to the ledger and read it *after* the work ran, so a ledger slot
 must be written once and then mutated in place.  Rebinding a slot to some
 *other* object's ``.stats`` attribute — the historical
