@@ -37,9 +37,11 @@
 #      (scripts/fuzz_differential.py, fixed seed): random three-way
 #      engine-parity cases interleaved with update-vs-rebuild streams
 #      through Database.update, whose live SAT session counts twice per
-#      step, and with strong/viable/MINP decider cases against a drop-in
-#      that tests every world; the nightly CI job runs the same script for
-#      15 minutes with a rotating seed and uploads failing seeds,
+#      step, and with strong/viable/MINP decider cases and weak-report,
+#      certain-answer and MINPʷ cases against a drop-in that tests every
+#      world (the certain answers against naive and SAT too); the nightly
+#      CI job runs the same script for 15 minutes with a rotating seed and
+#      uploads failing seeds,
 #   9. the doc-snippet runner (scripts/run_doc_snippets.py): every fenced
 #      `python` block in README.md and docs/*.md is executed, so the
 #      documentation code cannot rot (tag a fence `python no-run` to skip),

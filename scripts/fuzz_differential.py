@@ -31,7 +31,13 @@ campaign families:
   the propagating engine: :func:`harness.assert_representative_parity`
   holds them to the verdict and witness of a drop-in that tests every world
   (and to the naive verdict), and :func:`harness.assert_limited_parity` to
-  its answers under a ``limit``.
+  its answers under a ``limit``.  The same case meets the weak-completeness
+  report, both certain answers and MINPʷ, which intersect the renaming
+  closure of one world's answer per class:
+  :func:`harness.assert_certain_parity` holds them to the drop-in's answers
+  and to naive's and SAT's, and
+  :func:`harness.assert_certain_limited_parity` to the drop-in's answers
+  under the same ``limit``.
 
 The family is ``seed % 4`` in the order above.  Every case is reproduced by
 its printed seed::
@@ -60,6 +66,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "tests" / "search"))
 
 from harness import (  # noqa: E402  (path set up above)
+    assert_certain_limited_parity,
+    assert_certain_parity,
     assert_engine_parity,
     assert_limited_parity,
     assert_representative_parity,
@@ -148,12 +156,15 @@ def run_components_case(seed: int) -> str:
 
 
 def run_deciders_case(seed: int) -> str:
-    """One strong/viable/MINP case against full enumeration, unbounded and
-    under a ``limit``; returns a human-readable label."""
+    """One strong/viable/MINP and weak/certain-answer case against full
+    enumeration, unbounded and under a ``limit``; returns a human-readable
+    label."""
     case = random_decider_case(seed)
     assert_representative_parity(case)
+    assert_certain_parity(case)
     limit = random.Random(f"fuzz-deciders:{seed}").choice([5, 10, 20])
     assert_limited_parity(case, limit)
+    assert_certain_limited_parity(case, limit)
     return f"deciders limit={limit} {case.label}"
 
 

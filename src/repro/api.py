@@ -79,7 +79,10 @@ from repro.ctables.valuation import Valuation
 from repro.decision import Decision, DecisionRecorder
 from repro.exceptions import CTableError, UpdateError
 from repro.incremental import MISS, DecisionCache, RowSpec, UpdateBatch, UpdateResult
+from repro.queries.cq import ConjunctiveQuery
 from repro.queries.evaluation import Query, query_relation_names
+from repro.queries.fp import FixpointQuery
+from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.instance import GroundInstance, Row
 from repro.relational.master import MasterData
 from repro.search.propagation import CheckerSession, ConstraintChecker
@@ -877,10 +880,12 @@ class Database:
     ) -> frozenset[Row]:
         """``⋂_{I ∈ Mod_Adom(T, D_m, V)} Q(I)`` — certain over the worlds.
 
-        Cached answers depend only on the relations the constraints and the
-        query's atoms mention (which valuations the constraints accept, and
-        what ``Q`` reads from each world); updates to other relations keep
-        them valid.
+        Computed on one world per renaming of the fresh Adom values, each
+        world's answer closed under those renamings (every world for a
+        native query; see :mod:`repro.completeness.certain`).  Cached
+        answers depend only on the relations
+        :func:`certain_answer_dependencies` names; updates to other
+        relations keep them valid.
         """
         config = self._engine(engine)
 
@@ -895,9 +900,9 @@ class Database:
                     engine=config,
                 )
 
-        deps = self.constraint_relations() | query_relation_names(query)
         result: frozenset[Row] = self._cached(
-            "certain-answers", (query,), deps, config, compute
+            "certain-answers", (query,), certain_answer_dependencies(self, query),
+            config, compute,
         )
         return result
 
@@ -934,3 +939,19 @@ class Database:
             f"{len(self._constraints)} constraints, "
             f"engine={self._default_engine.name or 'default'})"
         )
+
+
+def certain_answer_dependencies(db: Database, query: Query) -> frozenset[str] | None:
+    """The relations a cached :meth:`Database.certain_answers` depends on.
+
+    The relations the constraints mention decide which valuations are
+    worlds.  A CQ, UCQ or FP answer is built by matching the query's atoms,
+    so it reads only the relations they name.  An ∃FO⁺ or FO formula ranges
+    over the constants of the whole world, and a native query's function
+    may read any relation: those answers depend on every relation
+    (``None``).  The facade and the service store the answer under these
+    dependencies.
+    """
+    if isinstance(query, (ConjunctiveQuery, UnionOfConjunctiveQueries, FixpointQuery)):
+        return db.constraint_relations() | query_relation_names(query)
+    return None

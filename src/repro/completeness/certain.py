@@ -12,19 +12,34 @@ For monotone queries (CQ, UCQ, ∃FO⁺, FP) the second intersection may be
 computed over *single-tuple* extensions with values from ``Adom`` (Lemma 5.2
 and the monotonicity/small-extension argument of Theorem 5.4); both
 intersections are exact under that restriction.
+
+Both intersections visit one world per renaming of the fresh Adom values
+that nothing in the input mentions
+(:func:`~repro.ctables.possible_worlds.representative_worlds`).  The
+queries are generic, so a renaming ``π`` maps ``Q(I)`` to ``Q(π(I))`` and
+the extensions of ``I`` to those of ``π(I)``: the intersection over a
+world's class is the :func:`~repro.ctables.possible_worlds.renaming_closure`
+of that world's answer, or of its extension contribution.  A native query
+is not generic and intersects over every world.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.constraints.containment import ContainmentConstraint
 from repro.ctables.adom import ActiveDomain
 from repro.ctables.cinstance import CInstance
-from repro.ctables.possible_worlds import default_active_domain, models
+from repro.ctables.possible_worlds import (
+    default_active_domain,
+    models,
+    renaming_closure,
+    representative_worlds,
+)
 from repro.exceptions import InconsistentCInstanceError, QueryError
 from repro.queries.evaluation import Query, evaluate, is_monotone
+from repro.queries.fo import NativeQuery
 from repro.relational.instance import GroundInstance, Row
 from repro.relational.master import MasterData
 from repro.search.registry import EngineConfig
@@ -48,6 +63,29 @@ class ExtensionCertainAnswer:
     family_is_empty: bool
 
 
+def _worlds_per_class(
+    cinstance: CInstance,
+    query: Query,
+    master: MasterData,
+    constraints: Sequence[ContainmentConstraint],
+    adom: ActiveDomain,
+    engine: EngineConfig | str | None,
+) -> tuple[Iterator[GroundInstance], Callable[[frozenset[Row]], frozenset[Row]]]:
+    """The worlds to intersect over, and the map each one's answer goes
+    through: one world per renaming class and the renaming closure, or
+    every world, unchanged, for a native query."""
+    if isinstance(query, NativeQuery):
+        return models(cinstance, master, constraints, adom, engine=engine), _unchanged
+    return (
+        representative_worlds(cinstance, master, constraints, adom, query, engine=engine),
+        renaming_closure(cinstance, master, constraints, adom, query),
+    )
+
+
+def _unchanged(answer: frozenset[Row]) -> frozenset[Row]:
+    return answer
+
+
 def certain_answer_over_models(
     cinstance: CInstance,
     query: Query,
@@ -66,9 +104,10 @@ def certain_answer_over_models(
     """
     if adom is None:
         adom = default_active_domain(cinstance, master, constraints, query)
+    worlds, close = _worlds_per_class(cinstance, query, master, constraints, adom, engine)
     answer: frozenset[Row] | None = None
-    for world in models(cinstance, master, constraints, adom, engine=engine):
-        world_answer = evaluate(query, world)
+    for world in worlds:
+        world_answer = close(evaluate(query, world))
         answer = world_answer if answer is None else answer & world_answer
         if not answer:
             # The intersection can only shrink; stop early once empty.
@@ -84,10 +123,10 @@ def _world_contribution(
     world: GroundInstance,
     query: Query,
     extensions: SingleTupleExtensions,
-) -> tuple[frozenset[Row] | None, bool]:
+) -> frozenset[Row] | None:
     """``⋂_{I' ∈ Ext(I)} Q(I')`` for one possible world ``I`` (monotone ``Q``).
 
-    Returns ``(contribution, has_extensions)``.  Monotonicity gives two exact
+    ``None`` when ``I`` has no extension.  Monotonicity gives two exact
     short-circuits that avoid enumerating the full (exponential) set of
     single-tuple extensions:
 
@@ -105,22 +144,18 @@ def _world_contribution(
     """
     base = evaluate(query, world)
     contribution: frozenset[Row] | None = None
-    found_extension = False
     for extended in extensions.over(world):
-        found_extension = True
         extended_answer = evaluate(query, extended)
         if extended_answer == base:
-            return base, True
+            return base
         contribution = (
             extended_answer
             if contribution is None
             else contribution & extended_answer
         )
         if contribution == base:
-            return base, True
-    if not found_extension:
-        return None, False
-    return contribution, True
+            return base
+    return contribution
 
 
 def certain_answer_over_extensions(
@@ -160,15 +195,17 @@ def certain_answer_over_extensions(
         cinstance.schema, master, constraints, adom, limit=limit,
         engine=engine, fresh_first=True,
     )
+    worlds, close = _worlds_per_class(cinstance, query, master, constraints, adom, engine)
     answer: frozenset[Row] | None = None
     saw_world = False
-    for world in models(cinstance, master, constraints, adom, engine=engine):
+    for world in worlds:
         saw_world = True
-        contribution, has_extensions = _world_contribution(world, query, extensions)
-        if not has_extensions:
+        contribution = _world_contribution(world, query, extensions)
+        if contribution is None:
             continue
+        contribution = close(contribution)
         answer = contribution if answer is None else answer & contribution
-        if answer is not None and not answer:
+        if not answer:
             return ExtensionCertainAnswer(frozenset(), family_is_empty=False)
     if not saw_world:
         raise InconsistentCInstanceError(

@@ -13,6 +13,10 @@ Deciders:
 * :func:`is_weakly_complete` — exact for the monotone languages CQ, UCQ,
   ∃FO⁺ (Πᵖ₃-complete, Theorem 5.1) and FP (coNEXPTIME-complete), using the
   Adom restriction of Lemma 5.2 and the single-tuple-extension argument.
+  Both certain answers visit one world per renaming of the fresh Adom
+  values and intersect each world's answer closed under those renamings
+  (:mod:`repro.completeness.certain`), which is exact because the
+  languages are generic.
 * :func:`is_weakly_complete_bounded` — bounded variant for FO / native
   queries (RCDPʷ is undecidable for FO).
 """

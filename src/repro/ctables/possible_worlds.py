@@ -17,9 +17,10 @@ the default.  The built-in engines:
   :mod:`repro.search`: variables are assigned one at a time, containment
   constraints are checked on partially grounded worlds so dead branches are
   pruned before their exponentially many completions are materialised, fresh
-  Adom values are symmetry-reduced for existence checks and for the
-  deciders' per-world tests (:func:`representative_worlds`), and duplicate
-  worlds are suppressed via a canonical form;
+  Adom values are symmetry-reduced for existence checks, for the deciders'
+  per-world tests and for the certain answers (:func:`representative_worlds`
+  with :func:`renaming_closure`), and duplicate worlds are suppressed via a
+  canonical form;
 * ``engine="sat"`` — membership in ``Mod_Adom(T, D_m, V)`` is compiled to
   CNF (:mod:`repro.search.cnf_encoding`) and handed to the DPLL solver of
   :mod:`repro.reductions.dpll`; existence checks are a single SAT call and
@@ -40,8 +41,11 @@ in :mod:`repro.completeness`.
 
 from __future__ import annotations
 
+import functools
+import math
+from collections import Counter
 from dataclasses import replace
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.constraints.containment import (
     ContainmentConstraint,
@@ -52,8 +56,10 @@ from repro.ctables.adom import ActiveDomain, build_active_domain
 from repro.ctables.cinstance import CInstance
 from repro.ctables.valuation import Valuation
 from repro.queries.evaluation import Query, query_constants, query_variables
-from repro.relational.instance import GroundInstance
+from repro.relational.domains import Constant
+from repro.relational.instance import GroundInstance, Row
 from repro.relational.master import MasterData
+from repro.search.engine import interchangeable_fresh_values
 from repro.search.propagation import ConstraintChecker
 from repro.search.registry import (
     DEFAULT_ENGINE,
@@ -70,6 +76,7 @@ __all__ = [
     "model_count",
     "models",
     "models_with_valuations",
+    "renaming_closure",
     "representative_worlds",
     "search_template",
 ]
@@ -195,6 +202,18 @@ def has_model(
     ).has_world()
 
 
+def _distinguish_query_constants(adom: ActiveDomain, query: Query) -> ActiveDomain:
+    """``adom`` with the query's constants moved out of ``fresh_values``.
+
+    The value set and the pools stay unchanged, but a fresh value the query
+    names is no longer interchangeable.
+    """
+    constants = query_constants(query)
+    return replace(
+        adom, fresh_values=tuple(v for v in adom.fresh_values if v not in constants)
+    )
+
+
 def representative_worlds(
     cinstance: CInstance,
     master: MasterData,
@@ -205,25 +224,82 @@ def representative_worlds(
 ) -> Iterator[GroundInstance]:
     """One world of ``Mod_Adom(T, D_m, V)`` per renaming of the fresh values.
 
-    CQ, UCQ and ∃FO⁺ queries are generic, so a permutation of the fresh Adom
-    values that ``T``, ``D_m``, ``V`` and ``Q`` never mention maps worlds to
-    worlds, complete worlds to complete worlds and minimal ones to minimal
-    ones.  The strong, viable and MINP deciders therefore test one world per
-    class: engines that declare ``symmetry_breaking`` enumerate only the
-    class representatives, the others every world.  The query's constants
-    are moved out of ``fresh_values``, which leaves the value set and the
-    pools unchanged but keeps them out of the interchangeable values.  The
-    propagating engine's representative is the first member of its class in
-    search order, so the first world a decider accepts is the one the full
-    enumeration finds.
+    CQ, UCQ, ∃FO⁺, FO and FP queries are generic, so a permutation of the
+    fresh Adom values that ``T``, ``D_m``, ``V`` and ``Q`` never mention
+    (:func:`~repro.search.engine.interchangeable_fresh_values`, with the
+    query's constants moved out of ``fresh_values``) maps worlds to worlds,
+    complete or minimal worlds to complete or minimal ones, and ``Q(I)`` to
+    ``Q`` of the renamed world.  So the strong, viable and MINP deciders
+    test one world per class, and the certain answers intersect the
+    :func:`renaming_closure` of one world's answer per class.  Engines that
+    declare ``symmetry_breaking`` enumerate only the class representatives;
+    the others enumerate every world, a set closed under the renamings, on
+    which the closure changes no intersection.  The propagating engine's
+    representative is the first member of its class in search order, so
+    the first world a decider accepts is the one the full enumeration finds.
     """
-    constants = query_constants(query)
-    adom = replace(
-        adom, fresh_values=tuple(v for v in adom.fresh_values if v not in constants)
-    )
     yield from _make_search(
-        cinstance, master, constraints, adom, engine, break_symmetry=True
+        cinstance, master, constraints, _distinguish_query_constants(adom, query),
+        engine, break_symmetry=True,
     ).worlds()
+
+
+def renaming_closure(
+    cinstance: CInstance,
+    master: MasterData,
+    constraints: Sequence[ContainmentConstraint],
+    adom: ActiveDomain,
+    query: Query,
+) -> Callable[[frozenset[Row]], frozenset[Row]]:
+    """Close answers of ``query`` under the renamings of the fresh values.
+
+    The returned map keeps a tuple only if every injective renaming of the
+    interchangeable values it mentions, into the set
+    :func:`representative_worlds` permutes, is in the answer too.  For a
+    generic query the closure of ``Q(I)`` is ``⋂_π Q(π(I))``, the
+    intersection over the class of ``I``.  It keeps a fresh-valued tuple
+    whose every renaming is in the answer, so it is not the answer with its
+    fresh-valued tuples dropped.  A tuple's renamings are the tuples with
+    its constants in the same places and its interchangeable values in the
+    same repetition pattern: with ``k`` distinct such values out of ``n``
+    there are ``n!/(n-k)!`` of them.
+    """
+    adom = _distinguish_query_constants(adom, query)
+    fresh = frozenset(adom.fresh_values)
+
+    @functools.cache
+    def interchangeable() -> frozenset[Constant]:
+        return frozenset(interchangeable_fresh_values(cinstance, master, constraints, adom))
+
+    def close(answer: frozenset[Row]) -> frozenset[Row]:
+        # reprolint: disable=R001 -- a set in, a set out.
+        if not any(value in fresh for row in answer for value in row):
+            return answer  # no renaming moves it: the common case, kept cheap
+        moved = interchangeable()
+        # reprolint: disable=R001 -- a set in, a set out.
+        shapes = {row: _renaming_shape(row, moved) for row in answer}
+        members = Counter(shapes.values())
+        return frozenset(
+            row
+            for row, key in shapes.items()
+            if members[key] == math.perm(len(moved), max(key[0], default=-1) + 1)
+        )
+
+    return close
+
+
+def _renaming_shape(
+    row: Row, interchangeable: frozenset[Constant]
+) -> tuple[tuple[int, ...], Row]:
+    """What a row shares with its renamings: the pattern of first
+    occurrences of its interchangeable values (``-1`` elsewhere), and its
+    other values in order."""
+    slots: dict[Constant, int] = {}
+    pattern = tuple(
+        slots.setdefault(value, len(slots)) if value in interchangeable else -1
+        for value in row
+    )
+    return pattern, tuple(value for value in row if value not in interchangeable)
 
 
 def search_template(

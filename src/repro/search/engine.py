@@ -22,11 +22,12 @@ restriction (Proposition 3.3, Lemmas 4.2/5.2):
   monotonicity), and the subtree of the row's remaining variables is cut
   before it is enumerated;
 * the fresh ``New`` values of the active domain that nothing in the input
-  mentions are interchangeable, so a caller whose per-world test renaming
-  cannot change (an existence check, or a decider's test of a generic
-  query) explores only one representative per permutation class of those
-  values (``break_symmetry=True``): the first member of the class in search
-  order;
+  mentions (:func:`interchangeable_fresh_values`) are interchangeable, so a
+  caller that can answer for a whole permutation class of those values from
+  one member explores only that member (``break_symmetry=True``), the first
+  of the class in search order: an existence check, a decider's per-world
+  test of a generic query, or a certain answer that closes each member's
+  answer under the renamings;
 * world enumeration deduplicates via a cheap canonical form
   (:func:`world_key`) instead of hashing full :class:`GroundInstance`
   objects; and
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.constraints.containment import (
     ContainmentConstraint,
@@ -169,6 +170,37 @@ def world_key(world: GroundInstance) -> WorldKey:
     )
 
 
+def interchangeable_fresh_values(
+    cinstance: CInstance,
+    master: MasterData,
+    constraints: Sequence[ContainmentConstraint],
+    adom: ActiveDomain,
+) -> tuple[Constant, ...]:
+    """The fresh Adom values that nothing in the input distinguishes.
+
+    A fresh value is interchangeable when it occurs in no c-table term or
+    condition, no master tuple, no constraint and no finite attribute
+    domain: then any permutation of such values maps satisfying valuations
+    to satisfying valuations.  The values come in the pools' order, which
+    is the order :class:`WorldSearch` ranks them in under
+    ``break_symmetry``; the certain-answer renaming closure of
+    :func:`repro.ctables.possible_worlds.renaming_closure` permutes the same
+    set.
+    """
+    mentioned = frozenset().union(
+        cinstance.constants(),
+        master.constants(),
+        constraint_set_constants(constraints),
+        adom.finite_domain_values,
+    )
+    fresh = set(adom.fresh_values) - mentioned
+    return tuple(value for value in adom.ordered() if value in fresh)
+
+
+def _ranks(values: Iterable[Constant]) -> dict[Constant, int]:
+    return {value: rank for rank, value in enumerate(values)}
+
+
 class WorldSearchBase:
     """The front-ends every engine offers over its :meth:`search`.
 
@@ -222,11 +254,13 @@ class WorldSearch(WorldSearchBase):
         other three.
     break_symmetry:
         Restrict the search to one representative per permutation class of
-        interchangeable fresh Adom values, the class's first member in
-        search order.  Sound for any per-world test that renaming those
+        the :func:`interchangeable_fresh_values`, the class's first member
+        in search order.  Sound for any per-world test that renaming those
         values cannot change: whether *some* world exists, or the first
-        world passing or failing such a test, are kept; the world set is
-        not, so callers that need every world must leave it off.
+        world passing or failing such a test, are kept.  The world set is
+        not, so a caller that needs every world leaves it off, and one that
+        intersects per-world answers closes each under the renamings first
+        (:func:`repro.ctables.possible_worlds.renaming_closure`).
     checker:
         A prebuilt :class:`ConstraintChecker` for ``(master, constraints)``.
         Callers that run many searches against the same master data pass one
@@ -304,19 +338,13 @@ class WorldSearch(WorldSearchBase):
         # The tuples of the ground instance a run is rooted at (over()).
         self._root: tuple[tuple[str, frozenset[Row]], ...] = ()
         self._break_symmetry = break_symmetry
-        self._mentioned: frozenset[Constant] = frozenset()
-        self._fresh_order: list[Constant] = []
+        self._interchangeable: tuple[Constant, ...] = ()
         self._fresh_rank: dict[Constant, int] = {}
         if break_symmetry:
-            fresh = set(adom.fresh_values)
-            self._fresh_order = [value for value in adom.ordered() if value in fresh]
-            self._mentioned = frozenset().union(
-                cinstance.constants(),
-                master.constants(),
-                constraint_set_constants(constraints),
-                adom.finite_domain_values,
+            self._interchangeable = interchangeable_fresh_values(
+                cinstance, master, constraints, adom
             )
-            self._fresh_rank = self._interchangeable_fresh_ranks(self._mentioned)
+            self._fresh_rank = _ranks(self._interchangeable)
 
     def _schedule_early_checks(
         self,
@@ -378,33 +406,11 @@ class WorldSearch(WorldSearchBase):
             (name, instance.relation(name).rows) for name in self._schema.relation_names
         )
         if self._break_symmetry:
-            run._fresh_rank = self._interchangeable_fresh_ranks(
-                self._mentioned | instance.constants()
+            mentioned = instance.constants()
+            run._fresh_rank = _ranks(
+                value for value in self._interchangeable if value not in mentioned
             )
         return run
-
-    # ------------------------------------------------------------------
-    # symmetry
-    # ------------------------------------------------------------------
-    def _interchangeable_fresh_ranks(
-        self, mentioned: frozenset[Constant]
-    ) -> dict[Constant, int]:
-        """Rank the fresh Adom values that nothing in the input distinguishes.
-
-        A fresh value is interchangeable when it is not ``mentioned``: it
-        occurs in no c-table term or condition (nor in the instance a run is
-        rooted at), no master tuple, no constraint and no finite attribute
-        domain — then any permutation of such values maps satisfying
-        valuations to satisfying valuations, and it suffices to explore
-        assignments whose fresh values are first used in rank order.  The
-        ranks follow the pools' order, so those assignments are the first
-        of their class in search order.
-        """
-        ranks: dict[Constant, int] = {}
-        for value in self._fresh_order:
-            if value not in mentioned:
-                ranks[value] = len(ranks)
-        return ranks
 
     # ------------------------------------------------------------------
     # search

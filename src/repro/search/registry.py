@@ -98,9 +98,12 @@ class EngineCapabilities:
     symmetry_breaking:
         The factory honours ``break_symmetry=True``: a run explores one
         valuation per renaming of the fresh Adom values nothing mentions.
-        Sound for any per-world test that renaming cannot change: existence
-        checks, and the strong, viable and MINP deciders on generic queries
-        (:func:`~repro.ctables.possible_worlds.representative_worlds`).
+        Sound for any per-world test that renaming cannot change, and for
+        an intersection of per-world answers each closed under the
+        renamings: existence checks, the strong, viable and MINP deciders,
+        the weak decider and the certain answers on generic queries
+        (:func:`~repro.ctables.possible_worlds.representative_worlds`,
+        :func:`~repro.ctables.possible_worlds.renaming_closure`).
     pool_order_hints:
         The factory honours the ``pool_order`` option (e.g.
         ``"fresh_first"``) for value-order hints on the candidate pools.

@@ -26,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.api import Database
+from repro.api import Database, certain_answer_dependencies
 from repro.completeness.models import CompletenessModel
 from repro.decision import Decision, json_safe
 from repro.exceptions import ServiceError
 from repro.incremental import RowSpec, UpdateResult
-from repro.queries.evaluation import Query, query_relation_names
+from repro.queries.evaluation import Query
 from repro.search.registry import EngineConfig
 from repro.service.plugins import SessionSpec
 
@@ -267,7 +267,7 @@ def dependencies(db: Database, request: DecisionRequest) -> frozenset[str] | Non
         return frozenset()
     if request.problem == "certain-answers":
         assert request.query is not None
-        return db.constraint_relations() | query_relation_names(request.query)
+        return certain_answer_dependencies(db, request.query)
     return None
 
 

@@ -28,11 +28,13 @@ from hypothesis import strategies as st
 
 from repro.api import Database
 from repro.constraints.containment import cc, projection
-from repro.ctables.cinstance import CInstance
+from repro.ctables.cinstance import CInstance, cinstance
 from repro.ctables.ctable import CTable, CTableRow
 from repro.exceptions import InconsistentUpdateError, UpdateError
 from repro.queries.atoms import atom
 from repro.queries.cq import cq
+from repro.queries.fo import fo, native_query
+from repro.queries.formulas import conj, exists, forall, rel
 from repro.queries.terms import var
 from repro.relational.master import MasterData
 from repro.relational.schema import database_schema, schema
@@ -167,6 +169,42 @@ def test_adom_change_invalidates_even_untouched_dependencies():
     assert result.touched == frozenset({"Note"})
     assert result.adom_changed
     assert db.is_consistent(witness=False).stats.cache_hit is False
+
+
+x, y = var("x"), var("y")
+#: ``(T's rows, query, rows added to S, answers before and after)`` for a
+#: query that reads ``S`` without an atom naming it, over ``R(A, B)`` and
+#: ``S(A)`` with no constraints and the master constant 2.
+UNNAMED_READERS = {
+    # A native query that returns the rows of S.
+    "native": (
+        {"R": [(1, 1)], "S": [(5,)]},
+        native_query("s-rows", 1, lambda instance: instance.relation("S").rows),
+        [(6,)],
+        ({(5,)}, {(5,), (6,)}),
+    ),
+    # The x with R(x, y) for every y of the world's active domain.  S(2)
+    # leaves the Adom as it was (the master data holds 2) and adds a y that
+    # R(1, y) misses.
+    "fo": (
+        {"R": [(1, 1)], "S": []},
+        fo("Hub", [x], conj(exists([y], rel("R", x, y)), forall([y], rel("R", x, y)))),
+        [(2,)],
+        ({(1,)}, set()),
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(UNNAMED_READERS))
+def test_certain_answers_follow_an_update_to_a_relation_the_query_does_not_name(reader):
+    rows, query, added, (before, after) = UNNAMED_READERS[reader]
+    db_schema = database_schema(schema("R", "A", "B"), schema("S", "A"))
+    master = MasterData(database_schema(schema("Rm", "A")), {"Rm": [(2,)]})
+    db = Database(cinstance(db_schema, **rows), master, [])
+    assert db.certain_answers(query) == before
+    assert db.update(add_rows={"S": added}).touched == frozenset({"S"})
+    assert db.certain_answers(query) == after
+    assert Database(db.cinstance, master, []).certain_answers(query) == after
 
 
 def test_rcqp_cache_survives_every_update():

@@ -15,8 +15,10 @@ too: the deciders build each call's extension searches once and root them
 at every world, and a rooted run must do exactly the work of the fresh
 search over the world it replaces.  On the propagating engine the strong
 and viable deciders test one world per renaming of the fresh Adom values
-(Q1 strong: 51 of the 290 worlds, so 52 searches), while the naive engine
-still tests every world.
+(Q1 strong: 51 of the 290 worlds, so 52 searches), and the weak decider
+intersects the certain answers over those worlds alone (Q1 and Q4 weak:
+two world searches and 51 extension runs), while the naive engine still
+tests every world.
 
 The last test pins the early checks of the propagating search on Example 2.2
 against the push-only reference checker of ``tests/search/checker_oracles.py``.
@@ -59,13 +61,13 @@ VERDICTS = {**TABLE_VERDICTS, **PAPER_VERDICTS}
 
 #: ``(searches, nodes, worlds)`` of each call's ``Decision.stats``, as a
 #: fresh search per world and tableau (or relation) measured them.  The
-#: strong and viable rows of the propagating engine count the worlds of the
-#: one search over the representatives, and one tableau run per
-#: representative world.
+#: strong, weak and viable rows of the propagating engine count the worlds
+#: of the searches over the representatives, and one tableau or extension
+#: run per representative world.
 EFFORT = {
     "propagating": {
         ("Q1", "strong"): (52, 991, 109),
-        ("Q1", "weak"): (292, 1844, 904),
+        ("Q1", "weak"): (53, 350, 167),
         ("Q1", "viable"): (2, 20, 2),
         ("Q2_absent", "strong"): (67, 1345, 74),
         ("Q2_absent", "weak"): (3, 8, 3),
@@ -77,7 +79,7 @@ EFFORT = {
         ("Q3", "weak"): (3, 8, 3),
         ("Q3", "viable"): (67, 553, 140),
         ("Q4", "strong"): (8, 2084, 15),
-        ("Q4", "weak"): (292, 1844, 904),
+        ("Q4", "weak"): (53, 350, 167),
         ("Q4", "viable"): (2, 344, 2),
     },
     "naive": {

@@ -28,7 +28,11 @@ reference enumeration in one call:
   deciders, which test one world per renaming of the fresh Adom values on
   the propagating engine, give the verdict and witness of the
   :data:`FULL_ENUMERATION` drop-in that tests every world, on the random
-  c-instances and queries of :func:`random_decider_case`.
+  c-instances and queries of :func:`random_decider_case`;
+* :func:`assert_certain_parity` — on the same cases, the weak-completeness
+  report, both certain answers and MINPʷ, which intersect the renaming
+  closure of one world's answer per class on the propagating engine,
+  equal those of the full enumeration, of naive and of SAT.
 
 New engines join the corpus by being added to :data:`ALL_ENGINES`; every
 parity test in ``tests/search`` routes through this module, so a fourth
@@ -44,6 +48,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
+from repro.completeness.certain import (
+    certain_answer_over_extensions,
+    certain_answer_over_models,
+)
 from repro.completeness.consistency import extensibility_active_domain
 from repro.completeness.extensions import (
     bounded_extensions,
@@ -54,9 +62,11 @@ from repro.completeness.extensions import (
 from repro.completeness.minp import (
     is_minimal_strongly_complete,
     is_minimal_viably_complete,
+    is_minimal_weakly_complete,
 )
 from repro.completeness.strong import is_strongly_complete
 from repro.completeness.viable import is_viably_complete
+from repro.completeness.weak import weak_completeness_report
 from repro.constraints.containment import (
     cc,
     denial_cc,
@@ -88,6 +98,7 @@ from repro.api import Database
 from repro.search.engine import SearchStats
 from repro.search.registry import (
     EngineConfig,
+    collect_searches,
     get_engine,
     register_engine,
     unregister_engine,
@@ -620,7 +631,7 @@ class DeciderCase:
     master: MasterData = DECIDER_MASTER
 
 
-def random_decider_case(seed: int) -> DeciderCase:
+def random_decider_case(seed: int, unary: bool = False) -> DeciderCase:
     """A small c-instance over ``R(A, B)`` and ``S(A)`` with a CQ or UCQ.
 
     Rows draw constants inside and outside the master data and two of the
@@ -628,7 +639,9 @@ def random_decider_case(seed: int) -> DeciderCase:
     may carry a condition; the bound CC and the FD are each present or not.
     The query's variables share their names with those of ``T`` and ``V``,
     which keeps the Adom at three fresh values, and its constants may lie
-    outside the master data.
+    outside the master data.  The query is Boolean or unary; ``unary=True``
+    makes it unary with the same draws, so its answers can name fresh
+    values.
     """
     rng = random.Random(f"deciders:{seed}")
     row_terms = [0, 1, 2, 7, _v, _v2, _v, _v2]
@@ -647,7 +660,7 @@ def random_decider_case(seed: int) -> DeciderCase:
     )
     constraints = tuple(c for c in (DECIDER_BOUND, DECIDER_FD) if rng.random() < 0.5)
     query_terms = [0, 1, 7, _v, _v1, _v2, _v, _v1, _v2]
-    arity = rng.choice([0, 1])
+    arity = rng.choice([0, 1]) or int(unary)
 
     def conjunct(name: str):
         atoms = []
@@ -669,6 +682,56 @@ def random_decider_case(seed: int) -> DeciderCase:
     rows = " ".join(f"{name}{row!r}" for name, _index, row in T.rows())
     label = f"T={{{rows}}} V={[c.name for c in constraints]} Q={query!r}"
     return DeciderCase(T, constraints, query, label)
+
+
+#: The master data of :func:`random_fresh_case`: no constant at all.
+FRESH_MASTER = MasterData(database_schema(schema("Rm", "A", "B")), {"Rm": []})
+#: Its optional constraints: no R(z, z), the FD A → B, at most one S tuple.
+FRESH_CONSTRAINTS = (
+    denial_cc(boolean_cq("loop", atoms=[atom("R", _v, _v)]), name="no-loop"),
+    DECIDER_FD,
+    denial_cc(
+        boolean_cq("one-s", atoms=[atom("S", _v), atom("S", _v1)],
+                   comparisons=[neq(_v, _v1)]),
+        name="|S|≤1",
+    ),
+)
+
+
+def random_fresh_case(seed: int) -> DeciderCase:
+    """A c-instance whose every world takes only fresh values, with a unary
+    CQ or UCQ.
+
+    Neither ``T``, the master data, the constraints nor the query names a
+    constant, so the Adom is the fresh values of the variables alone and
+    every answer names fresh values: the certain answers hold only what
+    every renaming keeps.
+    """
+    rng = random.Random(f"fresh:{seed}")
+    terms = [_v, _v1, _v2, var("w")]
+    T = cinstance(
+        DECIDER_SCHEMA,
+        R=[tuple(rng.choice(terms) for _ in range(2)) for _ in range(rng.randint(1, 2))],
+        S=[(rng.choice(terms),) for _ in range(rng.randint(0, 2))],
+    )
+    constraints = tuple(c for c in FRESH_CONSTRAINTS if rng.random() < 0.5)
+
+    def conjunct(name: str):
+        atoms = [
+            atom("R", rng.choice(terms), rng.choice(terms))
+            if rng.random() < 0.6
+            else atom("S", rng.choice(terms))
+            for _ in range(rng.randint(1, 2))
+        ]
+        variables = sorted({t for a in atoms for t in a.variables()}, key=lambda v: v.name)
+        return cq(name, [rng.choice(variables)], atoms=atoms)
+
+    query = (
+        ucq("Q", conjunct("Q1"), conjunct("Q2")) if rng.random() < 0.3 else conjunct("Q")
+    )
+    rows = " ".join(f"{name}{row!r}" for name, _index, row in T.rows())
+    label = f"T={{{rows}}} V={[c.name for c in constraints]} Q={query!r}"
+    return DeciderCase(T, constraints, query, label, FRESH_MASTER)
 
 
 def decider_outcomes(case: DeciderCase, engine: str, limit: int | None = None) -> dict:
@@ -725,4 +788,114 @@ def assert_limited_parity(case: DeciderCase, limit: int) -> dict:
     for name, want in expected.items():
         if want != ("BoundExceededError",):
             assert reduced[name][:2] == want[:2], (name, limit, case.label)
+    return {name: (reduced[name], expected[name]) for name in expected}
+
+
+# ---------------------------------------------------------------------------
+# one world per renaming: the weak model and the certain answers
+# ---------------------------------------------------------------------------
+def _weak_report(case: DeciderCase, engine: str, limit: int | None):
+    return weak_completeness_report(
+        case.cinstance, case.query, case.master, list(case.constraints),
+        limit=limit, engine=engine,
+    ).details
+
+
+def _over_models(case: DeciderCase, engine: str, limit: int | None):
+    del limit  # the certain answer over the worlds searches no extension
+    return certain_answer_over_models(
+        case.cinstance, case.query, case.master, list(case.constraints), engine=engine
+    )
+
+
+def _over_extensions(case: DeciderCase, engine: str, limit: int | None):
+    return certain_answer_over_extensions(
+        case.cinstance, case.query, case.master, list(case.constraints),
+        limit=limit, engine=engine,
+    )
+
+
+def _minp_weak(case: DeciderCase, engine: str, limit: int | None):
+    decision = is_minimal_weakly_complete(
+        case.cinstance, case.query, case.master, list(case.constraints),
+        limit=limit, engine=engine,
+    )
+    return bool(decision), decision.witness
+
+
+#: The weak-model procedures that intersect answers over one world per
+#: renaming class, each closed under the renamings, on the propagating
+#: engine.  Each takes a :class:`DeciderCase`, an engine and a ``limit`` and
+#: returns what must agree across engines.
+CERTAIN_PROCEDURES: dict[str, Callable[[DeciderCase, str, int | None], object]] = {
+    "weak": _weak_report,
+    "over-models": _over_models,
+    "over-extensions": _over_extensions,
+    "minp-weak": _minp_weak,
+}
+
+
+def certain_outcomes(case: DeciderCase, engine: str, limit: int | None = None) -> dict:
+    """``(answer, searches)`` of each weak-model procedure, or
+    ``(exception name,)`` where one raised the inconsistency or the bound.
+
+    ``answer`` is the full :class:`WeakCompletenessReport`, the certain
+    answer over the worlds, the :class:`ExtensionCertainAnswer` or the MINPʷ
+    verdict and witness; ``searches`` counts the engine objects the call
+    created, as ``Decision.stats.searches`` does.
+    """
+    outcomes: dict[str, tuple] = {}
+    for name, procedure in CERTAIN_PROCEDURES.items():
+        searches: list = []
+        try:
+            with collect_searches(searches):
+                answer = procedure(case, engine, limit)
+        except (InconsistentCInstanceError, BoundExceededError) as err:
+            outcomes[name] = (type(err).__name__,)
+        else:
+            outcomes[name] = (answer, len(searches))
+    return outcomes
+
+
+def assert_certain_parity(case: DeciderCase) -> dict:
+    """The weak-model procedures on propagating against every world, naive
+    and SAT.
+
+    Against :data:`FULL_ENUMERATION` every answer must be identical, and
+    the searches never more; the naive and SAT engines, which intersect
+    over every world, must give the same answers.  An inconsistent
+    c-instance must raise on all four.  Returns the propagating outcomes
+    and the full enumeration's, by procedure.
+    """
+    with full_enumeration_engine() as full:
+        expected = certain_outcomes(case, full)
+    reduced = certain_outcomes(case, "propagating")
+    others = {engine: certain_outcomes(case, engine) for engine in ("naive", "sat")}
+    for name, want in expected.items():
+        got = reduced[name]
+        assert got[:1] == want[:1], (name, got[:1], want[:1], case.label)
+        for engine, outcomes in others.items():
+            assert outcomes[name][:1] == want[:1], (name, engine, case.label)
+        if len(want) == 2:
+            assert got[1] <= want[1], (name, "searches", got[1], want[1], case.label)
+    return {name: (reduced[name], expected[name]) for name in expected}
+
+
+def assert_certain_limited_parity(case: DeciderCase, limit: int) -> dict:
+    """Under a ``limit``, every answer of the full enumeration is kept.
+
+    Where :data:`FULL_ENUMERATION` answers, the propagating engine gives the
+    same answer and does not raise ``BoundExceededError``: the extension
+    budget is spent per world, and each representative is the first world
+    of its class in search order, so the reduced sweep meets no world the
+    full one has not met before it stops.  Where the full enumeration
+    raises, the propagating engine may answer instead.  Returns both
+    outcomes by procedure.
+    """
+    with full_enumeration_engine() as full:
+        expected = certain_outcomes(case, full, limit=limit)
+    reduced = certain_outcomes(case, "propagating", limit=limit)
+    for name, want in expected.items():
+        if want != ("BoundExceededError",):
+            assert reduced[name][:1] == want[:1], (name, limit, case.label)
     return {name: (reduced[name], expected[name]) for name in expected}

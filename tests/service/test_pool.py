@@ -14,11 +14,17 @@ import sys
 import pytest
 
 from repro.api import Database, EngineConfig
+from repro.ctables.cinstance import cinstance
 from repro.decision import json_safe
 from repro.exceptions import ServiceError
-from repro.service.plugins import get_service_plugin
+from repro.queries.fo import fo, native_query
+from repro.queries.formulas import forall, rel
+from repro.queries.terms import var
+from repro.relational.master import MasterData
+from repro.relational.schema import database_schema, schema
+from repro.service.plugins import SessionSpec, get_service_plugin
 from repro.service.pool import DatabasePool
-from repro.service.problems import parse_engine
+from repro.service.problems import dependencies, parse_decision, parse_engine
 
 
 def run(coro):
@@ -241,6 +247,45 @@ def test_update_invalidates_dependency_scoped_entries():
             "s", {"problem": "rcqp", "query": "q1", "max_size": 2}
         )
         assert rcqp["cache_hit"] is True
+
+    run(main())
+
+
+def s_reader_spec() -> SessionSpec:
+    """``T = {R(1), S(5)}`` without constraints, a native query that returns
+    the rows of ``S`` and an FO query over the world's active domain: no
+    query atom names ``S``."""
+    db_schema = database_schema(schema("R", "A"), schema("S", "A"))
+    x = var("x")
+    return SessionSpec(
+        cinstance=cinstance(db_schema, R=[(1,)], S=[(5,)]),
+        master=MasterData(database_schema(schema("Rm", "A")), {"Rm": []}),
+        constraints=(),
+        queries={
+            "s_rows": native_query("s-rows", 1, lambda instance: instance.relation("S").rows),
+            "all_r": fo("AllR", [], forall([x], rel("R", x))),
+        },
+    )
+
+
+def test_native_certain_answers_follow_an_update_to_the_relation_they_read():
+    spec = s_reader_spec()
+    pool = make_pool()
+    state = pool.add_session("s", spec)
+    body = {"problem": "certain", "query": "s_rows"}
+    # The stores depend on every relation, as the facade's own stores do.
+    for query in spec.queries:
+        request = parse_decision(spec, {"problem": "certain", "query": query})
+        assert dependencies(state.database, request) is None, query
+
+    async def main():
+        first = await pool.decide("s", body)
+        assert first["result"]["answers"] == [[5]]
+        assert (await pool.decide("s", body))["cache_hit"] is True
+        await pool.update("s", {"add_rows": {"S": [[6]]}})
+        after = await pool.decide("s", body)
+        assert after["cache_hit"] is False
+        assert after["result"]["answers"] == [[5], [6]]
 
     run(main())
 
