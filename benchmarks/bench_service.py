@@ -237,7 +237,7 @@ def main() -> int:
     shape = SMOKE_SHAPE if args.smoke else FULL_SHAPE
     repeats = 5 if args.smoke else 20
 
-    config = ServiceConfig(port=0, executor="thread", request_timeout=None)
+    config = ServiceConfig(port=0, request_timeout=None)
     with ServiceThread(config) as svc:
         client = ServiceClient(svc.base_url)
         client.create_session("pool", "wide", params=shape)

@@ -39,7 +39,7 @@ def start_service() -> tuple[subprocess.Popen[str], str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{REPO_ROOT / 'src'}:{env.get('PYTHONPATH', '')}"
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "--port", "0", "--executor", "thread"],
+        [sys.executable, "-m", "repro.service", "--port", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,

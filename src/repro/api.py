@@ -31,10 +31,10 @@ What the facade adds over the functional layer:
   :class:`~repro.decision.Decision` objects carrying the witness, the
   engine used and the run stats.
 
-Capability-driven fast paths: :meth:`Database.is_consistent` asks for
-fresh-value symmetry breaking from engines that support it when no witness
-is requested, and :meth:`Database.count` counts through the engine's own
-``count_worlds()`` (the SAT engine without building a world).
+Fast paths: :meth:`Database.is_consistent` asks the engine for fresh-value
+symmetry breaking when no witness is requested, and :meth:`Database.count`
+counts through the engine's own ``count_worlds()`` (the SAT engine without
+building a world).
 
 The facade is also *updatable*: :meth:`Database.update` applies row-level
 adds/drops in place, recomputes only the state the change can affect (Adom
@@ -484,10 +484,10 @@ class Database:
         :class:`~repro.decision.Decision` objects come back with
         ``stats.cache_hit=True``.  This is the probe half of the facade's
         memoisation, exposed so embedding layers (the :mod:`repro.service`
-        pool, which computes on replicas in worker processes) can share one
-        cache with the facade's own methods: the ``(problem, args_key,
-        engine)`` identity is exactly what :meth:`is_consistent`,
-        :meth:`complete` &c. use internally.
+        pool answers hits on its event loop and sends only misses to a
+        worker thread) can share one cache with the facade's own methods:
+        the ``(problem, args_key, engine)`` identity is exactly what
+        :meth:`is_consistent`, :meth:`complete` &c. use internally.
         """
         config = self._engine(engine)
         key = self._cache_key(problem, args_key, config)
@@ -500,28 +500,6 @@ class Database:
             return hit.with_(stats=replace(hit.stats, cache_hit=True))
         return hit
 
-    def cache_store(
-        self,
-        problem: str,
-        args_key: Any,
-        value: Any,
-        *,
-        deps: frozenset[str] | None = None,
-        engine: EngineConfig | str | None = None,
-    ) -> None:
-        """Store a computed value under the facade's decision-cache rules.
-
-        ``deps`` is the dependency relation set governing invalidation
-        (``None`` = depends on every relation; ``frozenset()`` = survives all
-        updates, the RCQP discipline).  Unhashable identities are silently
-        not cached — the cache is an optimisation, never a requirement.
-        """
-        config = self._engine(engine)
-        key = self._cache_key(problem, args_key, config)
-        if key is None:
-            return
-        self._cache.put(key, value, deps, *self._cache_context())
-
     def _cached(
         self,
         problem: str,
@@ -532,24 +510,26 @@ class Database:
     ) -> Any:
         """Serve from the decision cache or compute-and-store.
 
-        Thin composition of :meth:`cache_probe` and :meth:`cache_store` —
-        kept internal because it takes a resolved :class:`EngineConfig` and a
-        thunk, which only the facade's own methods have at hand.
+        ``deps`` is the dependency relation set governing invalidation
+        (``None`` = depends on every relation; ``frozenset()`` = survives all
+        updates, the RCQP discipline).  Unhashable identities are silently
+        not cached — the cache is an optimisation, never a requirement.
         """
         hit = self.cache_probe(problem, args_key, engine=config)
         if hit is not MISS:
             return hit
         value = compute()
-        self.cache_store(problem, args_key, value, deps=deps, engine=config)
+        key = self._cache_key(problem, args_key, config)
+        if key is not None:
+            self._cache.put(key, value, deps, *self._cache_context())
         return value
 
     def constraint_relations(self) -> frozenset[str]:
         """Database relations mentioned by any constraint left-hand side.
 
         This is the dependency set of witness-free consistency verdicts and
-        one half of the certain-answer dependency set; public so embedding
-        layers can compute the same dependency-scoped invalidation rules the
-        facade applies internally.
+        one half of the certain-answer dependency set
+        (:func:`certain_answer_dependencies`).
         """
         return frozenset(
             name
@@ -949,8 +929,7 @@ def certain_answer_dependencies(db: Database, query: Query) -> frozenset[str] | 
     so it reads only the relations they name.  An ∃FO⁺ or FO formula ranges
     over the constants of the whole world, and a native query's function
     may read any relation: those answers depend on every relation
-    (``None``).  The facade and the service store the answer under these
-    dependencies.
+    (``None``).  The facade stores the answer under these dependencies.
     """
     if isinstance(query, (ConjunctiveQuery, UnionOfConjunctiveQueries, FixpointQuery)):
         return db.constraint_relations() | query_relation_names(query)

@@ -109,7 +109,7 @@ def _make_search(
         constraints,
         adom,
         checker=checker,
-        break_symmetry=break_symmetry and spec.capabilities.symmetry_breaking,
+        break_symmetry=break_symmetry,
         options=options,
     )
 
@@ -191,10 +191,9 @@ def has_model(
     """Whether ``Mod(T, D_m, V)`` is non-empty (the consistency property).
 
     By the correctness argument of Proposition 3.3, emptiness over ``Adom``
-    coincides with emptiness over all valuations.  Engines whose
-    capabilities declare ``symmetry_breaking`` are asked to apply fresh-value
-    symmetry reduction here: renaming cannot turn a world into none, so
-    (non-)emptiness is kept.
+    coincides with emptiness over all valuations.  The engine is asked for
+    fresh-value symmetry reduction here: renaming cannot turn a world into
+    none, so (non-)emptiness is kept.
     """
     return _make_search(
         cinstance, master, constraints, adom, engine,
@@ -232,11 +231,12 @@ def representative_worlds(
     ``Q`` of the renamed world.  So the strong, viable and MINP deciders
     test one world per class, and the certain answers intersect the
     :func:`renaming_closure` of one world's answer per class.  Engines that
-    declare ``symmetry_breaking`` enumerate only the class representatives;
-    the others enumerate every world, a set closed under the renamings, on
-    which the closure changes no intersection.  The propagating engine's
-    representative is the first member of its class in search order, so
-    the first world a decider accepts is the one the full enumeration finds.
+    honour ``break_symmetry`` (propagating) enumerate only the class
+    representatives; the others (SAT, naive) enumerate every world, a set
+    closed under the renamings, on which the closure changes no
+    intersection.  The propagating engine's representative is the first
+    member of its class in search order, so the first world a decider
+    accepts is the one the full enumeration finds.
     """
     yield from _make_search(
         cinstance, master, constraints, _distinguish_query_constants(adom, query),
@@ -319,15 +319,15 @@ def search_template(
     :class:`~repro.search.registry.SearchTemplate`.  ``adom`` is required,
     because the default Adom of ``T`` alone is not the Adom of ``T ∪ I``.
 
-    ``break_symmetry=True`` asks engines that support it for fresh-value
-    symmetry reduction (value precedence over the interchangeable fresh Adom
+    ``break_symmetry=True`` asks the engine for fresh-value symmetry
+    reduction (value precedence over the interchangeable fresh Adom
     values): a run then yields exactly one representative per orbit of the
     fresh-value permutation group instead of the full set of valuations.
     That is *not* the ``Mod_Adom`` multiset, so only a per-run test that
     renaming cannot change may use it (e.g. the strict-extension filter of
     :func:`repro.completeness.extensions.has_partially_closed_extension`).
-    Engines without the capability ignore the flag, which is sound: they
-    enumerate a superset of the representatives.
+    Engines that ignore the flag are still sound: they enumerate a superset
+    of the representatives.
     """
     spec, options = _engine_plan(engine)
     return SearchTemplate(
@@ -337,7 +337,7 @@ def search_template(
         constraints,
         adom,
         checker=checker,
-        break_symmetry=break_symmetry and spec.capabilities.symmetry_breaking,
+        break_symmetry=break_symmetry,
         options=options,
     )
 

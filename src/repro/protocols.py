@@ -1,4 +1,4 @@
-"""Structural typing contracts for the engine, checker and query layers.
+"""Structural typing contracts for the engine and query layers.
 
 This module centralises the :class:`typing.Protocol` classes that describe
 how the major subsystems plug into each other, so that type checkers (the
@@ -8,8 +8,6 @@ how the major subsystems plug into each other, so that type checkers (the
   factory must produce (the registry's ``WorldSearchLike`` is an alias),
   and :class:`RootedWorldSearchEngine`, what an engine declaring the
   ``rooted_runs`` capability adds to it;
-* :class:`SupportsCheckerSessions` / :class:`CheckerSessionProtocol` — the
-  incremental constraint-checking channel engines consume;
 * :class:`SearchSink` — the collector fed by
   :func:`repro.search.registry.collect_searches`;
 * :class:`QueryProtocol` (re-exported from
@@ -23,22 +21,19 @@ as ``repro.protocols`` but free to grow new optional members.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
 from repro.queries.evaluation import QueryProtocol
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.constraints.containment import ContainmentConstraint
     from repro.ctables.valuation import Valuation
-    from repro.relational.instance import GroundInstance, Row
+    from repro.relational.instance import GroundInstance
     from repro.search.engine import SearchStats
 
 __all__ = [
-    "CheckerSessionProtocol",
     "QueryProtocol",
     "RootedWorldSearchEngine",
     "SearchSink",
-    "SupportsCheckerSessions",
     "WorldSearchEngine",
 ]
 
@@ -87,65 +82,6 @@ class RootedWorldSearchEngine(WorldSearchEngine, Protocol):
 
     def over(self, instance: GroundInstance) -> WorldSearchEngine:
         """A run over ``T ∪ instance`` sharing this engine's compiled plan."""
-        ...
-
-
-@runtime_checkable
-class CheckerSessionProtocol(Protocol):
-    """An incremental constraint-checking session (push/pop trail).
-
-    The contract engines rely on: :meth:`push` asserts one fact and reports
-    whether all containment constraints still hold; :meth:`pop` retracts the
-    most recent fact; :meth:`mark` / :meth:`pop_to` bracket a subtree so an
-    engine can unwind a whole branch (including across exceptions — lint
-    rule R002 enforces the balanced-unwind discipline on implementations
-    and callers alike).
-    """
-
-    @property
-    def depth(self) -> int:
-        """The number of facts currently pushed."""
-        ...
-
-    @property
-    def is_satisfied(self) -> bool:
-        """Whether every constraint holds for the pushed facts."""
-        ...
-
-    def push(self, relation: str, row: Row) -> bool:
-        """Assert one fact; returns whether all constraints still hold."""
-        ...
-
-    def pop(self) -> None:
-        """Retract the most recently pushed fact."""
-        ...
-
-    def mark(self) -> int:
-        """The current trail position, for a later :meth:`pop_to`."""
-        ...
-
-    def pop_to(self, mark: int) -> None:
-        """Retract every fact pushed after ``mark`` was taken."""
-        ...
-
-
-@runtime_checkable
-class SupportsCheckerSessions(Protocol):
-    """The checker channel: a factory of incremental checking sessions.
-
-    :class:`repro.search.propagation.ConstraintChecker` is the canonical
-    implementation; every engine factory receives one through this
-    interface, either as an explicit ``checker=`` argument or ambiently via
-    :func:`repro.search.registry.use_checker`, and may ignore it.
-    """
-
-    @property
-    def constraints(self) -> list[ContainmentConstraint]:
-        """The containment constraints the checker enforces."""
-        ...
-
-    def session(self, relation_names: Iterable[str] = ()) -> CheckerSessionProtocol:
-        """A fresh session seeded with empty relations of the given names."""
         ...
 
 

@@ -26,14 +26,13 @@ after which ``engine="my-engine"`` works everywhere an engine keyword is
 accepted — no core module is touched.
 
 Capability flags tell callers which path an engine can take, without
-knowing engine internals: ``symmetry_breaking`` tells existence checks and
-the strong, viable and MINP deciders to request the fresh-value symmetry
-reduction, ``supports_cancellation`` marks engines that honour a
-``stop_check`` option, ``pool_order_hints`` those that honour a
+knowing engine internals: ``supports_cancellation`` marks engines that
+honour a ``stop_check`` option, ``pool_order_hints`` those that honour a
 ``pool_order`` option, and ``rooted_runs`` marks engines whose search
 object roots a run at a ground instance without rebuilding its plan
 (:class:`SearchTemplate`).  Every engine counts through its own
-``count_worlds()`` and receives the ambient checker, which it may ignore.
+``count_worlds()`` and receives the ambient checker and the
+``break_symmetry`` request, either of which it may ignore.
 
 The module also hosts two *ambient* channels that avoid parameter
 threading through the decision procedures:
@@ -77,10 +76,16 @@ WorldSearchLike = WorldSearchEngine
 
 
 #: ``factory(cinstance, master, constraints, adom, *, checker,
-#: break_symmetry, **options) -> WorldSearchLike``.  Factories are free to
-#: ignore hints that do not apply to them (the SAT factory ignores
-#: ``break_symmetry``, the naive one ``checker`` too); unknown ``options``
-#: keys should raise.
+#: break_symmetry, **options) -> WorldSearchLike``.  ``break_symmetry=True``
+#: allows a run to explore one valuation per renaming of the fresh Adom
+#: values nothing mentions: sound for any per-world test that renaming
+#: cannot change, and for an intersection of per-world answers each closed
+#: under the renamings (existence checks, the exact deciders and the certain
+#: answers; :func:`~repro.ctables.possible_worlds.representative_worlds`,
+#: :func:`~repro.ctables.possible_worlds.renaming_closure`).  Factories are
+#: free to ignore hints that do not apply to them (the SAT and naive
+#: factories ignore ``break_symmetry``, the naive one ``checker`` too) and
+#: then enumerate every world; unknown ``options`` keys should raise.
 EngineFactory = Callable[..., WorldSearchLike]
 
 
@@ -95,15 +100,6 @@ class EngineCapabilities:
         callable the search polls, aborting with
         :class:`~repro.exceptions.SearchCancelledError` once it returns
         ``True`` (how the service stops a stream whose client left).
-    symmetry_breaking:
-        The factory honours ``break_symmetry=True``: a run explores one
-        valuation per renaming of the fresh Adom values nothing mentions.
-        Sound for any per-world test that renaming cannot change, and for
-        an intersection of per-world answers each closed under the
-        renamings: existence checks, the strong, viable and MINP deciders,
-        the weak decider and the certain answers on generic queries
-        (:func:`~repro.ctables.possible_worlds.representative_worlds`,
-        :func:`~repro.ctables.possible_worlds.renaming_closure`).
     pool_order_hints:
         The factory honours the ``pool_order`` option (e.g.
         ``"fresh_first"``) for value-order hints on the candidate pools.
@@ -116,7 +112,6 @@ class EngineCapabilities:
     """
 
     supports_cancellation: bool = False
-    symmetry_breaking: bool = False
     pool_order_hints: bool = False
     rooted_runs: bool = False
 
@@ -430,7 +425,6 @@ register_engine(
     _propagating_factory,
     EngineCapabilities(
         supports_cancellation=True,
-        symmetry_breaking=True,
         pool_order_hints=True,
         rooted_runs=True,
     ),

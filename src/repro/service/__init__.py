@@ -15,7 +15,7 @@ or embed it::
 
     from repro.service import ServiceClient, ServiceConfig, ServiceThread
 
-    config = ServiceConfig(port=0, executor="thread")
+    config = ServiceConfig(port=0)
     with ServiceThread(config) as svc:
         client = ServiceClient(svc.base_url)
         client.create_session("demo", "patients")

@@ -4,7 +4,7 @@ Loads an optional JSON config file, applies command-line overrides, serves
 until SIGTERM/SIGINT, then drains in-flight requests and exits::
 
     python -m repro.service --config service.json
-    python -m repro.service --host 0.0.0.0 --port 9000 --executor thread
+    python -m repro.service --host 0.0.0.0 --port 9000 --workers 4
 """
 
 from __future__ import annotations
@@ -31,12 +31,7 @@ def build_config(argv: list[str] | None = None) -> ServiceConfig:
     parser.add_argument("--host", help="bind address (default from config)")
     parser.add_argument("--port", type=int, help="bind port (0 = ephemeral)")
     parser.add_argument(
-        "--executor",
-        choices=("process", "thread", "inline"),
-        help="how engine work leaves the event loop",
-    )
-    parser.add_argument(
-        "--workers", type=int, help="executor worker count (default: automatic)"
+        "--workers", type=int, help="worker thread count (default: automatic)"
     )
     args = parser.parse_args(argv)
     config = (
@@ -49,8 +44,6 @@ def build_config(argv: list[str] | None = None) -> ServiceConfig:
         overrides["host"] = args.host
     if args.port is not None:
         overrides["port"] = args.port
-    if args.executor is not None:
-        overrides["executor"] = args.executor
     if args.workers is not None:
         overrides["executor_workers"] = args.workers
     if overrides:

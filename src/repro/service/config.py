@@ -5,7 +5,6 @@
     {
       "host": "127.0.0.1",
       "port": 8347,
-      "executor": "process",
       "executor_workers": 4,
       "request_timeout": 30.0,
       "stream_buffer": 8,
@@ -92,7 +91,6 @@ class SessionConfig:
 _CONFIG_KEYS = {
     "host",
     "port",
-    "executor",
     "executor_workers",
     "request_timeout",
     "stream_buffer",
@@ -103,27 +101,21 @@ _CONFIG_KEYS = {
     "sessions",
 }
 
-_EXECUTORS = ("process", "thread", "inline")
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """The complete service configuration (all fields defaulted).
 
-    ``executor`` selects how engine work leaves the event loop:
-    ``"process"`` (the default; a fork-based ``ProcessPoolExecutor`` of
-    ``executor_workers`` replicas), ``"thread"`` (a thread pool — engine
-    work shares the GIL but the loop stays responsive at I/O points), or
-    ``"inline"`` (run on the loop; only for tests and tiny workloads).
-    ``request_timeout`` bounds one decision request in seconds (``null``
-    disables); ``stream_buffer`` is the world-stream backpressure queue
-    depth; ``drain_timeout`` bounds the graceful-shutdown wait for in-flight
-    requests.
+    ``executor_workers`` sizes the thread pool that runs engine work off the
+    event loop (``null``: the :class:`~concurrent.futures.ThreadPoolExecutor`
+    default).  ``request_timeout`` bounds one decision request in seconds
+    (``null`` disables); ``stream_buffer`` is the world-stream backpressure
+    queue depth; ``drain_timeout`` bounds the graceful-shutdown wait for
+    in-flight requests.
     """
 
     host: str = "127.0.0.1"
     port: int = 8347
-    executor: str = "process"
     executor_workers: int | None = None
     request_timeout: float | None = 30.0
     stream_buffer: int = 8
@@ -138,10 +130,8 @@ class ServiceConfig:
     sessions: Mapping[str, SessionConfig] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.executor not in _EXECUTORS:
-            raise ServiceError(
-                f"executor must be one of {_EXECUTORS}, got {self.executor!r}"
-            )
+        if self.executor_workers is not None and self.executor_workers < 1:
+            raise ServiceError("executor_workers must be >= 1")
         if self.stream_buffer < 1:
             raise ServiceError("stream_buffer must be >= 1")
 
@@ -154,11 +144,10 @@ class ServiceConfig:
         if unknown:
             raise ServiceError(f"unknown service config keys {sorted(unknown)}")
         kwargs: dict[str, Any] = {}
-        for key in ("host", "executor"):
-            if key in raw:
-                if not isinstance(raw[key], str):
-                    raise ServiceError(f"config {key!r} must be a string")
-                kwargs[key] = raw[key]
+        if "host" in raw:
+            if not isinstance(raw["host"], str):
+                raise ServiceError("config 'host' must be a string")
+            kwargs["host"] = raw["host"]
         for key in ("port", "stream_buffer"):
             if key in raw:
                 value = raw[key]

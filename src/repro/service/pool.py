@@ -1,46 +1,37 @@
-"""The :class:`DatabasePool`: per-session facades, executors, memoisation.
+"""The :class:`DatabasePool`: per-session facades, one thread pool, memoisation.
 
 The pool owns one :class:`~repro.api.Database` per named session plus the
-executor that keeps engine work off the event loop, and implements the
+thread pool that keeps engine work off the event loop, and implements the
 service's cross-request semantics:
 
 * **memoisation** — every decision request probes the session facade's
   :class:`~repro.incremental.DecisionCache` through the public
-  :meth:`~repro.api.Database.cache_probe` before any engine runs, under the
-  exact ``(problem, args_key, engine)`` identity the facade's own methods
-  use (:mod:`repro.service.problems`), and stores computed results back with
-  the facade's dependency-scoped invalidation rules — so service traffic and
-  embedded facade calls share one cache, and
+  :meth:`~repro.api.Database.cache_probe` on the loop before any engine
+  runs, under the exact ``(problem, args_key, engine)`` identity the
+  facade's own methods use (:mod:`repro.service.problems`).  A miss calls
+  that facade method on a worker thread, and the method stores its result
+  under the facade's own dependency-scoped invalidation rules — so service
+  traffic and embedded facade calls share one cache, and
   :meth:`~repro.api.Database.update` evicts exactly the dependent entries;
 * **single-flight** — concurrent identical requests (same session, same
   canonical body fingerprint, same engine) collapse onto one computation
   whose :class:`~repro.decision.Decision` fans out to every waiter;
 * **update serialisation** — ``update``/``batch`` take the session's write
-  lock, so they never run under an in-flight read, and bump the session
-  version that invalidates worker-process replicas.
-
-Executor kinds: ``"process"`` (default) ships the parsed request, with the
-session's current c-instance, to a fork-pool worker which rebuilds (and
-caches, keyed by session name + version) a replica ``Database`` and
-computes there — the main-process facade stays authoritative for cache and
-updates, only CPU work migrates;
-``"thread"`` runs the main facade on a thread pool (GIL-shared, loop stays
-responsive); ``"inline"`` computes on the loop (tests, tiny workloads).
+  lock, so they never run under an in-flight read (a timed-out miss
+  included: it holds the read side until its thread returns), and bump the
+  session's ``version`` counter.
 """
 
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Mapping
 
 from repro.api import Database
-from repro.constraints.containment import ContainmentConstraint
-from repro.ctables.cinstance import CInstance
 from repro.exceptions import (
     InconsistentUpdateError,
     ReproError,
@@ -48,15 +39,12 @@ from repro.exceptions import (
     UpdateError,
 )
 from repro.incremental import MISS, RowSpec, UpdateResult
-from repro.relational.master import MasterData
 from repro.search.registry import EngineConfig
 from repro.service.fingerprint import canonical_fingerprint
 from repro.service.locks import ReadWriteLock
 from repro.service.metrics import ServiceMetrics
 from repro.service.plugins import SessionSpec, get_service_plugin
 from repro.service.problems import (
-    DecisionRequest,
-    dependencies,
     invoke,
     parse_decision,
     parse_engine,
@@ -69,56 +57,9 @@ from repro.service.singleflight import SingleFlight
 __all__ = ["DatabasePool", "SessionState"]
 
 
-@dataclass(frozen=True)
-class _ReplicaPayload:
-    """What a process-pool worker needs to rebuild a session replica.
-
-    ``cinstance`` is the session facade's *current* c-instance, so a replica
-    rebuilt after an update sees the updated rows.
-    """
-
-    name: str
-    version: int
-    cinstance: CInstance
-    master: MasterData
-    constraints: tuple[ContainmentConstraint, ...]
-    engine: str | None
-
-
-# Per-worker replica cache: one facade per session, rebuilt when the parent's
-# session version moves (every update bumps it).  Keeping the replica alive
-# across requests lets the worker reuse its checker, Adom and its *own*
-# decision cache for process-local repeats.
-# Each forked worker keeps its own replicas; the parent never reads them.
-_REPLICAS: dict[str, tuple[int, Database]] = {}
-
-
-def _replica(payload: _ReplicaPayload) -> Database:
-    held = _REPLICAS.get(payload.name)
-    if held is not None and held[0] == payload.version:
-        return held[1]
-    db = Database(
-        payload.cinstance,
-        payload.master,
-        payload.constraints,
-        engine=payload.engine,
-    )
-    _REPLICAS[payload.name] = (payload.version, db)
-    return db
-
-
-def _process_decide(
-    payload: _ReplicaPayload,
-    request: DecisionRequest,
-    engine: EngineConfig | None,
-) -> Any:
-    """Worker-side entry point: rebuild/reuse the replica and compute."""
-    return invoke(_replica(payload), request, engine)
-
-
 @dataclass
 class SessionState:
-    """One named session: spec + facade + lock + replica versioning."""
+    """One named session: spec + facade + lock + update counter."""
 
     name: str
     spec: SessionSpec
@@ -154,25 +95,22 @@ def _apply_batch(
 
 
 class DatabasePool:
-    """Owns the sessions, the executor and the cross-request semantics."""
+    """Owns the sessions, the thread pool and the cross-request semantics."""
 
     def __init__(
         self,
         *,
-        executor: str = "process",
         executor_workers: int | None = None,
         request_timeout: float | None = 30.0,
         metrics: ServiceMetrics | None = None,
     ) -> None:
-        if executor not in ("process", "thread", "inline"):
-            raise ServiceError(f"unknown executor kind {executor!r}")
-        self._executor_kind = executor
-        self._executor_workers = executor_workers
         self._request_timeout = request_timeout
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._sessions: dict[str, SessionState] = {}
         self._singleflight = SingleFlight()
-        self._executor: Executor | None = None
+        self._executor = ThreadPoolExecutor(
+            max_workers=executor_workers, thread_name_prefix="repro-service"
+        )
 
     # ------------------------------------------------------------------
     # session lifecycle
@@ -235,7 +173,7 @@ class DatabasePool:
     # the decision path
     # ------------------------------------------------------------------
     async def decide(self, name: str, body: Any) -> dict[str, Any]:
-        """One decision request: probe → single-flight → compute → store."""
+        """One decision request: probe → single-flight → a worker thread."""
         started = time.perf_counter()
         state = self.session(name)
         if not isinstance(body, Mapping):
@@ -258,9 +196,12 @@ class DatabasePool:
         )
         cache_hit = False
         deduplicated = False
-        async with state.lock.read_locked():
-            db = state.database
-            value = db.cache_probe(request.problem, request.args_key, engine=engine)
+        work: asyncio.Future[Any] | None = None
+        await state.lock.acquire_read()
+        try:
+            value = state.database.cache_probe(
+                request.problem, request.args_key, engine=engine
+            )
             if value is not MISS:
                 cache_hit = True
                 self.metrics.cache_hits += 1
@@ -268,14 +209,11 @@ class DatabasePool:
                 leader, future = self._singleflight.acquire(flight_key)
                 if leader:
                     try:
-                        value = await self._compute(state, request, engine)
-                        db.cache_store(
-                            request.problem,
-                            request.args_key,
-                            value,
-                            deps=dependencies(db, request),
-                            engine=engine,
+                        work = asyncio.get_running_loop().run_in_executor(
+                            self._executor,
+                            partial(invoke, state.database, request, engine),
                         )
+                        value = await self._await_work(work)
                         self.metrics.engine_runs += 1
                         future.set_result(value)
                     except BaseException as err:
@@ -291,6 +229,14 @@ class DatabasePool:
                     deduplicated = True
                     self.metrics.singleflight_followers += 1
                     value = await future
+        finally:
+            if work is None or work.done():
+                state.lock.release_read()
+            else:
+                # A worker thread cannot be interrupted: the session stays
+                # read-locked, so no update commits under the facade it is
+                # reading, until the work returns.
+                work.add_done_callback(lambda _work: state.lock.release_read())
         self.metrics.decisions += 1
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         return {
@@ -303,57 +249,19 @@ class DatabasePool:
             "result": result_payload(value, include_witness=include_witness),
         }
 
-    async def _compute(
-        self,
-        state: SessionState,
-        request: DecisionRequest,
-        engine: EngineConfig | None,
-    ) -> Any:
-        """Run one engine computation on the configured executor."""
-        loop = asyncio.get_running_loop()
-        if self._executor_kind == "inline":
-            await asyncio.sleep(0)  # keep one suspension point even inline
-            return invoke(state.database, request, engine)
-        if self._executor_kind == "thread":
-            call = partial(invoke, state.database, request, engine)
-        else:
-            database = state.database
-            payload = _ReplicaPayload(
-                name=state.name,
-                version=state.version,
-                cinstance=database.cinstance,
-                master=database.master,
-                constraints=database.constraints,
-                engine=state.engine,
-            )
-            call = partial(_process_decide, payload, request, engine)
-        task = loop.run_in_executor(self._get_executor(), call)
-        if self._request_timeout is None:
-            return await task
+    async def _await_work(self, work: asyncio.Future[Any]) -> Any:
+        """The result of one miss's work, or a 504 once the request timeout
+        passes; the shield keeps the work's future from being cancelled."""
         try:
-            return await asyncio.wait_for(task, timeout=self._request_timeout)
+            return await asyncio.wait_for(
+                asyncio.shield(work), timeout=self._request_timeout
+            )
         except asyncio.TimeoutError as err:
-            # The executor work itself cannot be interrupted portably; it
-            # finishes in the background and is discarded.
             self.metrics.timeouts += 1
             raise ServiceError(
                 f"request exceeded the {self._request_timeout}s timeout",
                 status=504,
             ) from err
-
-    def _get_executor(self) -> Executor:
-        if self._executor is None:
-            if self._executor_kind == "thread":
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._executor_workers,
-                    thread_name_prefix="repro-service",
-                )
-            else:
-                kwargs: dict[str, Any] = {"max_workers": self._executor_workers}
-                if "fork" in multiprocessing.get_all_start_methods():
-                    kwargs["mp_context"] = multiprocessing.get_context("fork")
-                self._executor = ProcessPoolExecutor(**kwargs)
-        return self._executor
 
     # ------------------------------------------------------------------
     # updates
@@ -416,10 +324,9 @@ class DatabasePool:
     # teardown
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Shut down the executor (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+        """Shut down the thread pool once its running work returns
+        (idempotent)."""
+        self._executor.shutdown(wait=True, cancel_futures=True)
 
 
 def _bad_step() -> dict[str, list[RowSpec]]:

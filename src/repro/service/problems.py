@@ -1,24 +1,20 @@
 """Wire-level decision requests: parsing, dispatch and cache identity.
 
 One module owns the mapping between the JSON request surface and the
-:class:`~repro.api.Database` facade, because three places must agree on it
-exactly:
+:class:`~repro.api.Database` facade, because two things must agree with
+``api.py`` exactly:
 
 * **dispatch** — which facade method a request invokes (:func:`invoke`);
 * **cache identity** — the ``(problem, args_key)`` pair the facade's own
   methods memoise under, so a service-side
   :meth:`~repro.api.Database.cache_probe` hits entries populated by direct
-  facade calls and vice versa;
-* **invalidation scope** — the dependency relation set
-  (:func:`dependencies`) governing eviction on update, mirroring the deps
-  each facade method passes internally (RCQP: empty set, survives every
-  update; witness-free consistency: the constraint-mentioned relations;
-  certain answers: constraint ∪ query relations; everything else: all).
+  facade calls and vice versa.
 
-A drift between this table and ``api.py`` would show up as a cache that
-never hits (annoying) or hits stale entries (wrong); the end-to-end tests
-assert wire-level ``stats.cache_hit`` after direct facade warm-up to pin
-the identity down.
+Invalidation scope is not repeated here: a miss runs the facade method
+itself, which stores its result under its own dependency set.  A drift in
+the identity would show up as a cache that never hits; the end-to-end
+tests assert wire-level ``stats.cache_hit`` after direct facade warm-up to
+pin it down.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.api import Database, certain_answer_dependencies
+from repro.api import Database
 from repro.completeness.models import CompletenessModel
 from repro.decision import Decision, json_safe
 from repro.exceptions import ServiceError
@@ -37,7 +33,6 @@ from repro.service.plugins import SessionSpec
 
 __all__ = [
     "DecisionRequest",
-    "dependencies",
     "invoke",
     "parse_decision",
     "parse_engine",
@@ -74,8 +69,7 @@ class DecisionRequest:
     byte-for-byte the tuple the corresponding facade method uses as its
     memoisation identity; ``kwargs`` carries the resolved call arguments
     (query *objects*, not names — resolution happened at parse time against
-    the session's workload queries).  Picklable, so the process-pool
-    executor can ship it to a replica worker.
+    the session's workload queries).
     """
 
     problem: str
@@ -230,9 +224,8 @@ def invoke(
     """Dispatch a parsed request to the facade (runs engine work; blocking).
 
     Returns whatever the facade method returns (:class:`Decision` or a
-    frozenset of answer rows).  The facade's own memoisation applies, so a
-    replica worker that computed once serves its process-local repeats from
-    its own cache too.
+    frozenset of answer rows), which the method has also stored in the
+    facade's decision cache.
     """
     if request.problem == "consistency":
         return db.is_consistent(engine=engine, **request.kwargs)
@@ -251,24 +244,6 @@ def invoke(
     return db.certain_answers_over_extensions(
         request.query, engine=engine, **request.kwargs
     )
-
-
-def dependencies(db: Database, request: DecisionRequest) -> frozenset[str] | None:
-    """The invalidation dependency set for storing a computed result.
-
-    Mirrors the deps each facade method passes to its own ``cache_store``:
-    ``None`` means "depends on every relation".
-    """
-    if request.problem == "consistency":
-        if request.kwargs.get("witness", True):
-            return None
-        return db.constraint_relations()
-    if request.problem == "rcqp":
-        return frozenset()
-    if request.problem == "certain-answers":
-        assert request.query is not None
-        return certain_answer_dependencies(db, request.query)
-    return None
 
 
 # ---------------------------------------------------------------------------

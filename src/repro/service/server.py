@@ -1,7 +1,7 @@
 """The asyncio decision service: routing, streaming, graceful shutdown.
 
 :class:`DecisionService` glues the pieces together: the minimal HTTP layer
-(:mod:`repro.service.http`), the session/executor pool
+(:mod:`repro.service.http`), the session pool and its worker threads
 (:mod:`repro.service.pool`) and the plugin registry
 (:mod:`repro.service.plugins`).  The endpoint surface:
 
@@ -31,7 +31,8 @@ into the engine through its ``stop_check`` hook (for engines declaring
 just writing.
 
 **Shutdown** is drain-then-exit: new requests get 503 while in-flight ones
-run to completion (bounded by ``drain_timeout``), then executors stop.
+run to completion (bounded by ``drain_timeout``), then the pool's threads
+stop once their work returns.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ class DecisionService:
         self.config = config if config is not None else ServiceConfig()
         self.metrics = ServiceMetrics()
         self.pool = DatabasePool(
-            executor=self.config.executor,
             executor_workers=self.config.executor_workers,
             request_timeout=self.config.request_timeout,
             metrics=self.metrics,
@@ -133,7 +133,7 @@ class DecisionService:
         await self._server.serve_forever()
 
     async def shutdown(self, *, drain: bool = True) -> None:
-        """Stop accepting, optionally drain in-flight requests, stop executors."""
+        """Stop accepting, optionally drain in-flight requests, stop the pool."""
         self._closing = True
         if self._server is not None:
             self._server.close()
@@ -482,7 +482,7 @@ class ServiceThread:
 
     The embedding surface for tests, benchmarks and doc snippets::
 
-        with ServiceThread(ServiceConfig(port=0, executor="thread")) as svc:
+        with ServiceThread(ServiceConfig(port=0)) as svc:
             client = ServiceClient(svc.base_url)
             ...
 

@@ -330,11 +330,7 @@ class TestDummyEngineRegistration:
                 break_symmetry=break_symmetry, checker=checker,
             )
 
-        register_engine(
-            "dummy-test-engine",
-            factory,
-            EngineCapabilities(symmetry_breaking=True),
-        )
+        register_engine("dummy-test-engine", factory, EngineCapabilities())
         try:
             yield "dummy-test-engine"
         finally:

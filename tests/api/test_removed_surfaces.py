@@ -1,4 +1,4 @@
-"""The surfaces 3.0.0, 4.0.0 and 5.0.0 removed fail loudly.
+"""The surfaces 3.0.0, 4.0.0, 5.0.0 and 6.0.0 removed fail loudly.
 
 3.0.0 deleted the 1.x→2.0 deprecation shims and the baseline toggles (see the
 README migration table); the live SAT session's encoding switches
@@ -26,6 +26,14 @@ checker) and ``supports_incremental`` (the facade's live SAT session serves
 the built-in SAT factory only) went.  So did ``NaiveSearchStats`` and
 ``SATSearchStats``: every engine fills one ``SearchStats``.
 
+6.0.0 dropped ``EngineCapabilities.symmetry_breaking`` (every factory
+receives ``break_symmetry`` and may ignore it) and gave the service one
+executor, a thread pool running every miss on the session's facade: the
+``executor`` keyword of ``DatabasePool`` and ``ServiceConfig``, the
+``executor`` config key and ``--executor`` went, and so did
+``Database.cache_store`` and ``repro.service.problems.dependencies``, the
+pool's copy of the facade's cache rules.
+
 A removed keyword must
 raise ``TypeError`` and a removed attribute ``AttributeError``: neither may be
 absorbed by a ``**kwargs`` pass-through or an attribute fallback, which would
@@ -40,6 +48,7 @@ import pytest
 
 import repro.ctables
 import repro.search
+import repro.service.problems
 from repro.reductions import dpll
 from repro.search import cnf_encoding
 from repro.api import Database, EngineConfig
@@ -87,6 +96,9 @@ from repro.search.registry import (
     get_engine,
 )
 from repro.search.sat_engine import IncrementalSATSession, SATWorldSearch
+from repro.exceptions import ServiceError
+from repro.service import DatabasePool, ServiceConfig
+from repro.service.__main__ import build_config
 from repro.workloads.generator import inequality_chain_workload
 from repro.workloads.patients import build_patient_scenario
 
@@ -220,6 +232,11 @@ REMOVED_KEYWORDS = {
     "EngineCapabilities(supports_incremental=)": lambda w: EngineCapabilities(
         supports_incremental=True
     ),
+    "EngineCapabilities(symmetry_breaking=)": lambda w: EngineCapabilities(
+        symmetry_breaking=True
+    ),
+    "DatabasePool(executor=)": lambda w: DatabasePool(executor="thread"),
+    "ServiceConfig(executor=)": lambda w: ServiceConfig(executor="thread"),
 }
 
 
@@ -227,6 +244,28 @@ REMOVED_KEYWORDS = {
 def test_removed_keywords_raise_type_error(build):
     with pytest.raises(TypeError):
         build(_workload())
+
+
+def test_the_executor_config_key_is_unknown():
+    with pytest.raises(ServiceError, match=r"unknown service config keys \['executor'\]"):
+        ServiceConfig.from_dict({"executor": "thread"})
+
+
+def test_the_executor_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as raised:
+        build_config(["--executor", "thread"])
+    assert raised.value.code == 2
+    assert "--executor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("owner", "name"),
+    [(Database, "cache_store"), (repro.service.problems, "dependencies")],
+    ids=["Database.cache_store", "problems.dependencies"],
+)
+def test_the_pool_copy_of_the_cache_rules_is_gone(owner, name):
+    with pytest.raises(AttributeError):
+        getattr(owner, name)
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ import itertools
 import random
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from repro.completeness.certain import (
@@ -574,8 +574,9 @@ def assert_update_stream_parity(
 # ---------------------------------------------------------------------------
 # one world per renaming: the exact deciders against full enumeration
 # ---------------------------------------------------------------------------
-#: The propagating engine registered without ``symmetry_breaking``: the
-#: strong, viable and MINP deciders test every world on it.
+#: The propagating engine behind a factory that passes
+#: ``break_symmetry=False``: the strong, viable and MINP deciders, the weak
+#: report and the certain answers see every world on it.
 FULL_ENUMERATION = "propagating-full-enumeration"
 
 #: The four deciders that test one world per renaming class.
@@ -610,10 +611,12 @@ DECIDER_FD = denial_cc(
 def full_enumeration_engine() -> Iterator[str]:
     """Register :data:`FULL_ENUMERATION` for the block; yields its name."""
     spec = get_engine("propagating")
-    register_engine(
-        FULL_ENUMERATION, spec.factory,
-        replace(spec.capabilities, symmetry_breaking=False), replace=True,
-    )
+
+    def factory(*args, break_symmetry, **kwargs):
+        del break_symmetry  # every world, whatever the caller asks
+        return spec.factory(*args, break_symmetry=False, **kwargs)
+
+    register_engine(FULL_ENUMERATION, factory, spec.capabilities, replace=True)
     try:
         yield FULL_ENUMERATION
     finally:

@@ -89,7 +89,7 @@ def drop_in():
         built.append(search)
         return search
 
-    register_engine(DROP_IN, factory, EngineCapabilities(symmetry_breaking=True))
+    register_engine(DROP_IN, factory, EngineCapabilities())
     try:
         yield built
     finally:
@@ -118,7 +118,7 @@ def rooted_and_fresh(engine, T, I, constraints, break_symmetry=False):
     assert runs == [rooted]  # one run, one recorded search
     fresh = spec.create(
         union(T, I), MASTER, constraints, adom,
-        break_symmetry=break_symmetry and spec.capabilities.symmetry_breaking,
+        break_symmetry=break_symmetry,
         options=config.options,
     )
     return list(rooted.search()), list(fresh.search()), rooted, fresh

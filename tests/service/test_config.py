@@ -13,7 +13,7 @@ from repro.service.config import PluginSelection, ServiceConfig, SessionConfig
 def test_defaults():
     config = ServiceConfig()
     assert config.host == "127.0.0.1"
-    assert config.executor == "process"
+    assert config.executor_workers is None
     assert config.request_timeout == 30.0
     assert config.stream_buffer == 8
     assert config.auth.name == "none"
@@ -26,7 +26,6 @@ def test_from_dict_full():
         {
             "host": "0.0.0.0",
             "port": 9000,
-            "executor": "thread",
             "executor_workers": 4,
             "request_timeout": None,
             "stream_buffer": 2,
@@ -47,6 +46,7 @@ def test_from_dict_full():
         }
     )
     assert config.port == 9000
+    assert config.executor_workers == 4
     assert config.request_timeout is None
     assert config.auth == PluginSelection("token", {"token": "s3cret"})
     assert config.rate_limit == PluginSelection("none")
@@ -66,8 +66,10 @@ def test_unknown_keys_rejected():
 
 
 def test_bad_values_rejected():
-    with pytest.raises(ServiceError, match="executor"):
-        ServiceConfig.from_dict({"executor": "fibers"})
+    with pytest.raises(ServiceError, match="executor_workers"):
+        ServiceConfig.from_dict({"executor_workers": "many"})
+    with pytest.raises(ServiceError, match="executor_workers must be >= 1"):
+        ServiceConfig.from_dict({"executor_workers": 0})
     with pytest.raises(ServiceError, match="stream_buffer"):
         ServiceConfig.from_dict({"stream_buffer": 0})
     with pytest.raises(ServiceError, match="must be an integer"):
@@ -81,11 +83,11 @@ def test_bad_values_rejected():
 def test_from_file_round_trip(tmp_path):
     path = tmp_path / "service.json"
     path.write_text(
-        json.dumps({"port": 0, "executor": "inline", "request_timeout": 5})
+        json.dumps({"port": 0, "executor_workers": 2, "request_timeout": 5})
     )
     config = ServiceConfig.from_file(path)
     assert config.port == 0
-    assert config.executor == "inline"
+    assert config.executor_workers == 2
     assert config.request_timeout == 5.0
 
 

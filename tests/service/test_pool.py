@@ -1,6 +1,6 @@
 """The :class:`DatabasePool`: facade parity, shared cache identity, updates.
 
-These tests run the pool directly (inline executor, no HTTP) and pin the
+These tests run the pool directly (its thread pool, no HTTP) and pin the
 property the service's caching is built on: the wire path and direct
 :class:`~repro.api.Database` calls memoise under the *same* identity, so
 warming one warms the other.
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import sys
+import threading
 
 import pytest
 
@@ -17,14 +18,12 @@ from repro.api import Database, EngineConfig
 from repro.ctables.cinstance import cinstance
 from repro.decision import json_safe
 from repro.exceptions import ServiceError
-from repro.queries.fo import fo, native_query
-from repro.queries.formulas import forall, rel
-from repro.queries.terms import var
+from repro.queries.fo import native_query
 from repro.relational.master import MasterData
 from repro.relational.schema import database_schema, schema
 from repro.service.plugins import SessionSpec, get_service_plugin
 from repro.service.pool import DatabasePool
-from repro.service.problems import dependencies, parse_decision, parse_engine
+from repro.service.problems import parse_engine
 
 
 def run(coro):
@@ -42,14 +41,26 @@ def registry_spec(**params):
     return get_service_plugin("workload", "registry")(**params)
 
 
-def make_pool() -> DatabasePool:
-    return DatabasePool(executor="inline", request_timeout=None)
+@pytest.fixture
+def make_pool():
+    """Builds pools (no request timeout unless given) and shuts each one
+    down after the test."""
+    pools: list[DatabasePool] = []
+
+    def make(**options) -> DatabasePool:
+        options.setdefault("request_timeout", None)
+        pools.append(DatabasePool(**options))
+        return pools[-1]
+
+    yield make
+    for pool in pools:
+        pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
 # session lifecycle
 # ---------------------------------------------------------------------------
-def test_session_crud():
+def test_session_crud(make_pool):
     pool = make_pool()
     state = pool.create_session("a", "patients")
     assert pool.session_names() == ["a"]
@@ -67,7 +78,7 @@ def test_session_crud():
     assert err.value.status == 404
 
 
-def test_invalid_session_names_and_engines():
+def test_invalid_session_names_and_engines(make_pool):
     pool = make_pool()
     with pytest.raises(ServiceError):
         pool.create_session("a/b", "patients")
@@ -109,7 +120,7 @@ def test_parse_engine_rejects_the_parallel_engine():
 # ---------------------------------------------------------------------------
 # decisions: facade parity and shared cache identity
 # ---------------------------------------------------------------------------
-def test_decide_matches_direct_facade():
+def test_decide_matches_direct_facade(make_pool):
     spec = patients_spec()
     pool = make_pool()
     pool.add_session("s", spec)
@@ -135,7 +146,7 @@ def test_decide_matches_direct_facade():
     run(main())
 
 
-def test_wire_and_facade_share_one_cache():
+def test_wire_and_facade_share_one_cache(make_pool):
     pool = make_pool()
     state = pool.create_session("s", "patients")
 
@@ -156,7 +167,7 @@ def test_wire_and_facade_share_one_cache():
     run(main())
 
 
-def test_engine_override_per_request():
+def test_engine_override_per_request(make_pool):
     pool = make_pool()
     pool.create_session("s", "patients")
 
@@ -172,7 +183,7 @@ def test_engine_override_per_request():
     run(main())
 
 
-def test_include_witness():
+def test_include_witness(make_pool):
     pool = make_pool()
     pool.create_session("s", "patients")
 
@@ -188,7 +199,7 @@ def test_include_witness():
     run(main())
 
 
-def test_single_flight_collapses_identical_concurrent_decides():
+def test_single_flight_collapses_identical_concurrent_decides(make_pool):
     pool = make_pool()
     pool.create_session("s", "patients")
     body = {"problem": "complete", "query": "q1", "model": "strong"}
@@ -204,7 +215,7 @@ def test_single_flight_collapses_identical_concurrent_decides():
     run(main())
 
 
-def test_decide_errors():
+def test_decide_errors(make_pool):
     pool = make_pool()
     pool.create_session("s", "patients")
 
@@ -227,7 +238,7 @@ def test_decide_errors():
 # ---------------------------------------------------------------------------
 # updates
 # ---------------------------------------------------------------------------
-def test_update_invalidates_dependency_scoped_entries():
+def test_update_invalidates_dependency_scoped_entries(make_pool):
     pool = make_pool()
     pool.create_session("s", "patients")
 
@@ -251,32 +262,29 @@ def test_update_invalidates_dependency_scoped_entries():
     run(main())
 
 
-def s_reader_spec() -> SessionSpec:
-    """``T = {R(1), S(5)}`` without constraints, a native query that returns
-    the rows of ``S`` and an FO query over the world's active domain: no
+def s_reader_spec(gate: threading.Event | None = None) -> SessionSpec:
+    """``T = {R(1), S(5)}`` without constraints and a native query that
+    returns the rows of ``S`` (once ``gate`` is set, if one is given): no
     query atom names ``S``."""
+
+    def s_rows(instance):
+        if gate is not None:
+            gate.wait(timeout=30.0)
+        return instance.relation("S").rows
+
     db_schema = database_schema(schema("R", "A"), schema("S", "A"))
-    x = var("x")
     return SessionSpec(
         cinstance=cinstance(db_schema, R=[(1,)], S=[(5,)]),
         master=MasterData(database_schema(schema("Rm", "A")), {"Rm": []}),
         constraints=(),
-        queries={
-            "s_rows": native_query("s-rows", 1, lambda instance: instance.relation("S").rows),
-            "all_r": fo("AllR", [], forall([x], rel("R", x))),
-        },
+        queries={"s_rows": native_query("s-rows", 1, s_rows)},
     )
 
 
-def test_native_certain_answers_follow_an_update_to_the_relation_they_read():
-    spec = s_reader_spec()
+def test_native_certain_answers_follow_an_update_to_the_relation_they_read(make_pool):
     pool = make_pool()
-    state = pool.add_session("s", spec)
+    pool.add_session("s", s_reader_spec())
     body = {"problem": "certain", "query": "s_rows"}
-    # The stores depend on every relation, as the facade's own stores do.
-    for query in spec.queries:
-        request = parse_decision(spec, {"problem": "certain", "query": query})
-        assert dependencies(state.database, request) is None, query
 
     async def main():
         first = await pool.decide("s", body)
@@ -290,7 +298,39 @@ def test_native_certain_answers_follow_an_update_to_the_relation_they_read():
     run(main())
 
 
-def test_update_bumps_version_and_validates(pool=None):
+def test_a_timed_out_decision_holds_its_session_until_its_work_returns(make_pool):
+    """Regression: the 504 released the session's read lock while the worker
+    thread still computed on the facade, so an update committed underneath
+    it and the facade cached the late ``[[5]]`` against the updated rows,
+    which the next decide answered."""
+    gate = threading.Event()
+    pool = make_pool(request_timeout=0.2)
+    state = pool.add_session("s", s_reader_spec(gate))
+    body = {"problem": "certain", "query": "s_rows"}
+
+    async def main():
+        with pytest.raises(ServiceError) as err:
+            await pool.decide("s", body)
+        assert err.value.status == 504
+        assert pool.metrics.timeouts == 1
+        assert state.lock.readers == 1  # the work still reads the facade
+        update = asyncio.ensure_future(pool.update("s", {"add_rows": {"S": [[6]]}}))
+        await asyncio.sleep(0.2)
+        assert not update.done(), "the update committed under the running work"
+        gate.set()
+        await update
+        assert state.lock.readers == 0
+        after = await pool.decide("s", body)
+        assert after["cache_hit"] is False
+        assert after["result"]["answers"] == [[5], [6]]
+
+    try:
+        run(main())
+    finally:
+        gate.set()
+
+
+def test_update_bumps_version_and_validates(make_pool):
     pool = make_pool()
     state = pool.create_session("s", "patients")
 
@@ -311,7 +351,7 @@ def test_update_bumps_version_and_validates(pool=None):
     run(main())
 
 
-def test_inconsistent_batch_is_409_and_rolls_back():
+def test_inconsistent_batch_is_409_and_rolls_back(make_pool):
     spec = registry_spec()
     pool = make_pool()
     state = pool.add_session("s", spec)
@@ -347,7 +387,7 @@ def test_inconsistent_batch_is_409_and_rolls_back():
     run(main())
 
 
-def test_batch_validates_shape():
+def test_batch_validates_shape(make_pool):
     pool = make_pool()
     pool.create_session("s", "patients")
 
@@ -360,54 +400,30 @@ def test_batch_validates_shape():
     run(main())
 
 
-def test_process_replicas_see_updates():
-    """Process-executor misses are computed on the session's current rows.
-
-    Regression: worker replicas were rebuilt from the session's creation-time
-    spec, so after adding Bob's ground row the process executor still
-    answered 290 worlds (and stored that answer in the shared cache, where
-    the facade's own ``count()`` then found it) instead of 17.
-    """
-    bob = ["915-15-336", "Bob", "EDI", 2000]
-    inline = make_pool()
-    inline.create_session("s", "patients")
-    pool = DatabasePool(executor="process", executor_workers=1, request_timeout=None)
-    state = pool.create_session("s", "patients")
-
-    async def counts(target: DatabasePool, update: dict) -> tuple[int, int]:
-        before = await target.decide("s", {"problem": "count"})
-        await target.update("s", update)
-        after = await target.decide("s", {"problem": "count"})
-        assert after["cache_hit"] is False
-        return before["result"]["value"], after["result"]["value"]
-
-    try:
-        for update in ({"add_rows": {"MVisit": [bob]}}, {"drop_rows": {"MVisit": [bob]}}):
-            expected = run(counts(inline, update))
-            assert run(counts(pool, update)) == expected
-        assert expected == (17, 290)
-        assert state.database.count().value == 290
-        run(pool.update("s", {"add_rows": {"MVisit": [bob]}}))
-        assert run(pool.decide("s", {"problem": "count"}))["result"]["value"] == 17
-        assert state.database.count().value == 17
-    finally:
-        pool.shutdown()
+#: The six decide bodies of the benchmark's ``service`` workload, then the
+#: consistency witness.
+SERVICE_BODIES = (
+    {"problem": "consistency", "witness": False},
+    {"problem": "count"},
+    {"problem": "certain", "query": "q1"},
+    {"problem": "rcdp", "query": "q1", "model": "viable"},
+    {"problem": "rcdp", "query": "q2_present", "model": "strong"},
+    {"problem": "rcdp", "query": "q4", "model": "viable"},
+    {"problem": "consistency", "include_witness": True},
+)
 
 
-def test_thread_executor_runs_sat_decisions_concurrently():
-    """Count and both consistency forms of one ``engine="sat"`` session run
-    side by side on the thread executor: the live SAT session they share
-    serialises them, so every answer matches the inline pool's."""
+@pytest.mark.parametrize("engine", ["sat", None], ids=["sat", "propagating"])
+def test_thread_executor_runs_sat_decisions_concurrently(make_pool, engine):
+    """The misses of one session run side by side on its one facade in the
+    thread pool, and answer as the same decides run one at a time do.  On
+    ``engine="sat"`` the live SAT session that count and both consistency
+    forms share serialises them."""
     bob = (["915-15-336", "Bob", "EDI", 2000], ["915-15-336", "Bob", "EDI", 2001])
-    bodies = (
-        {"problem": "count"},
-        {"problem": "consistency", "witness": False},
-        {"problem": "consistency", "include_witness": True},
-    )
-    inline = make_pool()
-    inline.create_session("s", "patients", engine="sat")
-    pool = DatabasePool(executor="thread", executor_workers=3, request_timeout=None)
-    state = pool.create_session("s", "patients", engine="sat")
+    sequential = make_pool(executor_workers=len(SERVICE_BODIES))
+    sequential.create_session("s", "patients", engine=engine)
+    pool = make_pool(executor_workers=len(SERVICE_BODIES))
+    state = pool.create_session("s", "patients", engine=engine)
     updates = [{"add_rows": {"MVisit": [bob[0]]}}]
     for old, new in (bob, bob[::-1], bob):
         updates.append({"add_rows": {"MVisit": [new]}, "drop_rows": {"MVisit": [old]}})
@@ -418,26 +434,28 @@ def test_thread_executor_runs_sat_decisions_concurrently():
             await target.update("s", update)
             if concurrent:
                 envelopes = await asyncio.gather(
-                    *(target.decide("s", dict(body)) for body in bodies)
+                    *(target.decide("s", dict(body)) for body in SERVICE_BODIES)
                 )
             else:
-                envelopes = [await target.decide("s", dict(body)) for body in bodies]
+                envelopes = [await target.decide("s", dict(body)) for body in SERVICE_BODIES]
             assert not any(e["cache_hit"] for e in envelopes)
             seen.append(
-                [(e["result"]["holds"], e["result"]["value"]) for e in envelopes]
-                + [envelopes[2]["result"]["witness"]]
+                [
+                    (e["result"].get("holds"), e["result"].get("value"),
+                     e["result"].get("answers"))
+                    for e in envelopes
+                ]
+                + [envelopes[-1]["result"]["witness"]]
             )
         return seen
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often enough to interleave
     try:
-        expected = run(answers(inline, concurrent=False))
-        assert [step[0] for step in expected] == [
-            (True, 17), (True, 18), (True, 17), (True, 18)
-        ]
+        expected = run(answers(sequential, concurrent=False))
+        assert [step[1][1] for step in expected] == [17, 18, 17, 18]
         assert run(answers(pool, concurrent=True)) == expected
-        assert pool.metrics.engine_runs == len(bodies) * len(updates)
+        assert pool.metrics.engine_runs == len(SERVICE_BODIES) * len(updates)
         # The witness computed beside the others is a world holding Bob's row.
         decision = state.database.is_consistent()
         assert decision.stats.cache_hit
@@ -445,4 +463,3 @@ def test_thread_executor_runs_sat_decisions_concurrently():
         assert tuple(bob[1]) in rows and tuple(bob[0]) not in rows
     finally:
         sys.setswitchinterval(interval)
-        pool.shutdown()

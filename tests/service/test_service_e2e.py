@@ -15,6 +15,8 @@ These assert the PR's acceptance gates at the wire level:
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import http.client
 import json
 import logging
@@ -41,7 +43,6 @@ from repro.service import (
 
 def make_service(**overrides) -> ServiceThread:
     overrides.setdefault("port", 0)
-    overrides.setdefault("executor", "inline")
     overrides.setdefault("request_timeout", None)
     return ServiceThread(ServiceConfig(**overrides))
 
@@ -131,7 +132,7 @@ def test_unknown_routes_and_methods():
 # gate: single-flight collapse
 # ---------------------------------------------------------------------------
 def test_identical_concurrent_requests_run_one_engine_search():
-    with make_service(executor="thread") as svc:
+    with make_service() as svc:
         client = ServiceClient(svc.base_url)
         client.create_session("demo", "patients")
         n = 8
@@ -389,7 +390,7 @@ def test_every_internal_error_is_logged_with_its_traceback(caplog):
 
 
 def test_request_timeout_is_504(sleepy_engine):
-    with make_service(executor="thread", request_timeout=0.2) as svc:
+    with make_service(request_timeout=0.2) as svc:
         client = ServiceClient(svc.base_url)
         client.create_session("demo", "patients")
         with pytest.raises(ServiceError) as err:
@@ -398,8 +399,33 @@ def test_request_timeout_is_504(sleepy_engine):
         assert client.metrics()["timeouts"] == 1
 
 
+def test_shutdown_after_a_timeout_waits_for_the_work_and_leaves_no_task(
+    sleepy_engine, caplog
+):
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    svc = make_service(request_timeout=0.2).start()
+    try:
+        client = ServiceClient(svc.base_url)
+        client.create_session("demo", "patients")
+        with pytest.raises(ServiceError) as err:
+            client.decide("demo", "consistency", engine=sleepy_engine)
+        assert err.value.status == 504
+        state = svc.service.pool.session("demo")
+        assert state.lock.readers == 1  # the sleepy work still runs
+    finally:
+        svc.stop()
+    loop = svc._loop
+    assert loop is not None and loop.is_closed()
+    # The work's done-callback gave the read side back before the loop
+    # closed, and no task was left pending for the closed loop to destroy.
+    assert state.lock.readers == 0
+    assert not asyncio.all_tasks(loop)
+    gc.collect()
+    assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
 def test_graceful_shutdown_drains_inflight_requests(sleepy_engine):
-    svc = make_service(executor="thread", drain_timeout=10.0).start()
+    svc = make_service(drain_timeout=10.0).start()
     client = ServiceClient(svc.base_url)
     client.create_session("demo", "patients")
     outcome = {}
@@ -431,24 +457,3 @@ def test_graceful_shutdown_drains_inflight_requests(sleepy_engine):
     # And the listener really is down now.
     with pytest.raises(OSError):
         ServiceClient(svc.base_url).healthz()
-
-
-# ---------------------------------------------------------------------------
-# the process executor (one smoke: pickling + replica caching)
-# ---------------------------------------------------------------------------
-def test_process_executor_smoke():
-    with make_service(executor="process", executor_workers=2) as svc:
-        client = ServiceClient(svc.base_url)
-        client.create_session("demo", "patients")
-        cold = client.decide("demo", "consistency")
-        assert cold["result"]["holds"] is True
-        assert cold["cache_hit"] is False
-        warm = client.decide("demo", "consistency")
-        assert warm["cache_hit"] is True  # main-process cache is authoritative
-        # Updates invalidate across the process boundary (version bump).
-        client.update(
-            "demo", add_rows={"MVisit": [["915-15-402", "Cal", "EDI", 2003]]}
-        )
-        after = client.decide("demo", "consistency")
-        assert after["cache_hit"] is False
-        assert after["result"]["holds"] is True
