@@ -85,9 +85,9 @@ def bench_single_flight(client: ServiceClient, base_url: str) -> dict:
     lock = threading.Lock()
 
     def fire() -> None:
-        own = ServiceClient(base_url)
-        barrier.wait()
-        envelope = own.decide("flight", "count")
+        with ServiceClient(base_url) as own:
+            barrier.wait()
+            envelope = own.decide("flight", "count")
         with lock:
             envelopes.append(envelope)
 
@@ -238,8 +238,7 @@ def main() -> int:
     repeats = 5 if args.smoke else 20
 
     config = ServiceConfig(port=0, request_timeout=None)
-    with ServiceThread(config) as svc:
-        client = ServiceClient(svc.base_url)
+    with ServiceThread(config) as svc, ServiceClient(svc.base_url) as client:
         client.create_session("pool", "wide", params=shape)
         client.create_session("flight", "wide", params=shape)
         results = {

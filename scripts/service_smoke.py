@@ -6,14 +6,17 @@ process; this script is the missing deployment-shaped check, used by
 ``scripts/check.sh`` and CI.  It spawns the actual CLI entrypoint on an
 ephemeral port, parses the "listening on" line, and asserts over the wire:
 
+* connections persist: the client's first two requests share one
+  (``metrics.connections``),
 * a repeated decision is a cache hit (``cache_hit`` flips false → true),
-* N identical concurrent requests run exactly one engine search
-  (``metrics.engine_runs`` advances by 1; the rest are deduplicated or
-  cache hits),
+* N identical concurrent requests from threads sharing one client run
+  exactly one engine search (``metrics.engine_runs`` advances by 1; the
+  rest are deduplicated or cache hits),
 * the NDJSON ``/worlds`` stream yields worlds and a summary,
 * an update invalidates the scoped cache entries (consistency recomputes),
-* SIGTERM produces a graceful drain: the process prints "stopped cleanly"
-  and exits 0.
+* SIGTERM produces a graceful drain while the client still holds idle
+  connections: within 5 s the process prints "stopped cleanly" and
+  exits 0.
 
 Run directly::
 
@@ -27,12 +30,16 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.service import ServiceClient  # noqa: E402
+
+#: How long the service may take to exit after SIGTERM.
+STOP_SECONDS = 5.0
 
 
 def start_service() -> tuple[subprocess.Popen[str], str]:
@@ -53,6 +60,15 @@ def start_service() -> tuple[subprocess.Popen[str], str]:
         process.kill()
         raise SystemExit(f"unexpected first line from the service: {line!r}")
     return process, line[len(prefix) :].strip()
+
+
+def check_keep_alive(client: ServiceClient) -> None:
+    assert client.healthz()["status"] == "ok"
+    metrics = client.metrics()
+    assert (metrics["requests"], metrics["connections"]) == (2, 1), (
+        f"two requests from a fresh client used {metrics['connections']} "
+        "connections, expected 1"
+    )
 
 
 def check_cache_and_singleflight(client: ServiceClient) -> None:
@@ -107,7 +123,7 @@ def main() -> int:
     process, base_url = start_service()
     try:
         client = ServiceClient(base_url)
-        assert client.healthz()["status"] == "ok"
+        check_keep_alive(client)
         check_cache_and_singleflight(client)
         check_streaming(client)
         check_update_invalidation(client)
@@ -115,8 +131,22 @@ def main() -> int:
         process.kill()
         process.wait(timeout=30)
         raise
+    # The client's connections stay open and idle: the drain must close
+    # them itself rather than wait for the client.
+    started = time.monotonic()
     process.send_signal(signal.SIGTERM)
-    output, _ = process.communicate(timeout=60)
+    try:
+        output, _ = process.communicate(timeout=STOP_SECONDS)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        output, _ = process.communicate(timeout=30)
+        print(output)
+        print(f"service did not exit within {STOP_SECONDS:.0f}s of SIGTERM "
+              "with idle connections open")
+        return 1
+    finally:
+        client.close()
+    stopped_in = time.monotonic() - started
     if process.returncode != 0:
         print(output)
         print(f"service exited {process.returncode}, expected 0")
@@ -125,8 +155,9 @@ def main() -> int:
         print(output)
         print("service did not report a clean drain-then-stop")
         return 1
-    print("service_smoke: cache hit, single-flight collapse, streaming, "
-          "update invalidation and SIGTERM drain all ok")
+    print("service_smoke: keep-alive, cache hit, single-flight collapse, "
+          "streaming, update invalidation and SIGTERM drain "
+          f"({stopped_in:.2f}s, idle connections open) all ok")
     return 0
 
 

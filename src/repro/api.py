@@ -53,6 +53,7 @@ groups updates transactionally with rollback on inconsistency.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 from typing import Any, Hashable, Iterator, Mapping, Sequence
 
@@ -181,6 +182,9 @@ class Database:
         self._cache = DecisionCache()
         self._baseline: CheckerSession | None = None
         self._sat_session: IncrementalSATSession | None = None
+        # The service's thread pool runs concurrent first calls on one
+        # facade; they must build one live SAT session, not one each.
+        self._sat_session_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # context accessors
@@ -544,15 +548,19 @@ class Database:
         return config.spec().factory is sat_factory and not config.options
 
     def _sat_session_for(self) -> IncrementalSATSession:
-        if self._sat_session is None:
-            self._sat_session = IncrementalSATSession(
-                self._cinstance,
-                self._master,
-                self._constraints,
-                self.adom(),
-                checker=self._checker,
-            )
-        return self._sat_session
+        session = self._sat_session
+        if session is None:
+            with self._sat_session_lock:
+                session = self._sat_session
+                if session is None:
+                    session = self._sat_session = IncrementalSATSession(
+                        self._cinstance,
+                        self._master,
+                        self._constraints,
+                        self.adom(),
+                        checker=self._checker,
+                    )
+        return session
 
     # ------------------------------------------------------------------
     # world-level surfaces

@@ -29,7 +29,7 @@ even though the engines surface different (equally valid) witnesses.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from types import TracebackType
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -96,9 +96,11 @@ class DecisionStats:
 
         This is the wire format of :mod:`repro.service`: each response
         carries the full stats record so clients can observe cache hits,
-        solver reuse and engine effort per request.
+        solver reuse and engine effort per request.  Every field is a
+        scalar, so a flat dict is a full copy, without the recursive deep
+        copy of ``dataclasses.asdict`` on each service cache hit.
         """
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,11 +64,14 @@ async def run(config: ServiceConfig) -> None:
     try:
         await stop.wait()
     finally:
+        print("draining...", flush=True)
+        # Shut down before reaping serve_forever(): once cancelled, it waits
+        # without a bound for every open connection on Python >= 3.12.1,
+        # and only the shutdown closes the idle kept-alive ones.
+        await service.shutdown(drain=True)
         serving.cancel()
         with contextlib.suppress(asyncio.CancelledError):
             await serving
-        print("draining...", flush=True)
-        await service.shutdown(drain=True)
         print("stopped cleanly", flush=True)
 
 

@@ -1,15 +1,22 @@
 """A small synchronous client for the decision service.
 
 Built on :mod:`http.client` only — tests, benchmarks and doc snippets talk
-to the service without growing a dependency.  One connection per request
-matches the server's ``Connection: close`` discipline; streams hold their
-connection open for the duration (:class:`WorldStream`), and closing one
-mid-stream is *the* way to exercise server-side disconnect cancellation.
+to the service without growing a dependency.  :class:`ServiceClient` keeps
+its connections open between calls (the server speaks HTTP/1.1
+keep-alive) and hands each call one no other call is using, so threads
+sharing a client run side by side on separate connections.  Streams hold
+a connection of their own for the duration (:class:`WorldStream`), and
+closing one mid-stream is *the* way to exercise server-side disconnect
+cancellation.
 """
 
 from __future__ import annotations
 
 import json
+import select
+import sys
+import threading
+import weakref
 from http.client import HTTPConnection, HTTPResponse
 from typing import Any, Iterator, Mapping
 from urllib.parse import urlencode, urlsplit
@@ -68,12 +75,32 @@ class WorldStream:
         self.close()
 
 
+def _close_all(connections: list[HTTPConnection]) -> None:
+    for connection in connections:
+        connection.close()
+
+
+def _dropped(connection: HTTPConnection) -> bool:
+    """Whether an idle connection can no longer carry a request: its socket
+    is gone, or readable, which between requests means the server closed it
+    (or sent something unasked)."""
+    sock = connection.sock
+    if sock is None:
+        return True
+    if sys.platform == "win32":  # no poll(); select() takes any socket there
+        return bool(select.select([sock], [], [], 0)[0])
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 class ServiceClient:
     """Synchronous JSON client: one request per call, errors as exceptions.
 
     Non-2xx responses raise :class:`~repro.exceptions.ServiceError` carrying
     the server's status and message; 2xx responses return the decoded JSON
-    envelope.
+    envelope.  Idle connections wait in a free list for the next call;
+    :meth:`close` (or leaving a ``with`` block) closes them.
     """
 
     def __init__(
@@ -86,12 +113,40 @@ class ServiceClient:
         self._port = split.port if split.port is not None else 80
         self._token = token
         self._timeout = timeout
+        self._idle: list[HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+        # A client dropped without close() still closes its idle
+        # connections, when it is collected.
+        weakref.finalize(self, _close_all, self._idle)
 
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
     def _connect(self) -> HTTPConnection:
         return HTTPConnection(self._host, self._port, timeout=self._timeout)
+
+    def _checkout(self) -> HTTPConnection:
+        """An idle connection the server has not closed, or a new one."""
+        with self._idle_lock:
+            while self._idle:
+                connection = self._idle.pop()
+                if not _dropped(connection):
+                    return connection
+                connection.close()
+        return self._connect()
+
+    def close(self) -> None:
+        """Close the idle connections (a later call opens a new one)."""
+        with self._idle_lock:
+            idle = self._idle[:]
+            self._idle.clear()
+        _close_all(idle)
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def _headers(self) -> dict[str, str]:
         headers = {"Accept": "application/json"}
@@ -114,13 +169,19 @@ class ServiceClient:
         if body is not None:
             payload = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        connection = self._connect()
+        connection = self._checkout()
         try:
             connection.request(method, path, body=payload, headers=headers)
             response = connection.getresponse()
             raw = response.read()
-        finally:
+        except BaseException:
             connection.close()
+            raise
+        if response.will_close:
+            connection.close()  # the server's last response on it
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
         try:
             document = json.loads(raw) if raw else {}
         except json.JSONDecodeError as err:

@@ -2,17 +2,19 @@
 
 Only what the decision service needs: request-line + header parsing,
 ``Content-Length`` bodies, JSON responses, and chunked ``NDJSON`` streaming
-for world enumeration.  Connections are one-request-per-connection
-(``Connection: close``), which keeps the server loop trivially correct —
-the service's expensive work is engine search, not connection setup.
+for world enumeration.  Connections are persistent (HTTP/1.1 keep-alive):
+a response carries ``Connection: close`` only when it is the connection's
+last, which the server decides (:attr:`HTTPRequest.keep_alive` is the
+client's half of that choice).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NoReturn
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.exceptions import ServiceError
@@ -59,19 +61,47 @@ class HTTPRequest:
     query: Mapping[str, str] = field(default_factory=dict)
     headers: Mapping[str, str] = field(default_factory=dict)
     body: bytes = b""
+    version: str = "HTTP/1.1"
+
+    @property
+    def keep_alive(self) -> bool:
+        """Whether the client lets the connection carry another request:
+        HTTP/1.1 without ``Connection: close``."""
+        if self.version != "HTTP/1.1":
+            return False
+        tokens = self.headers.get("connection", "").lower().split(",")
+        return "close" not in (token.strip() for token in tokens)
 
     def json(self) -> Any:
-        """The request body parsed as JSON (``null``/empty body → ``None``)."""
+        """The request body parsed as JSON (``null``/empty body → ``None``).
+
+        ``NaN`` and ``±Infinity`` (literal, or a number too large for a
+        float) answer 400: they are not JSON, and a value built from one
+        would reach a response that ``json.dumps`` writes as invalid JSON.
+        """
         if not self.body:
             return None
         try:
-            return json.loads(self.body)
+            return json.loads(
+                self.body, parse_constant=_reject_constant, parse_float=_finite_float
+            )
         except json.JSONDecodeError as err:
             raise HTTPError(400, f"request body is not valid JSON: {err}") from err
 
     def path_parts(self) -> list[str]:
         """The non-empty, percent-decoded path segments."""
         return [unquote(part) for part in self.path.split("/") if part]
+
+
+def _reject_constant(name: str) -> NoReturn:
+    raise HTTPError(400, f"request body holds the non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise HTTPError(400, f"request body holds the non-finite number {text}")
+    return value
 
 
 async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
@@ -95,7 +125,7 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
     parts = request_line.split(" ")
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise HTTPError(400, f"malformed request line: {request_line!r}")
-    method, target, _version = parts
+    method, target, version = parts
     split = urlsplit(target)
     query = {key: value for key, value in parse_qsl(split.query)}
     headers: dict[str, str] = {}
@@ -127,45 +157,45 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
         query=query,
         headers=headers,
         body=body,
+        version=version,
     )
 
 
-def _format_head(status: int, extra: Mapping[str, str]) -> bytes:
+def _format_head(status: int, extra: Mapping[str, str], close: bool) -> bytes:
     reason = STATUS_REASONS.get(status, "Unknown")
     lines = [f"HTTP/1.1 {status} {reason}"]
     lines.extend(f"{name}: {value}" for name, value in extra.items())
-    lines.append("Connection: close")
+    if close:
+        lines.append("Connection: close")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
 async def send_json(
-    writer: asyncio.StreamWriter, status: int, payload: Any
+    writer: asyncio.StreamWriter, status: int, payload: Any, *, close: bool = False
 ) -> None:
-    """Send one complete JSON response and flush."""
+    """Send one complete JSON response and flush; ``close`` marks it the
+    connection's last."""
     try:
         body = json.dumps(payload).encode("utf-8")
     except (TypeError, ValueError) as err:
         raise ServiceError(f"unserialisable response payload: {err}") from err
-    writer.write(
-        _format_head(
-            status,
-            {
-                "Content-Type": "application/json",
-                "Content-Length": str(len(body)),
-            },
-        )
+    head = _format_head(
+        status,
+        {"Content-Type": "application/json", "Content-Length": str(len(body))},
+        close,
     )
-    writer.write(body)
+    writer.write(head + body)
     await writer.drain()
 
 
 class ChunkedWriter:
     """Chunked ``NDJSON`` streaming: one JSON object per line, one chunk each.
 
-    ``start()`` sends the response head; each :meth:`write_line` sends one
-    newline-terminated JSON document as an HTTP chunk and drains (so
-    backpressure from a slow client propagates to the producer);
-    :meth:`finish` sends the terminating zero chunk.
+    ``start()`` sends the response head, marked as the connection's last
+    (the server watches the socket for EOF while it streams); each
+    :meth:`write_line` sends one newline-terminated JSON document as an
+    HTTP chunk and drains (so backpressure from a slow client propagates to
+    the producer); :meth:`finish` sends the terminating zero chunk.
     """
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
@@ -180,6 +210,7 @@ class ChunkedWriter:
                     "Content-Type": "application/x-ndjson",
                     "Transfer-Encoding": "chunked",
                 },
+                close=True,
             )
         )
         self._started = True

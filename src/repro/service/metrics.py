@@ -2,8 +2,9 @@
 
 The counters are the observable half of the service's gates: the
 single-flight test asserts ``engine_runs`` stayed at 1 across N identical
-concurrent requests, the invalidation test watches ``cache_hits``, and the
-disconnect test waits for ``streams_cancelled``.  All mutation happens on
+concurrent requests, the invalidation test watches ``cache_hits``, the
+disconnect test waits for ``streams_cancelled``, and ``requests`` ÷
+``connections`` is how many requests a kept-alive connection carried.  All mutation happens on
 the event-loop thread (or under its executor callbacks marshalled back to
 it), so plain ints suffice.
 """
@@ -21,6 +22,7 @@ class ServiceMetrics:
     """Monotonic counters describing one service process's lifetime."""
 
     requests: int = 0
+    connections: int = 0
     decisions: int = 0
     cache_hits: int = 0
     engine_runs: int = 0

@@ -181,19 +181,6 @@ class DatabasePool:
         request = parse_decision(state.spec, body)
         engine = parse_engine(body)
         include_witness = bool(body.get("include_witness", False))
-        engine_key = engine.name if engine is not None else state.engine
-        flight_key = (
-            name,
-            request.problem,
-            canonical_fingerprint(
-                {
-                    key: value
-                    for key, value in body.items()
-                    if key != "include_witness"
-                }
-            ),
-            engine_key,
-        )
         cache_hit = False
         deduplicated = False
         work: asyncio.Future[Any] | None = None
@@ -206,6 +193,18 @@ class DatabasePool:
                 cache_hit = True
                 self.metrics.cache_hits += 1
             else:
+                flight_key = (
+                    name,
+                    request.problem,
+                    canonical_fingerprint(
+                        {
+                            key: value
+                            for key, value in body.items()
+                            if key != "include_witness"
+                        }
+                    ),
+                    engine.name if engine is not None else state.engine,
+                )
                 leader, future = self._singleflight.acquire(flight_key)
                 if leader:
                     try:

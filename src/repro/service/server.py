@@ -30,7 +30,12 @@ into the engine through its ``stop_check`` hook (for engines declaring
 ``supports_cancellation``), so an abandoned stream stops *searching*, not
 just writing.
 
-**Shutdown** is drain-then-exit: new requests get 503 while in-flight ones
+**Connections** are persistent (HTTP/1.1 keep-alive): one handler serves
+a connection's requests in turn and marks only its last response
+``Connection: close`` (see :meth:`DecisionService._handle_connection`).
+
+**Shutdown** is drain-then-exit: the listener and every connection idle
+between requests close at once, new requests get 503 while in-flight ones
 run to completion (bounded by ``drain_timeout``), then the pool's threads
 stop once their work returns.
 """
@@ -66,6 +71,13 @@ _LOG = logging.getLogger("repro.service")
 
 __all__ = ["DecisionService", "ServiceThread"]
 
+#: A JSON response: its status and payload.
+Response = tuple[int, Any]
+
+
+def _error(err: Exception) -> dict[str, Any]:
+    return {"ok": False, "error": str(err)}
+
 
 def world_payload(world: GroundInstance) -> dict[str, Any]:
     """One world as JSON: relation name → deterministically ordered rows."""
@@ -97,6 +109,11 @@ class DecisionService:
         )(**dict(self.config.result_backend.options))
         self._server: asyncio.base_events.Server | None = None
         self._closing = False
+        #: The handlers of the connections waiting for their next request,
+        #: with their writers (shutdown closes them).  A fresh connection
+        #: is not idle: the request its client connected to send is read
+        #: and answered, with 503 once the service drains.
+        self._idle: dict[asyncio.Task[Any], asyncio.StreamWriter] = {}
         self._inflight = 0
         self._drained: asyncio.Event | None = None
 
@@ -133,19 +150,28 @@ class DecisionService:
         await self._server.serve_forever()
 
     async def shutdown(self, *, drain: bool = True) -> None:
-        """Stop accepting, optionally drain in-flight requests, stop the pool."""
+        """Stop accepting, close the idle connections, optionally drain
+        in-flight requests, stop the pool."""
         self._closing = True
         if self._server is not None:
             self._server.close()
+        # A connection idle between requests has nothing left to answer,
+        # and nothing else would end its handler: there is no idle timeout.
+        idle = list(self._idle.items())
+        for _handler, writer in idle:
+            writer.close()
+        if idle:
+            await asyncio.wait([handler for handler, _writer in idle], timeout=1.0)
         if drain and self._inflight and self._drained is not None:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(
                     self._drained.wait(), timeout=self.config.drain_timeout
                 )
         if self._server is not None:
-            # On Python >= 3.12.1 wait_closed() also waits for in-flight
-            # connections; the drain above already bounded that, so bound
-            # this wait too rather than hanging on a stuck client.
+            # On Python >= 3.12.1 wait_closed() waits for every open
+            # connection; the idle ones are closed and the drain above
+            # bounded the in-flight ones, so bound this wait too rather than
+            # hang on a stuck client.
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self._server.wait_closed(), timeout=1.0)
         self.pool.shutdown()
@@ -164,36 +190,64 @@ class DecisionService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve requests on one connection until its last response.
+
+        A response is the last when the client asked for it (``Connection:
+        close``, HTTP/1.0), when it ends a ``/worlds`` stream, answers a
+        request that could not be read, is a 500, or the service drains.
+        """
+        self.metrics.connections += 1
+        handler = asyncio.current_task()
+        assert handler is not None
+        served = False
+        try:
+            while not (served and self._closing):
+                if served:
+                    self._idle[handler] = writer
+                try:
+                    request = await read_request(reader)
+                except HTTPError as err:
+                    # Where the next request starts is unknown: answer, close.
+                    await send_json(writer, err.status, _error(err), close=True)
+                    return
+                finally:
+                    self._idle.pop(handler, None)
+                if request is None:
+                    return
+                served = True
+                if not await self._serve(request, reader, writer):
+                    return
+        except ConnectionError:
+            pass  # the client went away; nothing to tell it
+        finally:
+            with contextlib.suppress(ConnectionError, OSError):
+                writer.close()
+                await writer.wait_closed()
+
+    async def _serve(
+        self,
+        request: HTTPRequest,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> bool:
+        """Answer one request; whether the connection may carry another."""
+        self.metrics.requests += 1
+        self._inflight += 1
+        assert self._drained is not None
+        self._drained.clear()
         try:
             try:
-                request = await read_request(reader)
+                response = await self._dispatch(request, reader, writer)
             except HTTPError as err:
-                await send_json(
-                    writer, err.status, {"ok": False, "error": str(err)}
-                )
-                return
-            if request is None:
-                return
-            self.metrics.requests += 1
-            self._inflight += 1
-            assert self._drained is not None
-            self._drained.clear()
-            try:
-                await self._dispatch(request, reader, writer)
-            except HTTPError as err:
-                await send_json(
-                    writer, err.status, {"ok": False, "error": str(err)}
-                )
+                response = err.status, _error(err)
             except ServiceError as err:
                 if err.status >= 500:
                     self.metrics.errors += 1
-                await send_json(
-                    writer, err.status, {"ok": False, "error": str(err)}
-                )
+                response = err.status, _error(err)
             except ReproError as err:
-                await send_json(writer, 400, {"ok": False, "error": str(err)})
-            except (ConnectionError, BrokenPipeError):
-                pass  # client went away mid-response; nothing to tell it
+                response = 400, _error(err)
+            except ConnectionError:
+                raise  # the client went away mid-response
             except Exception as err:  # noqa: BLE001 - the server must survive
                 self.metrics.errors += 1
                 _LOG.exception(
@@ -203,35 +257,29 @@ class DecisionService:
                     type(err).__module__,
                     type(err).__qualname__,
                 )
-                with contextlib.suppress(ConnectionError, OSError):
-                    await send_json(
-                        writer,
-                        500,
-                        {"ok": False, "error": f"internal error: {err}"},
-                    )
-            finally:
-                self._inflight -= 1
-                if self._inflight == 0:
-                    self._drained.set()
+                response = 500, {"ok": False, "error": f"internal error: {err}"}
+            if response is None:
+                return False  # a /worlds stream: its EOF watcher read the socket
+            status, payload = response
+            close = status == 500 or self._closing or not request.keep_alive
+            await send_json(writer, status, payload, close=close)
+            return not close
         finally:
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.close()
-                await writer.wait_closed()
+            self._inflight -= 1
+            if self._inflight == 0:
+                self._drained.set()
 
     async def _dispatch(
         self,
         request: HTTPRequest,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-    ) -> None:
+    ) -> Response | None:
+        """The status and JSON payload answering ``request``, or ``None``
+        once a ``/worlds`` stream has written its own response."""
         parts = request.path_parts()
         if parts == ["healthz"]:
-            await send_json(
-                writer,
-                200,
-                {"ok": True, "status": "draining" if self._closing else "ok"},
-            )
-            return
+            return 200, {"ok": True, "status": "draining" if self._closing else "ok"}
         if not self._auth.authorize(request.headers):
             self.metrics.rejected += 1
             raise HTTPError(401, "unauthorized")
@@ -241,31 +289,22 @@ class DecisionService:
         if parts == ["metrics"] and request.method == "GET":
             payload = self.metrics.to_dict()
             payload["inflight"] = self._inflight
-            await send_json(writer, 200, {"ok": True, "metrics": payload})
-            return
+            return 200, {"ok": True, "metrics": payload}
         if parts == ["engines"] and request.method == "GET":
             engines = [
                 {"name": name, "capabilities": asdict(get_engine(name).capabilities)}
                 for name in engine_names()
             ]
-            await send_json(writer, 200, {"ok": True, "engines": engines})
-            return
+            return 200, {"ok": True, "engines": engines}
         if parts == ["sessions"]:
-            await self._dispatch_sessions_root(request, writer)
-            return
+            return self._dispatch_sessions_root(request)
         if len(parts) >= 2 and parts[0] == "sessions":
-            await self._dispatch_session(parts[1:], request, reader, writer)
-            return
+            return await self._dispatch_session(parts[1:], request, reader, writer)
         raise HTTPError(404, f"no route for {request.method} {request.path}")
 
-    async def _dispatch_sessions_root(
-        self, request: HTTPRequest, writer: asyncio.StreamWriter
-    ) -> None:
+    def _dispatch_sessions_root(self, request: HTTPRequest) -> Response:
         if request.method == "GET":
-            await send_json(
-                writer, 200, {"ok": True, "sessions": self.pool.session_names()}
-            )
-            return
+            return 200, {"ok": True, "sessions": self.pool.session_names()}
         if request.method in ("POST", "PUT"):
             body = request.json()
             if not isinstance(body, Mapping):
@@ -283,8 +322,7 @@ class DecisionService:
             if engine is not None and not isinstance(engine, str):
                 raise ServiceError("session \"engine\" must be a name or null")
             state = self.pool.create_session(name, workload, params, engine)
-            await send_json(writer, 201, {"ok": True, "session": state.info()})
-            return
+            return 201, {"ok": True, "session": state.info()}
         raise HTTPError(405, f"{request.method} not allowed on /sessions")
 
     async def _dispatch_session(
@@ -293,17 +331,14 @@ class DecisionService:
         request: HTTPRequest,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-    ) -> None:
+    ) -> Response | None:
         name = parts[0]
         if len(parts) == 1:
             if request.method == "GET":
-                state = self.pool.session(name)
-                await send_json(writer, 200, {"ok": True, "session": state.info()})
-                return
+                return 200, {"ok": True, "session": self.pool.session(name).info()}
             if request.method == "DELETE":
                 self.pool.drop_session(name)
-                await send_json(writer, 200, {"ok": True, "dropped": name})
-                return
+                return 200, {"ok": True, "dropped": name}
             raise HTTPError(405, f"{request.method} not allowed on a session")
         if len(parts) != 2:
             raise HTTPError(404, f"no route for {request.method} {request.path}")
@@ -314,26 +349,20 @@ class DecisionService:
                 raise HTTPError(429, f"rate limit exceeded for session {name!r}")
             envelope = await self.pool.decide(name, request.json())
             self._results.record(name, envelope)
-            await send_json(writer, 200, envelope)
-            return
+            return 200, envelope
         if action == "update" and request.method == "POST":
-            await send_json(writer, 200, await self.pool.update(name, request.json()))
-            return
+            return 200, await self.pool.update(name, request.json())
         if action == "batch" and request.method == "POST":
-            await send_json(writer, 200, await self.pool.batch(name, request.json()))
-            return
+            return 200, await self.pool.batch(name, request.json())
         if action == "results" and request.method == "GET":
             self.pool.session(name)  # 404 on unknown sessions
-            await send_json(
-                writer, 200, {"ok": True, "results": self._results.recent(name)}
-            )
-            return
+            return 200, {"ok": True, "results": self._results.recent(name)}
         if action == "worlds" and request.method == "GET":
             if not self._rate_limit.allow(name):
                 self.metrics.rejected += 1
                 raise HTTPError(429, f"rate limit exceeded for session {name!r}")
             await self._stream_worlds(name, request, reader, writer)
-            return
+            return None
         raise HTTPError(404, f"no route for {request.method} {request.path}")
 
     # ------------------------------------------------------------------

@@ -12,6 +12,8 @@ a dummy engine registered *in the test* being selectable end-to-end through
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import Database
@@ -30,7 +32,7 @@ from repro.ctables.possible_worlds import (
     models,
     models_with_valuations,
 )
-from repro.decision import Decision
+from repro.decision import Decision, DecisionStats
 from repro.exceptions import SearchError
 from repro.queries.atoms import atom
 from repro.queries.cq import cq
@@ -446,6 +448,23 @@ class TestDecisionObject:
         assert propagating.stats.nodes and propagating.stats.nodes > 0
         sat = db.count(engine="sat")
         assert sat.stats.clauses and sat.stats.clauses > 0
+
+    def test_stats_to_dict_is_asdict(self):
+        # Every field set, each to a value of its own and none to its default.
+        values = {
+            "wall_time": 0.25,
+            "searches": 2,
+            "nodes": 3,
+            "clauses": 4,
+            "worlds": 5,
+            "candidates_examined": 6,
+            "cache_hit": True,
+            "reused_solver": True,
+            "components": 7,
+        }
+        assert list(values) == [f.name for f in dataclasses.fields(DecisionStats)]
+        stats = DecisionStats(**values)
+        assert stats.to_dict() == dataclasses.asdict(stats) == values
 
     def test_empty_master_consistency(self):
         free_schema = database_schema(schema("S", "A"))

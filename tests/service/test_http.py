@@ -113,3 +113,37 @@ def test_bad_json_body_raises_400():
     with pytest.raises(HTTPError) as err:
         request.json()
     assert err.value.status == 400
+
+
+@pytest.mark.parametrize("number", [b"NaN", b"Infinity", b"-Infinity", b"1e400"])
+def test_non_finite_json_numbers_raise_400(number):
+    request = HTTPRequest(
+        method="POST", path="/", body=b'{"add_rows": {"R": [[1, ' + number + b"]]}}"
+    )
+    with pytest.raises(HTTPError) as err:
+        request.json()
+    assert err.value.status == 400
+    assert "non-finite" in str(err.value)
+
+
+def test_finite_json_numbers_still_parse():
+    request = HTTPRequest(method="POST", path="/", body=b'[1.5, -2e3, 1e308, 0]')
+    assert request.json() == [1.5, -2000.0, 1e308, 0]
+
+
+@pytest.mark.parametrize(
+    "raw, keep_alive",
+    [
+        (b"GET / HTTP/1.1\r\n\r\n", True),
+        (b"GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n", True),
+        (b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n", False),
+        (b"GET / HTTP/1.1\r\nConnection: Upgrade, Close\r\n\r\n", False),
+        (b"GET / HTTP/1.0\r\n\r\n", False),
+        (b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", False),
+    ],
+)
+def test_keep_alive_follows_the_version_and_the_connection_header(raw, keep_alive):
+    request = parse(raw)
+    assert request is not None
+    assert request.keep_alive is keep_alive
+

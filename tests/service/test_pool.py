@@ -21,6 +21,7 @@ from repro.exceptions import ServiceError
 from repro.queries.fo import native_query
 from repro.relational.master import MasterData
 from repro.relational.schema import database_schema, schema
+from repro.search.sat_engine import IncrementalSATSession
 from repro.service.plugins import SessionSpec, get_service_plugin
 from repro.service.pool import DatabasePool
 from repro.service.problems import parse_engine
@@ -461,5 +462,41 @@ def test_thread_executor_runs_sat_decisions_concurrently(make_pool, engine):
         assert decision.stats.cache_hit
         rows = decision.witness.relation("MVisit").rows
         assert tuple(bob[1]) in rows and tuple(bob[0]) not in rows
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_first_decides_build_one_live_sat_session(make_pool, monkeypatch):
+    """Count and both consistency forms, gathered on a fresh ``engine="sat"``
+    session, run side by side in the thread pool and share one live SAT
+    session: the facade builds it once."""
+    built = []
+    init = IncrementalSATSession.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IncrementalSATSession, "__init__", counted_init)
+    bodies = (
+        {"problem": "count"},
+        {"problem": "consistency", "witness": False},
+        {"problem": "consistency"},
+    )
+
+    async def gather(pool: DatabasePool) -> list:
+        return await asyncio.gather(*(pool.decide("s", dict(body)) for body in bodies))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often enough to interleave
+    try:
+        for _trial in range(3):
+            pool = make_pool(executor_workers=len(bodies))
+            pool.create_session("s", "patients", engine="sat")
+            built.clear()
+            envelopes = run(gather(pool))
+            assert [e["result"]["holds"] for e in envelopes] == [True] * 3
+            assert envelopes[0]["result"]["value"] == 290
+            assert len(built) == 1
     finally:
         sys.setswitchinterval(interval)

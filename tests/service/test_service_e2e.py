@@ -10,7 +10,9 @@ These assert the PR's acceptance gates at the wire level:
 * streaming yields the first world while enumeration is still running,
   and a client disconnect cancels the server-side engine search;
 * auth / rate-limit / timeout plugins respond 401 / 429 / 504;
-* graceful shutdown drains in-flight requests before exiting.
+* graceful shutdown drains in-flight requests before exiting;
+* connections persist, on the server and in ``ServiceClient``, and close
+  after exactly the responses that must be a connection's last.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import gc
 import http.client
 import json
 import logging
+import socket
+import sys
 import threading
 import time
 from urllib.parse import urlsplit
@@ -212,6 +216,25 @@ def test_batch_conflict_is_409_over_the_wire():
             )
         assert err.value.status == 409
         assert client.session("reg")["version"] == 0
+
+
+def test_non_finite_update_is_400_and_leaves_the_session_unchanged():
+    with make_service() as svc:
+        client = ServiceClient(svc.base_url)
+        client.create_session("demo", "patients")
+        assert client.decide("demo", "consistency")["cache_hit"] is False
+        before = client.session("demo")
+        with pytest.raises(ServiceError) as err:
+            # json.dumps writes the NaN as the bare constant NaN.
+            client.update(
+                "demo",
+                add_rows={"MVisit": [["915-15-400", "Ann", "EDI", float("nan")]]},
+            )
+        assert err.value.status == 400
+        assert "non-finite number NaN" in str(err.value)
+        assert client.session("demo") == before
+        assert client.metrics()["updates"] == 0
+        assert client.decide("demo", "consistency")["cache_hit"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -457,3 +480,265 @@ def test_graceful_shutdown_drains_inflight_requests(sleepy_engine):
     # And the listener really is down now.
     with pytest.raises(OSError):
         ServiceClient(svc.base_url).healthz()
+
+
+# ---------------------------------------------------------------------------
+# persistent connections
+# ---------------------------------------------------------------------------
+def raw_connection(svc: ServiceThread) -> socket.socket:
+    url = urlsplit(svc.base_url)
+    return socket.create_connection((url.hostname, url.port), timeout=5.0)
+
+
+def read_response(stream) -> tuple[int, dict[str, str], bytes]:
+    """One response off a socket file: status, lower-cased headers and the
+    ``Content-Length`` body (empty for a chunked stream)."""
+    status_line = stream.readline()
+    assert status_line, "the server closed the connection without a response"
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _colon, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers.get("content-length", 0)))
+    return int(status_line.split()[1]), headers, body
+
+
+def test_sequential_requests_share_one_connection():
+    requests = [
+        ("GET", "/healthz", None),
+        ("POST", "/sessions", {"name": "demo", "workload": "patients"}),
+        ("POST", "/sessions/demo/decide", {"problem": "consistency"}),
+        ("POST", "/sessions/demo/decide", {"problem": "consistency"}),
+        ("GET", "/sessions/absent", None),  # a 404 keeps the connection too
+    ]
+    sockets = set()
+    with make_service() as svc:
+        url = urlsplit(svc.base_url)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            for method, path, body in requests:
+                connection.request(
+                    method, path, body=None if body is None else json.dumps(body)
+                )
+                response = connection.getresponse()
+                response.read()
+                assert response.getheader("Connection") is None
+                sockets.add(connection.sock)
+            connection.request("GET", "/metrics")
+            metrics = json.loads(connection.getresponse().read())["metrics"]
+        finally:
+            connection.close()
+    assert len(sockets) == 1 and None not in sockets
+    assert metrics["connections"] == 1
+    assert metrics["requests"] == len(requests) + 1
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ],
+    ids=["connection-close", "http-1.0"],
+)
+def test_the_server_closes_when_the_client_asks(raw):
+    with make_service() as svc, raw_connection(svc) as sock:
+        sock.sendall(raw)
+        stream = sock.makefile("rb")
+        status, headers, body = read_response(stream)
+        assert status == 200 and json.loads(body)["status"] == "ok"
+        assert headers["connection"] == "close"
+        assert stream.read() == b""  # EOF
+
+
+@pytest.mark.parametrize(
+    "raw, status",
+    [
+        (b"NONSENSE\r\n\r\n", 400),
+        (b"POST /sessions HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n", 413),
+    ],
+    ids=["malformed", "body-too-large"],
+)
+def test_a_request_that_cannot_be_read_is_answered_and_closes(raw, status):
+    with make_service() as svc, raw_connection(svc) as sock:
+        sock.sendall(raw + b"GET /healthz HTTP/1.1\r\n\r\n")
+        stream = sock.makefile("rb")
+        answer, headers, _body = read_response(stream)
+        assert (answer, headers["connection"]) == (status, "close")
+        assert stream.read() == b""  # the request behind it is not read
+
+
+def test_a_worlds_stream_is_the_last_response():
+    with make_service() as svc:
+        ServiceClient(svc.base_url).create_session(
+            "big", "wide", params={"rows": 3, "values_per_key": 4}
+        )
+        with raw_connection(svc) as sock:
+            sock.sendall(b"GET /sessions/big/worlds?limit=2 HTTP/1.1\r\n\r\n")
+            stream = sock.makefile("rb")
+            status, headers, _body = read_response(stream)
+            assert (status, headers["connection"]) == (200, "close")
+            assert headers["transfer-encoding"] == "chunked"
+            rest = stream.read()  # up to EOF
+            assert b'"kind": "summary"' in rest and rest.endswith(b"0\r\n\r\n")
+
+
+def test_pipelined_requests_are_answered_in_order():
+    with make_service() as svc, raw_connection(svc) as sock:
+        sock.sendall(
+            b"GET /healthz HTTP/1.1\r\n\r\n"
+            b"GET /sessions HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        stream = sock.makefile("rb")
+        first = read_response(stream)
+        second = read_response(stream)
+        assert (first[0], json.loads(first[2])) == (200, {"ok": True, "status": "ok"})
+        assert "connection" not in first[1]
+        assert (second[0], json.loads(second[2])) == (200, {"ok": True, "sessions": []})
+        assert second[1]["connection"] == "close"
+        assert stream.read() == b""
+
+
+def test_a_request_read_while_draining_is_refused_and_closes(sleepy_engine):
+    svc = make_service(drain_timeout=10.0).start()
+    with ServiceClient(svc.base_url) as client:
+        client.create_session("demo", "patients")
+    stopper = threading.Thread(target=svc.stop)
+    with raw_connection(svc) as slow, raw_connection(svc) as fresh:
+        try:
+            body = json.dumps({"problem": "consistency", "engine": sleepy_engine})
+            slow.sendall(
+                b"POST /sessions/demo/decide HTTP/1.1\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n{body}".encode()
+            )
+            # Both connections have their handlers, and the decide is in flight.
+            assert wait_for(
+                lambda: svc.service.metrics.connections == 3
+                and svc.service.inflight == 1
+            )
+            stopper.start()
+            assert wait_for(lambda: svc.service.closing)
+            fresh.sendall(b"GET /sessions HTTP/1.1\r\n\r\n")
+            stream = fresh.makefile("rb")
+            status, headers, answer = read_response(stream)
+            assert (status, headers["connection"]) == (503, "close")
+            assert json.loads(answer)["error"] == "service is draining"
+            assert stream.read() == b""
+            # The decide in flight drains, and its answer is its connection's last.
+            stream = slow.makefile("rb")
+            status, headers, answer = read_response(stream)
+            assert (status, headers["connection"]) == (200, "close")
+            assert json.loads(answer)["result"]["holds"] is True
+            assert stream.read() == b""
+        finally:
+            svc.stop()  # idempotent: returns once the stop begun above is done
+            if stopper.ident is not None:
+                stopper.join(timeout=15.0)
+    assert not stopper.is_alive()
+
+
+def test_stop_closes_an_idle_connection_at_once():
+    svc = make_service().start()
+    try:
+        sock = raw_connection(svc)
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+        stream = sock.makefile("rb")
+        status, headers, _body = read_response(stream)
+        assert status == 200 and "connection" not in headers
+    finally:
+        started = time.monotonic()
+        svc.stop()
+        stopped_in = time.monotonic() - started
+    with sock:
+        assert stopped_in < 0.5  # far from wait_closed()'s 1 s bound
+        assert stream.read() == b""  # the server closed the idle connection
+
+
+def test_service_client_reuses_one_connection_beside_its_streams():
+    with make_service() as svc:
+        with ServiceClient(svc.base_url) as client:
+            client.create_session("big", "wide", params={"rows": 3, "values_per_key": 4})
+            for _ in range(3):
+                client.decide("big", "consistency")
+            with client.stream_worlds("big", limit=2) as stream:
+                assert len(list(stream)) == 2
+            client.decide("big", "count")
+            metrics = client.metrics()
+            assert metrics["connections"] == 2  # the calls' one and the stream's own
+            assert metrics["requests"] == 7
+            client.close()  # a later call opens a new connection
+            assert client.metrics()["connections"] == 3
+
+
+def test_service_client_threads_run_on_separate_connections(sleepy_engine):
+    with make_service() as svc, ServiceClient(svc.base_url) as client:
+        client.create_session("demo", "patients")
+        bodies = (
+            {"problem": "consistency"},
+            {"problem": "consistency", "witness": False},
+            {"problem": "count"},
+        )
+        barrier = threading.Barrier(len(bodies))
+        envelopes = []
+
+        def fire(body: dict) -> None:
+            barrier.wait()
+            envelopes.append(
+                client.request(
+                    "POST", "/sessions/demo/decide", {**body, "engine": sleepy_engine}
+                )
+            )
+
+        threads = [threading.Thread(target=fire, args=(body,)) for body in bodies]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert len(envelopes) == 3 and all(e["ok"] for e in envelopes)
+        # The three decides overlapped: the first connection plus two more.
+        assert client.metrics()["connections"] == 3
+
+
+def test_threads_sharing_a_service_client_never_share_a_connection():
+    """More threads than cores on one client, switching often: a connection
+    handed to two calls at once would cross their answers or break
+    ``http.client``'s request-response order."""
+    names = [f"s{i}" for i in range(8)]
+    failures = []
+
+    def ask(name: str) -> None:
+        try:
+            for _ in range(40):
+                assert client.session(name)["name"] == name
+        except Exception as err:  # noqa: BLE001 - reported below
+            failures.append(err)
+
+    with make_service() as svc, ServiceClient(svc.base_url) as client:
+        for name in names:
+            client.create_session(name, "patients")
+        threads = [threading.Thread(target=ask, args=(name,)) for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert client.metrics()["connections"] <= len(names)
+
+
+def test_service_client_drops_a_connection_the_server_closed():
+    first = make_service().start()
+    client = ServiceClient(first.base_url)
+    try:
+        assert client.healthz()["status"] == "ok"  # leaves its connection idle
+    finally:
+        first.stop()  # which closes it from the server's side
+    with make_service(port=urlsplit(first.base_url).port) as second, client:
+        assert client.healthz()["status"] == "ok"
+        assert client.metrics()["connections"] == 1
+        assert second.service.metrics.requests == 2
