@@ -26,14 +26,18 @@
 #      cases with timing disabled: each asserts the verdicts of one of the
 #      paper's experiments (RCDP/MINP/RCQP per model, the reductions, the
 #      Figure 1 patients scenario), and nothing else collects them,
-#   7. the checker differential suite (the tests carrying the
+#   7. the service tests again under `python -X dev`: asyncio's debug mode
+#      changes how the event loop and the worker threads interleave, which
+#      has exposed races a plain run hides, and the warning summary lists
+#      any socket left open (a ResourceWarning),
+#   8. the checker differential suite (the tests carrying the
 #      `delta_differential` marker) as its own loudly-labelled step: it runs
 #      the library's indexed delta checker in lockstep with the test-side
 #      full-recompute and linear-scan reference checkers of
 #      tests/search/checker_oracles.py, so a semantics drift between them
 #      fails CI with an unambiguous banner even though the same tests also
 #      run inside the tier-1 suite,
-#   8. a 60-second smoke slice of the differential fuzz campaign
+#   9. a 60-second smoke slice of the differential fuzz campaign
 #      (scripts/fuzz_differential.py, fixed seed): random three-way
 #      engine-parity cases interleaved with update-vs-rebuild streams
 #      through Database.update, whose live SAT session counts twice per
@@ -42,14 +46,14 @@
 #      world (the certain answers against naive and SAT too); the nightly
 #      CI job runs the same script for 15 minutes with a rotating seed and
 #      uploads failing seeds,
-#   9. the doc-snippet runner (scripts/run_doc_snippets.py): every fenced
+#  10. the doc-snippet runner (scripts/run_doc_snippets.py): every fenced
 #      `python` block in README.md and docs/*.md is executed, so the
 #      documentation code cannot rot (tag a fence `python no-run` to skip),
-#  10. the service smoke (scripts/service_smoke.py): boots the real
+#  11. the service smoke (scripts/service_smoke.py): boots the real
 #      `python -m repro.service` subprocess on an ephemeral port and asserts
 #      cache hits, single-flight collapse, NDJSON streaming, update
 #      invalidation and a clean SIGTERM drain over real sockets,
-#  11. the engine smoke benchmark (three-way parity + six perf gates, every
+#  12. the engine smoke benchmark (three-way parity + six perf gates, every
 #      verdict printed before the step fails on any of them: the
 #      propagating-vs-naive headline (reported only, in smoke mode),
 #      SAT-vs-propagating, the indexed delta checker against both
@@ -57,7 +61,7 @@
 #      Database.update vs rebuild-and-redecide, and SAT component counting
 #      vs blocking-clause enumeration), writing machine-readable results to
 #      BENCH_ENGINE.json,
-#  12. the service smoke benchmark (benchmarks/bench_service.py --smoke):
+#  13. the service smoke benchmark (benchmarks/bench_service.py --smoke):
 #      warm-cache speedup, single-flight engine-run count, first-world
 #      streaming latency and warm-service-vs-cold-rebuild gates, writing
 #      BENCH_SERVICE.json,
@@ -134,6 +138,10 @@ python -m pytest -q -p no:cacheprovider perfbench/tests
 echo
 echo "== paper-experiment benches (benchmarks/bench_*.py, timing disabled) =="
 python -m pytest -q -p no:cacheprovider -o python_files='bench_*.py' --benchmark-disable benchmarks
+
+echo
+echo "== service tests under python -X dev (debug-mode races, unclosed sockets) =="
+python -X dev -m pytest -q -p no:cacheprovider tests/service
 
 echo
 echo "== checker differential suite: indexed delta vs the tests/search/checker_oracles.py references (semantics gate) =="

@@ -21,6 +21,11 @@ restriction (Proposition 3.3, Lemmas 4.2/5.2):
   answer escaping the right-hand side now escapes in every world below (CQ
   monotonicity), and the subtree of the row's remaining variables is cut
   before it is enumerated;
+* each variable's pool is cut, before the search starts, to the values the
+  master data allows (node consistency): a row whose condition is ``TRUE``
+  is in every world, so a one-atom constraint plan that its constants alone
+  match bounds the row's head to the right-hand side
+  (:meth:`repro.search.propagation.ConstraintChecker.row_supports`);
 * the fresh ``New`` values of the active domain that nothing in the input
   mentions (:func:`interchangeable_fresh_values`) are interchangeable, so a
   caller that can answer for a whole permutation class of those values from
@@ -31,8 +36,9 @@ restriction (Proposition 3.3, Lemmas 4.2/5.2):
 * world enumeration deduplicates via a cheap canonical form
   (:func:`world_key`) instead of hashing full :class:`GroundInstance`
   objects; and
-* the compiled plan (order, pools, completion levels, early-check schedule
-  and the rows compiled for grounding) is built once per c-instance ``T``:
+* the compiled plan (order, restricted pools, completion levels,
+  early-check schedule and the rows compiled for grounding) is built once
+  per c-instance ``T``:
   :meth:`WorldSearch.over` roots a run at a ground instance ``I`` and is
   equivalent to a fresh search over ``T ∪ I``, which is how the deciders
   test the worlds of ``Mod_Adom(T)`` against the same adjoined rows.
@@ -40,9 +46,11 @@ restriction (Proposition 3.3, Lemmas 4.2/5.2):
 The engine enumerates exactly the valuations the naive path accepts (pruning
 is sound and complete for satisfying valuations), so
 :mod:`repro.ctables.possible_worlds` can route through it transparently.
-Early checks cut only subtrees without a satisfying valuation, so the
-``(valuation, world)`` sequence is the one a search that checked complete
-rows alone would produce; only ``nodes`` and the pushes fall.
+Early checks and the pool restriction cut only subtrees without a
+satisfying valuation, and the variable order is fixed from the unrestricted
+pools, so the ``(valuation, world)`` sequence is the one a search that
+checked complete rows alone would produce; only ``nodes``, ``pruned`` and
+the pushes move.
 """
 
 from __future__ import annotations
@@ -89,7 +97,11 @@ class SearchStats:
     world an earlier one gave, so after ``worlds()`` or ``count_worlds()``
     their difference is the number of distinct worlds.  ``nodes`` counts
     the value assignments tried (complete valuations on the naive engine),
-    ``pruned`` the branches cut by a violating push or an early check.
+    ``pruned`` the branches cut by a violating push, an early check or the
+    pool restriction.  A value the restriction removed from a variable's
+    pool is never tried, so it is no node; it counts in ``pruned`` once
+    each time the search reaches that variable's depth, so ``pruned`` can
+    exceed ``nodes``.
 
     The SAT engines leave ``nodes`` ``None`` and fill the ledgers the other
     engines leave ``None``: ``encoding`` (the CNF's size), ``solver`` (every
@@ -321,6 +333,21 @@ class WorldSearch(WorldSearchBase):
         self._order = order_variables(
             self._pools, [row.variables() for _name, row in rows]
         )
+        # Node consistency: a row whose condition is TRUE is in every world,
+        # so a value it cannot take with a plan's head in the right-hand
+        # side is in no satisfying valuation.  The pools are cut after the
+        # order is fixed, each in its own order, so only effort moves.
+        full = {variable: len(pool) for variable, pool in self._pools.items()}
+        for name, row in rows:
+            if row.condition.is_true:
+                for variable, values in self._checker.row_supports(name, row.terms).items():
+                    self._pools[variable] = [v for v in self._pools[variable] if v in values]
+        #: (variable, pool, values the restriction removed) per depth.
+        self._levels = [
+            (variable, self._pools[variable], full[variable] - len(self._pools[variable]))
+            for variable in self._order
+        ]
+        self._exhausted = not all(self._pools.values())
         # depth[v]: the search depth from which variable v is assigned.
         depth = {variable: i + 1 for i, variable in enumerate(self._order)}
         # completions[0] holds the rows that are ground from the start;
@@ -381,7 +408,8 @@ class WorldSearch(WorldSearchBase):
 
     @property
     def pools(self) -> dict[Variable, list[Constant]]:
-        """The per-variable candidate pools (after any ``pool_order``)."""
+        """The per-variable candidate pools (after any ``pool_order``, cut
+        to the values the master data allows)."""
         return {variable: list(pool) for variable, pool in self._pools.items()}
 
     def over(self, instance: GroundInstance) -> "WorldSearch":
@@ -396,7 +424,8 @@ class WorldSearch(WorldSearchBase):
         the interchangeable ranks, as ``T ∪ I`` would exclude them.  The
         compiled plan is shared with this search, not rebuilt: ``I`` adds no
         variable, so the order, the pools, the completion levels and the
-        early-check schedule of ``T ∪ I`` are those of ``T``.
+        early-check schedule of ``T ∪ I`` are those of ``T`` (a ground row
+        restricts no pool).
         """
         if instance.schema != self._schema:
             raise SearchError("a rooted run needs an instance over the search's schema")
@@ -417,6 +446,10 @@ class WorldSearch(WorldSearchBase):
     # ------------------------------------------------------------------
     def search(self) -> Iterator[tuple[Valuation, GroundInstance]]:
         """Enumerate ``(µ, µ(T))`` pairs with ``(µ(T), D_m) |= V``."""
+        if self._exhausted:
+            # A variable has no value left: there is no valuation at all.
+            self.stats.pruned += 1
+            return
         session = self._checker.session(self._schema.relation_names)
         # reprolint: disable=R002 -- the root of a run is never popped: the
         # session is the run's own.  The verdict is a union of violations,
@@ -490,8 +523,11 @@ class WorldSearch(WorldSearchBase):
             self.stats.worlds += 1
             yield dict(valuation), world
             return
-        variable = self._order[depth]
-        for value in self._pools[variable]:
+        variable, pool, removed = self._levels[depth]
+        if removed:
+            # The values the pool restriction took out: cut, never tried.
+            self.stats.pruned += removed
+        for value in pool:
             rank = self._fresh_rank.get(value)
             if rank is None:
                 next_used = used_fresh

@@ -206,14 +206,15 @@ class SeedPlan:
     A pushed row matches when its length is ``arity`` and the
     ``same``/``differ`` pairs hold on ``row + tail`` (constant positions,
     repeated variables and the comparisons the seed atom binds alone).
-    ``head`` reads the answer row (``None``: every match escapes ``rhs``):
-    from ``row + tail`` when ``atoms`` is empty (a one-atom constraint),
-    from the join environment otherwise.  The join starts from
-    ``template``, writes ``row[position]`` into each ``(slot, position)``
-    of ``scatter``, which binds the variable bits in ``bound``, and joins
-    the remaining ``atoms``.  ``reads`` lists, in order, the row positions
-    the plan reads (every seed-test, ``scatter`` and one-atom ``head``
-    position): rows that agree on them get the same verdict from the plan.
+    ``head`` reads the answer row at ``head_slots`` (``None`` and ``()``:
+    every match escapes ``rhs``): from ``row + tail`` when ``atoms`` is
+    empty (a one-atom constraint), from the join environment otherwise.
+    The join starts from ``template``, writes ``row[position]`` into each
+    ``(slot, position)`` of ``scatter``, which binds the variable bits in
+    ``bound``, and joins the remaining ``atoms``.  ``reads`` lists, in
+    order, the row positions the plan reads (every seed-test, ``scatter``
+    and one-atom ``head`` position): rows that agree on them get the same
+    verdict from the plan.
     """
 
     atom: RelationAtom
@@ -223,6 +224,7 @@ class SeedPlan:
     differ: Pairs
     tail: Row
     head: Getter | None
+    head_slots: tuple[int, ...]
     rhs: AbstractSet[Row]
     template: Row
     scatter: Pairs
@@ -365,7 +367,7 @@ def compile_seed_plans(query: ConjunctiveQuery, rhs: AbstractSet[Row]) -> tuple[
         (atom,) = query.atoms
         layout = _RowLayout(atom)
         same, differ = layout.tests(atom, comparisons)
-        head_slots = [layout.slot(term) for term in head] if reads_head else []
+        head_slots = tuple(layout.slot(term) for term in head) if reads_head else ()
         return (
             SeedPlan(
                 atom=atom,
@@ -375,6 +377,7 @@ def compile_seed_plans(query: ConjunctiveQuery, rhs: AbstractSet[Row]) -> tuple[
                 differ=differ,
                 tail=tuple(layout.tail),
                 head=_getter(head_slots) if reads_head else None,
+                head_slots=head_slots,
                 rhs=rhs,
                 template=(),
                 scatter=(),
@@ -426,7 +429,8 @@ def compile_seed_plans(query: ConjunctiveQuery, rhs: AbstractSet[Row]) -> tuple[
             columns.append((position, variable_bit, variable_slot, scratch))
         atom_tests = tuple(test for test in tests if test[3] & binds)
         join_atoms.append(JoinAtom(atom.relation, binds, tuple(columns), atom_tests))
-    head_getter = _getter([slot(term) for term in head]) if reads_head else None
+    head_slots = tuple(slot(term) for term in head) if reads_head else ()
+    head_getter = _getter(head_slots) if reads_head else None
     template = tuple(environment)
 
     plans = []
@@ -445,6 +449,7 @@ def compile_seed_plans(query: ConjunctiveQuery, rhs: AbstractSet[Row]) -> tuple[
                 differ=differ,
                 tail=tuple(layout.tail),
                 head=head_getter,
+                head_slots=head_slots,
                 rhs=rhs,
                 template=template,
                 scatter=scatter,

@@ -50,12 +50,15 @@ not yet complete and push nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from repro.constraints.containment import ContainmentConstraint
 from repro.exceptions import SearchError
 from repro.queries.evaluation import evaluate_cq_on_facts
-from repro.relational.indexing import IndexedFactStore
+from repro.queries.terms import Term, Variable
+from repro.relational.domains import Constant
+from repro.relational.indexing import FactIndex, IndexedFactStore, Signature
 from repro.relational.instance import GroundInstance, Row
 from repro.relational.master import MasterData
 from repro.search.joinplan import SeedPlan, compile_seed_plans, join_escapes_rhs, seed_matches
@@ -82,7 +85,7 @@ class ConstraintChecker:
     atom) plan is compiled once here, and shared by every session.
     """
 
-    __slots__ = ("_entries", "_base_violations", "_seeds")
+    __slots__ = ("_entries", "_base_violations", "_seeds", "_groupings")
 
     def __init__(
         self,
@@ -120,6 +123,9 @@ class ConstraintChecker:
         self._seeds: Mapping[str, SeededPlans] = {
             relation: tuple(plans) for relation, plans in seeds.items()
         }
+        #: (constraint index, head signature) → the constraint's RHS grouped
+        #: by that signature, built by :meth:`row_supports` on first use.
+        self._groupings: dict[tuple[int, Signature], FactIndex] = {}
 
     @property
     def constraints(self) -> list[ContainmentConstraint]:
@@ -204,6 +210,63 @@ class ConstraintChecker:
         a checker that overrides this hook changes both.
         """
         return self._seeds.get(relation, ())
+
+    def row_supports(
+        self, relation: str, terms: tuple[Term, ...]
+    ) -> dict[Variable, set[Constant]]:
+        """The values each variable of a c-table row may take in a world.
+
+        ``terms`` is a row of ``relation`` whose condition is ``TRUE``, so
+        it is in every world.  A one-atom plan whose seed tests read only
+        the row's constants, and hold on them, matches the row in every
+        world, so its head there must lie in the right-hand side: a
+        variable at head positions ``K`` takes only the values ``t[k]`` of
+        the RHS tuples ``t`` that agree with the row's constants at the
+        other head positions and with each other across ``K``.  The result
+        maps each variable some plan restricts to its allowed values (the
+        intersection over the plans); an unrestricted variable is absent.
+
+        Each constraint's RHS is grouped once per head signature (the
+        constant head positions key a :class:`FactIndex`, the variable ones
+        are its output), so a call costs one bucket lookup per plan.  A
+        grouping is a pure function of the plan and the signature, so
+        concurrent searches that both miss the memo store equal values.
+        """
+        supports: dict[Variable, set[Constant]] = {}
+        # The row's variables by slot of row + tail (the tail is constants).
+        variables = {slot: term for slot, term in enumerate(terms) if isinstance(term, Variable)}
+        if not variables:
+            return supports
+        for index, plans in self.seed_plans(relation):
+            for plan in plans:
+                if plan.atoms or plan.head is None or plan.arity != len(terms):
+                    continue  # a join, a denial, or the push raises ArityError
+                if not variables.keys().isdisjoint(chain(*plan.same, *plan.differ)):
+                    continue  # whether the plan matches depends on a variable
+                values = seed_matches(plan, terms)
+                if values is None:
+                    continue  # the plan never matches this row
+                heads = plan.head_slots
+                keys = tuple(k for k, slot in enumerate(heads) if slot not in variables)
+                outs = tuple(k for k, slot in enumerate(heads) if slot in variables)
+                if not outs:
+                    continue  # the head reads constants only: the root decides
+                grouping = self._groupings.get((index, (keys, outs)))
+                if grouping is None:
+                    grouping = FactIndex(keys, outs, rows=plan.rhs)
+                    self._groupings[index, (keys, outs)] = grouping
+                names = [variables[heads[k]] for k in outs]
+                allowed: dict[Variable, set[Constant]] = {name: set() for name in names}
+                for out in grouping.group(tuple(values[heads[k]] for k in keys)):
+                    # A variable at several head positions takes one value.
+                    binding: dict[Variable, Constant] = {}
+                    if all(binding.setdefault(v, value) == value for v, value in zip(names, out)):
+                        for variable, value in binding.items():
+                            allowed[variable].add(value)
+                for variable, here in allowed.items():
+                    known = supports.get(variable)
+                    supports[variable] = here if known is None else known & here
+        return supports
 
     def escapes(self, facts: IndexedFactStore, plan: SeedPlan, row: Row) -> bool:
         """Whether a match of ``plan`` that maps its atom onto ``row`` has a

@@ -19,10 +19,12 @@ trail, violation bookkeeping and fact store: a verdict that differs can only
 come from the evaluation strategy.
 
 :class:`PushOnlyChecker` keeps the library's evaluation but overrides the plan
-hook ``seed_plans`` so that every plan reads the whole row: a
-:class:`~repro.search.engine.WorldSearch` under it checks a row only once the
-row is complete and pushed, with no early check — the reference the
-early-check suites compare the library's search with.
+hook ``seed_plans`` so that every plan reads the whole row, and the pool hook
+``row_supports`` so that it restricts no pool: a
+:class:`~repro.search.engine.WorldSearch` under it tries every Adom value and
+checks a row only once the row is complete and pushed, with no early check —
+the reference the early-check and pool-restriction suites compare the
+library's search with.
 
 :func:`check` evaluates a whole fact store statelessly, from scratch — the
 ground truth the incremental verdicts are compared with.
@@ -41,6 +43,8 @@ from repro.queries.evaluation import (
     match_atom,
     match_conjunction,
 )
+from repro.queries.terms import Term, Variable
+from repro.relational.domains import Constant
 from repro.relational.indexing import IndexedFactStore
 from repro.relational.instance import Row
 from repro.relational.master import MasterData
@@ -137,11 +141,13 @@ def _delta_escapes(
 
 
 class PushOnlyChecker(ConstraintChecker):
-    """The library checker with every plan reading every row position.
+    """The library checker with every plan reading every row position and
+    no pool restriction.
 
     The search schedules an early check of a row only at a depth where the
     positions the plan reads are ground before the row completes, so under
-    this checker it schedules none; pushes evaluate exactly as the library's.
+    this checker it schedules none, and it keeps every pool whole; pushes
+    evaluate exactly as the library's.
     """
 
     def __init__(
@@ -158,6 +164,11 @@ class PushOnlyChecker(ConstraintChecker):
                 for index, seeded in super().seed_plans(relation)
             )
         return plans
+
+    def row_supports(
+        self, relation: str, terms: tuple[Term, ...]
+    ) -> dict[Variable, set[Constant]]:
+        return {}
 
 
 #: Every checker the differential suites run in lockstep, by label: the

@@ -393,8 +393,9 @@ class TestEngineInternals:
 
 class TestStopCheck:
     def test_stop_check_aborts_search(self):
-        # Big enough that the search visits more than one poll stride.
-        workload = wide_pool_workload(rows=4, values_per_key=3)
+        # Big enough that the search visits more than one poll stride: 260
+        # nodes, the registry bound having cut each pool to four values.
+        workload = wide_pool_workload(rows=5, values_per_key=4)
         adom = default_active_domain(
             workload.cinstance, workload.master, workload.constraints
         )
@@ -453,9 +454,9 @@ class TestStopCheck:
         assert search.stats.nodes == STOP_CHECK_STRIDE
 
     def test_existence_check_honours_stop_check(self):
-        # No world exists (four keys, three registry values, all distinct), so
+        # No world exists (five keys, four registry values, all distinct), so
         # has_world walks past the first poll before it could answer.
-        workload = wide_pool_workload(rows=4, values_per_key=3)
+        workload = wide_pool_workload(rows=5, values_per_key=4)
         search = WorldSearch(
             workload.cinstance,
             workload.master,

@@ -22,6 +22,7 @@ from repro.queries.fo import native_query
 from repro.relational.master import MasterData
 from repro.relational.schema import database_schema, schema
 from repro.search.sat_engine import IncrementalSATSession
+from repro.service import pool as pool_module
 from repro.service.plugins import SessionSpec, get_service_plugin
 from repro.service.pool import DatabasePool
 from repro.service.problems import parse_engine
@@ -200,15 +201,30 @@ def test_include_witness(make_pool):
     run(main())
 
 
-def test_single_flight_collapses_identical_concurrent_decides(make_pool):
+def test_single_flight_collapses_identical_concurrent_decides(make_pool, monkeypatch):
     pool = make_pool()
     pool.create_session("s", "patients")
     body = {"problem": "complete", "query": "q1", "model": "strong"}
+    # The leader's work waits until the five followers have joined its
+    # flight: a worker that answered first would cache the answer, and a
+    # late request would be a cache hit rather than a follower.
+    followers_joined = threading.Event()
+    invoke = pool_module.invoke
+
+    def held_invoke(*args):
+        assert followers_joined.wait(timeout=30), "the followers never joined"
+        return invoke(*args)
+
+    monkeypatch.setattr(pool_module, "invoke", held_invoke)
 
     async def main():
-        envelopes = await asyncio.gather(
-            *(pool.decide("s", dict(body)) for _ in range(6))
-        )
+        requests = asyncio.gather(*(pool.decide("s", dict(body)) for _ in range(6)))
+        for _ in range(3000):
+            if pool.metrics.singleflight_followers == 5:
+                break
+            await asyncio.sleep(0.01)
+        followers_joined.set()
+        envelopes = await requests
         assert pool.metrics.engine_runs == 1
         assert sum(1 for e in envelopes if e["deduplicated"]) == 5
         assert len({e["result"]["holds"] for e in envelopes}) == 1
