@@ -7,9 +7,11 @@ Measures, over real sockets against a :class:`ServiceThread`:
   warm facade cache must be ≥ 10x faster than its cold run (the engine
   search amortises across requests; the repeat pays HTTP + a cache probe,
   and is timed after a few untimed hits have warmed the hit path);
-* **single-flight throughput** — N identical concurrent requests must
-  trigger exactly **one** engine search (``metrics.engine_runs``), and the
-  whole burst must complete in well under N cold runs;
+* **single-flight collapse** — N identical concurrent requests must
+  trigger exactly **one** engine search (``metrics.engine_runs``) with
+  N−1 deduplicated followers and no cache hits: the leader's work is held
+  until the followers have joined its flight, so none of them can arrive
+  after the answer is cached;
 * **streaming first-world latency** — the NDJSON ``/worlds`` endpoint must
   yield its first world in a fraction of the full-enumeration drain time
   (the stream is incremental, not a materialise-then-send);
@@ -38,12 +40,15 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import Database  # noqa: E402
 from repro.service import ServiceClient, ServiceConfig, ServiceThread  # noqa: E402
+from repro.service import pool as pool_module  # noqa: E402
 from repro.workloads.generator import wide_pool_workload  # noqa: E402
 
 REQUIRED_WARM_SPEEDUP = 10.0
 REQUIRED_FIRST_WORLD_FRACTION = 0.5
 REQUIRED_VS_REBUILD_SPEEDUP = 2.0
 SINGLEFLIGHT_CLIENTS = 8
+#: How long the single-flight leader's work waits for its followers.
+FOLLOWER_WAIT_SECONDS = 30.0
 
 # Heavy enough that one model count is a real engine search (the wide-pool
 # distinctness constraints leave P(5,4) = 120 worlds on the smoke shape,
@@ -84,10 +89,19 @@ def bench_warm_cache(client: ServiceClient, repeats: int) -> dict:
 
 
 def bench_single_flight(client: ServiceClient, base_url: str) -> dict:
-    runs_before = client.metrics()["engine_runs"]
+    before = client.metrics()
     barrier = threading.Barrier(SINGLEFLIGHT_CLIENTS)
     envelopes: list[dict] = []
     lock = threading.Lock()
+    followers_joined = threading.Event()
+    invoke = pool_module.invoke
+
+    def held_invoke(*args):
+        # The leader's work starts once every follower has joined its
+        # flight (or the wait runs out): a follower arriving after the
+        # answer is cached would be a cache hit, not a collapse.
+        followers_joined.wait(timeout=FOLLOWER_WAIT_SECONDS)
+        return invoke(*args)
 
     def fire() -> None:
         with ServiceClient(base_url) as own:
@@ -99,13 +113,25 @@ def bench_single_flight(client: ServiceClient, base_url: str) -> dict:
     threads = [
         threading.Thread(target=fire) for _ in range(SINGLEFLIGHT_CLIENTS)
     ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=600)
-    burst_seconds = time.perf_counter() - started
-    engine_runs = client.metrics()["engine_runs"] - runs_before
+    pool_module.invoke = held_invoke
+    try:
+        started = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + FOLLOWER_WAIT_SECONDS
+        while time.monotonic() < deadline and (
+            client.metrics()["singleflight_followers"]
+            - before["singleflight_followers"]
+            < SINGLEFLIGHT_CLIENTS - 1
+        ):
+            time.sleep(0.005)
+        followers_joined.set()
+        for thread in threads:
+            thread.join(timeout=600)
+        burst_seconds = time.perf_counter() - started
+    finally:
+        pool_module.invoke = invoke
+    engine_runs = client.metrics()["engine_runs"] - before["engine_runs"]
     deduplicated = sum(1 for e in envelopes if e["deduplicated"])
     cached = sum(1 for e in envelopes if e["cache_hit"])
     values = {e["result"]["value"] for e in envelopes}
@@ -174,17 +200,16 @@ def bench_vs_rebuild(client: ServiceClient, shape: dict, repeats: int) -> dict:
 def evaluate_gates(results: dict) -> tuple[dict, int]:
     warm = results["warm_cache"]["speedup"]
     runs = results["single_flight"]["engine_runs"]
-    collapsed = (
-        results["single_flight"]["deduplicated"]
-        + results["single_flight"]["cache_hits"]
-    )
+    deduplicated = results["single_flight"]["deduplicated"]
+    cache_hits = results["single_flight"]["cache_hits"]
     fraction = results["streaming"]["first_world_fraction"]
     rebuild = results["vs_rebuild"]["speedup"]
     summary = {
         "warm_cache_speedup": warm,
         "required_warm_cache_speedup": REQUIRED_WARM_SPEEDUP,
         "single_flight_engine_runs": runs,
-        "single_flight_collapsed": collapsed,
+        "single_flight_deduplicated": deduplicated,
+        "single_flight_cache_hits": cache_hits,
         "first_world_fraction": fraction,
         "required_first_world_fraction": REQUIRED_FIRST_WORLD_FRACTION,
         "vs_rebuild_speedup": rebuild,
@@ -200,12 +225,13 @@ def evaluate_gates(results: dict) -> tuple[dict, int]:
         print("FAILED: warm-cache repeat not fast enough over its cold run")
         return summary, 1
 
+    clients = results["single_flight"]["clients"]
     print(
-        f"Single-flight: {results['single_flight']['clients']} identical "
-        f"concurrent requests ran {runs} engine search(es), "
-        f"{collapsed} collapsed (required: exactly 1 search)"
+        f"Single-flight: {clients} identical concurrent requests ran {runs} "
+        f"engine search(es), {deduplicated} deduplicated, {cache_hits} cache "
+        f"hit(s) (required: 1 search, {clients - 1} deduplicated, 0 hits)"
     )
-    if runs != 1:
+    if (runs, deduplicated, cache_hits) != (1, clients - 1, 0):
         print("FAILED: identical concurrent requests did not collapse")
         return summary, 1
 

@@ -497,12 +497,7 @@ class Database:
         key = self._cache_key(problem, args_key, config)
         if key is None:
             return MISS
-        hit = self._cache.get(key, *self._cache_context())
-        if hit is MISS:
-            return MISS
-        if isinstance(hit, Decision):
-            return hit.with_(stats=replace(hit.stats, cache_hit=True))
-        return hit
+        return self._cache.get(key, *self._cache_context())
 
     def _cached(
         self,
@@ -525,7 +520,14 @@ class Database:
         value = compute()
         key = self._cache_key(problem, args_key, config)
         if key is not None:
-            self._cache.put(key, value, deps, *self._cache_context())
+            # Decisions are frozen, so the one flagged copy stored here is
+            # what every later hit returns, uncopied.
+            stored = (
+                value.with_(stats=replace(value.stats, cache_hit=True))
+                if isinstance(value, Decision)
+                else value
+            )
+            self._cache.put(key, stored, deps, *self._cache_context())
         return value
 
     def constraint_relations(self) -> frozenset[str]:

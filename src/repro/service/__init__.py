@@ -24,15 +24,14 @@ or embed it::
 See ``docs/service.md`` for the endpoint reference and semantics.
 """
 
-from repro.service.config import PluginSelection, ServiceConfig, SessionConfig
-from repro.service.fingerprint import canonical_fingerprint, canonical_json
+from repro.service.config import ServiceConfig, SessionConfig
 from repro.service.client import ServiceClient, WorldStream
 from repro.service.metrics import ServiceMetrics
 from repro.service.plugins import (
     SessionSpec,
-    get_service_plugin,
-    register_service_plugin,
-    service_plugin_names,
+    get_workload,
+    register_workload,
+    workload_names,
 )
 from repro.service.pool import DatabasePool, SessionState
 from repro.service.server import DecisionService, ServiceThread
@@ -40,7 +39,6 @@ from repro.service.server import DecisionService, ServiceThread
 __all__ = [
     "DatabasePool",
     "DecisionService",
-    "PluginSelection",
     "ServiceClient",
     "ServiceConfig",
     "ServiceMetrics",
@@ -49,9 +47,7 @@ __all__ = [
     "SessionSpec",
     "SessionState",
     "WorldStream",
-    "canonical_fingerprint",
-    "canonical_json",
-    "get_service_plugin",
-    "register_service_plugin",
-    "service_plugin_names",
+    "get_workload",
+    "register_workload",
+    "workload_names",
 ]

@@ -8,10 +8,8 @@
       "executor_workers": 4,
       "request_timeout": 30.0,
       "stream_buffer": 8,
-      "auth": {"name": "token", "options": {"token": "s3cret"}},
-      "rate_limit": {"name": "window",
-                     "options": {"max_requests": 200, "window_seconds": 1.0}},
-      "result_backend": {"name": "memory", "options": {"capacity": 128}},
+      "auth_token": "s3cret",
+      "rate_limit": 200,
       "sessions": {
         "demo": {"workload": "registry",
                  "params": {"master_size": 4, "variable_count": 2},
@@ -20,8 +18,8 @@
     }
 
 Every key has a default; unknown keys raise (a typo must not silently
-deploy a default).  Plugin selections name factories in the service-plugin
-registry (:mod:`repro.service.plugins`).
+deploy a default).  Sessions name factories in the workload registry
+(:mod:`repro.service.plugins`).
 """
 
 from __future__ import annotations
@@ -33,37 +31,12 @@ from typing import Any, Mapping
 
 from repro.exceptions import ServiceError
 
-__all__ = ["PluginSelection", "ServiceConfig", "SessionConfig"]
-
-
-@dataclass(frozen=True)
-class PluginSelection:
-    """One configured plugin: registry name + factory options."""
-
-    name: str
-    options: Mapping[str, Any] = field(default_factory=dict)
-
-    @classmethod
-    def from_raw(cls, raw: Any, what: str) -> "PluginSelection":
-        if isinstance(raw, str):
-            return cls(raw)
-        if isinstance(raw, Mapping):
-            unknown = set(raw) - {"name", "options"}
-            if unknown:
-                raise ServiceError(f"{what}: unknown keys {sorted(unknown)}")
-            name = raw.get("name")
-            if not isinstance(name, str):
-                raise ServiceError(f"{what}: plugin \"name\" must be a string")
-            options = raw.get("options", {})
-            if not isinstance(options, Mapping):
-                raise ServiceError(f"{what}: plugin \"options\" must be an object")
-            return cls(name, dict(options))
-        raise ServiceError(f"{what} must be a plugin name or {{name, options}}")
+__all__ = ["ServiceConfig", "SessionConfig"]
 
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """One preconfigured session: workload plugin + params + default engine."""
+    """One preconfigured session: workload name + params + default engine."""
 
     workload: str
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -78,7 +51,7 @@ class SessionConfig:
             raise ServiceError(f"{what}: unknown keys {sorted(unknown)}")
         workload = raw.get("workload")
         if not isinstance(workload, str):
-            raise ServiceError(f"{what}: \"workload\" must be a plugin name")
+            raise ServiceError(f"{what}: \"workload\" must be a workload name")
         params = raw.get("params", {})
         if not isinstance(params, Mapping):
             raise ServiceError(f"{what}: \"params\" must be an object")
@@ -95,9 +68,8 @@ _CONFIG_KEYS = {
     "request_timeout",
     "stream_buffer",
     "drain_timeout",
-    "auth",
+    "auth_token",
     "rate_limit",
-    "result_backend",
     "sessions",
 }
 
@@ -111,7 +83,10 @@ class ServiceConfig:
     default).  ``request_timeout`` bounds one decision request in seconds
     (``null`` disables); ``stream_buffer`` is the world-stream backpressure
     queue depth; ``drain_timeout`` bounds the graceful-shutdown wait for
-    in-flight requests.
+    in-flight requests.  ``auth_token`` is the token every route but
+    ``/healthz`` requires (``null``: open); ``rate_limit`` is the number of
+    decide and ``/worlds`` requests one session admits in any sliding second
+    (``null``: unlimited).
     """
 
     host: str = "127.0.0.1"
@@ -120,13 +95,8 @@ class ServiceConfig:
     request_timeout: float | None = 30.0
     stream_buffer: int = 8
     drain_timeout: float = 5.0
-    auth: PluginSelection = field(default_factory=lambda: PluginSelection("none"))
-    rate_limit: PluginSelection = field(
-        default_factory=lambda: PluginSelection("none")
-    )
-    result_backend: PluginSelection = field(
-        default_factory=lambda: PluginSelection("memory")
-    )
+    auth_token: str | None = None
+    rate_limit: int | None = None
     sessions: Mapping[str, SessionConfig] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -134,6 +104,10 @@ class ServiceConfig:
             raise ServiceError("executor_workers must be >= 1")
         if self.stream_buffer < 1:
             raise ServiceError("stream_buffer must be >= 1")
+        if self.auth_token == "":
+            raise ServiceError("auth_token must be a non-empty string or null")
+        if self.rate_limit is not None and self.rate_limit < 1:
+            raise ServiceError("rate_limit must be >= 1 or null")
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ServiceConfig":
@@ -154,13 +128,19 @@ class ServiceConfig:
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ServiceError(f"config {key!r} must be an integer")
                 kwargs[key] = value
-        if "executor_workers" in raw:
-            value = raw["executor_workers"]
-            if value is not None and (
-                not isinstance(value, int) or isinstance(value, bool)
-            ):
-                raise ServiceError("config 'executor_workers' must be int or null")
-            kwargs["executor_workers"] = value
+        for key in ("executor_workers", "rate_limit"):
+            if key in raw:
+                value = raw[key]
+                if value is not None and (
+                    not isinstance(value, int) or isinstance(value, bool)
+                ):
+                    raise ServiceError(f"config {key!r} must be int or null")
+                kwargs[key] = value
+        if "auth_token" in raw:
+            token = raw["auth_token"]
+            if token is not None and not isinstance(token, str):
+                raise ServiceError("config 'auth_token' must be a string or null")
+            kwargs["auth_token"] = token
         for key in ("request_timeout", "drain_timeout"):
             if key in raw:
                 value = raw[key]
@@ -170,9 +150,6 @@ class ServiceConfig:
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise ServiceError(f"config {key!r} must be a number")
                 kwargs[key] = float(value)
-        for key in ("auth", "rate_limit", "result_backend"):
-            if key in raw:
-                kwargs[key] = PluginSelection.from_raw(raw[key], f"config {key!r}")
         if "sessions" in raw:
             sessions_raw = raw["sessions"]
             if not isinstance(sessions_raw, Mapping):

@@ -1,40 +1,21 @@
-"""The service-plugin registry: workloads, auth hooks, rate limits, backends.
+"""The workload registry: the named session specifications a service serves.
 
-Mirrors the world-search engine registry
-(:func:`repro.search.registry.register_engine`): plugins are factories
-registered under a ``(kind, name)`` pair and instantiated from config-file
-options, so deployments extend the service without patching it — the same
-config-driven registration idiom as the engine registry (and as Klipper's
-``load_config_prefix`` pattern it was modelled on).
+Clients cannot ship c-instances over JSON, so a session is created from a
+registered *workload*: a factory that takes JSON parameters and returns a
+:class:`SessionSpec` (the c-instance, master data, constraints and named
+queries).  Decision requests then reference the session's queries by name.
+Registration mirrors the engine registry
+(:func:`repro.search.registry.register_engine`).
 
-Four plugin kinds:
-
-``workload``
-    A factory producing a :class:`SessionSpec` — the c-instance, master
-    data, constraints and named queries a service session is created from.
-    Clients cannot ship c-instances over JSON; they reference a registered
-    workload by name (plus JSON parameters) when creating a session, and
-    reference its queries by name in decision requests.
-``auth``
-    An :class:`AuthHook` deciding, per request, whether the caller is
-    authorised (from the request headers).
-``rate_limit``
-    A :class:`RateLimiter` admitting or rejecting requests per session.
-``result_backend``
-    A :class:`ResultBackend` recording decision envelopes per session (an
-    audit/inspection surface served at ``GET /sessions/{name}/results``).
-
-Built-ins: workloads ``"registry"`` (the synthetic Record/Registry family)
-and ``"patients"`` (the paper's Figure 1 scenario); auth ``"none"`` and
-``"token"``; rate limits ``"none"`` and ``"window"``; result backends
-``"memory"`` and ``"null"``.
+Built-ins: ``"registry"`` (the synthetic Record/Registry family),
+``"wide"`` (many worlds, for streaming and counting) and ``"patients"``
+(the paper's Figure 1 scenario).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Callable, Mapping
 
 from repro.constraints.containment import ContainmentConstraint
 from repro.ctables.cinstance import CInstance
@@ -42,76 +23,45 @@ from repro.exceptions import ServiceError
 from repro.queries.evaluation import Query
 from repro.relational.master import MasterData
 
-__all__ = [
-    "AuthHook",
-    "PLUGIN_KINDS",
-    "RateLimiter",
-    "ResultBackend",
-    "SessionSpec",
-    "get_service_plugin",
-    "register_service_plugin",
-    "service_plugin_names",
-]
+__all__ = ["SessionSpec", "get_workload", "register_workload", "workload_names"]
 
-PLUGIN_KINDS = ("workload", "auth", "rate_limit", "result_backend")
+WorkloadFactory = Callable[..., "SessionSpec"]
 
-ServicePluginFactory = Callable[..., Any]
-
-_PLUGINS: dict[str, dict[str, ServicePluginFactory]] = {
-    kind: {} for kind in PLUGIN_KINDS
-}
+_WORKLOADS: dict[str, WorkloadFactory] = {}
 
 
-def register_service_plugin(
-    kind: str,
-    name: str,
-    factory: ServicePluginFactory,
-    *,
-    replace: bool = False,
+def register_workload(
+    name: str, factory: WorkloadFactory, *, replace: bool = False
 ) -> None:
-    """Register a plugin factory under ``(kind, name)``.
+    """Register a workload factory under ``name``.
 
-    ``factory`` is called with the JSON options of the selecting config as
-    keyword arguments.  Re-registering an existing name raises unless
+    ``factory`` is called with a session's JSON ``params`` as keyword
+    arguments.  Re-registering an existing name raises unless
     ``replace=True``, exactly like :func:`repro.search.registry.register_engine`.
     """
-    if kind not in PLUGIN_KINDS:
+    if name in _WORKLOADS and not replace:
         raise ServiceError(
-            f"unknown plugin kind {kind!r}; expected one of {PLUGIN_KINDS}"
+            f"workload {name!r} is already registered (pass replace=True to override)"
         )
-    table = _PLUGINS[kind]
-    if name in table and not replace:
-        raise ServiceError(
-            f"{kind} plugin {name!r} is already registered "
-            "(pass replace=True to override)"
-        )
-    table[name] = factory
+    _WORKLOADS[name] = factory
 
 
-def get_service_plugin(kind: str, name: str) -> ServicePluginFactory:
-    """The registered factory for ``(kind, name)``; 400-level error if absent."""
-    if kind not in PLUGIN_KINDS:
-        raise ServiceError(
-            f"unknown plugin kind {kind!r}; expected one of {PLUGIN_KINDS}"
-        )
-    factory = _PLUGINS[kind].get(name)
+def get_workload(name: str) -> WorkloadFactory:
+    """The registered factory for ``name``; a 400-level error if absent."""
+    factory = _WORKLOADS.get(name)
     if factory is None:
-        known = ", ".join(sorted(_PLUGINS[kind])) or "none registered"
-        raise ServiceError(f"unknown {kind} plugin {name!r} (known: {known})")
+        known = ", ".join(sorted(_WORKLOADS)) or "none registered"
+        raise ServiceError(f"unknown workload {name!r} (known: {known})")
     return factory
 
 
-def service_plugin_names(kind: str) -> tuple[str, ...]:
-    """The registered plugin names of one kind, sorted."""
-    if kind not in PLUGIN_KINDS:
-        raise ServiceError(
-            f"unknown plugin kind {kind!r}; expected one of {PLUGIN_KINDS}"
-        )
-    return tuple(sorted(_PLUGINS[kind]))
+def workload_names() -> tuple[str, ...]:
+    """The registered workload names, sorted."""
+    return tuple(sorted(_WORKLOADS))
 
 
 # ---------------------------------------------------------------------------
-# workload plugins → session specifications
+# session specifications and the built-in workloads
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SessionSpec:
@@ -195,147 +145,6 @@ def _patients_workload(**params: Any) -> SessionSpec:
     )
 
 
-# ---------------------------------------------------------------------------
-# auth plugins
-# ---------------------------------------------------------------------------
-class AuthHook(Protocol):
-    """Authorisation decision from request headers."""
-
-    def authorize(self, headers: Mapping[str, str]) -> bool:
-        """Whether a request with these (lower-cased) headers may proceed."""
-        ...
-
-
-class AllowAllAuth:
-    """The default hook: every request is authorised."""
-
-    def authorize(self, headers: Mapping[str, str]) -> bool:
-        del headers
-        return True
-
-
-class TokenAuth:
-    """Static bearer-token auth: ``Authorization: Bearer <token>``.
-
-    Also accepts the token in an ``x-repro-token`` header for clients that
-    cannot set ``Authorization``.
-    """
-
-    def __init__(self, token: str) -> None:
-        if not token:
-            raise ServiceError("token auth requires a non-empty token")
-        self._token = token
-
-    def authorize(self, headers: Mapping[str, str]) -> bool:
-        if headers.get("x-repro-token") == self._token:
-            return True
-        return headers.get("authorization") == f"Bearer {self._token}"
-
-
-# ---------------------------------------------------------------------------
-# rate-limit plugins
-# ---------------------------------------------------------------------------
-class RateLimiter(Protocol):
-    """Per-session request admission."""
-
-    def allow(self, session: str) -> bool:
-        """Whether one more request against ``session`` is admitted now."""
-        ...
-
-
-class UnlimitedRateLimiter:
-    """The default limiter: everything is admitted."""
-
-    def allow(self, session: str) -> bool:
-        del session
-        return True
-
-
-class WindowRateLimiter:
-    """Sliding-window limiter: ``max_requests`` per ``window_seconds``/session.
-
-    ``clock`` is injectable for deterministic tests (defaults to
-    ``time.monotonic``).
-    """
-
-    def __init__(
-        self,
-        max_requests: int = 100,
-        window_seconds: float = 1.0,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
-        import time
-
-        if max_requests < 1:
-            raise ServiceError("window rate limit requires max_requests >= 1")
-        if window_seconds <= 0:
-            raise ServiceError("window rate limit requires window_seconds > 0")
-        self._max = max_requests
-        self._window = window_seconds
-        self._clock = clock if clock is not None else time.monotonic
-        self._events: dict[str, deque[float]] = {}
-
-    def allow(self, session: str) -> bool:
-        now = self._clock()
-        events = self._events.setdefault(session, deque())
-        horizon = now - self._window
-        while events and events[0] <= horizon:
-            events.popleft()
-        if len(events) >= self._max:
-            return False
-        events.append(now)
-        return True
-
-
-# ---------------------------------------------------------------------------
-# result-backend plugins
-# ---------------------------------------------------------------------------
-class ResultBackend(Protocol):
-    """Per-session recording of decision envelopes."""
-
-    def record(self, session: str, payload: Mapping[str, Any]) -> None:
-        """Store one decision envelope for ``session``."""
-        ...
-
-    def recent(self, session: str) -> list[dict[str, Any]]:
-        """The stored envelopes for ``session``, oldest first."""
-        ...
-
-
-class MemoryResultBackend:
-    """A bounded in-memory ring buffer of recent envelopes per session."""
-
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ServiceError("memory result backend requires capacity >= 1")
-        self._capacity = capacity
-        self._results: dict[str, deque[dict[str, Any]]] = {}
-
-    def record(self, session: str, payload: Mapping[str, Any]) -> None:
-        ring = self._results.setdefault(session, deque(maxlen=self._capacity))
-        ring.append(dict(payload))
-
-    def recent(self, session: str) -> list[dict[str, Any]]:
-        return list(self._results.get(session, ()))
-
-
-class NullResultBackend:
-    """Discards everything (for deployments that do not want the surface)."""
-
-    def record(self, session: str, payload: Mapping[str, Any]) -> None:
-        del session, payload
-
-    def recent(self, session: str) -> list[dict[str, Any]]:
-        del session
-        return []
-
-
-register_service_plugin("workload", "registry", _registry_workload)
-register_service_plugin("workload", "wide", _wide_workload)
-register_service_plugin("workload", "patients", _patients_workload)
-register_service_plugin("auth", "none", AllowAllAuth)
-register_service_plugin("auth", "token", TokenAuth)
-register_service_plugin("rate_limit", "none", UnlimitedRateLimiter)
-register_service_plugin("rate_limit", "window", WindowRateLimiter)
-register_service_plugin("result_backend", "memory", MemoryResultBackend)
-register_service_plugin("result_backend", "null", NullResultBackend)
+register_workload("registry", _registry_workload)
+register_workload("wide", _wide_workload)
+register_workload("patients", _patients_workload)

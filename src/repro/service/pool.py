@@ -1,8 +1,9 @@
 """The :class:`DatabasePool`: per-session facades, one thread pool, memoisation.
 
-The pool owns one :class:`~repro.api.Database` per named session plus the
-thread pool that keeps engine work off the event loop, and implements the
-service's cross-request semantics:
+The pool owns one :class:`SessionState` per named session (its
+:class:`~repro.api.Database`, lock, recent envelopes and rate window) plus
+the thread pool that keeps engine work off the event loop, and implements
+the service's cross-request semantics:
 
 * **memoisation** — every decision request probes the session facade's
   :class:`~repro.incremental.DecisionCache` through the public
@@ -13,9 +14,10 @@ service's cross-request semantics:
   under the facade's own dependency-scoped invalidation rules — so service
   traffic and embedded facade calls share one cache, and
   :meth:`~repro.api.Database.update` evicts exactly the dependent entries;
-* **single-flight** — concurrent identical requests (same session, same
-  canonical body fingerprint, same engine) collapse onto one computation
-  whose :class:`~repro.decision.Decision` fans out to every waiter;
+* **single-flight** — concurrent misses under one cache identity (same
+  session, ``problem``, ``args_key`` and resolved engine name) collapse onto
+  one computation whose :class:`~repro.decision.Decision` fans out to every
+  waiter, so requests the cache treats as one also share one flight;
 * **update serialisation** — ``update``/``batch`` take the session's write
   lock, so they never run under an in-flight read (a timed-out miss
   included: it holds the read side until its thread returns), and bump the
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -39,11 +42,10 @@ from repro.exceptions import (
     UpdateError,
 )
 from repro.incremental import MISS, RowSpec, UpdateResult
-from repro.search.registry import EngineConfig
-from repro.service.fingerprint import canonical_fingerprint
+from repro.search.registry import EngineConfig, resolve_engine_name
 from repro.service.locks import ReadWriteLock
 from repro.service.metrics import ServiceMetrics
-from repro.service.plugins import SessionSpec, get_service_plugin
+from repro.service.plugins import SessionSpec, get_workload
 from repro.service.problems import (
     invoke,
     parse_decision,
@@ -56,10 +58,19 @@ from repro.service.singleflight import SingleFlight
 
 __all__ = ["DatabasePool", "SessionState"]
 
+#: How many decision envelopes a session keeps for ``GET .../results``.
+RESULTS_KEPT = 64
+
+#: The sliding window, in seconds, that ``ServiceConfig.rate_limit`` counts.
+RATE_WINDOW_SECONDS = 1.0
+
 
 @dataclass
 class SessionState:
-    """One named session: spec + facade + lock + update counter."""
+    """One named session: spec + facade + lock + update counter, and what
+    the server keeps per session: its newest decision envelopes and the
+    times of the requests its rate limit counts.  Dropping the session
+    drops them too."""
 
     name: str
     spec: SessionSpec
@@ -67,6 +78,22 @@ class SessionState:
     engine: str | None = None
     lock: ReadWriteLock = field(default_factory=ReadWriteLock)
     version: int = 0
+    results: deque[dict[str, Any]] = field(
+        default_factory=lambda: deque(maxlen=RESULTS_KEPT)
+    )
+    requests: deque[float] = field(default_factory=deque)
+
+    def admit(self, limit: int, now: float) -> bool:
+        """Whether one more request at ``now`` (monotonic seconds) keeps the
+        session within ``limit`` requests per sliding
+        :data:`RATE_WINDOW_SECONDS`; an admitted request is counted."""
+        requests = self.requests
+        while requests and requests[0] <= now - RATE_WINDOW_SECONDS:
+            requests.popleft()
+        if len(requests) >= limit:
+            return False
+        requests.append(now)
+        return True
 
     def info(self) -> dict[str, Any]:
         """The JSON shape of ``GET /sessions/{name}``."""
@@ -122,19 +149,16 @@ class DatabasePool:
         params: Mapping[str, Any] | None = None,
         engine: str | None = None,
     ) -> SessionState:
-        """Create a session from a registered workload plugin."""
+        """Create a session from a registered workload."""
         if not name or "/" in name:
             raise ServiceError(f"invalid session name {name!r}")
         if name in self._sessions:
             raise ServiceError(
                 f"session {name!r} already exists", status=409
             )
-        factory = get_service_plugin("workload", workload)
-        spec = factory(**dict(params or {}))
+        spec = get_workload(workload)(**dict(params or {}))
         if not isinstance(spec, SessionSpec):
-            raise ServiceError(
-                f"workload plugin {workload!r} did not produce a SessionSpec"
-            )
+            raise ServiceError(f"workload {workload!r} did not produce a SessionSpec")
         return self.add_session(name, spec, engine=engine)
 
     def add_session(
@@ -193,17 +217,13 @@ class DatabasePool:
                 cache_hit = True
                 self.metrics.cache_hits += 1
             else:
+                # The facade's cache identity, resolved as its _cache_key
+                # resolves a wire request's engine (a name, no options).
                 flight_key = (
                     name,
                     request.problem,
-                    canonical_fingerprint(
-                        {
-                            key: value
-                            for key, value in body.items()
-                            if key != "include_witness"
-                        }
-                    ),
-                    engine.name if engine is not None else state.engine,
+                    request.args_key,
+                    resolve_engine_name(engine if engine is not None else state.engine),
                 )
                 leader, future = self._singleflight.acquire(flight_key)
                 if leader:

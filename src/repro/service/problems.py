@@ -8,7 +8,8 @@ One module owns the mapping between the JSON request surface and the
 * **cache identity** — the ``(problem, args_key)`` pair the facade's own
   methods memoise under, so a service-side
   :meth:`~repro.api.Database.cache_probe` hits entries populated by direct
-  facade calls and vice versa.
+  facade calls and vice versa, and concurrent misses under one identity
+  share one single-flight computation in the pool.
 
 Invalidation scope is not repeated here: a miss runs the facade method
 itself, which stores its result under its own dependency set.  A drift in

@@ -1,9 +1,10 @@
 """The asyncio decision service: routing, streaming, graceful shutdown.
 
 :class:`DecisionService` glues the pieces together: the minimal HTTP layer
-(:mod:`repro.service.http`), the session pool and its worker threads
-(:mod:`repro.service.pool`) and the plugin registry
-(:mod:`repro.service.plugins`).  The endpoint surface:
+(:mod:`repro.service.http`) and the session pool and its worker threads
+(:mod:`repro.service.pool`), and applies the two request gates of the
+config: the ``auth_token`` (``401``) and the per-session ``rate_limit``
+(``429``).  The endpoint surface:
 
 ========  ==================================  =====================================
 method    path                                meaning
@@ -12,13 +13,13 @@ GET       ``/healthz``                        liveness (no auth)
 GET       ``/metrics``                        :class:`ServiceMetrics` counters
 GET       ``/engines``                        registered engines + capabilities
 GET       ``/sessions``                       session names
-POST      ``/sessions``                       create from a workload plugin
+POST      ``/sessions``                       create from a registered workload
 GET       ``/sessions/{s}``                   session info
 DELETE    ``/sessions/{s}``                   drop the session
 POST      ``/sessions/{s}/decide``            one decision request
 POST      ``/sessions/{s}/update``            row-level add/drop update
 POST      ``/sessions/{s}/batch``             transactional update batch
-GET       ``/sessions/{s}/results``           recent envelopes (result backend)
+GET       ``/sessions/{s}/results``           the session's newest 64 envelopes
 GET       ``/sessions/{s}/worlds``            stream ``Mod_Adom`` as NDJSON
 ========  ==================================  =====================================
 
@@ -44,8 +45,10 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import hmac
 import logging
 import threading
+import time
 from dataclasses import asdict
 from typing import Any, Mapping
 
@@ -63,7 +66,6 @@ from repro.service.http import (
     send_json,
 )
 from repro.service.metrics import ServiceMetrics
-from repro.service.plugins import get_service_plugin
 from repro.service.pool import DatabasePool, SessionState
 
 #: Where the service logs: every internal error, with its traceback.
@@ -88,7 +90,7 @@ def world_payload(world: GroundInstance) -> dict[str, Any]:
 
 
 class DecisionService:
-    """The service proper: owns the pool, the plugins and the listener."""
+    """The service proper: owns the pool and the listener."""
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
@@ -98,15 +100,8 @@ class DecisionService:
             request_timeout=self.config.request_timeout,
             metrics=self.metrics,
         )
-        self._auth = get_service_plugin("auth", self.config.auth.name)(
-            **dict(self.config.auth.options)
-        )
-        self._rate_limit = get_service_plugin(
-            "rate_limit", self.config.rate_limit.name
-        )(**dict(self.config.rate_limit.options))
-        self._results = get_service_plugin(
-            "result_backend", self.config.result_backend.name
-        )(**dict(self.config.result_backend.options))
+        token = self.config.auth_token
+        self._token = token.encode() if token is not None else None
         self._server: asyncio.base_events.Server | None = None
         self._closing = False
         #: The handlers of the connections waiting for their next request,
@@ -197,6 +192,14 @@ class DecisionService:
         request that could not be read, is a 500, or the service drains.
         """
         self.metrics.connections += 1
+        # asyncio's selector transport reads each chunk into a fresh buffer
+        # of its max_size (256 KiB on Python 3.11).  Whether a buffer that
+        # large reuses heap memory or maps new pages, which fault on every
+        # request, depends on the heap's layout: one more import in this
+        # module once took the server from 0 to 2 minor faults per request.
+        # 64 KiB is the StreamReader's own limit; MAX_HEADER_BYTES and
+        # MAX_BODY_BYTES still bound a request.
+        writer.transport.max_size = 64 * 1024  # type: ignore[attr-defined]
         handler = asyncio.current_task()
         assert handler is not None
         served = False
@@ -280,7 +283,7 @@ class DecisionService:
         parts = request.path_parts()
         if parts == ["healthz"]:
             return 200, {"ok": True, "status": "draining" if self._closing else "ok"}
-        if not self._auth.authorize(request.headers):
+        if not self._authorized(request.headers):
             self.metrics.rejected += 1
             raise HTTPError(401, "unauthorized")
         if self._closing:
@@ -301,6 +304,30 @@ class DecisionService:
         if len(parts) >= 2 and parts[0] == "sessions":
             return await self._dispatch_session(parts[1:], request, reader, writer)
         raise HTTPError(404, f"no route for {request.method} {request.path}")
+
+    def _authorized(self, headers: Mapping[str, str]) -> bool:
+        """Whether ``headers`` carry the configured token, as ``Authorization:
+        Bearer <token>`` or ``x-repro-token`` (always, when none is set).
+        The comparison takes the same time wherever a guess goes wrong."""
+        if self._token is None:
+            return True
+        scheme, _, bearer = headers.get("authorization", "").partition(" ")
+        offered = [headers.get("x-repro-token", "")]
+        if scheme == "Bearer":
+            offered.append(bearer)
+        return any(
+            hmac.compare_digest(value.encode(), self._token) for value in offered
+        )
+
+    def _admitted(self, name: str) -> SessionState:
+        """The session ``name`` (404 when unknown) once its rate limit
+        admits one more request (429 when it does not)."""
+        state = self.pool.session(name)
+        limit = self.config.rate_limit
+        if limit is not None and not state.admit(limit, time.monotonic()):
+            self.metrics.rejected += 1
+            raise HTTPError(429, f"rate limit exceeded for session {name!r}")
+        return state
 
     def _dispatch_sessions_root(self, request: HTTPRequest) -> Response:
         if request.method == "GET":
@@ -344,24 +371,18 @@ class DecisionService:
             raise HTTPError(404, f"no route for {request.method} {request.path}")
         action = parts[1]
         if action == "decide" and request.method == "POST":
-            if not self._rate_limit.allow(name):
-                self.metrics.rejected += 1
-                raise HTTPError(429, f"rate limit exceeded for session {name!r}")
+            state = self._admitted(name)
             envelope = await self.pool.decide(name, request.json())
-            self._results.record(name, envelope)
+            state.results.append(envelope)
             return 200, envelope
         if action == "update" and request.method == "POST":
             return 200, await self.pool.update(name, request.json())
         if action == "batch" and request.method == "POST":
             return 200, await self.pool.batch(name, request.json())
         if action == "results" and request.method == "GET":
-            self.pool.session(name)  # 404 on unknown sessions
-            return 200, {"ok": True, "results": self._results.recent(name)}
+            return 200, {"ok": True, "results": list(self.pool.session(name).results)}
         if action == "worlds" and request.method == "GET":
-            if not self._rate_limit.allow(name):
-                self.metrics.rejected += 1
-                raise HTTPError(429, f"rate limit exceeded for session {name!r}")
-            await self._stream_worlds(name, request, reader, writer)
+            await self._stream_worlds(self._admitted(name), request, reader, writer)
             return None
         raise HTTPError(404, f"no route for {request.method} {request.path}")
 
@@ -387,12 +408,11 @@ class DecisionService:
 
     async def _stream_worlds(
         self,
-        name: str,
+        state: SessionState,
         request: HTTPRequest,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        state = self.pool.session(name)
         limit_raw = request.query.get("limit")
         limit: int | None = None
         if limit_raw is not None:
@@ -448,7 +468,7 @@ class DecisionService:
         chunked = ChunkedWriter(writer)
         self.metrics.streams_started += 1
         thread = threading.Thread(
-            target=pump, name=f"repro-stream-{name}", daemon=True
+            target=pump, name=f"repro-stream-{state.name}", daemon=True
         )
         completed = False
         async with state.lock.read_locked():

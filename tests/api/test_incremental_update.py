@@ -159,6 +159,21 @@ def test_cache_hit_true_after_non_touching_update():
     assert db.is_consistent(witness=False).stats.cache_hit is True
 
 
+def test_cache_hits_return_the_stored_decision_uncopied():
+    workload = registry_workload(seed=0)
+    db = Database(workload.cinstance, workload.master, workload.constraints)
+    miss = db.is_consistent(witness=False)
+    assert miss.stats.cache_hit is False
+    first = db.cache_probe("consistency", ("witness", False))
+    second = db.cache_probe("consistency", ("witness", False))
+    assert first is second
+    assert first.stats.cache_hit is True
+    assert first == miss
+    assert db.is_consistent(witness=False) is first
+    # The probe never touches the stored entry.
+    assert miss.stats.cache_hit is False
+
+
 def test_adom_change_invalidates_even_untouched_dependencies():
     db = two_relation_database()
     db.is_consistent(witness=False)

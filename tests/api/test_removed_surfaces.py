@@ -1,4 +1,4 @@
-"""The surfaces 3.0.0, 4.0.0, 5.0.0 and 6.0.0 removed fail loudly.
+"""The surfaces 3.0.0, 4.0.0, 5.0.0, 6.0.0 and 7.0.0 removed fail loudly.
 
 3.0.0 deleted the 1.x→2.0 deprecation shims and the baseline toggles (see the
 README migration table); the live SAT session's encoding switches
@@ -34,6 +34,15 @@ executor, a thread pool running every miss on the session's facade: the
 ``Database.cache_store`` and ``repro.service.problems.dependencies``, the
 pool's copy of the facade's cache rules.
 
+7.0.0 took the plugin registries out of the service: the ``auth``,
+``rate_limit`` and ``result_backend`` kinds with their classes and
+protocols, ``PluginSelection`` and the ``(kind, name)`` registry functions
+(the workload registry stays as ``register_workload``, ``get_workload`` and
+``workload_names``), and ``repro.service.fingerprint``.  ``auth_token`` and
+an integer ``rate_limit`` replace the config keys; ``auth`` and
+``result_backend`` are unknown keys now, and a ``rate_limit`` object is
+rejected.
+
 A removed keyword must
 raise ``TypeError`` and a removed attribute ``AttributeError``: neither may be
 absorbed by a ``**kwargs`` pass-through or an attribute fallback, which would
@@ -48,6 +57,9 @@ import pytest
 
 import repro.ctables
 import repro.search
+import repro.service
+import repro.service.config
+import repro.service.plugins
 import repro.service.problems
 from repro.reductions import dpll
 from repro.search import cnf_encoding
@@ -237,6 +249,8 @@ REMOVED_KEYWORDS = {
     ),
     "DatabasePool(executor=)": lambda w: DatabasePool(executor="thread"),
     "ServiceConfig(executor=)": lambda w: ServiceConfig(executor="thread"),
+    "ServiceConfig(auth=)": lambda w: ServiceConfig(auth="none"),
+    "ServiceConfig(result_backend=)": lambda w: ServiceConfig(result_backend="memory"),
 }
 
 
@@ -256,6 +270,74 @@ def test_the_executor_flag_is_gone(capsys):
         build_config(["--executor", "thread"])
     assert raised.value.code == 2
     assert "--executor" in capsys.readouterr().err
+
+
+#: The service-plugin surfaces 7.0.0 removed, by module.
+REMOVED_PLUGIN_NAMES = {
+    repro.service: (
+        "PluginSelection",
+        "register_service_plugin",
+        "get_service_plugin",
+        "service_plugin_names",
+        "canonical_fingerprint",
+        "canonical_json",
+    ),
+    repro.service.config: ("PluginSelection",),
+    repro.service.plugins: (
+        "PLUGIN_KINDS",
+        "register_service_plugin",
+        "get_service_plugin",
+        "service_plugin_names",
+        "AuthHook",
+        "RateLimiter",
+        "ResultBackend",
+        "AllowAllAuth",
+        "TokenAuth",
+        "UnlimitedRateLimiter",
+        "WindowRateLimiter",
+        "MemoryResultBackend",
+        "NullResultBackend",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    ("module", "name"),
+    [(module, name) for module, names in REMOVED_PLUGIN_NAMES.items() for name in names],
+    ids=[
+        f"{module.__name__}.{name}"
+        for module, names in REMOVED_PLUGIN_NAMES.items()
+        for name in names
+    ],
+)
+def test_the_service_plugin_surfaces_are_gone(module, name):
+    with pytest.raises(AttributeError):
+        getattr(module, name)
+    assert name not in getattr(module, "__all__", ())
+
+
+def test_the_fingerprint_module_is_gone():
+    with pytest.raises(ImportError):
+        import repro.service.fingerprint  # noqa: F401
+
+
+@pytest.mark.parametrize("key", ["auth", "result_backend"])
+def test_the_plugin_config_keys_are_unknown(key):
+    with pytest.raises(ServiceError, match=rf"unknown service config keys \['{key}'\]"):
+        ServiceConfig.from_dict({key: {"name": "none"}})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"name": "window", "options": {"max_requests": 5, "window_seconds": 60.0}},
+        "none",
+    ],
+    ids=["object", "name"],
+)
+def test_the_rate_limit_plugin_form_is_rejected(value):
+    with pytest.raises(ServiceError, match="'rate_limit' must be int or null"):
+        ServiceConfig.from_dict({"rate_limit": value})
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service.config import PluginSelection, ServiceConfig, SessionConfig
+from repro.service.config import ServiceConfig, SessionConfig
 
 
 def test_defaults():
@@ -16,8 +16,8 @@ def test_defaults():
     assert config.executor_workers is None
     assert config.request_timeout == 30.0
     assert config.stream_buffer == 8
-    assert config.auth.name == "none"
-    assert config.result_backend.name == "memory"
+    assert config.auth_token is None
+    assert config.rate_limit is None
     assert config.sessions == {}
 
 
@@ -30,9 +30,8 @@ def test_from_dict_full():
             "request_timeout": None,
             "stream_buffer": 2,
             "drain_timeout": 1.5,
-            "auth": {"name": "token", "options": {"token": "s3cret"}},
-            "rate_limit": "none",
-            "result_backend": {"name": "memory", "options": {"capacity": 16}},
+            "auth_token": "s3cret",
+            "rate_limit": 200,
             "sessions": {
                 "demo": {
                     "workload": "patients",
@@ -48,8 +47,8 @@ def test_from_dict_full():
     assert config.port == 9000
     assert config.executor_workers == 4
     assert config.request_timeout is None
-    assert config.auth == PluginSelection("token", {"token": "s3cret"})
-    assert config.rate_limit == PluginSelection("none")
+    assert config.auth_token == "s3cret"
+    assert config.rate_limit == 200
     assert config.sessions["demo"] == SessionConfig("patients", {}, "sat")
     assert config.sessions["synthetic"].params == {"master_size": 3}
 
@@ -61,8 +60,6 @@ def test_unknown_keys_rejected():
         ServiceConfig.from_dict(
             {"sessions": {"s": {"workload": "patients", "engin": "sat"}}}
         )
-    with pytest.raises(ServiceError, match="unknown keys"):
-        ServiceConfig.from_dict({"auth": {"name": "none", "option": {}}})
 
 
 def test_bad_values_rejected():
@@ -78,6 +75,19 @@ def test_bad_values_rejected():
         ServiceConfig.from_dict({"port": True})
     with pytest.raises(ServiceError, match="must be a number"):
         ServiceConfig.from_dict({"drain_timeout": "fast"})
+    with pytest.raises(ServiceError, match="'auth_token' must be a string or null"):
+        ServiceConfig.from_dict({"auth_token": 1234})
+    with pytest.raises(ServiceError, match="auth_token must be a non-empty string"):
+        ServiceConfig.from_dict({"auth_token": ""})
+    with pytest.raises(ServiceError, match="'rate_limit' must be int or null"):
+        ServiceConfig.from_dict({"rate_limit": 2.5})
+    with pytest.raises(ServiceError, match="rate_limit must be >= 1"):
+        ServiceConfig.from_dict({"rate_limit": 0})
+
+
+def test_open_and_unlimited_by_null():
+    config = ServiceConfig.from_dict({"auth_token": None, "rate_limit": None})
+    assert (config.auth_token, config.rate_limit) == (None, None)
 
 
 def test_from_file_round_trip(tmp_path):

@@ -1,19 +1,16 @@
-"""The service-plugin registry and the built-in plugin implementations."""
+"""The workload registry and the built-in workloads."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import ServiceError
+from repro.service import plugins
 from repro.service.plugins import (
-    MemoryResultBackend,
-    NullResultBackend,
     SessionSpec,
-    TokenAuth,
-    WindowRateLimiter,
-    get_service_plugin,
-    register_service_plugin,
-    service_plugin_names,
+    get_workload,
+    register_workload,
+    workload_names,
 )
 
 
@@ -21,106 +18,42 @@ from repro.service.plugins import (
 # the registry
 # ---------------------------------------------------------------------------
 def test_builtins_are_registered():
-    assert set(service_plugin_names("workload")) >= {"registry", "patients"}
-    assert set(service_plugin_names("auth")) >= {"none", "token"}
-    assert set(service_plugin_names("rate_limit")) >= {"none", "window"}
-    assert set(service_plugin_names("result_backend")) >= {"memory", "null"}
+    assert set(workload_names()) >= {"registry", "wide", "patients"}
 
 
-def test_duplicate_registration_requires_replace():
-    register_service_plugin("auth", "test-dup", TokenAuth)
-    try:
-        with pytest.raises(ServiceError, match="already registered"):
-            register_service_plugin("auth", "test-dup", TokenAuth)
-        register_service_plugin("auth", "test-dup", TokenAuth, replace=True)
-    finally:
-        # The registry has no unregister; replacing with a built-in keeps the
-        # namespace clean enough for one test process.
-        register_service_plugin("auth", "test-dup", TokenAuth, replace=True)
+def test_duplicate_registration_requires_replace(monkeypatch):
+    monkeypatch.setattr(plugins, "_WORKLOADS", dict(plugins._WORKLOADS))
+    factory = get_workload("patients")
+    register_workload("test-dup", factory)
+    with pytest.raises(ServiceError, match="already registered"):
+        register_workload("test-dup", factory)
+    register_workload("test-dup", factory, replace=True)
+    assert get_workload("test-dup") is factory
 
 
-def test_unknown_kind_and_name_raise():
-    with pytest.raises(ServiceError, match="unknown plugin kind"):
-        register_service_plugin("nonsense", "x", TokenAuth)
-    with pytest.raises(ServiceError):
-        get_service_plugin("auth", "no-such-auth")
-    with pytest.raises(ServiceError):
-        get_service_plugin("nonsense", "x")
+def test_unknown_workload_names_the_known_ones():
+    with pytest.raises(ServiceError, match="unknown workload 'no-such'") as err:
+        get_workload("no-such")
+    assert err.value.status == 400
+    assert "patients" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
 # workload factories
 # ---------------------------------------------------------------------------
 def test_registry_workload_builds_session_spec():
-    factory = get_service_plugin("workload", "registry")
-    spec = factory(master_size=3, variable_count=1)
+    spec = get_workload("registry")(master_size=3, variable_count=1)
     assert isinstance(spec, SessionSpec)
     assert set(spec.queries) == {"point", "full", "union"}
     assert spec.constraints
 
 
 def test_patients_workload_builds_session_spec():
-    factory = get_service_plugin("workload", "patients")
-    spec = factory()
+    spec = get_workload("patients")()
     assert isinstance(spec, SessionSpec)
     assert {"q1", "q2_present", "q2_absent", "q3", "q4"} <= set(spec.queries)
 
 
 def test_bad_workload_params_are_service_errors():
-    factory = get_service_plugin("workload", "registry")
     with pytest.raises(ServiceError, match="params"):
-        factory(no_such_parameter=7)
-
-
-# ---------------------------------------------------------------------------
-# auth
-# ---------------------------------------------------------------------------
-def test_token_auth_accepts_bearer_and_header():
-    auth = TokenAuth("s3cret")
-    assert auth.authorize({"authorization": "Bearer s3cret"})
-    assert auth.authorize({"x-repro-token": "s3cret"})
-    assert not auth.authorize({"authorization": "Bearer wrong"})
-    assert not auth.authorize({})
-
-
-def test_token_auth_requires_token():
-    with pytest.raises(ServiceError):
-        TokenAuth("")
-
-
-# ---------------------------------------------------------------------------
-# rate limiting
-# ---------------------------------------------------------------------------
-def test_window_rate_limiter_with_fake_clock():
-    now = [0.0]
-    limiter = WindowRateLimiter(max_requests=2, window_seconds=1.0, clock=lambda: now[0])
-    assert limiter.allow("s")
-    assert limiter.allow("s")
-    assert not limiter.allow("s")
-    assert limiter.allow("other")  # sessions are independent
-    now[0] = 1.5  # the window slides past the first two events
-    assert limiter.allow("s")
-
-
-def test_window_rate_limiter_validates_params():
-    with pytest.raises(ServiceError):
-        WindowRateLimiter(max_requests=0)
-    with pytest.raises(ServiceError):
-        WindowRateLimiter(window_seconds=0)
-
-
-# ---------------------------------------------------------------------------
-# result backends
-# ---------------------------------------------------------------------------
-def test_memory_backend_is_a_bounded_ring():
-    backend = MemoryResultBackend(capacity=2)
-    for i in range(4):
-        backend.record("s", {"i": i})
-    assert [r["i"] for r in backend.recent("s")] == [2, 3]
-    assert backend.recent("unknown") == []
-
-
-def test_null_backend_discards():
-    backend = NullResultBackend()
-    backend.record("s", {"i": 1})
-    assert backend.recent("s") == []
+        get_workload("registry")(no_such_parameter=7)

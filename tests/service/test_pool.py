@@ -23,7 +23,7 @@ from repro.relational.master import MasterData
 from repro.relational.schema import database_schema, schema
 from repro.search.sat_engine import IncrementalSATSession
 from repro.service import pool as pool_module
-from repro.service.plugins import SessionSpec, get_service_plugin
+from repro.service.plugins import SessionSpec, get_workload
 from repro.service.pool import DatabasePool
 from repro.service.problems import parse_engine
 
@@ -33,14 +33,14 @@ def run(coro):
 
 
 def patients_spec():
-    return get_service_plugin("workload", "patients")()
+    return get_workload("patients")()
 
 
 def registry_spec(**params):
     params.setdefault("master_size", 3)
     params.setdefault("db_rows", 2)
     params.setdefault("variable_count", 1)
-    return get_service_plugin("workload", "registry")(**params)
+    return get_workload("registry")(**params)
 
 
 @pytest.fixture
@@ -232,6 +232,45 @@ def test_single_flight_collapses_identical_concurrent_decides(make_pool, monkeyp
     run(main())
 
 
+@pytest.mark.parametrize(
+    "follower",
+    [
+        {"problem": "model_count"},
+        {"problem": "count", "engine": "propagating"},
+        {"problem": "count", "ignored": True},
+    ],
+    ids=["alias", "default-engine-named", "ignored-key"],
+)
+def test_single_flight_keys_on_the_cache_identity(make_pool, monkeypatch, follower):
+    """A request the cache treats as the held leader's joins its flight."""
+    pool = make_pool()
+    pool.create_session("s", "patients")
+    follower_joined = threading.Event()
+    invoke = pool_module.invoke
+
+    def held_invoke(*args):
+        assert follower_joined.wait(timeout=30), "the follower never joined"
+        return invoke(*args)
+
+    monkeypatch.setattr(pool_module, "invoke", held_invoke)
+
+    async def main():
+        requests = asyncio.gather(
+            pool.decide("s", {"problem": "count"}), pool.decide("s", follower)
+        )
+        for _ in range(3000):
+            if pool.metrics.singleflight_followers == 1:
+                break
+            await asyncio.sleep(0.01)
+        follower_joined.set()
+        leader, joined = await requests
+        assert pool.metrics.engine_runs == 1
+        assert (leader["deduplicated"], joined["deduplicated"]) == (False, True)
+        assert joined["result"]["value"] == leader["result"]["value"]
+
+    run(main())
+
+
 def test_decide_errors(make_pool):
     pool = make_pool()
     pool.create_session("s", "patients")
@@ -250,6 +289,31 @@ def test_decide_errors(make_pool):
             await pool.decide("s", {"problem": "consistency", "engine": "warp"})
 
     run(main())
+
+
+# ---------------------------------------------------------------------------
+# per-session state: the rate window and the recent envelopes
+# ---------------------------------------------------------------------------
+def test_the_rate_window_slides_per_session(make_pool):
+    pool = make_pool()
+    first = pool.create_session("a", "patients")
+    other = pool.create_session("b", "patients")
+    assert first.admit(2, 10.0)
+    assert first.admit(2, 10.5)
+    assert not first.admit(2, 10.9)
+    assert other.admit(2, 10.9)  # sessions count separately
+    assert not first.admit(2, 10.999)
+    assert first.admit(2, 11.0)  # the request at 10.0 is a second old
+    assert not first.admit(2, 11.2)  # the rejected ones were not counted
+    assert first.admit(2, 11.5)
+
+
+def test_a_session_keeps_its_newest_64_envelopes(make_pool):
+    pool = make_pool()
+    state = pool.create_session("s", "patients")
+    for index in range(70):
+        state.results.append({"index": index})
+    assert [envelope["index"] for envelope in state.results] == list(range(6, 70))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ These assert the PR's acceptance gates at the wire level:
   ``cache_hit`` / ``Decision.stats``;
 * streaming yields the first world while enumeration is still running,
   and a client disconnect cancels the server-side engine search;
-* auth / rate-limit / timeout plugins respond 401 / 429 / 504;
+* the auth token, the rate limit and the request timeout answer
+  401 / 429 / 504;
 * graceful shutdown drains in-flight requests before exiting;
 * connections persist, on the server and in ``ServiceClient``, and close
   after exactly the responses that must be a connection's last.
@@ -38,7 +39,6 @@ from repro.search.registry import (
     unregister_engine,
 )
 from repro.service import (
-    PluginSelection,
     ServiceClient,
     ServiceConfig,
     ServiceThread,
@@ -292,11 +292,10 @@ def test_client_disconnect_cancels_the_stream():
 
 
 # ---------------------------------------------------------------------------
-# plugins over the wire: auth, rate limit, results backend
+# over the wire: the auth token, the rate limit and the recent envelopes
 # ---------------------------------------------------------------------------
 def test_token_auth_gates_everything_but_health():
-    auth = PluginSelection("token", {"token": "s3cret"})
-    with make_service(auth=auth) as svc:
+    with make_service(auth_token="s3cret") as svc:
         anonymous = ServiceClient(svc.base_url)
         assert anonymous.healthz()["ok"] is True  # liveness needs no token
         with pytest.raises(ServiceError) as err:
@@ -307,9 +306,35 @@ def test_token_auth_gates_everything_but_health():
         assert authed.metrics()["rejected"] == 1
 
 
+def test_token_auth_accepts_x_repro_token_and_rejects_a_wrong_bearer():
+    with make_service(auth_token="s3cret") as svc:
+        url = urlsplit(svc.base_url)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        statuses = []
+        try:
+            for headers in (
+                {"x-repro-token": "s3cret"},
+                {"Authorization": "Bearer wrong"},
+                {"Authorization": "s3cret"},  # no scheme
+                {"x-repro-token": "s3cre"},
+            ):
+                connection.request("GET", "/sessions", headers=headers)
+                response = connection.getresponse()
+                response.read()
+                statuses.append(response.status)
+        finally:
+            connection.close()
+        assert statuses == [200, 401, 401, 401]
+        with ServiceClient(svc.base_url, token="wrong") as wrong:
+            with pytest.raises(ServiceError) as err:
+                wrong.sessions()
+            assert err.value.status == 401
+        with ServiceClient(svc.base_url, token="s3cret") as authed:
+            assert authed.metrics()["rejected"] == 4
+
+
 def test_rate_limit_returns_429():
-    limit = PluginSelection("window", {"max_requests": 2, "window_seconds": 60.0})
-    with make_service(rate_limit=limit) as svc:
+    with make_service(rate_limit=2) as svc:
         client = ServiceClient(svc.base_url)
         client.create_session("demo", "patients")
         client.decide("demo", "consistency")
@@ -329,6 +354,38 @@ def test_results_backend_records_envelopes():
         recorded = client.results("demo")
         assert [r["cache_hit"] for r in recorded] == [False, True]
         assert all(r["problem"] == "consistency" for r in recorded)
+
+
+def test_a_recreated_session_starts_with_no_results():
+    with make_service() as svc, ServiceClient(svc.base_url) as client:
+        client.create_session("demo", "patients")
+        client.decide("demo", "consistency")
+        client.decide("demo", "count")
+        assert len(client.results("demo")) == 2
+        client.drop_session("demo")
+        client.create_session("demo", "patients")
+        assert client.results("demo") == []
+
+
+def test_a_recreated_session_starts_a_fresh_rate_window():
+    with make_service(rate_limit=2) as svc, ServiceClient(svc.base_url) as client:
+        client.create_session("demo", "patients")
+        client.decide("demo", "consistency")
+        client.decide("demo", "consistency")
+        client.drop_session("demo")
+        client.create_session("demo", "patients")
+        assert client.decide("demo", "consistency")["ok"] is True
+
+
+def test_unknown_sessions_answer_404_before_the_rate_limit():
+    with make_service(rate_limit=2) as svc, ServiceClient(svc.base_url) as client:
+        statuses = []
+        for _ in range(3):
+            with pytest.raises(ServiceError) as err:
+                client.decide("ghost", "consistency")
+            statuses.append(err.value.status)
+        assert statuses == [404, 404, 404]
+        assert client.metrics()["rejected"] == 0
 
 
 # ---------------------------------------------------------------------------
