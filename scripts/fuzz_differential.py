@@ -9,10 +9,14 @@ campaign families:
   :func:`harness.assert_engine_parity` (world sets, multisets,
   ``(valuation, world)`` pairs, counts, existence, and ``stats.worlds``
   counting the valuations after ``search()`` and ``count_worlds()`` on every
-  engine) and :func:`harness.assert_rooted_parity` (its ground rows split
-  off as an instance ``I``, every engine's run of a search template over
-  the other rows rooted at ``I`` must equal that engine over the whole
-  instance);
+  engine, and after a fresh live SAT session's count) and
+  :func:`harness.assert_rooted_parity` (its ground rows split off as an
+  instance ``I``, every engine's run of a search template over the other
+  rows rooted at ``I`` must equal that engine over the whole instance).
+  The c-instance of :func:`harness.random_decider_case` for the same seed,
+  whose rows carry ``=``/``≠`` conditions, then meets
+  :func:`harness.assert_engine_parity` too, so the counts meet rows that
+  drop out and leave their other variables free;
 * **stream** — a random ground add/drop script is applied step-by-step via
   :meth:`repro.api.Database.update` and checked against a
   rebuilt-from-scratch facade at every step through
@@ -22,8 +26,8 @@ campaign families:
   cache), and both counts must equal the rebuild's;
 * **components** — a randomly sized disconnected-components workload is
   counted three ways (the one-shot SAT engine's component-caching count,
-  the live SAT session's blocking-clause enumeration and the propagating
-  engine) and every answer is checked against the closed-form
+  the live SAT session's count on its enumeration solver and the
+  propagating engine) and every answer is checked against the closed-form
   ``values ** (row_width * components)`` world count;
 * **deciders** — a random c-instance and CQ or UCQ of
   :func:`harness.random_decider_case` meet the strong, viable and MINP
@@ -101,7 +105,13 @@ def run_static_case(seed: int) -> str:
     workload = registry_workload(**params)
     assert_engine_parity(workload.cinstance, workload.master, workload.constraints)
     assert_rooted_parity(workload.cinstance, workload.master, workload.constraints)
-    return f"static {params}"
+    # registry_workload's rows all hold unconditionally; these carry =/≠
+    # conditions on variables that may occur nowhere else.
+    conditioned = random_decider_case(seed)
+    assert_engine_parity(
+        conditioned.cinstance, conditioned.master, conditioned.constraints
+    )
+    return f"static {params} conditioned {conditioned.label}"
 
 
 def run_stream_case(seed: int) -> str:
@@ -140,7 +150,7 @@ def run_components_case(seed: int) -> str:
     expected = workload.world_count
     counts = {
         "sat-components": SATWorldSearch(*args).count_worlds(),
-        "sat-session-enumeration": IncrementalSATSession(
+        "sat-session": IncrementalSATSession(
             *args, default_active_domain(*args)
         ).count_worlds(),
         "propagating": WorldSearch(*args).count_worlds(),

@@ -117,6 +117,9 @@ class DPLLSolver:
         self._pending: list[list[int]] = []
         # The assumptions of the model on the trail (None: no model held).
         self._held: list[int] | None = None
+        # Per retired activation literal: no clause stored below this index
+        # carries its negation, so the next retire scans only the rest.
+        self._retired: dict[int, int] = {}
 
         self._assign: dict[int, bool] = {}
         # The literals the trail makes true: propagation reads values here.
@@ -533,11 +536,17 @@ class DPLLSolver:
         ``assumptions`` are literals the search must satisfy for *this call
         only*: they are installed as the first decisions (in order), so a
         ``None`` result means "unsatisfiable under the assumptions", not
-        necessarily globally.  Clauses learned under assumptions remain
-        globally sound: first-UIP clauses are resolution-derived from the
-        clause database alone (assumptions enter only as decisions, never as
-        resolvents), so they persist safely into later calls with different
-        assumptions — this is what lets one solver outlive a stream of
+        necessarily globally.  A conflict reached while every decision on
+        the trail is an assumption returns ``None`` at once, without
+        learning: propagation alone has refuted the assumptions.  (In the
+        last solve of an enumeration under an activation literal, the
+        clause first-UIP analysis would learn there usually derives from
+        blocking clauses, so :meth:`retire` would drop it.)  Clauses
+        learned under assumptions remain globally sound: first-UIP clauses
+        are resolution-derived from the clause database alone (assumptions
+        enter only as decisions, never as resolvents), so they persist
+        safely into later calls with different assumptions — this is what
+        lets one solver outlive a stream of
         incremental updates (:mod:`repro.search.sat_engine`'s guarded
         re-encoding).
         """
@@ -549,6 +558,7 @@ class DPLLSolver:
             if abs(lit) not in self._vars:
                 self._register(abs(lit))
         added = self._pending
+        conflict: list[int] | None = None
         if (
             not self._unsat
             and self._held == assumed
@@ -557,18 +567,27 @@ class DPLLSolver:
         ):
             if not added:
                 return dict(self._assign)  # nothing changed: the model holds
-            self._backjump_on(added.pop())
+            conflict = self._backjump_on(added.pop())
         else:
             self._to_root()
         self._held = None
 
         conflicts_until_restart = _RESTART_BASE
+        assumption_set = set(assumed)
         while not self._unsat:
-            conflict = self._propagate()
+            if conflict is None:
+                conflict = self._propagate()
             if conflict is not None:
+                if self._trail_lim and self._trail[self._trail_lim[-1]] in assumption_set:
+                    # Assumptions are the first decisions, so every decision
+                    # on the trail is one: the clauses refute them, and a
+                    # learned clause would only restate that.
+                    self.stats.conflicts += 1
+                    break
                 if not self._resolve_conflict(conflict):
                     self._unsat = True  # a conflict at level 0
                     break
+                conflict = None
                 conflicts_until_restart -= 1
                 if conflicts_until_restart <= 0:
                     self.stats.restarts += 1
@@ -615,33 +634,33 @@ class DPLLSolver:
         self._pending.clear()
         self._held = None
 
-    def _backjump_on(self, clause: list[int]) -> None:
+    def _backjump_on(self, clause: list[int]) -> list[int] | None:
         """Absorb a clause the model on the trail falsifies.
 
         The clause is watched on its two deepest literals.  When one literal
         is deeper than the rest, backjumping to the next deepest level makes
         the clause unit there and it propagates; when several share the
-        deepest level, the clause is a conflict at that level and first-UIP
-        analysis learns the asserting clause.  A clause falsified at level 0
-        leaves no model at all.
+        deepest level, the clause is returned as a conflict at that level,
+        for :meth:`solve` to handle.  A clause falsified at level 0 leaves
+        no model at all.
         """
         level = self._level
         clause.sort(key=lambda lit: level[abs(lit)], reverse=True)
         top = level[abs(clause[0])]
         if top == 0:
             self._unsat = True
-            return
+            return None
         second = level[abs(clause[1])] if len(clause) > 1 else 0
         if second == top:
             self._backtrack(top)
             self._attach(clause)
-            self._resolve_conflict(clause)
-            return
+            return clause
         self._backtrack(second)
         if len(clause) > 1:
             self._attach(clause)
         self.stats.propagations += 1
         self._enqueue(clause[0], clause if len(clause) > 1 else None)
+        return None
 
     def retire(self, activation: int) -> None:
         """Drop every clause that carries ``-activation``; free the literal.
@@ -654,14 +673,20 @@ class DPLLSolver:
         literals are level-0 facts propagates it).  The literal must occur
         in no clause positively, so no other level-0 fact follows from
         ``-activation``; it is then free for the next enumeration, and
-        enumerations leave behind only what they learned without it.
+        enumerations leave behind only what they learned without it.  The
+        next retire of the literal starts its scan where this one left the
+        clause store.
         """
         dropped = -activation
         self._pending = [clause for clause in self._pending if dropped not in clause]
         self._to_root()
         clauses = self._clauses
         first = next(
-            (index for index, clause in enumerate(clauses) if dropped in clause),
+            (
+                index
+                for index in range(self._retired.get(activation, 0), len(clauses))
+                if dropped in clauses[index]
+            ),
             len(clauses),
         )
         tail = clauses[first:]
@@ -672,6 +697,11 @@ class DPLLSolver:
         for clause in tail:
             if dropped not in clause:
                 self._attach(clause)
+        # The kept tail moved down to ``first``: lower the other marks there.
+        for other, mark in self._retired.items():
+            if mark > first:
+                self._retired[other] = first
+        self._retired[activation] = len(clauses)
         self._units = [lit for lit in self._units if lit != dropped]
         if activation in self._assign:
             position = self._trail.index(dropped)

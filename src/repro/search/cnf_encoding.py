@@ -43,7 +43,11 @@ asserted guards refute at decision level 0.
 
 A blocking clause over the selectors excludes a valuation together with
 every completion of its presence variables, so enumerating models with
-selector-only blocking clauses yields each valuation exactly once.
+selector-only blocking clauses yields each valuation exactly once.  A
+blocking clause may also name the selectors of only some variables: it then
+excludes the whole cube of valuations that agree with the model there.  The
+world counts of :mod:`repro.search.sat_engine` block the variables a world
+depends on and weight each model by the size of its cube.
 
 **Invariant: the selectors are the only decisions.**  Every variable that is
 not a selector is
@@ -161,10 +165,11 @@ class WorldEncoding:
         return valuation
 
     def blocking_clause(self, valuation: Mapping[Variable, Constant]) -> tuple[int, ...]:
-        """A clause excluding exactly the given valuation."""
+        """A clause excluding every valuation that agrees with ``valuation``
+        on the variables it assigns: exactly that valuation when it assigns
+        every variable."""
         return tuple(
-            -self.selector[(variable, valuation[variable])]
-            for variable in self.variables
+            -self.selector[(variable, value)] for variable, value in valuation.items()
         )
 
 
@@ -511,9 +516,9 @@ def iter_solver_models(
 ) -> Iterator[Valuation]:
     """Enumerate the valuations satisfying the encoding.
 
-    This is the one solve → decode → block loop shared by both SAT paths
+    This is the solve → decode → block loop of both SAT paths' ``search()``
     (:meth:`repro.search.sat_engine.SATWorldSearch.search` and the live
-    session's enumeration) and the tests.  Each satisfying valuation is
+    session's) and of the tests.  Each satisfying valuation is
     yielded exactly once: its blocking clause (one negated selector literal
     per c-instance variable) is added before re-solving, and it excludes
     every completion of the valuation's presence variables.  The solver

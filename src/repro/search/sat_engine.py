@@ -18,6 +18,12 @@ DPLL solver of :mod:`repro.reductions.dpll`.  It mirrors the API of
 * :meth:`count_worlds` multiplies the distinct sub-world counts of the
   clause graph's connected components.
 
+Both SAT counts (per component here, and
+:meth:`IncrementalSATSession.count_worlds`) run :func:`_count_cubes`, which
+blocks only the selectors of the variables a model's world depends on, so
+one solve covers a cube of valuations with one world.  :meth:`search`
+blocks every variable, since it yields every valuation.
+
 Compared with the propagating engine, the SAT route front-loads all
 constraint reasoning into clause generation: conditions and
 (in)equality-heavy containment constraints are evaluated once, and the solver
@@ -142,7 +148,9 @@ class SATWorldSearch(WorldSearchBase):
         fingerprint, so isomorphic components (renamed copies of one
         sub-instance) are counted once.  A connected instance is one
         component; a variable-free one has none and counts one world, or
-        none when its ground tuples violate a constraint.
+        none when its ground tuples violate a constraint.  A component is
+        counted on a solver of its own, one model per cube of valuations
+        that give one sub-world (:func:`_count_cubes`).
 
         No :class:`~repro.relational.instance.GroundInstance` is built.
         ``stats.worlds`` counts the satisfying valuations (the
@@ -224,8 +232,11 @@ class SATWorldSearch(WorldSearchBase):
             fingerprint = self._component_fingerprint(variables, component_clauses)
             counted = self._component_cache.get(fingerprint)
             if counted is None:
-                counted = self._count_component(
-                    variables, component_clauses, component_rows, ground
+                solver = self._solver(
+                    component_clauses, encoding.selector_scope(variables)
+                )
+                counted = _count_cubes(
+                    encoding, solver, variables, component_rows, ground
                 )
                 self._component_cache[fingerprint] = counted
             else:
@@ -271,28 +282,74 @@ class SATWorldSearch(WorldSearchBase):
         pool_sizes = tuple(len(encoding.pools[variable]) for variable in variables)
         return pool_sizes, tuple(canonical_clauses)
 
-    def _count_component(
-        self,
-        variables: Sequence[Variable],
-        clauses: Sequence[tuple[int, ...]],
-        rows: Sequence[tuple[str, CTableRow]],
-        ground: set[tuple[str, Row]],
-    ) -> tuple[int, int]:
-        """Distinct sub-worlds and satisfying valuations of one component."""
-        encoding = self._encoding
-        sub_worlds: set[frozenset[tuple[str, Row]]] = set()
-        valuations = 0
-        scope = encoding.selector_scope(variables)
-        for model in self._solver(clauses, scope).enumerate_models():
-            valuations += 1
+
+def _count_cubes(
+    encoding: WorldEncoding,
+    solver: DPLLSolver,
+    variables: Sequence[Variable],
+    rows: Sequence[tuple[str, CTableRow]],
+    ground: set[tuple[str, Row]],
+    assumptions: Sequence[int] = (),
+    activation: int | None = None,
+) -> tuple[int, int]:
+    """Distinct worlds and satisfying valuations, one solve per cube.
+
+    ``rows`` are the variable rows over ``variables`` and ``ground`` the
+    tuples every world holds, so a world is told apart by the tuples its
+    rows produce outside ``ground``.  A model's world depends only on the
+    variables of the rows' conditions and the term variables of the rows
+    whose condition holds: a valuation that agrees with the model there
+    drops the same rows and grounds the others to the same tuples, and it
+    depends on the same variables.  So the model's blocking clause names
+    only those variables' selectors, and the model stands for its cube of
+    valuations, as many as the product of the other variables' pool sizes.
+    Two cubes that share a valuation are one cube, so each valuation is
+    counted once.  Two cubes can still have one world (a row may produce a
+    ground tuple), so worlds are deduplicated.
+
+    ``solver`` must hold the encoding's clauses and decide at least the
+    selectors of ``variables``.  The count runs under ``assumptions``.  With
+    ``activation`` it also runs under that literal, every blocking clause
+    carries its negation, and the solver retires it at the end, as in
+    :func:`~repro.search.cnf_encoding.iter_solver_models`.
+    """
+    pools = encoding.pools
+    conditioned = {v for _name, row in rows for v in row.condition.variables()}
+    entries = [(name, row, row.term_variables()) for name, row in rows]
+    assumed = list(assumptions)
+    carried: tuple[int, ...] = ()
+    if activation is not None:
+        assumed.append(activation)
+        carried = (-activation,)
+    worlds: set[frozenset[tuple[str, Row]]] = set()
+    valuations = 0
+    try:
+        while (model := solver.solve(assumed)) is not None:
             valuation = encoding.decode(model, variables)
-            sub_world = set()
-            for name, row in rows:
+            relevant = set(conditioned)
+            world = set()
+            for name, row, terms in entries:
                 produced = row.apply(valuation)
-                if produced is not None and (name, produced) not in ground:
-                    sub_world.add((name, produced))
-            sub_worlds.add(frozenset(sub_world))
-        return len(sub_worlds), valuations
+                if produced is not None:
+                    relevant |= terms
+                    if (name, produced) not in ground:
+                        world.add((name, produced))
+            worlds.add(frozenset(world))
+            cube: Valuation = {}
+            weight = 1
+            for variable in variables:
+                if variable in relevant:
+                    cube[variable] = valuation[variable]
+                else:
+                    weight *= len(pools[variable])
+            valuations += weight
+            if not cube:
+                break  # the cube holds every valuation
+            solver.add_clause(encoding.blocking_clause(cube) + carried)
+    finally:
+        if activation is not None:
+            solver.retire(activation)
+    return len(worlds), valuations
 
 
 class IncrementalSATSession(WorldSearchBase):
@@ -313,11 +370,12 @@ class IncrementalSATSession(WorldSearchBase):
 
     Existence checks and witnesses (:meth:`has_world`, :meth:`first_world`)
     use the **live solver** (``reused_solver`` in the stats reports its
-    reuse).  Model enumeration (:meth:`search`, :meth:`count_worlds`) runs
-    on the **enumeration solver**: each enumeration also assumes the
-    session's activation literal ``a``, every blocking clause carries
-    ``¬a``, and retiring ``a`` at the end drops those clauses and everything
-    learned from them, so one enumeration never constrains the next.
+    reuse).  Model enumeration (:meth:`search`, and :meth:`count_worlds`,
+    which blocks one cube of valuations per model) runs on the
+    **enumeration solver**: each enumeration also assumes the session's
+    activation literal ``a``, every blocking clause carries ``¬a``, and
+    retiring ``a`` at the end drops those clauses and everything learned
+    from them, so one enumeration never constrains the next.
     Counting never touches the live solver, so a witness never depends on
     whether a count ran first.  Both solvers share the ``stats.solver``
     ledger; ``worlds`` and ``duplicate_worlds`` describe the most recent
@@ -448,42 +506,49 @@ class IncrementalSATSession(WorldSearchBase):
             valuation = self._live_model()
             return None if valuation is None else self._cinstance.apply(valuation)
 
-    def _enumerate(self) -> Iterator[Valuation]:
-        """The valuations of the current instance, on the enumeration solver.
+    def _ready_enumerator(self) -> DPLLSolver:
+        """The enumeration solver, fed the clauses encoded since its last use.
 
-        The caller holds :attr:`lock` until the iterator is exhausted.
+        The caller holds :attr:`lock` until the enumeration ends.
         """
         self.stats.worlds = self.stats.duplicate_worlds = 0
         self.stats.reused_solver = False
-        encoding = self._encoder.encoding
         if self._enumerator is None:
             self._enumerator = DPLLSolver(
-                decisions=encoding.selector.values(), stats=self._solver.stats
+                decisions=self._encoder.encoding.selector.values(),
+                stats=self._solver.stats,
             )
         self._enumerator_fed = self._feed(self._enumerator, self._enumerator_fed)
-        return iter_solver_models(
-            encoding,
-            self._enumerator,
-            self._encoder.assumptions(),
-            activation=self._activation,
-        )
+        return self._enumerator
 
     def search(self) -> Iterator[tuple[Valuation, GroundInstance]]:
         """Enumerate ``(µ, µ(T))`` pairs, drained under :attr:`lock` first."""
         with self.lock:
             cinstance = self._cinstance
-            valuations = list(self._enumerate())
+            valuations = list(
+                iter_solver_models(
+                    self._encoder.encoding,
+                    self._ready_enumerator(),
+                    self._encoder.assumptions(),
+                    activation=self._activation,
+                )
+            )
         for valuation in valuations:
             self.stats.worlds += 1
             yield valuation, cinstance.apply(valuation)
 
     def count_worlds(self) -> int:
-        """Count distinct worlds natively (no instances are built).
+        """Count distinct worlds natively (no instances are built), one
+        enumeration-solver model per cube of valuations (:func:`_count_cubes`).
 
         The ground rows hold in every world, so a world is told apart by the
         tuples its variable rows produce outside them.
         """
         with self.lock:
+            solver = self._ready_enumerator()
+            encoding = self._encoder.encoding
+            if encoding.trivially_unsat:
+                return 0
             ground: set[tuple[str, Row]] = set()
             rows: list[tuple[str, CTableRow]] = []
             for name, _index, row in self._cinstance.rows():
@@ -493,17 +558,15 @@ class IncrementalSATSession(WorldSearchBase):
                 tuple_ = row.apply({})
                 if tuple_ is not None:
                     ground.add((name, tuple_))
-            seen: set[frozenset[tuple[str, Row]]] = set()
-            for valuation in self._enumerate():
-                self.stats.worlds += 1
-                produced = ((name, row.apply(valuation)) for name, row in rows)
-                key = frozenset(
-                    item
-                    for item in produced
-                    if item[1] is not None and item not in ground
-                )
-                if key in seen:
-                    self.stats.duplicate_worlds += 1
-                else:
-                    seen.add(key)
-            return len(seen)
+            worlds, valuations = _count_cubes(
+                encoding,
+                solver,
+                encoding.variables,
+                rows,
+                ground,
+                self._encoder.assumptions(),
+                self._activation,
+            )
+            self.stats.worlds = valuations
+            self.stats.duplicate_worlds = valuations - worlds
+            return worlds

@@ -7,7 +7,8 @@ chains, pigeonhole formulas — that require real propagation, learning and
 restarts.  The contract the world-search engines rest on has its own
 suites: a decision set whose models complete with ``False``, enumeration
 that resumes after every blocking clause, clauses added against the level-0
-trail, and retired activation literals.
+trail, retired activation literals, and a call whose assumptions the
+clauses refute ending at its first conflict without learning.
 """
 
 from __future__ import annotations
@@ -159,6 +160,65 @@ def test_pigeonhole_learned_clauses_are_entailed():
     assert learned
     for clause in learned:
         assert _entailed(clauses, clause), clause
+
+
+# ---------------------------------------------------------------------------
+# a conflict with only assumptions on the trail ends the call unlearned
+# ---------------------------------------------------------------------------
+def test_assumptions_refuted_by_propagation_return_none_without_learning():
+    # Assuming 1 propagates 2 and 3, and (¬2 ∨ ¬3) conflicts at the
+    # assumption's own level.
+    solver = DPLLSolver([[-1, 2], [-1, 3], [-2, -3]])
+    assert solver.solve([1]) is None
+    assert solver.stats.conflicts == 1
+    assert solver.stats.learned_clauses == 0
+    assert solver._clauses[3:] == [] and solver._units == []
+    assert solver._trail == []  # back at level 0, with nothing fixed there
+    assert solver.solve([1]) is None
+    assert solver.stats.conflicts == 2
+    model = solver.solve([-1, 2])
+    assert model is not None and model[1] is False and model[2] is True
+    assert solver.stats.learned_clauses == 0
+
+
+def test_a_blocking_clause_the_assumptions_falsify_ends_the_enumeration_unlearned():
+    # The assumption 3 propagates 1, so the model's blocking clause
+    # (¬1 ∨ ¬3) is falsified at the assumption's level: no model is left
+    # under 3, and the solver has nothing to learn.
+    solver = DPLLSolver([[-3, 1]], decisions=[1, 2])
+    model = solver.solve([3])
+    assert model is not None and model[1] is True
+    solver.add_clause([-1, -3])
+    assert solver.solve([3]) is None
+    assert solver.stats.conflicts == 1
+    assert solver.stats.learned_clauses == 0
+    assert solver.solve([-3]) is not None
+
+
+def test_a_conflict_below_a_heuristic_decision_still_learns():
+    # 4 is assumed and occurs in no clause; the first heuristic decision ¬1
+    # (lowest variable, saved phase False) conflicts on (1 ∨ 2), (1 ∨ ¬2).
+    solver = DPLLSolver([[1, 2], [1, -2], [-1, 3]])
+    model = solver.solve([4])
+    assert model is not None and model[1] is True and model[3] is True
+    assert solver.stats.conflicts == 1
+    assert solver.stats.learned_clauses == 1
+    assert solver._units == [1]
+
+
+@given(_CLAUSES, _LITERALS)
+@settings(max_examples=100, deadline=None)
+def test_a_refuted_assumption_leaves_the_solver_as_sound_as_before(clauses, assumption):
+    # However a call under one assumption ends, the next calls under the
+    # opposite assumption and none agree with brute force.
+    solver = DPLLSolver(clauses)
+    for assumed in ([assumption], [-assumption], []):
+        model = solver.solve(assumed)
+        expected = brute_force_satisfiable(clauses + [[lit] for lit in assumed])
+        assert (model is not None) == expected
+        if model is not None:
+            assert _satisfies(clauses, model)
+            assert all(model[abs(lit)] is (lit > 0) for lit in assumed)
 
 
 @given(_CLAUSES, st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4))

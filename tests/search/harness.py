@@ -11,7 +11,9 @@ reference enumeration in one call:
   of ``(valuation, world)`` pairs after a drained ``search()`` and after
   ``count_worlds()``, and ``stats.worlds - stats.duplicate_worlds`` the
   number of distinct worlds after a drained ``worlds()`` and after
-  ``count_worlds()``;
+  ``count_worlds()``.  For ``"sat"`` a fresh live session
+  (:class:`~repro.search.sat_engine.IncrementalSATSession`) counts too, and
+  its value and stats must meet the same bars;
 * :func:`assert_decider_parity` — identical verdicts from an
   ``engine``-accepting decision procedure across engines;
 * :func:`assert_rooted_parity` — every engine's run of a search template
@@ -96,6 +98,7 @@ from repro.relational.master import MasterData
 from repro.relational.schema import RelationSchema, database_schema, schema
 from repro.api import Database
 from repro.search.engine import SearchStats
+from repro.search.sat_engine import IncrementalSATSession
 from repro.search.registry import (
     EngineConfig,
     collect_searches,
@@ -125,18 +128,28 @@ class EngineObservation:
     count: int
     has: bool
     #: ``stats.worlds`` after a drained ``search()`` and after
-    #: ``count_worlds()``, each on a fresh engine.
-    worlds_stat: tuple[int, int]
+    #: ``count_worlds()``, each on a fresh engine (for ``"sat"``, then
+    #: after a fresh live session's count).
+    worlds_stat: tuple[int, ...]
     #: ``stats`` after a drained ``worlds()`` and after ``count_worlds()``,
-    #: each on a fresh engine.
-    distinct_stats: tuple[object, object]
+    #: each on a fresh engine (for ``"sat"``, then after a fresh live
+    #: session's count).
+    distinct_stats: tuple[object, ...]
+    #: The count of a fresh live SAT session (``"sat"`` only).
+    session_count: int | None = None
 
 
 def observe_stats(
     cinst, master, constraints, adom, engine
-) -> tuple[tuple[int, int], tuple[object, object]]:
+) -> tuple[tuple[int, ...], tuple[object, ...], int | None]:
     """``stats.worlds`` of one engine after ``search()`` and ``count_worlds()``,
-    and its ``stats`` after ``worlds()`` and ``count_worlds()``."""
+    and its ``stats`` after ``worlds()`` and ``count_worlds()``.
+
+    For ``"sat"`` the one-shot engine counts by components, so a fresh
+    :class:`~repro.search.sat_engine.IncrementalSATSession`, the live
+    session of a ``Database`` facade, counts too: its ``stats`` join both
+    tuples, and its count is returned last (``None`` for other engines).
+    """
     spec = EngineConfig.coerce(engine).spec()
     drained = spec.create(cinst, master, constraints, adom)
     for _pair in drained.search():
@@ -146,12 +159,24 @@ def observe_stats(
         pass
     counted = spec.create(cinst, master, constraints, adom)
     counted.count_worlds()
-    return (drained.stats.worlds, counted.stats.worlds), (listed.stats, counted.stats)
+    worlds_stat = (drained.stats.worlds, counted.stats.worlds)
+    distinct_stats = (listed.stats, counted.stats)
+    if engine != "sat":
+        return worlds_stat, distinct_stats, None
+    session = IncrementalSATSession(cinst, master, constraints, adom)
+    session_count = session.count_worlds()
+    return (
+        worlds_stat + (session.stats.worlds,),
+        distinct_stats + (session.stats,),
+        session_count,
+    )
 
 
 def observe_engine(cinst, master, constraints, adom, engine) -> EngineObservation:
     """Run one instance through one engine, capturing every public surface."""
-    worlds_stat, distinct_stats = observe_stats(cinst, master, constraints, adom, engine)
+    worlds_stat, distinct_stats, session_count = observe_stats(
+        cinst, master, constraints, adom, engine
+    )
     return EngineObservation(
         engine=engine,
         worlds=frozenset(models(cinst, master, constraints, adom, engine=engine)),
@@ -168,6 +193,7 @@ def observe_engine(cinst, master, constraints, adom, engine) -> EngineObservatio
         has=has_model(cinst, master, constraints, adom, engine=engine),
         worlds_stat=worlds_stat,
         distinct_stats=distinct_stats,
+        session_count=session_count,
     )
 
 
@@ -204,9 +230,11 @@ def assert_engine_parity(
         assert observed.pairs == reference.pairs, engine
         assert observed.count == reference.count, engine
         assert observed.has == reference.has, engine
+        if observed.session_count is not None:
+            assert observed.session_count == reference.count, (engine, "live session")
     for engine, observed in observations.items():
         valuations = len(observed.pairs)
-        assert observed.worlds_stat == (valuations, valuations), (
+        assert all(stat == valuations for stat in observed.worlds_stat), (
             "stats.worlds", engine, observed.worlds_stat, valuations,
         )
         for stats in observed.distinct_stats:

@@ -436,7 +436,7 @@ class TestStopCheck:
         # The service's /worlds stream rides on this: a stop_check that flips
         # true mid-enumeration aborts the search at its next poll, before the
         # remaining worlds are produced.
-        workload = wide_pool_workload(rows=3, values_per_key=4)  # 24 worlds
+        workload = wide_pool_workload(rows=4, values_per_key=5)  # 120 worlds
         cancelled = {"flag": False}
         search = WorldSearch(
             workload.cinstance,
@@ -450,7 +450,7 @@ class TestStopCheck:
                 seen += 1
                 if seen == 3:
                     cancelled["flag"] = True
-        assert 3 <= seen < 24
+        assert 3 <= seen < 120
         assert search.stats.nodes == STOP_CHECK_STRIDE
 
     def test_existence_check_honours_stop_check(self):
@@ -468,7 +468,7 @@ class TestStopCheck:
         assert search.stats.nodes == STOP_CHECK_STRIDE
 
     def test_count_honours_stop_check(self):
-        workload = wide_pool_workload(rows=3, values_per_key=4)
+        workload = wide_pool_workload(rows=4, values_per_key=5)
         search = WorldSearch(
             workload.cinstance,
             workload.master,

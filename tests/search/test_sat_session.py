@@ -23,7 +23,11 @@ engine and to the paper's Figure 1 figures instead:
   is made of level-0 facts, where a count that left its activation literal
   falsified would make every later count 0.  Counting must not change the
   live solver's witnesses, and 500 counts must not grow the enumeration
-  solver's clause store.
+  solver's clause store;
+* a count solves once per cube of valuations with one world, plus once to
+  find no more, and weights each model by its cube, so its value and
+  ``stats`` equal the propagating engine's on Figure 1 with and without
+  Bob's visit.
 """
 
 from __future__ import annotations
@@ -281,3 +285,47 @@ def test_five_hundred_counts_keep_the_clause_store_flat():
     assert solver.stats.conflicts > 0
     assert len(solver._clauses) <= 2 * len(session.encoding.clauses)
     assert session._activation not in solver._assign
+
+
+#: Figure 1 with no Bob visit, and with each of his two: the propagating
+#: engine's (value, stats.worlds, stats.duplicate_worlds) of a count.
+FIGURE1_COUNTS = [(None, (290, 307, 17)), (BOB_2000, (17, 35, 18)), (BOB_2001, (18, 35, 17))]
+
+
+def _live_session(bob):
+    scenario = build_patient_scenario()
+    db = Database(
+        scenario.figure1, scenario.master, scenario.constraints, engine="sat"
+    )
+    if bob is not None:
+        db.update(add_rows={"MVisit": [bob]})
+    db.count()  # builds the live session
+    return db, db._sat_session
+
+
+@pytest.mark.parametrize("bob, figures", FIGURE1_COUNTS, ids=["figure1", "bob-2000", "bob-2001"])
+def test_live_counts_report_the_propagating_engine_stats(bob, figures):
+    # With Bob's row, z = 2001 drops the variable row whatever x is: a count
+    # that blocks only the variables a world depends on finds one model for
+    # those 18 valuations, so unweighted its stats.worlds would read 18.
+    db, session = _live_session(bob)
+    reference = WorldSearch(db.cinstance, db.master, db.constraints)
+    value = reference.count_worlds()
+    assert (value, reference.stats.worlds, reference.stats.duplicate_worlds) == figures
+    for _ in range(2):
+        value = session.count_worlds()
+        assert (value, session.stats.worlds, session.stats.duplicate_worlds) == figures
+
+
+@pytest.mark.parametrize(
+    "bob, solves", [(None, 291), (BOB_2000, 19), (BOB_2001, 19)],
+    ids=["figure1", "bob-2000", "bob-2001"],
+)
+def test_a_live_count_solves_once_per_cube_plus_once(bob, solves):
+    # Figure 1: 289 valuations keep Bob's row and z = 2001 is one cube.  With
+    # a Bob visit: 17 cubes keep the row and z = 2001 is one cube.
+    _db, session = _live_session(bob)
+    for _ in range(2):
+        before = session.stats.solver.solve_calls
+        session.count_worlds()
+        assert session.stats.solver.solve_calls - before == solves
