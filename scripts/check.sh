@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-invocation correctness + quality + speed gate.
 #
-# Runs, in order:
+# Prints the size of src/ (lines and .py files, a tracked metric) first, then
+# runs, in order:
 #   1. ruff lint (skipped with a warning if ruff is not installed),
 #   2. static analysis: `mypy` under the strict profile of [tool.mypy] in
 #      pyproject.toml (skipped with a warning if mypy is not installed) and
@@ -83,6 +84,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # legitimately shifts the base).  Raised 90 -> 91 when the delta-checker and
 # extension-routing modules landed with their differential suites.
 COV_FAIL_UNDER="${COV_FAIL_UNDER:-91}"
+
+echo "src/: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l) lines in" \
+     "$(find src -name '*.py' | wc -l) files"
+echo
 
 echo "== lint: ruff =="
 if [ "${SKIP_LINT:-}" = "1" ]; then

@@ -142,7 +142,7 @@ from repro.relational import (
 )
 from repro.workloads import build_patient_scenario, registry_workload
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "BOOLEAN_DOMAIN",

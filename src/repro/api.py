@@ -209,11 +209,6 @@ class Database:
         """The prebuilt constraint checker shared with the engines."""
         return self._checker
 
-    @property
-    def default_engine(self) -> EngineConfig:
-        """The facade-level default engine selection."""
-        return self._default_engine
-
     def adom(self, query: Query | None = None) -> ActiveDomain:
         """The Prop. 3.3 ``Adom``, cached per (database, query) pair.
 

@@ -17,14 +17,12 @@ from repro.completeness.consistency import (
     extension_witness,
     is_consistent,
     is_extensible,
-    is_partially_closed_world,
 )
 from repro.completeness.extensions import (
     bounded_extensions,
     candidate_pools,
     candidate_rows,
     has_partially_closed_extension,
-    is_partially_closed,
     single_tuple_extensions,
     tableau_extensions,
     tableau_valuations,
@@ -116,8 +114,6 @@ __all__ = [
     "is_minimal_viably_complete",
     "is_minimal_weakly_complete",
     "is_minimal_weakly_complete_cq",
-    "is_partially_closed",
-    "is_partially_closed_world",
     "is_query_bounded",
     "is_relatively_complete",
     "is_strongly_complete",

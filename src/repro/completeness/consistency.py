@@ -25,7 +25,6 @@ from repro.constraints.containment import (
     ContainmentConstraint,
     constraint_set_constants,
     constraint_set_variables,
-    satisfies_all,
 )
 from repro.ctables.adom import ActiveDomain, build_active_domain
 from repro.ctables.cinstance import CInstance
@@ -170,14 +169,3 @@ def extension_witness(
     ):
         return extended
     return None
-
-
-# reprolint: disable=R004 -- world-level predicate over one ground instance,
-# not a decider entry point; callers wrap it in Decision where needed.
-def is_partially_closed_world(
-    instance: GroundInstance,
-    master: MasterData,
-    constraints: Sequence[ContainmentConstraint],
-) -> bool:
-    """Whether a ground instance is partially closed relative to ``(D_m, V)``."""
-    return satisfies_all(instance, master, constraints)

@@ -66,17 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle
     from repro.search.registry import EngineConfig, SearchTemplate
 
 
-# reprolint: disable=R004 -- world-level predicate (one instance against V),
-# not a decider; Decision wrapping happens in consistency/ground deciders.
-def is_partially_closed(
-    instance: GroundInstance,
-    master: MasterData,
-    constraints: Sequence[ContainmentConstraint],
-) -> bool:
-    """Whether ``(I, D_m) |= V``."""
-    return satisfies_all(instance, master, constraints)
-
-
 def candidate_pools(
     relation: RelationSchema, adom: ActiveDomain, fresh_first: bool = False
 ) -> list[list[Constant]]:

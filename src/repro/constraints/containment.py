@@ -80,10 +80,6 @@ class EmptyRHS:
         return "∅"
 
 
-#: Right-hand sides supported by containment constraints.
-RightHandSide = "ProjectionQuery | ConjunctiveQuery | EmptyRHS"
-
-
 @dataclass(frozen=True)
 class ContainmentConstraint:
     """A containment constraint ``q(R) ⊆ p(R_m)``."""

@@ -24,7 +24,6 @@ from repro.queries.cq import ConjunctiveQuery
 from repro.queries.evaluation import evaluate_cq
 from repro.relational.domains import Constant
 from repro.relational.instance import GroundInstance
-from repro.relational.schema import DatabaseSchema
 
 #: Wildcard symbol for CFD pattern tuples ("_" in the data-quality literature).
 WILDCARD = "_"
@@ -61,24 +60,6 @@ class FunctionalDependency:
                 return False
             seen[key] = value
         return True
-
-    def violating_pairs(
-        self, instance: GroundInstance
-    ) -> list[tuple[tuple[Constant, ...], tuple[Constant, ...]]]:
-        """Pairs of tuples witnessing a violation of the FD."""
-        rel = instance.relation(self.relation)
-        schema = rel.schema
-        lhs_pos = [schema.position_of(a) for a in self.lhs]
-        rhs_pos = [schema.position_of(a) for a in self.rhs]
-        rows = list(rel.rows)
-        violations = []
-        for i, first in enumerate(rows):
-            for second in rows[i + 1:]:
-                same_lhs = all(first[p] == second[p] for p in lhs_pos)
-                same_rhs = all(first[p] == second[p] for p in rhs_pos)
-                if same_lhs and not same_rhs:
-                    violations.append((first, second))
-        return violations
 
     def __repr__(self) -> str:
         return f"{self.relation}: {','.join(self.lhs) or '∅'} → {','.join(self.rhs)}"
@@ -239,10 +220,6 @@ class DenialConstraint:
         return f"{label}: ¬{self.query!r}"
 
 
-#: Any classical dependency supported by the library.
-Dependency = "FunctionalDependency | InclusionDependency | ConditionalFunctionalDependency | DenialConstraint"
-
-
 def fd(relation: str, lhs: Sequence[str] | str, rhs: Sequence[str] | str) -> FunctionalDependency:
     """Shorthand constructor for :class:`FunctionalDependency`.
 
@@ -284,15 +261,3 @@ def satisfies_dependencies(
 ) -> bool:
     """Whether the instance satisfies every dependency in the collection."""
     return all(dep.is_satisfied(instance) for dep in dependencies)
-
-
-def schema_has_relation(schema: DatabaseSchema, dependency: Dependency) -> bool:
-    """Whether the dependency's relation(s) exist in the schema."""
-    if isinstance(dependency, InclusionDependency):
-        return (
-            dependency.source_relation in schema
-            and dependency.target_relation in schema
-        )
-    if isinstance(dependency, DenialConstraint):
-        return all(name in schema for name in dependency.query.relation_names())
-    return dependency.relation in schema

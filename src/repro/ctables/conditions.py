@@ -11,7 +11,7 @@ conjuncts, so conditions and query comparisons share one representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.exceptions import ConditionError
 from repro.queries.atoms import Comparison, eq, neq
@@ -81,14 +81,6 @@ class Condition:
                 return False
         return True
 
-    def conjoin(self, other: "Condition") -> "Condition":
-        """The conjunction of two conditions."""
-        return Condition(self.conjuncts + other.conjuncts)
-
-    def with_conjunct(self, *comparisons: Comparison) -> "Condition":
-        """A new condition with extra conjuncts appended."""
-        return Condition(self.conjuncts + tuple(comparisons))
-
     def rename(self, renaming: Mapping[Variable, Variable]) -> "Condition":
         """The condition with variables renamed."""
         return Condition(tuple(c.rename(renaming) for c in self.conjuncts))
@@ -107,24 +99,6 @@ class Condition:
                 continue
             remaining.append(grounded)
         return Condition(tuple(remaining))
-
-    def is_satisfiable_over(self, candidates: Iterable[ConstantTerm]) -> bool:
-        """Whether some assignment of its variables from ``candidates`` satisfies it.
-
-        A brute-force check used by sanity tests and by the consistency
-        analysis of degenerate c-tables; the candidate pool is typically the
-        active domain.
-        """
-        import itertools
-
-        variables = sorted(self.variables(), key=lambda v: v.name)
-        pool = list(candidates)
-        if not variables:
-            return self.evaluate({})
-        for values in itertools.product(pool, repeat=len(variables)):
-            if self.evaluate(dict(zip(variables, values))):
-                return True
-        return False
 
     def __repr__(self) -> str:
         if self.is_true:

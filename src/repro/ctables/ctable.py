@@ -166,15 +166,6 @@ class CTable:
             result |= row.constants()
         return result
 
-    def variable_positions(self) -> dict[Variable, set[tuple[str, str]]]:
-        """For each term variable, the set of ``(relation, attribute)`` positions."""
-        result: dict[Variable, set[tuple[str, str]]] = {}
-        for row in self._rows:
-            for attribute, term in zip(self._schema.attributes, row.terms):
-                if is_variable(term):
-                    result.setdefault(term, set()).add((self.name, attribute.name))
-        return result
-
     # ------------------------------------------------------------------
     # functional updates
     # ------------------------------------------------------------------

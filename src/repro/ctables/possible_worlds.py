@@ -55,6 +55,7 @@ from repro.constraints.containment import (
 from repro.ctables.adom import ActiveDomain, build_active_domain
 from repro.ctables.cinstance import CInstance
 from repro.ctables.valuation import Valuation
+from repro.protocols import WorldSearchEngine
 from repro.queries.evaluation import Query, query_constants, query_variables
 from repro.relational.domains import Constant
 from repro.relational.instance import GroundInstance, Row
@@ -66,7 +67,6 @@ from repro.search.registry import (
     EngineConfig,
     EngineSpec,
     SearchTemplate,
-    WorldSearchLike,
 )
 
 __all__ = [
@@ -99,7 +99,7 @@ def _make_search(
     *,
     break_symmetry: bool = False,
     checker: "ConstraintChecker | None" = None,
-) -> WorldSearchLike:
+) -> WorldSearchEngine:
     spec, options = _engine_plan(engine)
     if adom is None:
         adom = default_active_domain(cinstance, master, constraints)

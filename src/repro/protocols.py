@@ -5,9 +5,8 @@ how the major subsystems plug into each other, so that type checkers (the
 ``mypy --strict`` gate) and human readers share one written contract:
 
 * :class:`WorldSearchEngine` — what a registered world-search engine
-  factory must produce (the registry's ``WorldSearchLike`` is an alias),
-  and :class:`RootedWorldSearchEngine`, what an engine declaring the
-  ``rooted_runs`` capability adds to it;
+  factory must produce, and :class:`RootedWorldSearchEngine`, what an
+  engine declaring the ``rooted_runs`` capability adds to it;
 * :class:`SearchSink` — the collector fed by
   :func:`repro.search.registry.collect_searches`;
 * :class:`QueryProtocol` (re-exported from

@@ -70,11 +70,6 @@ class ConjunctiveQuery:
         """Arity of the query result."""
         return len(self.head)
 
-    @property
-    def is_boolean(self) -> bool:
-        """Whether the query has an empty head (Boolean query)."""
-        return len(self.head) == 0
-
     def head_variables(self) -> set[Variable]:
         """Variables occurring in the head."""
         return term_variables(self.head)
@@ -91,10 +86,6 @@ class ConjunctiveQuery:
     def variables(self) -> set[Variable]:
         """All variables of the query."""
         return self.head_variables() | self.body_variables()
-
-    def existential_variables(self) -> set[Variable]:
-        """Body variables that do not occur in the head."""
-        return self.body_variables() - self.head_variables()
 
     def constants(self) -> set[ConstantTerm]:
         """All constants occurring anywhere in the query."""
@@ -201,10 +192,6 @@ class ConjunctiveQuery:
         if not renaming:
             return self
         return self.rename_variables(renaming)
-
-    def with_name(self, name: str) -> "ConjunctiveQuery":
-        """A copy of the query under a different name."""
-        return ConjunctiveQuery(self.head, self.atoms, self.comparisons, name)
 
     # ------------------------------------------------------------------
     # tableau view

@@ -57,11 +57,6 @@ class ExistentialPositiveQuery:
         """Arity of the query result."""
         return len(self.head)
 
-    @property
-    def is_boolean(self) -> bool:
-        """Whether the query is Boolean."""
-        return len(self.head) == 0
-
     def head_variables(self) -> set[Variable]:
         """Variables occurring in the head."""
         return {t for t in self.head if isinstance(t, Variable)}
@@ -78,10 +73,6 @@ class ExistentialPositiveQuery:
     def relation_names(self) -> set[str]:
         """Relation names referenced by the formula."""
         return self.formula.relation_names()
-
-    def with_name(self, name: str) -> "ExistentialPositiveQuery":
-        """A copy of the query under a different name."""
-        return ExistentialPositiveQuery(self.head, self.formula, name)
 
     # ------------------------------------------------------------------
     # UCQ unfolding

@@ -41,11 +41,6 @@ class FirstOrderQuery:
         """Arity of the query result."""
         return len(self.head)
 
-    @property
-    def is_boolean(self) -> bool:
-        """Whether the query is Boolean."""
-        return len(self.head) == 0
-
     def head_variables(self) -> set[Variable]:
         """Variables occurring in the head."""
         return {t for t in self.head if isinstance(t, Variable)}
@@ -69,10 +64,6 @@ class FirstOrderQuery:
     def relation_names(self) -> set[str]:
         """Relation names referenced by the formula."""
         return self.formula.relation_names()
-
-    def with_name(self, name: str) -> "FirstOrderQuery":
-        """A copy of the query under a different name."""
-        return FirstOrderQuery(self.head, self.formula, name)
 
     def __repr__(self) -> str:
         head = ", ".join(repr(t) for t in self.head)
@@ -116,11 +107,6 @@ class NativeQuery:
                     f"{len(row)}, expected {self.arity}"
                 )
         return result
-
-    @property
-    def is_boolean(self) -> bool:
-        """Whether the query is Boolean."""
-        return self.arity == 0
 
     def variables(self) -> set[Variable]:
         """Native queries carry no syntax, hence no variables.

@@ -172,11 +172,6 @@ class FixpointQuery:
         """Arity of the query result (arity of the output predicate)."""
         return self.idb_arity(self.output)
 
-    @property
-    def is_boolean(self) -> bool:
-        """Whether the query is Boolean."""
-        return self.arity == 0
-
     def constants(self) -> set[ConstantTerm]:
         """All constants occurring in the rules."""
         result: set[ConstantTerm] = set()
@@ -199,10 +194,6 @@ class FixpointQuery:
     def is_monotone() -> bool:
         """FP queries are monotone in the database (inflational semantics)."""
         return True
-
-    def with_name(self, name: str) -> "FixpointQuery":
-        """A copy of the query under a different name."""
-        return FixpointQuery(self.rules, self.output, name)
 
     def __repr__(self) -> str:
         return f"FP({self.name}: {len(self.rules)} rules, output={self.output})"

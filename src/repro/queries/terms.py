@@ -64,11 +64,6 @@ def is_variable(term: Term) -> bool:
     return isinstance(term, Variable)
 
 
-def is_constant(term: Term) -> bool:
-    """Whether ``term`` is a constant."""
-    return not isinstance(term, Variable)
-
-
 def term_variables(terms: Iterable[Term]) -> set[Variable]:
     """The set of variables occurring in ``terms``."""
     return {t for t in terms if isinstance(t, Variable)}
@@ -91,10 +86,3 @@ def substitute_all(
 ) -> tuple[Term, ...]:
     """Apply an assignment to every term in a sequence."""
     return tuple(substitute(t, assignment) for t in terms)
-
-
-def rename_variable(term: Term, renaming: Mapping[Variable, Variable]) -> Term:
-    """Apply a variable renaming to a term."""
-    if isinstance(term, Variable):
-        return renaming.get(term, term)
-    return term

@@ -42,11 +42,6 @@ class UnionOfConjunctiveQueries:
         """Arity of the query result."""
         return self.disjuncts[0].arity
 
-    @property
-    def is_boolean(self) -> bool:
-        """Whether the query is Boolean (arity 0)."""
-        return self.arity == 0
-
     def __len__(self) -> int:
         return len(self.disjuncts)
 
@@ -77,10 +72,6 @@ class UnionOfConjunctiveQueries:
     def is_inequality_free(self) -> bool:
         """Whether no disjunct uses ``≠``."""
         return all(q.is_inequality_free() for q in self.disjuncts)
-
-    def with_name(self, name: str) -> "UnionOfConjunctiveQueries":
-        """A copy of the query under a different name."""
-        return UnionOfConjunctiveQueries(self.disjuncts, name)
 
     def union(self, other: "UnionOfConjunctiveQueries") -> "UnionOfConjunctiveQueries":
         """The union of two UCQs (arities must match)."""

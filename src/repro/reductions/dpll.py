@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.exceptions import ReductionError
 
@@ -713,33 +713,3 @@ class DPLLSolver:
             del self._level[activation]
             self._reason.pop(activation, None)
             self._queue(activation)
-
-    def enumerate_models(
-        self, project_onto: Sequence[int] | None = None
-    ) -> Iterator[dict[int, bool]]:
-        """Enumerate satisfying assignments via blocking clauses.
-
-        With ``project_onto`` given, models are enumerated up to their
-        restriction to those variables (each projection appears exactly once);
-        otherwise up to their restriction to the decision set, which is every
-        variable by default.  Projected variables must be decision variables;
-        those the clause database has never seen are don't-care: they
-        contribute no blocking literal (and do not appear in the yielded
-        models), so an unconstrained selector cannot crash the enumeration.
-        Each blocking clause is absorbed by backjumping (see :meth:`solve`),
-        and it stays in the solver.
-        """
-        if project_onto is None and self._decisions is not None:
-            project_onto = sorted(self._decisions)
-        while True:
-            model = self.solve()
-            if model is None:
-                return
-            yield model
-            scope = project_onto if project_onto is not None else sorted(model)
-            blocking = [
-                -var if model[var] else var for var in scope if var in model
-            ]
-            if not blocking:
-                return  # nothing to block: the projection admits one model
-            self.add_clause(blocking)

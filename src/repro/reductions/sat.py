@@ -107,18 +107,6 @@ class CNFFormula:
         solver = DPLLSolver(clause.literals for clause in self.clauses)
         return solver.solve() is not None
 
-    def satisfying_assignment(self) -> dict[int, bool] | None:
-        """A satisfying assignment of all variables, or ``None`` (UNSAT)."""
-        from repro.reductions.dpll import DPLLSolver
-
-        solver = DPLLSolver(clause.literals for clause in self.clauses)
-        model = solver.solve()
-        if model is None:
-            return None
-        # The solver only assigns variables that occur in clauses, which for
-        # a CNFFormula is all of them.
-        return {variable: model[variable] for variable in self.variables()}
-
     def is_satisfiable_brute_force(self, max_variables: int = 12) -> bool:
         """Exhaustive satisfiability check (cross-check oracle).
 

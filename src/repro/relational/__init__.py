@@ -3,8 +3,8 @@
 This package implements the classical relational data model the paper builds
 on (Section 2.1): attributes with finite or infinite domains, relation and
 database schemas, ground instances (databases without missing values), master
-data, and a small set-based relational algebra used by a few of the paper's
-constructions.
+data, and the hash indexes over ground facts that the delta checker joins
+through.
 """
 
 from repro.relational.domains import (
@@ -19,7 +19,6 @@ from repro.relational.indexing import (
     FactIndex,
     IndexedFactStore,
     Signature,
-    instance_index,
 )
 from repro.relational.instance import (
     GroundInstance,
@@ -58,6 +57,5 @@ __all__ = [
     "finite_domain",
     "infinite_domain",
     "instance",
-    "instance_index",
     "schema",
 ]

@@ -33,10 +33,6 @@ rows must not delete the shared continuation.
 * attribute-value interning: equal constants pushed through the store are
   canonicalised to one representative object, so the hash of a hot value is
   computed against the same object identity in every bucket.
-
-:class:`GroundInstance <repro.relational.instance.GroundInstance>` exposes the
-same machinery for immutable instances via
-:func:`instance_index`, caching built indexes per (instance, signature).
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from repro.relational.domains import Constant
-from repro.relational.instance import GroundInstance, Row
+from repro.relational.instance import Row
 
 #: A bound-position signature: column indexes the join has bindings for
 #: (lookup key) and column indexes the join still needs (projected output).
@@ -68,7 +64,7 @@ def _projector(positions: tuple[int, ...]) -> Callable[[Row], Row]:
 
     ``itemgetter`` returns a tuple for two or more positions only: with one
     it returns the bare value, and with none it cannot be built.  Every
-    projector pickles, as the indexes cached on a ground instance do.
+    projector pickles, so an index does too.
     """
     if len(positions) > 1:
         return itemgetter(*positions)
@@ -210,26 +206,3 @@ class IndexedFactStore(dict[str, set[Row]]):
             self._indexes[key] = index
             self._relation_indexes.setdefault(relation, []).append(index)
         return index
-
-    @property
-    def built_indexes(self) -> int:
-        """How many signatures have been materialised (observability)."""
-        return len(self._indexes)
-
-
-def instance_index(
-    instance: GroundInstance, relation: str, signature: Signature
-) -> FactIndex:
-    """A lazily built, cached :class:`FactIndex` over a ground instance.
-
-    Ground instances are immutable, so the index is built once per
-    ``(instance, relation, signature)`` and cached on the instance itself;
-    repeated lookups are dictionary hits.
-    """
-    cache = instance.fact_indexes()
-    key = (relation, signature)
-    index = cache.get(key)
-    if index is None:
-        index = FactIndex(*signature, rows=instance.relation(relation).rows)
-        cache[key] = index
-    return index

@@ -12,14 +12,11 @@ sets (e.g. when enumerating ``Mod(T, D_m, V)``) and as dictionary keys.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import SchemaError, UnknownRelationError
 from repro.relational.domains import Constant
 from repro.relational.schema import DatabaseSchema, RelationSchema
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.relational.indexing import FactIndex, Signature
 
 #: A database tuple is an ordinary Python tuple of constants.
 Row = tuple[Constant, ...]
@@ -90,16 +87,6 @@ class Relation:
         self._require_same_schema(other)
         return Relation(self._schema, self._rows | other._rows)
 
-    def difference(self, other: "Relation") -> "Relation":
-        """Set difference of two relations over the same schema."""
-        self._require_same_schema(other)
-        return Relation(self._schema, self._rows - other._rows)
-
-    def intersection(self, other: "Relation") -> "Relation":
-        """Set intersection of two relations over the same schema."""
-        self._require_same_schema(other)
-        return Relation(self._schema, self._rows & other._rows)
-
     # ------------------------------------------------------------------
     # comparisons
     # ------------------------------------------------------------------
@@ -107,11 +94,6 @@ class Relation:
         """Whether every tuple of this relation also occurs in ``other``."""
         self._require_same_schema(other)
         return self._rows <= other._rows
-
-    def is_proper_subset(self, other: "Relation") -> bool:
-        """Whether this relation is a strict subset of ``other``."""
-        self._require_same_schema(other)
-        return self._rows < other._rows
 
     def constants(self) -> frozenset[Constant]:
         """All constants occurring in the relation."""
@@ -138,7 +120,7 @@ class Relation:
 class GroundInstance:
     """A ground instance of a database schema (one relation per schema)."""
 
-    __slots__ = ("_schema", "_relations", "_fact_indexes")
+    __slots__ = ("_schema", "_relations")
 
     def __init__(
         self,
@@ -164,22 +146,10 @@ class GroundInstance:
                 built[rel_schema.name] = Relation(rel_schema, rows)
         self._schema = schema
         self._relations = built
-        # Lazily populated by repro.relational.indexing.instance_index();
-        # pure cache, deliberately excluded from __eq__/__hash__.
-        self._fact_indexes: dict[tuple[str, "Signature"], "FactIndex"] = {}
 
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
-    def fact_indexes(self) -> dict[tuple[str, "Signature"], "FactIndex"]:
-        """Per-instance cache of lazily built hash indexes.
-
-        Use :func:`repro.relational.indexing.instance_index` to populate it;
-        the instance itself stays immutable — the cache only memoises
-        derived lookup structures.
-        """
-        return self._fact_indexes
-
     @property
     def schema(self) -> DatabaseSchema:
         """The database schema of the instance."""

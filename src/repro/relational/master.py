@@ -34,13 +34,6 @@ class MasterData:
     ) -> None:
         self._instance = GroundInstance(schema, relations)
 
-    @classmethod
-    def from_instance(cls, instance: GroundInstance) -> "MasterData":
-        """Wrap an existing ground instance as master data."""
-        md = cls.__new__(cls)
-        md._instance = instance
-        return md
-
     # ------------------------------------------------------------------
     # delegation to the underlying ground instance
     # ------------------------------------------------------------------

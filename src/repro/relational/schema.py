@@ -105,10 +105,6 @@ class RelationSchema:
         """The attribute object with the given name."""
         return self.attributes[self.position_of(name)]
 
-    def domain_of(self, attribute: str) -> Domain:
-        """The domain of the named attribute."""
-        return self.attribute(attribute).domain
-
     # ------------------------------------------------------------------
     # tuple validation
     # ------------------------------------------------------------------

@@ -510,7 +510,7 @@ class IncrementalEncoder:
 
 def iter_solver_models(
     encoding: WorldEncoding,
-    solver: DPLLSolver | None = None,
+    solver: DPLLSolver,
     assumptions: Sequence[int] = (),
     activation: int | None = None,
 ) -> Iterator[Valuation]:
@@ -518,27 +518,22 @@ def iter_solver_models(
 
     This is the solve → decode → block loop of both SAT paths' ``search()``
     (:meth:`repro.search.sat_engine.SATWorldSearch.search` and the live
-    session's) and of the tests.  Each satisfying valuation is
-    yielded exactly once: its blocking clause (one negated selector literal
-    per c-instance variable) is added before re-solving, and it excludes
-    every completion of the valuation's presence variables.  The solver
-    absorbs each blocking clause by backjumping, so one enumeration is one
-    search resumed after every model.
+    session's).  Each satisfying valuation is yielded exactly once: its
+    blocking clause (one negated selector literal per c-instance variable)
+    is added before re-solving, and it excludes every completion of the
+    valuation's presence variables.  The solver absorbs each blocking clause
+    by backjumping, so one enumeration is one search resumed after every
+    model.
 
-    ``solver`` may be supplied to observe its statistics or to reuse it; it
-    must hold ``encoding.clauses`` and decide at least the selectors.  The
-    search runs under ``assumptions``.  With ``activation`` (from
-    :meth:`IncrementalEncoder.fresh_activation`) it also runs under that
-    literal, every blocking clause carries its negation, and the solver
+    ``solver`` must hold ``encoding.clauses`` and decide at least the
+    selectors.  The search runs under ``assumptions``.  With ``activation``
+    (from :meth:`IncrementalEncoder.fresh_activation`) it also runs under
+    that literal, every blocking clause carries its negation, and the solver
     retires it when the enumeration ends or is abandoned, so a reused
     solver keeps no blocking clause of this enumeration.
     """
-    from repro.reductions.dpll import DPLLSolver
-
     if encoding.trivially_unsat:
         return
-    if solver is None:
-        solver = DPLLSolver(encoding.clauses, decisions=encoding.selector.values())
     assumed = list(assumptions)
     carried: tuple[int, ...] = ()
     if activation is not None:

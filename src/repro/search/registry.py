@@ -69,14 +69,8 @@ from repro.search.sat_engine import SATWorldSearch
 #: Engine used when callers do not request one explicitly.
 DEFAULT_ENGINE = "propagating"
 
-#: The object shape every registered engine factory must produce.  Kept as
-#: an alias of :class:`repro.protocols.WorldSearchEngine`, where the
-#: protocol now lives alongside the other structural contracts.
-WorldSearchLike = WorldSearchEngine
-
-
 #: ``factory(cinstance, master, constraints, adom, *, checker,
-#: break_symmetry, **options) -> WorldSearchLike``.  ``break_symmetry=True``
+#: break_symmetry, **options) -> WorldSearchEngine``.  ``break_symmetry=True``
 #: allows a run to explore one valuation per renaming of the fresh Adom
 #: values nothing mentions: sound for any per-world test that renaming
 #: cannot change, and for an intersection of per-world answers each closed
@@ -86,7 +80,7 @@ WorldSearchLike = WorldSearchEngine
 #: free to ignore hints that do not apply to them (the SAT and naive
 #: factories ignore ``break_symmetry``, the naive one ``checker`` too) and
 #: then enumerate every world; unknown ``options`` keys should raise.
-EngineFactory = Callable[..., WorldSearchLike]
+EngineFactory = Callable[..., WorldSearchEngine]
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,7 @@ class EngineSpec:
         checker: ConstraintChecker | None = None,
         break_symmetry: bool = False,
         options: Mapping[str, Any] | None = None,
-    ) -> WorldSearchLike:
+    ) -> WorldSearchEngine:
         """Instantiate the engine, honouring ambient checker/stat channels."""
         search = self.factory(
             cinstance,
@@ -188,7 +182,7 @@ class SearchTemplate:
         if spec.capabilities.rooted_runs:
             self._rooted = self._factory(cinstance, *self._arguments, **self._keywords)
 
-    def over(self, instance: GroundInstance) -> WorldSearchLike:
+    def over(self, instance: GroundInstance) -> WorldSearchEngine:
         """The engine's run over ``T ∪ instance``, reported as one search."""
         if self._rooted is not None:
             run = self._rooted.over(instance)
@@ -321,7 +315,7 @@ _AMBIENT_CHECKERS: ContextVar[tuple[ConstraintChecker, ...]] = ContextVar(
 )
 
 
-def record_search(search: WorldSearchLike) -> None:
+def record_search(search: WorldSearchEngine) -> None:
     """Report an engine instantiation to every active collector."""
     for sink in _SEARCH_SINKS.get():
         sink.append(search)

@@ -25,6 +25,7 @@ deploy a default).  Sessions name factories in the workload registry
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -78,15 +79,16 @@ _CONFIG_KEYS = {
 class ServiceConfig:
     """The complete service configuration (all fields defaulted).
 
-    ``executor_workers`` sizes the thread pool that runs engine work off the
-    event loop (``null``: the :class:`~concurrent.futures.ThreadPoolExecutor`
-    default).  ``request_timeout`` bounds one decision request in seconds
-    (``null`` disables); ``stream_buffer`` is the world-stream backpressure
-    queue depth; ``drain_timeout`` bounds the graceful-shutdown wait for
-    in-flight requests.  ``auth_token`` is the token every route but
-    ``/healthz`` requires (``null``: open); ``rate_limit`` is the number of
-    decide and ``/worlds`` requests one session admits in any sliding second
-    (``null``: unlimited).
+    ``port`` is 0–65535 (0: ephemeral).  ``executor_workers`` sizes the
+    thread pool that runs engine work off the event loop (``null``: the
+    :class:`~concurrent.futures.ThreadPoolExecutor` default).
+    ``request_timeout`` bounds one decision request in seconds, finite and
+    above 0 (``null`` disables); ``stream_buffer`` is the world-stream
+    backpressure queue depth; ``drain_timeout`` bounds the graceful-shutdown
+    wait for in-flight requests, finite and at least 0.  ``auth_token`` is
+    the token every route but ``/healthz`` requires (``null``: open);
+    ``rate_limit`` is the number of decide and ``/worlds`` requests one
+    session admits in any sliding second (``null``: unlimited).
     """
 
     host: str = "127.0.0.1"
@@ -100,6 +102,12 @@ class ServiceConfig:
     sessions: Mapping[str, SessionConfig] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ServiceError("port must be in 0-65535")
+        if self.request_timeout is not None and not 0 < self.request_timeout < math.inf:
+            raise ServiceError("request_timeout must be finite and > 0, or null")
+        if not 0 <= self.drain_timeout < math.inf:
+            raise ServiceError("drain_timeout must be finite and >= 0")
         if self.executor_workers is not None and self.executor_workers < 1:
             raise ServiceError("executor_workers must be >= 1")
         if self.stream_buffer < 1:

@@ -47,11 +47,6 @@ class ReadWriteLock:
         """How many readers currently hold the lock (introspection/tests)."""
         return self._readers
 
-    @property
-    def writer_active(self) -> bool:
-        """Whether a writer currently holds the lock (introspection/tests)."""
-        return self._writer_active
-
     def _notify(self) -> None:
         self._changed.set()
         self._changed = asyncio.Event()

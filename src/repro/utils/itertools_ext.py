@@ -1,17 +1,13 @@
 """Enumeration helpers used by the decision procedures.
 
-The deciders of the paper enumerate valuations over the active domain
-``Adom`` and subsets of tuples.  Those enumerations are intrinsically
-exponential; the helpers here make the exponential loops explicit, bounded
-and testable.
+The deciders of the paper enumerate subsets of tuples; that enumeration is
+intrinsically exponential, and :func:`powerset` makes the loop explicit.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence, TypeVar
-
-from repro.exceptions import BoundExceededError
+from typing import Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -26,42 +22,3 @@ def powerset(items: Sequence[T], include_empty: bool = True) -> Iterator[tuple[T
     for size in range(start, len(items) + 1):
         yield from itertools.combinations(items, size)
 
-
-def bounded_product(
-    pools: Sequence[Sequence[T]], limit: int | None = None
-) -> Iterator[tuple[T, ...]]:
-    """Cartesian product of ``pools`` with an optional hard limit.
-
-    Raises
-    ------
-    BoundExceededError
-        If ``limit`` combinations have been produced and more remain.
-    """
-    count = 0
-    for combo in itertools.product(*pools):
-        if limit is not None and count >= limit:
-            raise BoundExceededError(
-                f"enumeration exceeded the configured limit of {limit} combinations"
-            )
-        count += 1
-        yield combo
-
-
-def limited(iterable: Iterable[T], limit: int | None) -> Iterator[T]:
-    """Yield from ``iterable``, raising if more than ``limit`` items appear."""
-    count = 0
-    for item in iterable:
-        if limit is not None and count >= limit:
-            raise BoundExceededError(
-                f"enumeration exceeded the configured limit of {limit} items"
-            )
-        count += 1
-        yield item
-
-
-def product_size(pools: Sequence[Sequence[T]]) -> int:
-    """Number of combinations a cartesian product would produce."""
-    size = 1
-    for pool in pools:
-        size *= len(pool)
-    return size

@@ -9,8 +9,6 @@ constants (they are tagged strings).
 
 from __future__ import annotations
 
-from repro.relational.domains import Constant
-
 #: Prefix used for generated fresh constants.  The prefix is deliberately
 #: unusual so generated values never collide with realistic data values.
 FRESH_PREFIX = "★new"
@@ -33,8 +31,3 @@ class FreshNameSupply:
     def take(self, count: int, hint: str = "") -> list[str]:
         """A list of ``count`` fresh names."""
         return [self.next(hint) for _ in range(count)]
-
-
-def is_fresh_constant(value: Constant) -> bool:
-    """Whether ``value`` was generated by this module."""
-    return isinstance(value, str) and value.startswith(FRESH_PREFIX)

@@ -1,4 +1,4 @@
-"""The surfaces 3.0.0, 4.0.0, 5.0.0, 6.0.0 and 7.0.0 removed fail loudly.
+"""The surfaces 3.0.0, 4.0.0, 5.0.0, 6.0.0, 7.0.0 and 8.0.0 removed fail loudly.
 
 3.0.0 deleted the 1.x→2.0 deprecation shims and the baseline toggles (see the
 README migration table); the live SAT session's encoding switches
@@ -43,6 +43,17 @@ an integer ``rate_limit`` replace the config keys; ``auth`` and
 ``result_backend`` are unknown keys now, and a ``rate_limit`` object is
 rejected.
 
+8.0.0 deleted what nothing in the library called: the
+``repro.relational.algebra`` module, ``instance_index`` with the per-instance
+fact-index cache it filled (``GroundInstance.fact_indexes``), the solver's
+test-only entry points (``DPLLSolver.enumerate_models``,
+``CNFFormula.satisfying_assignment`` and the ``solver=None`` default of
+``iter_solver_models``), the two wrappers of ``satisfies_all``
+(``is_partially_closed``, ``is_partially_closed_world``), the
+``registry.WorldSearchLike`` alias, ``Database.default_engine`` and a set of
+helpers on the relational, c-table, query, constraint, utility and lock
+classes.
+
 A removed keyword must
 raise ``TypeError`` and a removed attribute ``AttributeError``: neither may be
 absorbed by a ``**kwargs`` pass-through or an attribute fallback, which would
@@ -55,14 +66,17 @@ from collections.abc import Iterator
 
 import pytest
 
+import repro.completeness
 import repro.ctables
+import repro.relational
 import repro.search
 import repro.service
 import repro.service.config
 import repro.service.plugins
 import repro.service.problems
+import repro.utils
 from repro.reductions import dpll
-from repro.search import cnf_encoding
+from repro.search import cnf_encoding, registry
 from repro.api import Database, EngineConfig
 from repro.completeness import (
     certain,
@@ -84,15 +98,26 @@ from repro.completeness.minp import (
 from repro.completeness.rcdp import is_relatively_complete
 from repro.completeness.rcqp import rcqp, rcqp_bounded_search
 from repro.completeness.weak import weak_completeness_report
+from repro.constraints import containment, dependencies
+from repro.constraints.dependencies import FunctionalDependency
 from repro.ctables import possible_worlds
+from repro.ctables.conditions import Condition
+from repro.ctables.ctable import CTable
 from repro.ctables.possible_worlds import default_active_domain, has_model, models
 from repro.exceptions import SearchError
 from repro.queries.atoms import atom
-from repro.queries.cq import cq
+from repro.queries import terms
+from repro.queries.cq import ConjunctiveQuery, cq
+from repro.queries.efo import ExistentialPositiveQuery
+from repro.queries.fo import FirstOrderQuery, NativeQuery
+from repro.queries.fp import FixpointQuery
 from repro.queries.terms import var
+from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.reductions.dpll import DPLLSolver
+from repro.reductions.sat import CNFFormula
+from repro.relational import indexing
 from repro.relational.domains import BOOLEAN_DOMAIN
-from repro.relational.instance import instance
+from repro.relational.instance import GroundInstance, Relation, instance
 from repro.relational.master import MasterData
 from repro.relational.schema import RelationSchema, database_schema
 from repro.search import propagation
@@ -111,6 +136,8 @@ from repro.search.sat_engine import IncrementalSATSession, SATWorldSearch
 from repro.exceptions import ServiceError
 from repro.service import DatabasePool, ServiceConfig
 from repro.service.__main__ import build_config
+from repro.service.locks import ReadWriteLock
+from repro.utils import itertools_ext, naming
 from repro.workloads.generator import inequality_chain_workload
 from repro.workloads.patients import build_patient_scenario
 
@@ -600,3 +627,89 @@ def test_front_ends_reject_the_parallel_engine(call):
         _drain(call(_workload(), engine="parallel"))
     for name in ("propagating", "sat", "naive"):
         assert repr(name) in str(raised.value)
+
+
+#: The module-level names 8.0.0 removed, by module.
+REMOVED_UNREFERENCED_NAMES = {
+    repro.relational: ("instance_index",),
+    indexing: ("instance_index",),
+    repro.completeness: ("is_partially_closed", "is_partially_closed_world"),
+    extensions: ("is_partially_closed",),
+    consistency: ("is_partially_closed_world",),
+    dependencies: ("schema_has_relation", "Dependency"),
+    containment: ("RightHandSide",),
+    terms: ("is_constant", "rename_variable"),
+    repro.utils: ("bounded_product", "limited"),
+    itertools_ext: ("bounded_product", "limited", "product_size"),
+    naming: ("is_fresh_constant",),
+    registry: ("WorldSearchLike",),
+}
+
+
+@pytest.mark.parametrize(
+    ("module", "name"),
+    [
+        (module, name)
+        for module, names in REMOVED_UNREFERENCED_NAMES.items()
+        for name in names
+    ],
+    ids=[
+        f"{module.__name__}.{name}"
+        for module, names in REMOVED_UNREFERENCED_NAMES.items()
+        for name in names
+    ],
+)
+def test_the_unreferenced_module_names_are_gone(module, name):
+    with pytest.raises(AttributeError):
+        getattr(module, name)
+    assert name not in getattr(module, "__all__", ())
+    assert name not in repro.__all__
+
+
+def test_the_algebra_module_is_gone():
+    with pytest.raises(ImportError):
+        import repro.relational.algebra  # noqa: F401
+
+
+#: The methods and properties 8.0.0 removed, by class.
+REMOVED_MEMBERS = {
+    GroundInstance: ("fact_indexes", "_fact_indexes"),
+    IndexedFactStore: ("built_indexes",),
+    DPLLSolver: ("enumerate_models",),
+    CNFFormula: ("satisfying_assignment",),
+    Condition: ("conjoin", "with_conjunct", "is_satisfiable_over"),
+    FunctionalDependency: ("violating_pairs",),
+    CTable: ("variable_positions",),
+    Relation: ("is_proper_subset", "difference", "intersection"),
+    MasterData: ("from_instance",),
+    RelationSchema: ("domain_of",),
+    ConjunctiveQuery: ("is_boolean", "with_name", "existential_variables"),
+    UnionOfConjunctiveQueries: ("is_boolean", "with_name"),
+    FirstOrderQuery: ("is_boolean", "with_name"),
+    ExistentialPositiveQuery: ("is_boolean", "with_name"),
+    FixpointQuery: ("is_boolean", "with_name"),
+    NativeQuery: ("is_boolean",),
+    ReadWriteLock: ("writer_active",),
+    Database: ("default_engine",),
+}
+
+
+@pytest.mark.parametrize(
+    ("owner", "name"),
+    [(owner, name) for owner, names in REMOVED_MEMBERS.items() for name in names],
+    ids=[
+        f"{owner.__name__}.{name}"
+        for owner, names in REMOVED_MEMBERS.items()
+        for name in names
+    ],
+)
+def test_the_unreferenced_members_are_gone(owner, name):
+    with pytest.raises(AttributeError):
+        getattr(owner, name)
+
+
+def test_iter_solver_models_needs_a_solver():
+    workload = _workload()
+    encoding = encode_world_search(workload.cinstance, workload.master, workload.constraints)
+    with pytest.raises(TypeError, match="solver"):
+        cnf_encoding.iter_solver_models(encoding)

@@ -7,7 +7,6 @@ from repro.completeness.consistency import (
     extension_witness,
     is_consistent,
     is_extensible,
-    is_partially_closed_world,
 )
 from repro.completeness.extensions import (
     bounded_extensions,
@@ -186,15 +185,6 @@ class TestExtensibilityProblem:
         md = empty_master(database_schema(schema("Rm", "A", "B")))
         forbid_all = denial_cc(boolean_cq("q", atoms=[atom("R", a, b)]))
         assert not is_extensible(empty_instance(bool_pair_schema), md, [forbid_all])
-
-    def test_partially_closed_world_helper(self, bool_pair_schema, master_pair):
-        constraint = relation_containment_cc("R", bool_pair_schema, "Rm")
-        assert is_partially_closed_world(
-            instance(bool_pair_schema, R=[(0, 0)]), master_pair, [constraint]
-        )
-        assert not is_partially_closed_world(
-            instance(bool_pair_schema, R=[(0, 1)]), master_pair, [constraint]
-        )
 
     def test_has_partially_closed_extension_matches_is_extensible(
         self, bool_pair_schema, master_pair

@@ -62,7 +62,6 @@ from repro.relational.domains import BOOLEAN_DOMAIN
 from repro.relational.instance import empty_instance, instance
 from repro.relational.master import MasterData, empty_master
 from repro.relational.schema import RelationSchema, database_schema, schema
-from repro.utils.naming import is_fresh_constant
 
 # The brute-force oracles are shared with the three-way extension-parity suite
 # (tests/search/test_extension_parity.py); one definition, two consumers.
@@ -104,17 +103,18 @@ class TestCandidateRows:
         default_order = list(candidate_rows(pair_schema["R"], adom))
         fresh_order = list(candidate_rows(pair_schema["R"], adom, fresh_first=True))
         assert set(default_order) == set(fresh_order)
+        fresh = set(adom.fresh_values)
         # Every all-fresh row precedes every no-fresh row in fresh_first mode.
         first_no_fresh = next(
             i
             for i, row in enumerate(fresh_order)
-            if not any(is_fresh_constant(value) for value in row)
+            if not any(value in fresh for value in row)
         )
         assert all(
-            any(is_fresh_constant(value) for value in row)
+            any(value in fresh for value in row)
             for row in fresh_order[:first_no_fresh]
         )
-        assert any(is_fresh_constant(value) for value in fresh_order[0])
+        assert any(value in fresh for value in fresh_order[0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.constraints.dependencies import (
     fd,
     ind,
     satisfies_dependencies,
-    schema_has_relation,
 )
 from repro.exceptions import ConstraintError
 from repro.queries.atoms import atom, neq
@@ -45,7 +44,6 @@ class TestFunctionalDependency:
         )
         dependency = fd("Emp", "id", "name")
         assert not dependency.is_satisfied(db)
-        assert len(dependency.violating_pairs(db)) == 1
 
     def test_composite_sides(self, emp_schema):
         db = instance(
@@ -159,10 +157,3 @@ class TestDependencyCollections:
         )
         deps = [fd("Emp", "id", "name"), ind("Emp", "dept", "Dept", "dept")]
         assert satisfies_dependencies(db, deps)
-
-    def test_schema_has_relation(self, emp_schema):
-        assert schema_has_relation(emp_schema, fd("Emp", "id", "name"))
-        assert schema_has_relation(emp_schema, ind("Emp", "dept", "Dept", "dept"))
-        assert not schema_has_relation(emp_schema, fd("Other", "a", "b"))
-        denial = DenialConstraint(boolean_cq("q", atoms=[atom("Emp", x, y, var("d"), var("c"))]))
-        assert schema_has_relation(emp_schema, denial)

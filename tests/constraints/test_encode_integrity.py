@@ -43,7 +43,7 @@ class TestFDEncoding:
     def test_fd_as_ccs_shape(self, emp_schema):
         ccs = fd_as_ccs(fd("Emp", "id", ["name", "city"]), emp_schema)
         assert len(ccs) == 2
-        assert all(c.query.is_boolean for c in ccs)
+        assert all(c.query.arity == 0 for c in ccs)
 
     def test_cc_satisfaction_mirrors_fd(self, emp_schema, master):
         dependency = fd("Emp", "id", "name")

@@ -60,14 +60,6 @@ class TestConditionEvaluation:
 
 
 class TestConditionCombinators:
-    def test_conjoin(self):
-        combined = condition(eq(x, 1)).conjoin(condition(neq(y, 2)))
-        assert len(combined.conjuncts) == 2
-
-    def test_with_conjunct(self):
-        c = TRUE.with_conjunct(eq(x, 1), neq(y, 2))
-        assert len(c.conjuncts) == 2
-
     def test_rename(self):
         c = condition(eq(x, y)).rename({x: z})
         assert c.variables() == {z, y}
@@ -80,12 +72,3 @@ class TestConditionCombinators:
         c = condition(eq(x, 1)).substitute({x: 2})
         assert not c.is_true
         assert not c.evaluate({})
-
-    def test_satisfiability_over_pool(self):
-        c = condition(neq(x, 0), neq(x, 1))
-        assert not c.is_satisfiable_over([0, 1])
-        assert c.is_satisfiable_over([0, 1, 2])
-
-    def test_satisfiability_of_ground_condition(self):
-        assert TRUE.is_satisfiable_over([])
-        assert not condition(eq(1, 2)).is_satisfiable_over([5])

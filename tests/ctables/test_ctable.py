@@ -118,11 +118,6 @@ class TestCTable:
         valuation = {x: "Alice", z: 2000, w: "LON", u: "05"}
         assert len(figure1_ctable.apply(valuation)) == 5
 
-    def test_variable_positions(self, figure1_ctable):
-        positions = figure1_ctable.variable_positions()
-        assert ("MVisit", "name") in positions[x]
-        assert ("MVisit", "yob") in positions[z]
-
     def test_from_relation_round_trip(self, mvisit_schema):
         rel = Relation(
             mvisit_schema,

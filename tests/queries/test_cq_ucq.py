@@ -15,14 +15,12 @@ class TestConjunctiveQueryConstruction:
     def test_basic_query(self):
         q = cq("Q", [x], atoms=[atom("R", x, y)])
         assert q.arity == 1
-        assert not q.is_boolean
         assert q.head_variables() == {x}
-        assert q.existential_variables() == {y}
+        assert q.body_variables() - q.head_variables() == {y}
         assert q.relation_names() == {"R"}
 
     def test_boolean_query(self):
         q = boolean_cq("Q", atoms=[atom("R", x)])
-        assert q.is_boolean
         assert q.arity == 0
 
     def test_constants_collected(self):
@@ -87,9 +85,6 @@ class TestConjunctiveQueryTransformations:
         # Renaming away from disjoint variables is a no-op.
         assert q.rename_apart({var("unrelated")}) is q
 
-    def test_with_name(self):
-        assert cq("Q", [x], atoms=[atom("R", x)]).with_name("P").name == "P"
-
     def test_tableau_view(self):
         q = cq("Q", [x], atoms=[atom("R", x, y)], comparisons=[neq(y, 1)])
         tableau, head = q.tableau()
@@ -139,7 +134,7 @@ class TestUnionOfConjunctiveQueries:
 
     def test_boolean_ucq(self):
         u = ucq("U", boolean_cq("Q1", atoms=[atom("R", x)]))
-        assert u.is_boolean
+        assert u.arity == 0
 
     def test_inequality_free(self):
         q1 = cq("Q1", [x], atoms=[atom("R", x)])

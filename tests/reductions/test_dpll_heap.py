@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from dpll_oracles import enumerate_models
 from repro.reductions import dpll
 from repro.reductions.dpll import DPLLSolver
 
@@ -87,8 +88,8 @@ def _assert_lockstep(rng: random.Random, variables: int, ratio: float) -> None:
             heap.add_clause(clause)
             scan.add_clause(clause)
     project = sorted(rng.sample(range(1, variables + 1), min(5, variables)))
-    heap_models = list(heap.enumerate_models(project_onto=project))
-    scan_models = list(scan.enumerate_models(project_onto=project))
+    heap_models = list(enumerate_models(heap, project))
+    scan_models = list(enumerate_models(scan, project))
     assert heap_models == scan_models
     assert heap.stats == scan.stats
 

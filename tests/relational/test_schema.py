@@ -35,8 +35,8 @@ class TestRelationSchema:
 
     def test_mixed_attribute_specs(self):
         r = RelationSchema("R", ["A", ("B", BOOLEAN_DOMAIN), Attribute("C")])
-        assert r.domain_of("B").is_finite
-        assert r.domain_of("A").is_infinite
+        assert r.attribute("B").domain.is_finite
+        assert r.attribute("A").domain.is_infinite
 
     def test_duplicate_attribute_rejected(self):
         with pytest.raises(SchemaError):
@@ -126,4 +126,4 @@ class TestDatabaseSchema:
     def test_finite_domain_round_trip(self):
         dom = finite_domain("city", ("EDI", "LON"))
         db = database_schema(RelationSchema("R", [("city", dom)]))
-        assert db["R"].domain_of("city") == dom
+        assert db["R"].attribute("city").domain == dom

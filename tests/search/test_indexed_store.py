@@ -10,8 +10,7 @@ evaluated, never what it answers.  The hypothesis properties below drive all
 three checkers in lockstep over random operation sequences (including pops
 across violations); the engine-level tests lock identical world streams and
 node/prune counters.  Unit tests pin the index machinery itself: multiset
-bucket discards, lazy build vs incremental maintenance, value interning and
-the per-instance index cache.
+bucket discards, lazy build vs incremental maintenance and value interning.
 
 Every test carries the ``delta_differential`` marker so ``scripts/check.sh``
 runs this suite as part of the dedicated semantics gate.
@@ -33,8 +32,7 @@ from repro.exceptions import SearchError
 from repro.queries.atoms import atom, neq
 from repro.queries.cq import boolean_cq, cq
 from repro.queries.terms import var
-from repro.relational.indexing import FactIndex, IndexedFactStore, instance_index
-from repro.relational.instance import instance
+from repro.relational.indexing import FactIndex, IndexedFactStore
 from repro.relational.master import MasterData
 from repro.relational.schema import database_schema, schema
 from repro.search.engine import WorldSearch
@@ -129,7 +127,7 @@ class TestFactIndex:
         assert index.group(()) == {("b",): 1, ("d",): 1}
         wide = FactIndex((0, 1), (), rows=[("a", "b", "c")])
         assert wide.buckets == {("a", "b"): {(): 1}}
-        # Indexes cached on a ground instance travel with it.
+        # An index pickles with its compiled projections.
         for built in (index, wide):
             assert pickle.loads(pickle.dumps(built)).buckets == built.buckets
 
@@ -182,9 +180,9 @@ class TestIndexedFactStore:
     def test_indexes_are_lazy_and_stay_in_sync(self):
         store = IndexedFactStore(["R"])
         store.add_row("R", ("a", 1))
-        assert store.built_indexes == 0  # nothing asked for an index yet
+        assert not store._indexes  # nothing asked for an index yet
         index = store.index("R", ((0,), (1,)))
-        assert store.built_indexes == 1
+        assert len(store._indexes) == 1
         assert index.group(("a",)) == {(1,): 1}
         # Mutations after the build maintain the index incrementally...
         store.add_row("R", ("a", 2))
@@ -203,24 +201,6 @@ class TestIndexedFactStore:
         store.discard_row("R", ("ghost", 1))
         store.discard_row("T", ("ghost", 1))
         assert not index.buckets
-
-
-class TestInstanceIndex:
-    def test_built_once_and_cached_per_signature(self):
-        inst = instance(DB_SCHEMA, R=[(1, 1), (1, 2)], S=[(0,)])
-        signature = ((0,), (1,))
-        index = instance_index(inst, "R", signature)
-        assert index.group((1,)) == {(1,): 1, (2,): 1}
-        assert instance_index(inst, "R", signature) is index
-        other = instance_index(inst, "R", ((1,), (0,)))
-        assert other is not index
-
-    def test_cache_does_not_affect_instance_equality(self):
-        left = instance(DB_SCHEMA, R=[(1, 1)])
-        right = instance(DB_SCHEMA, R=[(1, 1)])
-        instance_index(left, "R", ((0,), (1,)))
-        assert left == right
-        assert hash(left) == hash(right)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.exceptions import ServiceError
+from repro.service.__main__ import main
 from repro.service.config import ServiceConfig, SessionConfig
 
 
@@ -83,6 +84,34 @@ def test_bad_values_rejected():
         ServiceConfig.from_dict({"rate_limit": 2.5})
     with pytest.raises(ServiceError, match="rate_limit must be >= 1"):
         ServiceConfig.from_dict({"rate_limit": 0})
+    for port in (-1, 65536, 70000):
+        with pytest.raises(ServiceError, match="port must be in 0-65535"):
+            ServiceConfig.from_dict({"port": port})
+    # json.loads accepts NaN and Infinity, so a config file can carry them.
+    for value in (-2, 0, 0.0, "NaN", "Infinity", "-Infinity"):
+        raw = json.loads(f'{{"request_timeout": {value}}}')
+        with pytest.raises(ServiceError, match="request_timeout must be finite and > 0"):
+            ServiceConfig.from_dict(raw)
+    for value in (-1, -0.5, "NaN", "Infinity"):
+        raw = json.loads(f'{{"drain_timeout": {value}}}')
+        with pytest.raises(ServiceError, match="drain_timeout must be finite and >= 0"):
+            ServiceConfig.from_dict(raw)
+
+
+def test_boundary_values_accepted():
+    config = ServiceConfig.from_dict(
+        {"port": 65535, "request_timeout": 0.001, "drain_timeout": 0}
+    )
+    assert (config.port, config.request_timeout, config.drain_timeout) == (
+        65535, 0.001, 0.0,
+    )
+
+
+def test_cli_rejects_an_out_of_range_port(capsys):
+    # Before validation, the bind raised an uncaught OverflowError (exit 1).
+    assert main(["--port", "70000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "repro.service: port must be in 0-65535\n"
 
 
 def test_open_and_unlimited_by_null():
